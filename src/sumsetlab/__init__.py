@@ -49,10 +49,13 @@ from .sumsets import (
     GrowthTable,
     RegionSpec,
     SemigroupOracle,
+    SemigroupSieve,
     exceptional_in_region,
     iter_sumsets,
     semigroup_contains,
     semigroup_oracle,
+    semigroup_sieve,
+    sumset_arrays,
     sumset_iterate,
 )
 from .circuits import (
@@ -79,6 +82,7 @@ from .structure import (
     StructureReport,
     StructureThresholdResult,
     structure_bounds,
+    structure_levels,
     structure_rhs,
     structure_threshold,
     verify_extremal_decomposition,

@@ -34,7 +34,7 @@ from .reporting import (
     triangulate_report,
 )
 from .selfcheck import run_checks
-from .structure import verify_structure_equation
+from .structure import structure_levels
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -147,16 +147,13 @@ def run(args) -> tuple[dict, int]:
             EXIT_BUDGET if partial else EXIT_OK
     if command == "structure":
         if args.max_n is not None:
-            reports = []
-            for k in range(1, args.max_n + 1):
-                rep = verify_structure_equation(normalized, k,
-                                                cap_points=args.cap_points)
-                reports.append({
-                    "n": rep.n,
-                    "holds": rep.holds,
-                    "missing": [list(p) for p in rep.missing],
-                    "extra": [list(p) for p in rep.extra],
-                })
+            reports = [{
+                "n": rep.n,
+                "holds": rep.holds,
+                "missing": [list(p) for p in rep.missing],
+                "extra": [list(p) for p in rep.extra],
+            } for rep in structure_levels(normalized, args.max_n,
+                                          cap_points=args.cap_points)]
             return {"structure_levels": reports, "partial": False}, EXIT_OK
         section, partial = structure_section(normalized, caps)
         return {"structure": section, "partial": partial}, \

@@ -255,6 +255,46 @@ def _decode_keys(keys, mins, ranges):
     return out
 
 
+def key_strides(lo, hi) -> tuple[tuple[int, ...], int]:
+    """Mixed-radix strides packing the box [lo, hi] into keys 0..span-1.
+
+    Returns (strides, span).  Key order is lexicographic row order.
+    """
+    strides = []
+    span = 1
+    for a, b in zip(reversed(lo), reversed(hi)):
+        strides.append(span)
+        span *= b - a + 1
+    return tuple(reversed(strides)), span
+
+
+def key_dtype(span: int) -> np.dtype:
+    """int64 when keys below ``span`` fit the kernel range, else Python ints."""
+    return np.dtype(np.int64) if int64_budget_ok(span) else np.dtype(object)
+
+
+def pack_rows(rows, lo, strides, dtype) -> np.ndarray:
+    """Keys of the rows of a point array; every row must lie in the box.
+
+    Rows are cast to ``dtype`` first, so an object array of Python ints
+    packs exactly whatever the magnitudes.
+    """
+    rows = np.asarray(rows, dtype=dtype)
+    return (rows - np.asarray(lo, dtype=dtype)) @ np.asarray(strides, dtype=dtype)
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted.
+
+    Same result as np.unique, which in numpy 2.x imports numpy.ma on its
+    first call: most of the time of a cold run on a tiny input.
+    """
+    keys = np.sort(keys)
+    if len(keys) < 2:
+        return keys
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
 def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """One Minkowski step: dedup({p + g}), rows sorted lexicographically."""
     n, d = pts.shape
@@ -262,18 +302,11 @@ def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
     mins = [int(pts[:, k].min()) + int(gens[:, k].min()) for k in range(d)]
     maxs = [int(pts[:, k].max()) + int(gens[:, k].max()) for k in range(d)]
     ranges = [mx - mn + 1 for mn, mx in zip(mins, maxs)]
-    span = 1
-    for r in ranges:
-        span *= r
+    strides, span = key_strides(mins, maxs)
     if span >= 1 << 62:
         # key packing would overflow; fall back to row-wise unique
         sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
         return np.unique(sums, axis=0)
-    strides = [0] * d
-    acc = 1
-    for k in range(d - 1, -1, -1):
-        strides[k] = acc
-        acc *= ranges[k]
     mins_a = np.asarray(mins, dtype=np.int64)
     strides_a = np.asarray(strides, dtype=np.int64)
     if active_backend() == "numba":

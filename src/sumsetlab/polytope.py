@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import kernels
 from .errors import (
     BudgetExceededError,
@@ -377,11 +379,26 @@ def count_dilate_points(config: PointConfig, n: int, enumerate_points: bool = Fa
     Scans the integer bounding box of n*H with exact half-space tests; the
     box size is charged against ``cap_points``.
     """
+    if enumerate_points:
+        return kernels.array_to_points(dilate_points(config, n, cap_points))
+    return _dilate_scan(config, n, False, cap_points)
+
+
+def dilate_points(config: PointConfig, n: int, cap_points: int = 10 ** 7):
+    """The points :func:`count_dilate_points` lists, as a lex-sorted array.
+
+    The array is int64 when the scan fits the kernel range and holds
+    Python ints (dtype object) otherwise.
+    """
+    return _dilate_scan(config, n, True, cap_points)
+
+
+def _dilate_scan(config: PointConfig, n: int, enumerate_points: bool, cap_points: int):
     if n < 1:
         raise PreconditionError("dilation factor must be >= 1")
     d = config.dim
     if d == 0:
-        return [()] if enumerate_points else 1
+        return np.zeros((1, 0), dtype=np.int64) if enumerate_points else 1
     poly = convex_hull(config)
     lo, hi = _dilate_box(config, n)
     box = 1
@@ -394,17 +411,30 @@ def count_dilate_points(config: PointConfig, n: int, enumerate_points: bool = Fa
         )
     lhs = [list(f.normal) for f in poly.facets]
     rhs = [n * f.offset for f in poly.facets]
+    return scan_box(lo, hi, lhs, rhs, enumerate_points)
+
+
+def scan_box(lo, hi, lhs, rhs, enumerate_points: bool):
+    """Lattice points x with lo <= x <= hi and lhs @ x <= rhs, or their count.
+
+    Runs the int64 kernels when every dot product provably fits and the
+    exact big-integer scan otherwise.  Points come back as a lex-sorted
+    array: int64 from the kernels, Python ints (dtype object) from the
+    exact scan.
+    """
     bound = max(
         (sum(abs(v) * max(abs(a), abs(b)) for v, a, b in zip(row, lo, hi))
          for row in lhs),
         default=0,
     )
-    safe = kernels.int64_budget_ok(bound, *(list(lo) + list(hi) + rhs))
-    if safe:
+    if kernels.int64_budget_ok(bound, *(list(lo) + list(hi) + list(rhs))):
         if enumerate_points:
-            return kernels.array_to_points(kernels.box_points(lo, hi, lhs, rhs))
+            return kernels.box_points(lo, hi, lhs, rhs)
         return kernels.box_count(lo, hi, lhs, rhs)
-    return _box_scan_exact(lo, hi, lhs, rhs, enumerate_points)
+    found = _box_scan_exact(lo, hi, lhs, rhs, enumerate_points)
+    if enumerate_points:
+        return np.array(found, dtype=object).reshape(len(found), len(lo))
+    return found
 
 
 def _box_scan_exact(lo, hi, lhs, rhs, enumerate_points):
@@ -444,3 +474,16 @@ def cone_constraints(poly: Polytope) -> list[Point]:
     if any(f.kind is None for f in poly.facets):
         raise PreconditionError("cone requires the origin to be a hull vertex")
     return [f.normal for f in poly.inner_facets]
+
+
+def cone_functional(poly: Polytope) -> Point:
+    """The negated sum of the inner facet normals: an integer functional.
+
+    The hull must have the origin as a vertex.  The functional is zero at
+    the origin and at least 1 on every other lattice point of the cone,
+    because the only point on every facet through a vertex is the vertex.
+    """
+    if (0,) * poly.dim not in poly.extremal:
+        raise PreconditionError("cone is not pointed at the origin")
+    normals = cone_constraints(poly)
+    return tuple(-sum(n[k] for n in normals) for k in range(poly.dim))

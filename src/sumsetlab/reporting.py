@@ -2,8 +2,10 @@
 
 Rationals render as "p/q" strings (plain integers when the denominator is
 1); integers too large for exact float-safe JSON render as a decimal string
-plus digit count.  JSON output uses sorted keys and LF endings so identical
-inputs produce byte-identical reports.
+plus digit count, and integers of more than MAX_DECIMAL_DIGITS digits as
+their exact digit count plus their leading LEADING_DIGITS digits.  JSON
+output uses sorted keys and LF endings so identical inputs produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .structure import structure_bounds, structure_threshold
 from .sumsets import sumset_iterate
 
 _FLOAT_SAFE = 1 << 53
+# integers with more digits render as a digit count plus leading digits
+MAX_DECIMAL_DIGITS = 4300
+LEADING_DIGITS = 24
 
 
 def render_rational(value):
@@ -40,12 +45,26 @@ def render_rational(value):
     return f"{f.numerator}/{f.denominator}"
 
 
+def _decimal_digits(v: int) -> tuple[int, int]:
+    """(digits, 10**digits) for v > 0: the count by comparison with powers of ten."""
+    # 30102/100000 < log10(2), so the first estimate never exceeds the count
+    digits = (v.bit_length() - 1) * 30102 // 100000 + 1
+    power = 10 ** digits
+    while power <= v:
+        power *= 10
+        digits += 1
+    return digits, power
+
+
 def render_int(value: int):
     v = int(value)
     if abs(v) < _FLOAT_SAFE:
         return v
-    s = str(v)
-    return {"decimal": s, "digits": len(s.lstrip("-"))}
+    digits, power = _decimal_digits(abs(v))
+    if digits <= MAX_DECIMAL_DIGITS:
+        return {"decimal": str(v), "digits": digits}
+    leading = abs(v) // (power // 10 ** LEADING_DIGITS)
+    return {"digits": digits, "leading": ("-" if v < 0 else "") + str(leading)}
 
 
 def render_point(p):

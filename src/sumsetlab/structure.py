@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import kernels
 from .errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -25,7 +28,10 @@ from .lattice import (
     require_normalized,
 )
 from .polytope import (
-    count_dilate_points,
+    _dilate_box,
+    cone_functional,
+    convex_hull,
+    dilate_points,
     facet_height_ratio,
     volumes,
 )
@@ -34,6 +40,8 @@ from .sumsets import (
     iter_sumsets,
     region_points,
     semigroup_oracle,
+    semigroup_sieve,
+    sumset_arrays,
 )
 
 
@@ -104,6 +112,62 @@ def reflected_config(config: PointConfig, vertex) -> PointConfig:
                        normalized=config.normalized)
 
 
+def _vertex_sieves(config: PointConfig, top: int, cap_points: int):
+    """One semigroup sieve per hull vertex a, covering levels 1..top.
+
+    At level n every reflected point a*n - x of a dilate point x lies in
+    n*H(a - A), so in the cone of a - A with ell <= n * max ell(a - A); the
+    sieve of P(a - A) up to top * max ell answers all of them.  For a
+    normalized A the points a - A generate Z^d, so no lattice reduction is
+    needed.  Returns (sieves, top), with top lowered to the levels the
+    sieves could be built for within ``cap_points``.
+    """
+    sieves = []
+    for a in config.extremal():
+        cfg = reflected_config(config, a)
+        ell = cone_functional(convex_hull(cfg))
+        reach = max(sum(e * x for e, x in zip(ell, p)) for p in cfg.points)
+        try:
+            sieve = semigroup_sieve(cfg, ell, top * reach, cap_points)
+        except BudgetExceededError as exc:
+            sieve = exc.partial
+            top = sieve.limit // reach
+        sieves.append((a, sieve))
+    return sieves, top
+
+
+def _rhs_array(config: PointConfig, sieves, n: int, cap_points: int) -> np.ndarray:
+    """structure_rhs at level n as a lex-sorted point array."""
+    x = dilate_points(config, n, cap_points)
+    for a, sieve in sieves:
+        x = x[sieve.members(np.asarray(a, dtype=x.dtype) * n - x)]
+    return x
+
+
+def _compare(config: PointConfig, n: int, na: np.ndarray,
+             rhs: np.ndarray) -> StructureReport:
+    """NA against its predicted shape by a set difference of packed keys."""
+    lo, hi = _dilate_box(config, n)
+    strides, span = kernels.key_strides(lo, hi)
+    dtype = kernels.key_dtype(span)
+    na_keys = kernels.pack_rows(na, lo, strides, dtype)
+    rhs_keys = kernels.pack_rows(rhs, lo, strides, dtype)
+    missing = kernels.array_to_points(rhs[~np.isin(rhs_keys, na_keys)])
+    extra = kernels.array_to_points(na[~np.isin(na_keys, rhs_keys)])
+    return StructureReport(n=n, holds=not missing and not extra,
+                           missing=tuple(sorted(missing)), extra=tuple(sorted(extra)))
+
+
+def _sieves_through(config: PointConfig, n: int, cap_points: int):
+    """The vertex sieves for levels 1..n, or BudgetExceededError."""
+    sieves, top = _vertex_sieves(config, n, cap_points)
+    if top < n:
+        raise BudgetExceededError(
+            f"the vertex sieves for level {n} exceed the {cap_points} point cap",
+            reached=top)
+    return sieves
+
+
 def structure_rhs(config: PointConfig, n: int,
                   cap_points: int = 10 ** 7) -> list[Point]:
     """The maximal possible shape of NA at level n, as a sorted point list.
@@ -113,25 +177,8 @@ def structure_rhs(config: PointConfig, n: int,
     nonnegative combination of those points.
     """
     require_normalized(config)
-    hull_points = count_dilate_points(config, n, enumerate_points=True,
-                                      cap_points=cap_points)
-    keep = []
-    vertex_oracles = []
-    for a in config.extremal():
-        cfg = reflected_config(config, a)
-        vertex_oracles.append((a, semigroup_oracle(cfg)))
-    for x in hull_points:
-        excluded = False
-        for a, oracle in vertex_oracles:
-            y = tuple(v * n - c for v, c in zip(a, x))
-            reduced = oracle._reduce(y)
-            in_cone = reduced is not None and oracle._in_cone(reduced)
-            if in_cone and not oracle.contains(y):
-                excluded = True
-                break
-        if not excluded:
-            keep.append(x)
-    return keep
+    sieves = _sieves_through(config, n, cap_points)
+    return kernels.array_to_points(_rhs_array(config, sieves, n, cap_points))
 
 
 def verify_structure_equation(config: PointConfig, n: int,
@@ -140,17 +187,24 @@ def verify_structure_equation(config: PointConfig, n: int,
     """Compare NA against structure_rhs at one level."""
     require_normalized(config)
     if _sumset_points is None:
-        pts = None
-        for pts in iter_sumsets(config, n):
+        na = None
+        for na in sumset_arrays(config, n):
             pass
-        na = set(pts)
     else:
-        na = set(_sumset_points)
-    rhs = set(structure_rhs(config, n, cap_points=cap_points))
-    missing = tuple(sorted(rhs - na))
-    extra = tuple(sorted(na - rhs))
-    return StructureReport(n=n, holds=not missing and not extra,
-                           missing=missing, extra=extra)
+        na = np.asarray(list(_sumset_points)).reshape(len(_sumset_points), config.dim)
+    sieves = _sieves_through(config, n, cap_points)
+    return _compare(config, n, na, _rhs_array(config, sieves, n, cap_points))
+
+
+def structure_levels(config: PointConfig, max_n: int,
+                     cap_points: int = 10 ** 7) -> list[StructureReport]:
+    """verify_structure_equation for N = 1..max_n, walking the sumsets once."""
+    require_normalized(config)
+    if max_n < 1:
+        return []
+    sieves = _sieves_through(config, max_n, cap_points)
+    return [_compare(config, n, na, _rhs_array(config, sieves, n, cap_points))
+            for n, na in enumerate(sumset_arrays(config, max_n), start=1)]
 
 
 @dataclass(frozen=True)
@@ -172,23 +226,25 @@ def structure_threshold(config: PointConfig, *,
     budget the result is exact (levels beyond B are covered by the proven
     bound); otherwise the window stops early and the status is "empirical".
     The full window is always checked; equality at one level is never
-    assumed to propagate upward.
+    assumed to propagate upward.  The vertex sieves are built once, for the
+    whole window.
     """
     require_normalized(config)
     bounds = structure_bounds(config)
     bound = min(bounds.bound_a, bounds.bound_b)
-    top = bound if max_n is None else min(bound, max_n)
+    # level 1 is checked even under max_n < 1: the sumsets start there
+    top = max(1, bound if max_n is None else min(bound, max_n))
+    sieves, top = _vertex_sieves(config, top, cap_points)
     spent = 0
-    vertex_count = max(1, len(config.extremal()))
+    vertex_count = max(1, len(sieves))
     failing = []
     checked = 0
-    for n, pts in enumerate(iter_sumsets(config, top), start=1):
-        cost = len(pts) * (1 + vertex_count)
+    for n, na in zip(range(1, top + 1), sumset_arrays(config, top)):
+        cost = len(na) * (1 + vertex_count)
         if spent + cost > test_budget and checked > 0:
             break
         try:
-            report = verify_structure_equation(config, n, cap_points=cap_points,
-                                               _sumset_points=pts)
+            report = _compare(config, n, na, _rhs_array(config, sieves, n, cap_points))
         except BudgetExceededError:
             break
         spent += cost

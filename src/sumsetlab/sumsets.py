@@ -22,7 +22,7 @@ from .lattice import (
     require_normalized,
     solve_in_lattice,
 )
-from .polytope import cone_constraints, convex_hull, count_dilate_points
+from .polytope import cone_constraints, convex_hull, count_dilate_points, scan_box
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,25 @@ def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
         yield sorted(cur)
 
 
-def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
-    """Yield the point list of N*A for N = 1..n_max, lexicographically sorted."""
+def sumset_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
+    """Yield N*A for N = 1..n_max as lexicographically sorted point arrays.
+
+    The arrays are int64 when every coordinate provably fits the kernel
+    range and hold Python ints (dtype object) from the exact iteration
+    otherwise.
+    """
     max_abs = max((abs(c) for p in config.points for c in p), default=0)
     if kernels.int64_budget_ok(max_abs * max(n_max, 1) * 2):
-        for arr in _iterate_arrays(config, n_max):
-            yield kernels.array_to_points(arr)
+        yield from _iterate_arrays(config, n_max)
     else:
-        yield from _iterate_tuples(config, n_max)
+        for pts in _iterate_tuples(config, n_max):
+            yield np.array(pts, dtype=object).reshape(len(pts), config.dim)
+
+
+def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
+    """Yield the point list of N*A for N = 1..n_max, lexicographically sorted."""
+    for arr in sumset_arrays(config, n_max):
+        yield kernels.array_to_points(arr)
 
 
 def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
@@ -104,10 +115,7 @@ def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     records: list[GrowthRecord] = []
-    max_abs = max((abs(c) for p in config.points for c in p), default=0)
-    fast = kernels.int64_budget_ok(max_abs * n_max * 2)
-    source = _iterate_arrays(config, n_max) if fast else _iterate_tuples(config, n_max)
-    for n, pts in enumerate(source, start=1):
+    for n, pts in enumerate(sumset_arrays(config, n_max), start=1):
         size = len(pts)
         if size > cap_points:
             raise BudgetExceededError(
@@ -115,10 +123,7 @@ def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
                 reached=n,
                 partial=GrowthTable(records=tuple(records)),
             )
-        if keep_points:
-            stored = tuple(kernels.array_to_points(pts)) if fast else tuple(pts)
-        else:
-            stored = None
+        stored = tuple(kernels.array_to_points(pts)) if keep_points else None
         records.append(GrowthRecord(n=n, size=size, points=stored))
     return GrowthTable(records=tuple(records))
 
@@ -301,6 +306,87 @@ def semigroup_contains(config: PointConfig, point) -> tuple[bool, dict[Point, in
     return (True, oracle.certificate(tuple(point))) if ok else (False, None)
 
 
+@dataclass(frozen=True)
+class SemigroupSieve:
+    """The semigroup P(B) inside {y : ell . y <= limit}, as sorted packed keys.
+
+    Keys pack the box that holds the region (``lo`` and ``strides``, see
+    kernels.key_strides); they are int64 when the box fits the kernel range
+    and Python ints (dtype object) otherwise.
+    """
+
+    ell: Point
+    limit: int
+    lo: Point
+    strides: tuple[int, ...]
+    keys: np.ndarray
+
+    def members(self, points) -> np.ndarray:
+        """Boolean mask of the points that lie in P(B).
+
+        Every point must lie in the cone of B with ell . point <= limit.
+        """
+        keys = kernels.pack_rows(points, self.lo, self.strides, self.keys.dtype)
+        return np.isin(keys, self.keys)
+
+
+def semigroup_sieve(config: PointConfig, ell, limit: int,
+                    cap_points: int = 10 ** 7) -> SemigroupSieve:
+    """P(B) inside {ell <= limit}, for the nonzero points B of ``config``.
+
+    ``ell`` must be an integer functional that is at least 1 on every point
+    of B (polytope.cone_functional gives one when the cone of B is pointed
+    at 0), so every partial sum of a representation of y stays in
+    {ell <= ell . y}.  The sieve grows from {0} one ell-level at a time:
+    y with ell . y = t is in P(B) exactly when y - g is for some g in B,
+    and y - g sits on level t - ell . g.  Level t is therefore the union of
+    the earlier levels t - ell . g shifted by g; levels are disjoint, so no
+    point is ever tested against the points already found.
+
+    Each level is charged against ``cap_points`` (points held plus the rows
+    about to be merged) before it is allocated.  Past the budget a
+    BudgetExceededError names the last complete level (``reached``) and
+    carries the sieve up to it (``partial``).
+    """
+    if limit < 0:
+        raise PreconditionError("sieve limit must be >= 0")
+    gens = sorted(p for p in config.points if any(p))
+    ell = tuple(int(v) for v in ell)
+    weights = [sum(e * x for e, x in zip(ell, g)) for g in gens]
+    if any(w < 1 for w in weights):
+        raise PreconditionError("the functional must be at least 1 on every generator")
+    # coordinate k of a sum of generators with total weight <= limit lies
+    # between limit * g_k / ell(g) at its least and at its largest
+    lo = tuple(min([0] + [-(-limit * g[k] // w) for g, w in zip(gens, weights)])
+               for k in range(config.dim))
+    hi = tuple(max([0] + [limit * g[k] // w for g, w in zip(gens, weights)])
+               for k in range(config.dim))
+    strides, span = kernels.key_strides(lo, hi)
+    steps = [(w, sum(x * s for x, s in zip(g, strides)))
+             for g, w in zip(gens, weights)]
+    origin = sum(-a * s for a, s in zip(lo, strides))
+    levels = [np.array([origin], dtype=kernels.key_dtype(span))]
+    empty = levels[0][:0]
+
+    def sieve(top: int) -> SemigroupSieve:
+        keys = np.sort(np.concatenate(levels[:top + 1]))
+        return SemigroupSieve(ell=ell, limit=top, lo=lo, strides=strides, keys=keys)
+
+    held = 1
+    for t in range(1, limit + 1):
+        parts = [(levels[t - w], step) for w, step in steps if w <= t]
+        rows = sum(len(level) for level, _ in parts)
+        if held + rows > cap_points:
+            raise BudgetExceededError(
+                f"semigroup sieve level {t} needs more than {cap_points} points",
+                reached=t - 1, partial=sieve(t - 1))
+        level = kernels.sorted_unique(
+            np.concatenate([empty] + [lv + step for lv, step in parts]))
+        levels.append(level)
+        held += len(level)
+    return sieve(limit)
+
+
 def region_points(config: PointConfig, region: RegionSpec,
                   cap_points: int = 10 ** 7) -> list[Point]:
     """Lattice points of the region, restricted to the cone of the config."""
@@ -316,25 +402,11 @@ def region_points(config: PointConfig, region: RegionSpec,
     if size > cap_points:
         raise BudgetExceededError(
             f"region holds {size} points, above the {cap_points} cap")
-    poly = convex_hull(config)
-    normals = cone_constraints(poly)
+    normals = cone_constraints(convex_hull(config))
     lo = [a for a, _ in bounds]
     hi = [b for _, b in bounds]
-    lhs = [list(n) for n in normals]
-    rhs = [0] * len(normals)
-    bound = max(
-        (sum(abs(v) * max(abs(a), abs(b)) for v, a, b in zip(row, lo, hi))
-         for row in lhs),
-        default=0,
-    )
-    if kernels.int64_budget_ok(bound, *(lo + hi)):
-        return kernels.array_to_points(kernels.box_points(lo, hi, lhs, rhs))
-    out = []
-    from itertools import product
-    for pt in product(*(range(a, b + 1) for a, b in bounds)):
-        if all(sum(n * x for n, x in zip(normal, pt)) <= 0 for normal in normals):
-            out.append(pt)
-    return out
+    return kernels.array_to_points(
+        scan_box(lo, hi, [list(n) for n in normals], [0] * len(normals), True))
 
 
 def exceptional_in_region(config: PointConfig, region: RegionSpec,

@@ -136,6 +136,62 @@ class TestStructureCommand:
         assert [lvl["holds"] for lvl in levels] == [True, True, True]
         assert all(lvl["extra"] == [] for lvl in levels)
 
+    @pytest.mark.parametrize("fixture", ["a135_txt", "square_json"])
+    def test_per_level_output_frozen(self, capsys, request, fixture):
+        path = request.getfixturevalue(fixture)
+        code, out, _ = run_cli(capsys, "structure", "--input", path,
+                               "--max-n", "8")
+        assert code == 0
+        levels = [{"extra": [], "holds": True, "missing": [], "n": n}
+                  for n in range(1, 9)]
+        expected = {"partial": False, "structure_levels": levels}
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_per_level_missing_points(self, capsys, tmp_path):
+        path = tmp_path / "gaps.txt"
+        path.write_text("0\n2\n5\n11\n12\n")
+        code, out, _ = run_cli(capsys, "structure", "--input", str(path),
+                               "--max-n", "8")
+        assert code == 0
+        levels = json.loads(out)["structure_levels"]
+        assert [[p[0] for p in lvl["missing"]] for lvl in levels] == [
+            [4, 6, 7, 8, 9, 10], [6, 8, 9, 15, 18, 19, 20, 21],
+            [8, 20, 30, 31, 32], [42, 43], [54], [], [], []]
+        assert [lvl["holds"] for lvl in levels] == [False] * 5 + [True] * 3
+        assert all(lvl["extra"] == [] for lvl in levels)
+
+
+class TestHighDimensionRendering:
+    """The structure coarse bound has over 4300 digits once d >= 3."""
+
+    @staticmethod
+    def _write(tmp_path, dim):
+        rows = [[0] * dim] + [[int(i == j) for j in range(dim)] for i in range(dim)]
+        path = tmp_path / f"simplex{dim}.txt"
+        path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        return str(path)
+
+    def test_bounds_unit_3_simplex(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "bounds", "--input", self._write(tmp_path, 3))
+        assert code == 0
+        coarse = json.loads(out)["structure"]["coarse"]
+        # (d * |A| * width) ** (13 d^6) = 12 ** 9477
+        assert coarse["digits"] == len(str(12 ** 9477 // 10 ** 9000)) + 9000
+        assert coarse["leading"] == str(12 ** 9477 // 10 ** (coarse["digits"] - 24))
+
+    def test_analyze_unit_3_simplex(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "analyze", "--input", self._write(tmp_path, 3))
+        assert code == 0
+        section = json.loads(out)["structure"]
+        assert section["threshold"] == 1
+        assert section["threshold_status"] == "exact"
+        assert set(section["bound_coarse"]) == {"digits", "leading"}
+
+    def test_bounds_4d(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "bounds", "--input", self._write(tmp_path, 4))
+        assert code == 0
+        assert json.loads(out)["structure"]["coarse"]["digits"] > 4300
+
 
 class TestOtherCommands:
     def test_circuits(self, capsys, a135_txt):

@@ -40,19 +40,6 @@ class TestBackendParity:
                 pts_np = kernels._np_box_points(lo_a, hi_a, lhs_a, rhs_a)
                 assert np.array_equal(out, pts_np)
 
-    def test_python_fallback_agrees(self):
-        rng = random.Random(13)
-        for dim in (1, 2, 3):
-            for _ in range(10):
-                lo, hi, lhs, rhs = _random_case(rng, dim)
-                exact = _box_scan_exact(lo, hi, lhs, rhs, True)
-                lo_a = np.asarray(lo, dtype=np.int64)
-                hi_a = np.asarray(hi, dtype=np.int64)
-                lhs_a = np.asarray(lhs, dtype=np.int64).reshape(len(lhs), dim)
-                rhs_a = np.asarray(rhs, dtype=np.int64)
-                pts = kernels._np_box_points(lo_a, hi_a, lhs_a, rhs_a)
-                assert kernels.array_to_points(pts) == exact
-
     def test_sumset_step_backends_agree(self, monkeypatch):
         rng = random.Random(29)
         for dim in (1, 2, 3):
@@ -68,6 +55,20 @@ class TestBackendParity:
             naive = sorted({tuple(int(v) for v in p + g)
                             for p in pts for g in gens})
             assert kernels.array_to_points(got_np) == naive
+
+
+def test_python_fallback_agrees():
+    rng = random.Random(13)
+    for dim in (1, 2, 3):
+        for _ in range(10):
+            lo, hi, lhs, rhs = _random_case(rng, dim)
+            exact = _box_scan_exact(lo, hi, lhs, rhs, True)
+            lo_a = np.asarray(lo, dtype=np.int64)
+            hi_a = np.asarray(hi, dtype=np.int64)
+            lhs_a = np.asarray(lhs, dtype=np.int64).reshape(len(lhs), dim)
+            rhs_a = np.asarray(rhs, dtype=np.int64)
+            pts = kernels._np_box_points(lo_a, hi_a, lhs_a, rhs_a)
+            assert kernels.array_to_points(pts) == exact
 
 
 class TestDispatch:

@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumsetlab import (
+    BudgetExceededError,
     PointConfig,
     PreconditionError,
     RegionSpec,
+    SemigroupOracle,
     count_dilate_points,
     facet_height_ratio,
     structure_bounds,
@@ -16,8 +19,14 @@ from sumsetlab import (
     verify_structure_equation,
     volumes,
 )
-from sumsetlab.structure import StructureThresholdResult
-from sumsetlab.sumsets import iter_sumsets
+from sumsetlab import kernels
+from sumsetlab.polytope import cone_constraints, cone_functional, convex_hull, scan_box
+from sumsetlab.structure import (
+    StructureThresholdResult,
+    reflected_config,
+    structure_levels,
+)
+from sumsetlab.sumsets import iter_sumsets, semigroup_sieve
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -155,3 +164,107 @@ class TestExtremalDecomposition:
         ok, _ = verify_extremal_decomposition(
             SIMPLEX, RegionSpec.box([(0, 9), (0, 9)]))
         assert ok
+
+
+
+def _rhs_by_oracle(config, n):
+    """structure_rhs point by point with the DFS oracle (the reference)."""
+    oracles = [(a, SemigroupOracle(reflected_config(config, a)))
+               for a in config.extremal()]
+    return [x for x in count_dilate_points(config, n, enumerate_points=True)
+            if all(oracle.contains(tuple(v * n - c for v, c in zip(a, x)))
+                   for a, oracle in oracles)]
+
+
+def _cone_points(config, limit):
+    """Lattice points of the cone of config with ell <= limit, and ell."""
+    poly = convex_hull(config)
+    ell = cone_functional(poly)
+    normals = [list(v) for v in cone_constraints(poly)]
+    # ell >= 1 on every generator, so |y_k| <= limit * max |g_k|
+    hi = [limit * max(abs(c) for c in col) for col in zip(*config.points)]
+    pts = scan_box([-h for h in hi], hi, normals + [list(ell)],
+                   [0] * len(normals) + [limit], True)
+    return pts, ell
+
+
+class TestSieveParity:
+    def test_sieve_matches_oracle_on_cone_points(self, corpus):
+        checked = 0
+        for name, _, norm in corpus:
+            for a in norm.extremal():
+                cfg = reflected_config(norm, a)
+                ell = cone_functional(convex_hull(cfg))
+                limit = 3 * max(sum(e * x for e, x in zip(ell, p))
+                                for p in cfg.points)
+                cone, _ = _cone_points(cfg, limit)
+                sieve = semigroup_sieve(cfg, ell, limit)
+                oracle = SemigroupOracle(cfg)
+                want = [oracle.contains(tuple(int(v) for v in p)) for p in cone]
+                got = sieve.members(cone)
+                assert got.tolist() == want, (name, a)
+                assert int(got.sum()) == len(sieve.keys), (name, a)
+                checked += len(cone)
+        assert checked > 1000
+
+    def test_rhs_matches_oracle_reference(self, corpus):
+        for name, _, norm in corpus:
+            if norm.dim == 0:
+                continue
+            for n in (1, 2, 3):
+                assert structure_rhs(norm, n) == _rhs_by_oracle(norm, n), (name, n)
+
+    def test_budget_keeps_complete_levels(self):
+        cfg = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1)])
+        cone, ell = _cone_points(cfg, 40)
+        full = semigroup_sieve(cfg, ell, 40)
+        with pytest.raises(BudgetExceededError) as err:
+            semigroup_sieve(cfg, ell, 40, cap_points=100)
+        part = err.value.partial
+        assert err.value.reached == part.limit < 40
+        assert len(part.keys) <= 100
+        # below its limit the partial sieve is exactly the full one
+        low = cone[cone @ np.asarray(ell) <= part.limit]
+        assert part.members(low).tolist() == full.members(low).tolist()
+
+    def test_functional_must_be_positive(self):
+        with pytest.raises(PreconditionError):
+            semigroup_sieve(SQUARE, (1, 0), 4)
+
+
+class TestPinnedThresholds:
+    """Values of the per-point DFS structure pass, kept by the sieve."""
+
+    @pytest.mark.parametrize("name,value,top,failing", [
+        ("hexagon6", 2, 54, (1,)),
+        ("a_0_1_12", 1, 288, ()),
+        ("a_0_2_5_11_12", 6, 288, (1, 2, 3, 4, 5)),
+    ])
+    def test_pinned(self, corpus, name, value, top, failing):
+        norm = next(n for key, _, n in corpus if key == name)
+        assert structure_threshold(norm) == StructureThresholdResult(
+            value=value, status="exact", window_top=top, bound=top,
+            failing_levels=failing)
+
+    def test_sieve_budget_shortens_window(self, corpus):
+        # here the vertex sieves, not the dilate scans, exhaust the cap
+        norm = next(n for key, _, n in corpus if key == "hexagon6")
+        result = structure_threshold(norm, cap_points=5000)
+        dilate_top = max(n for n in range(1, 55) if (2 * n + 1) ** 2 <= 5000)
+        assert result.status == "empirical"
+        assert 1 < result.window_top < dilate_top
+        assert result.value == 2 and result.failing_levels == (1,)
+
+
+class TestExactPath:
+    """With the int64 kernels ruled out, the same pass runs on Python ints."""
+
+    @pytest.mark.parametrize("name", ["a_0_2_5_11_12", "hexagon6", "prism5"])
+    def test_threshold_and_levels_agree(self, corpus, monkeypatch, name):
+        norm = next(n for key, _, n in corpus if key == name)
+        fast = structure_threshold(norm, max_n=8)
+        fast_levels = structure_levels(norm, 6)
+        monkeypatch.setattr(kernels, "int64_budget_ok", lambda *values: False)
+        assert structure_threshold(norm, max_n=8) == fast
+        assert structure_levels(norm, 6) == fast_levels
+        assert structure_rhs(norm, 3) == _rhs_by_oracle(norm, 3)
