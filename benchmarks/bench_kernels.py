@@ -1,11 +1,24 @@
-"""Benchmark the numba backend against the pure-numpy fallback.
+"""Benchmark the hot kernels against the exact paths they shortcut.
 
-Times the two hot kernels (lattice box scans and sumset expansion) on
-representative workloads, checks that both backends return identical
-results, and prints a small table.
+Times the lattice box scan, one sumset expansion step and the obstruction
+scan, checks that every pair returns identical results, and prints tables:
+
+* numpy against exact Python: ``kernels._np_box_count`` against
+  ``polytope._box_scan_exact`` and ``kernels.sumset_step`` (numpy backend)
+  against one level of ``sumsets._iterate_tuples``;
+* the obstruction scan with its keys packed into as few int64 words as fit
+  against the same scan with one word per digit, for hexagon6, for a
+  six-point set whose scan the candidate budget truncates, and for a
+  twelve-point set whose keys need three words;
+* numba against numpy, for the box scan and the sumset step, when numba is
+  installed.
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
+The first column takes the best of --repeat runs; the second runs once,
+since it is the slower side.  Each sumset row times the step to level N;
+the exact side first iterates the levels below N untimed, which is most of
+the run (about two minutes without numba on a 2-core VM).
 Select the backend used by the library itself with SUMSETLAB_KERNEL=numpy.
 """
 
@@ -17,8 +30,9 @@ import time
 
 import numpy as np
 
-from sumsetlab import PointConfig, kernels
-from sumsetlab.polytope import convex_hull
+from sumsetlab import PointConfig, kernels, khovanskii, normalize_config
+from sumsetlab.polytope import _box_scan_exact, convex_hull
+from sumsetlab.sumsets import _iterate_tuples
 
 
 def _box_workload(name, points, dilate):
@@ -34,13 +48,14 @@ def _box_workload(name, points, dilate):
     return name, (lo, hi, lhs, rhs)
 
 
-def _sumset_workload(name, points, level):
+def _sumset_workload(points, level):
+    """The configuration, its level-``level`` sumset array and generators."""
     cfg = PointConfig.from_points(points)
     gens = kernels.points_to_array(sorted(cfg.points))
     cur = gens.copy()
     for _ in range(level - 1):
         cur = kernels.sumset_step(cur, gens)
-    return name, (cur, gens)
+    return cfg, cur, gens
 
 
 def bench(fn, args, repeat):
@@ -53,53 +68,120 @@ def bench(fn, args, repeat):
     return best, result
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=5)
-    args = parser.parse_args()
-    if "numba" not in kernels.available_backends():
-        raise SystemExit("numba is not available; nothing to compare")
+def _exact_sumset_level(cfg, level):
+    """Level ``level`` of the exact iteration, timing only its last step."""
+    levels = _iterate_tuples(cfg, level)
+    for _ in range(level - 1):
+        next(levels)
+    t0 = time.perf_counter()
+    out = next(levels)
+    return time.perf_counter() - t0, out
 
-    box_cases = [
-        _box_workload("box scan 2d triangle, N=600",
-                      [(0, 0), (4, 0), (0, 4), (1, 1)], 600),
-        _box_workload("box scan 3d simplex,  N=120",
-                      [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                       (1, 1, 1)], 120),
-        _box_workload("box scan 1d interval, N=2*10^6",
-                      [(0,), (3,), (5,)], 2 * 10 ** 6),
-    ]
-    sum_cases = [
-        _sumset_workload("sumset step 2d square,  |P|~10^5",
-                         [(0, 0), (1, 0), (0, 1), (1, 1)], 300),
-        _sumset_workload("sumset step 2d hexagon, |P|~10^5",
-                         [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)], 120),
-        _sumset_workload("sumset step 3d simplex, |P|~2*10^5",
-                         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 100),
-    ]
 
+def _obstruction_scan(cfg, word_limit):
+    """The uncached obstruction scan, its key words kept below word_limit."""
+    chosen = khovanskii._WORD_LIMIT
+    khovanskii._WORD_LIMIT = word_limit
+    try:
+        return khovanskii._minimal_obstructions_scan(cfg, None, 5_000_000)
+    finally:
+        khovanskii._WORD_LIMIT = chosen
+
+
+BOX_CASES = [
+    ("box scan 2d triangle, N=600", [(0, 0), (4, 0), (0, 4), (1, 1)], 600),
+    ("box scan 3d simplex,  N=120",
+     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 120),
+    ("box scan 1d interval, N=2*10^6", [(0,), (3,), (5,)], 2 * 10 ** 6),
+]
+SUMSET_CASES = [
+    ("sumset step 2d square,  |P|~10^5", [(0, 0), (1, 0), (0, 1), (1, 1)], 300),
+    ("sumset step 2d hexagon, |P|~10^5",
+     [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)], 120),
+    ("sumset step 3d simplex, |P|~2*10^5",
+     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 100),
+]
+SCAN_CASES = [
+    ("obstruction scan hexagon6",
+     [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]),
+    ("obstruction scan {2,5,6,7,13,15}",
+     [(2,), (5,), (6,), (7,), (13,), (15,)]),
+    ("obstruction scan 12 points, 1-D",
+     [(x,) for x in (0, 1, 3, 4, 7, 9, 10, 13, 14, 17, 19, 20)]),
+]
+
+
+def numpy_against_exact(repeat):
+    os.environ["SUMSETLAB_KERNEL"] = "numpy"
+    print(f"{'workload':38s} {'numpy':>10s} {'exact':>10s} {'ratio':>8s}")
+    for name, (lo, hi, lhs, rhs) in (_box_workload(*c) for c in BOX_CASES):
+        t_np, n_np = bench(kernels._np_box_count, (lo, hi, lhs, rhs), repeat)
+        t_ex, n_ex = bench(_box_scan_exact,
+                           ([int(v) for v in lo], [int(v) for v in hi],
+                            lhs.tolist(), rhs.tolist(), False), 1)
+        assert n_np == n_ex, (name, n_np, n_ex)
+        print(f"{name:38s} {t_np * 1e3:8.2f}ms {t_ex * 1e3:8.2f}ms "
+              f"{t_ex / t_np:7.2f}x   ({n_np} points)")
+    for name, points, level in SUMSET_CASES:
+        cfg, cur, gens = _sumset_workload(points, level - 1)
+        t_np, r_np = bench(kernels.sumset_step, (cur, gens), repeat)
+        t_ex, r_ex = _exact_sumset_level(cfg, level)
+        assert kernels.array_to_points(r_np) == r_ex, name
+        print(f"{name:38s} {t_np * 1e3:8.2f}ms {t_ex * 1e3:8.2f}ms "
+              f"{t_ex / t_np:7.2f}x   ({len(cur) * len(gens)} -> {len(r_np)} rows)")
+    os.environ.pop("SUMSETLAB_KERNEL")
+
+
+def scan_word_split(repeat):
+    print(f"{'workload':38s} {'packed':>10s} {'per digit':>10s} {'ratio':>8s}")
+    for name, points in SCAN_CASES:
+        cfg = normalize_config(PointConfig.from_points(points))
+        t_pk, r_pk = bench(_obstruction_scan, (cfg, khovanskii._WORD_LIMIT),
+                           repeat)
+        t_dg, r_dg = bench(_obstruction_scan, (cfg, 1), 1)
+        assert r_pk == r_dg, name
+        print(f"{name:38s} {t_pk * 1e3:8.2f}ms {t_dg * 1e3:8.2f}ms "
+              f"{t_dg / t_pk:7.2f}x   ({len(r_pk.elements)} elements, "
+              f"weight {r_pk.weight_scanned}, {r_pk.status})")
+
+
+def numba_against_numpy(repeat):
     print(f"{'workload':38s} {'numba':>10s} {'numpy':>10s} {'speedup':>8s}")
-    for name, (lo, hi, lhs, rhs) in box_cases:
+    for name, (lo, hi, lhs, rhs) in (_box_workload(*c) for c in BOX_CASES):
         dummy = np.empty((0, len(lo)), dtype=np.int64)
         kernels._nb_box_scan(lo, hi, lhs, rhs, dummy, False)  # compile once
         t_nb, n_nb = bench(
             lambda *a: int(kernels._nb_box_scan(*a, dummy, False)),
-            (lo, hi, lhs, rhs), args.repeat)
-        t_np, n_np = bench(kernels._np_box_count, (lo, hi, lhs, rhs),
-                           args.repeat)
+            (lo, hi, lhs, rhs), repeat)
+        t_np, n_np = bench(kernels._np_box_count, (lo, hi, lhs, rhs), repeat)
         assert n_nb == n_np, (name, n_nb, n_np)
         print(f"{name:38s} {t_nb * 1e3:8.2f}ms {t_np * 1e3:8.2f}ms "
               f"{t_np / t_nb:7.2f}x   ({n_nb} points)")
-    for name, (cur, gens) in sum_cases:
+    for name, points, level in SUMSET_CASES:
+        _, cur, gens = _sumset_workload(points, level - 1)
         os.environ["SUMSETLAB_KERNEL"] = "numba"
         kernels.sumset_step(cur[:2], gens)  # compile once
-        t_nb, r_nb = bench(kernels.sumset_step, (cur, gens), args.repeat)
+        t_nb, r_nb = bench(kernels.sumset_step, (cur, gens), repeat)
         os.environ["SUMSETLAB_KERNEL"] = "numpy"
-        t_np, r_np = bench(kernels.sumset_step, (cur, gens), args.repeat)
+        t_np, r_np = bench(kernels.sumset_step, (cur, gens), repeat)
         os.environ.pop("SUMSETLAB_KERNEL")
         assert np.array_equal(r_nb, r_np), name
         print(f"{name:38s} {t_nb * 1e3:8.2f}ms {t_np * 1e3:8.2f}ms "
               f"{t_np / t_nb:7.2f}x   ({len(r_nb)} -> rows)")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args()
+    numpy_against_exact(args.repeat)
+    print()
+    scan_word_split(args.repeat)
+    if "numba" in kernels.available_backends():
+        print()
+        numba_against_numpy(args.repeat)
+    else:
+        print("\nnumba is not installed; numba against numpy skipped")
 
 
 if __name__ == "__main__":

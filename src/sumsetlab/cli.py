@@ -5,7 +5,7 @@ bounds, verify.  Input is a point set, either as JSON ({"dim": d, "points":
 [[..], ..]}) or as plain text with one whitespace-separated integer vector
 per line ('#' starts a comment).  Exit codes: 0 success, 1 bad input,
 2 precondition violation, 3 budget exhausted (partial results are marked),
-4 internal invariant violation.
+4 internal error (an invariant violation or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ COMMANDS = ("analyze", "growth", "khovanskii", "structure", "circuits",
             "triangulate", "bounds", "verify")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: json.loads gives bool for true/false, itself an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str) -> PointConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -62,9 +67,13 @@ def load_config(path: str) -> PointConfig:
             raise InputFormatError("JSON input needs a 'points' field")
         points = data["points"]
         dim = data.get("dim")
+        if not isinstance(points, list):
+            raise InputFormatError("'points' must be a list of integer lists")
+        if dim is not None and not _is_int(dim):
+            raise InputFormatError("'dim' must be an integer")
         rows = []
         for row in points:
-            if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
+            if not isinstance(row, list) or not all(_is_int(v) for v in row):
                 raise InputFormatError("points must be lists of integers")
             rows.append(tuple(row))
     else:
@@ -185,6 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = run(args)
+        text = serialize(report, args.format)
     except InputFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -197,7 +207,12 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
-    sys.stdout.write(serialize(report, args.format))
+    except Exception as exc:
+        # Anything else is a defect or a bad environment, not bad input:
+        # exit 1 belongs to input errors, so report it as internal.
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
+    sys.stdout.write(text)
     return code
 
 

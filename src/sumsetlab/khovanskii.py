@@ -21,7 +21,7 @@ from .errors import (
     InternalInvariantError,
     PreconditionError,
 )
-from .kernels import int64_budget_ok
+from .kernels import first_of_runs, int64_budget_ok, key_strides
 from .lattice import PointConfig
 from .polynomials import (
     RationalPolynomial,
@@ -30,7 +30,7 @@ from .polynomials import (
 )
 from .polytope import volumes
 from .circuits import kernel_lattice
-from .sumsets import iter_sumsets
+from .sumsets import sumset_arrays
 
 
 def enumerate_representations(config: PointConfig, point, h: int) -> list[tuple[int, ...]]:
@@ -108,25 +108,6 @@ class ObstructionSet:
         return sum(max(m[i] for m in self.elements) for i in range(n))
 
 
-def _pack_rows(rows: np.ndarray, lows, base_sizes):
-    """Mixed-radix int64 keys for rows; key order equals row lex order."""
-    strides = np.empty(len(base_sizes), dtype=np.int64)
-    acc = 1
-    for j in range(len(base_sizes) - 1, -1, -1):
-        strides[j] = acc
-        acc *= base_sizes[j]
-    return (rows - np.asarray(lows, dtype=np.int64)) @ strides, strides
-
-
-def _unpack_keys(keys: np.ndarray, lows, base_sizes) -> np.ndarray:
-    out = np.empty((len(keys), len(base_sizes)), dtype=np.int64)
-    vals = keys.copy()
-    for j in range(len(base_sizes) - 1, -1, -1):
-        out[:, j] = vals % base_sizes[j] + lows[j]
-        vals //= base_sizes[j]
-    return out
-
-
 _obstruction_cache: dict[tuple, "ObstructionSet"] = {}
 
 
@@ -135,10 +116,19 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     """Scan weight levels for the minimal non-lex-least exponent vectors.
 
     Level h candidates are single-step extensions of the level h-1 lex-least
-    survivors (their predecessors are always survivors), filtered against the
-    elements already found; within each (weight, value) class the lex-least
-    candidate survives and every other one is a new minimal element.  The
-    scan is complete at weight |A|^2 * det_max; earlier caps leave the result
+    survivors.  Each exponent vector m is a key of int64 words (see
+    _LevelKeys) that packs its value, the point combination, and then its
+    entries, so that key order is value order and then lex order.  The
+    words are linear in m, so a level's candidates are the survivor keys
+    plus one step per point.  One sort per level dedups the candidates and
+    groups them into value classes in lex order: the first of each class is
+    its lex-least vector and survives.  Any other candidate is a new minimal
+    element exactly when every predecessor m - e_j (m_j > 0) survived level
+    h-1, as the lex-least vectors are closed downward; a run of equal keys
+    has one entry per such survivor, so that is "run length == support
+    size".  Most sets need one word; larger ones a few, sorted together.
+    ``candidate_budget`` bounds the number of distinct candidates.  The scan
+    is complete at weight |A|^2 * det_max; earlier caps leave the result
     truncated but every returned element is genuine.
     """
     cache_key = (config.points, config.dim, max_weight, candidate_budget)
@@ -148,6 +138,87 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     result = _minimal_obstructions_scan(config, max_weight, candidate_budget)
     _obstruction_cache[cache_key] = result
     return result
+
+
+_WORD_LIMIT = 1 << 62  # every key word stays below this
+
+
+class _LevelKeys:
+    """Keys of the exponent vectors of weight up to ``cap``, as int64 words.
+
+    A vector m is a sequence of digits: the coordinates of its value
+    m @ points, each shifted by weight * (column minimum) into the range of
+    weight cap, then its entries m_0..m_{n-2} with radix cap+1 (the weight
+    fixes m_{n-1}).  The digits are packed in that order, mixed-radix, into
+    as few words as keep each below _WORD_LIMIT, so comparing the words in
+    order compares values first and then exponent vectors in lex order.
+    Each word is linear in m: ``steps`` holds the words of the unit vectors.
+    """
+
+    def __init__(self, config: PointConfig, cap: int):
+        n, d = config.size, config.dim
+        self.n, self.d = n, d
+        lows = [min(p[k] for p in config.points) for k in range(d)]
+        self.radices = [cap * (max(p[k] for p in config.points) - lows[k]) + 1
+                        for k in range(d)] + [cap + 1] * (n - 1)
+        units = [[p[k] - lows[k] for p in config.points] for k in range(d)]
+        units += [[int(i == j) for j in range(n)] for i in range(n - 1)]
+        self.words: list[list[int]] = [[]]  # digit positions of each word
+        span = 1
+        for i, r in enumerate(self.radices):
+            if self.words[-1] and span * r > _WORD_LIMIT:
+                self.words.append([])
+                span = 1
+            self.words[-1].append(i)
+            span *= r
+        self.strides = [key_strides([0] * len(word),
+                                    [self.radices[i] - 1 for i in word])[0]
+                        for word in self.words]
+        self.steps = tuple(
+            np.asarray([sum(units[i][j] * s for i, s in zip(word, strides))
+                        for j in range(n)], dtype=np.int64)
+            for word, strides in zip(self.words, self.strides))
+        # the value of a key is its words before ``class_word`` and the
+        # quotient of that word by ``class_stride``
+        self.class_word = next(w for w, word in enumerate(self.words)
+                               if d - 1 in word)
+        word = self.words[self.class_word]
+        self.class_stride = self.strides[self.class_word][word.index(d - 1)]
+
+    def candidates(self, survivors: tuple[np.ndarray, ...]):
+        """The distinct one-step extensions of the survivors, sorted by
+        (value, exponent vector).
+
+        Returns their words, the mask of the first of each value class, and
+        how many survivors each extends.
+        """
+        cand = [(s[:, None] + t[None, :]).ravel()
+                for s, t in zip(survivors, self.steps)]
+        if len(cand) == 1:
+            cand[0].sort()
+        else:
+            order = np.lexsort(cand[::-1])
+            cand = [c[order] for c in cand]
+        first = first_of_runs(cand[0])
+        for c in cand[1:]:
+            first |= first_of_runs(c)
+        held = np.diff(np.flatnonzero(first), append=len(first))
+        cand = tuple(c[first] for c in cand)
+        leader = first_of_runs(cand[self.class_word] // self.class_stride)
+        for c in cand[:self.class_word]:
+            leader |= first_of_runs(c)
+        return cand, leader, held
+
+    def exponents(self, cand: tuple[np.ndarray, ...], h: int) -> list[np.ndarray]:
+        """Columns m_0..m_{n-1} of the weight-h exponent vectors with these
+        words."""
+        cols = [None] * self.n
+        for word, strides, c in zip(self.words, self.strides, cand):
+            for i, s in zip(word, strides):
+                if i >= self.d:
+                    cols[i - self.d] = c // s % self.radices[i]
+        cols[self.n - 1] = h - sum(cols[:self.n - 1])
+        return cols
 
 
 def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
@@ -160,69 +231,32 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
     required = n * n * det_max
     cap = required if max_weight is None else min(required, max_weight)
     max_coord = max(abs(c) for p in config.points for c in p)
+    # this also keeps every key digit, and so every key word, below 2^62
     if not int64_budget_ok(required * max(max_coord, 1) * n):
         raise BudgetExceededError("obstruction scan would overflow the fast path")
-    pts = np.asarray([list(p) for p in config.points], dtype=np.int64)
-    d = config.dim
-    survivors = np.eye(n, dtype=np.int64)
-    found: list[np.ndarray] = []
+    found: list[tuple[int, ...]] = []
     processed = n
     scanned = 1
     truncated = False
-    col_min = pts.min(axis=0)
-    col_max = pts.max(axis=0)
+    keys = _LevelKeys(config, cap)
+    survivors = keys.steps
     for h in range(2, cap + 1):
-        exp_sizes = [h + 1] * n
-        packable = (h + 1) ** n < (1 << 62)
-        if packable:
-            skeys, strides = _pack_rows(survivors, [0] * n, exp_sizes)
-            cand_keys = np.unique((skeys[:, None] + strides[None, :]).ravel())
-            cand = _unpack_keys(cand_keys, [0] * n, exp_sizes)
-        else:
-            cand = (survivors[:, None, :] + np.eye(n, dtype=np.int64)[None, :, :]
-                    ).reshape(-1, n)
-            cand = np.unique(cand, axis=0)
-        processed += len(cand)
+        # A candidate extends one survivor per predecessor m - e_j that
+        # survived h - 1, so it is minimal when that count is its support.
+        cand, leader, held = keys.candidates(survivors)
+        processed += len(leader)
         if processed > candidate_budget:
             truncated = True
             break
-        if found:
-            dominated = np.zeros(len(cand), dtype=bool)
-            for mu in found:
-                dominated |= (cand >= mu).all(axis=1)
-            cand = cand[~dominated]
-        if len(cand) == 0:
-            scanned = h
-            survivors = cand
-            continue
-        values = cand @ pts
-        val_sizes = [int(h * (col_max[k] - col_min[k])) + 1 for k in range(d)]
-        span = 1
-        for s in val_sizes:
-            span *= s
-        if packable and span < (1 << 62):
-            vkeys, _ = _pack_rows(values, [int(h * col_min[k]) for k in range(d)],
-                                  val_sizes)
-            ckeys, _ = _pack_rows(cand, [0] * n, exp_sizes)
-            order = np.lexsort((ckeys, vkeys))
-            cand = cand[order]
-            vkeys = vkeys[order]
-            new_class = np.ones(len(cand), dtype=bool)
-            new_class[1:] = vkeys[1:] != vkeys[:-1]
-        else:
-            order = np.lexsort(tuple(cand[:, j] for j in range(n - 1, -1, -1))
-                               + tuple(values[:, k] for k in range(d - 1, -1, -1)))
-            cand = cand[order]
-            values = values[order]
-            new_class = np.ones(len(cand), dtype=bool)
-            new_class[1:] = (values[1:] != values[:-1]).any(axis=1)
-        survivors = cand[new_class]
-        for row in cand[~new_class]:
-            found.append(row.copy())
+        rest = ~leader
+        cols = keys.exponents(tuple(c[rest] for c in cand), h)
+        minimal = held[rest] == sum(c > 0 for c in cols)
+        if minimal.any():
+            found.extend(zip(*(c[minimal].tolist() for c in cols)))
+        survivors = tuple(c[leader] for c in cand)
         scanned = h
     status = "truncated" if (truncated or cap < required) else "exact"
-    elements = tuple(sorted(tuple(int(v) for v in row) for row in found))
-    return ObstructionSet(elements=elements, status=status,
+    return ObstructionSet(elements=tuple(sorted(found)), status=status,
                           weight_scanned=scanned, weight_required=required)
 
 
@@ -308,7 +342,7 @@ def _growth_sizes_capped(config: PointConfig, n_target: int,
                          cap_points: int) -> list[int]:
     """|NA| for N = 1.. up to n_target, stopping quietly at the point budget."""
     sizes: list[int] = []
-    for pts in iter_sumsets(config, n_target):
+    for pts in sumset_arrays(config, n_target):
         if len(pts) > cap_points:
             break
         sizes.append(len(pts))

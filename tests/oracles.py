@@ -9,6 +9,8 @@ rational plane-solving instead of cofactor normals.  Slow but exact.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
+import numpy as np
+
 
 def naive_determinant(rows):
     n = len(rows)
@@ -147,3 +149,104 @@ def dilate_points_by_facets(points, dim, n):
                for normal, c in facets):
             out.append(x)
     return out
+
+
+def _pack_rows(rows, lows, base_sizes):
+    """Mixed-radix int64 keys for rows; key order equals row lex order."""
+    strides = np.empty(len(base_sizes), dtype=np.int64)
+    acc = 1
+    for j in range(len(base_sizes) - 1, -1, -1):
+        strides[j] = acc
+        acc *= base_sizes[j]
+    return (rows - np.asarray(lows, dtype=np.int64)) @ strides, strides
+
+
+def _unpack_keys(keys, lows, base_sizes):
+    out = np.empty((len(keys), len(base_sizes)), dtype=np.int64)
+    vals = keys.copy()
+    for j in range(len(base_sizes) - 1, -1, -1):
+        out[:, j] = vals % base_sizes[j] + lows[j]
+        vals //= base_sizes[j]
+    return out
+
+
+def obstructions_by_rows(config, max_weight=None, candidate_budget=5_000_000):
+    """Minimal non-lex-least exponent vectors by an exponent-row scan.
+
+    Returns (elements, status, weight_scanned, weight_required), the fields
+    of ``minimal_obstructions``.  Level h candidates are the distinct
+    single-step extensions of the level h-1 survivors, as rows; a candidate
+    dominated by an element already found is dropped, the lex-least
+    remaining candidate of each value class survives, and every other one
+    is a new element.  ``candidate_budget`` counts distinct candidates.
+    Takes ``required`` = |A|^2 det_max from the library's volumes.
+    """
+    from sumsetlab.circuits import kernel_lattice
+    from sumsetlab.polytope import volumes
+
+    n = config.size
+    if n == 1 or not kernel_lattice(config):
+        return (), "exact", 1, 1
+    required = n * n * volumes(config).det_max
+    cap = required if max_weight is None else min(required, max_weight)
+    pts = np.asarray([list(p) for p in config.points], dtype=np.int64)
+    d = config.dim
+    survivors = np.eye(n, dtype=np.int64)
+    found = []
+    processed = n
+    scanned = 1
+    truncated = False
+    col_min = pts.min(axis=0)
+    col_max = pts.max(axis=0)
+    for h in range(2, cap + 1):
+        exp_sizes = [h + 1] * n
+        packable = (h + 1) ** n < (1 << 62)
+        if packable:
+            skeys, strides = _pack_rows(survivors, [0] * n, exp_sizes)
+            cand_keys = np.unique((skeys[:, None] + strides[None, :]).ravel())
+            cand = _unpack_keys(cand_keys, [0] * n, exp_sizes)
+        else:
+            cand = (survivors[:, None, :] + np.eye(n, dtype=np.int64)[None, :, :]
+                    ).reshape(-1, n)
+            cand = np.unique(cand, axis=0)
+        processed += len(cand)
+        if processed > candidate_budget:
+            truncated = True
+            break
+        if found:
+            dominated = np.zeros(len(cand), dtype=bool)
+            for mu in found:
+                dominated |= (cand >= mu).all(axis=1)
+            cand = cand[~dominated]
+        if len(cand) == 0:
+            scanned = h
+            survivors = cand
+            continue
+        values = cand @ pts
+        val_sizes = [int(h * (col_max[k] - col_min[k])) + 1 for k in range(d)]
+        span = 1
+        for s in val_sizes:
+            span *= s
+        if packable and span < (1 << 62):
+            vkeys, _ = _pack_rows(values, [int(h * col_min[k]) for k in range(d)],
+                                  val_sizes)
+            ckeys, _ = _pack_rows(cand, [0] * n, exp_sizes)
+            order = np.lexsort((ckeys, vkeys))
+            cand = cand[order]
+            vkeys = vkeys[order]
+            new_class = np.ones(len(cand), dtype=bool)
+            new_class[1:] = vkeys[1:] != vkeys[:-1]
+        else:
+            order = np.lexsort(tuple(cand[:, j] for j in range(n - 1, -1, -1))
+                               + tuple(values[:, k] for k in range(d - 1, -1, -1)))
+            cand = cand[order]
+            values = values[order]
+            new_class = np.ones(len(cand), dtype=bool)
+            new_class[1:] = (values[1:] != values[:-1]).any(axis=1)
+        survivors = cand[new_class]
+        for row in cand[~new_class]:
+            found.append(row.copy())
+        scanned = h
+    status = "truncated" if (truncated or cap < required) else "exact"
+    elements = tuple(sorted(tuple(int(v) for v in row) for row in found))
+    return elements, status, scanned, required

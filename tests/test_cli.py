@@ -249,3 +249,25 @@ class TestErrorPaths:
         path.write_text("1\n1\n")
         code, _, _ = run_cli(capsys, "analyze", "--input", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("body", [
+        '{"points": 5}',
+        '{"points": null}',
+        '{"points": [[0], [3]], "dim": 1.0}',
+        '{"points": [[true], [3]]}',
+    ])
+    def test_malformed_json_fields(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch,
+                                                    a135_txt):
+        # a ValueError from the kernel selector is no input error (exit 1)
+        monkeypatch.setenv("SUMSETLAB_KERNEL", "bogus")
+        code, out, err = run_cli(capsys, "growth", "--max-n", "3",
+                                 "--input", a135_txt)
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: ValueError: SUMSETLAB_KERNEL")
+        assert err.count("\n") == 1

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,12 @@ from sumsetlab import (
     sumset_size_formula,
     volumes,
 )
+from sumsetlab import khovanskii
 from sumsetlab.circuits import support
 from sumsetlab.sumsets import growth_sizes
 
 from corpus import random_configs
-from oracles import representations_by_multisets
+from oracles import obstructions_by_rows, representations_by_multisets
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -106,6 +108,73 @@ class TestMinimalObstructions:
                                        candidate_budget=100_000)
             for m in obs.elements:
                 assert max(m) <= norm.size * det_max, (pts, m)
+
+
+def _fields(obs):
+    return obs.elements, obs.status, obs.weight_scanned, obs.weight_required
+
+
+# shared by the forced word-limit runs
+_row_scan = functools.cache(obstructions_by_rows)
+
+
+def _capped_configs(corpus):
+    norms = [norm for _, _, norm in corpus]
+    norms += [normalize_config(PointConfig.from_points(pts))
+              for pts in random_configs(60)]
+    return [norm for norm in norms if norm.dim]
+
+
+class TestKeyPackedScan:
+    """The packed-key scan against the exponent-row scan it replaced."""
+
+    def test_corpus_full_scan(self, corpus):
+        for name, _, norm in corpus:
+            assert _fields(minimal_obstructions(norm)) == \
+                obstructions_by_rows(norm), name
+
+    # 1 << 62 is the natural split, 1 << 24 splits values and exponent
+    # digits across words mid-digit-run, 1 puts every digit in its own word
+    @pytest.mark.parametrize("limit", [1 << 62, 1 << 24, 1])
+    def test_forced_word_limit(self, corpus, monkeypatch, limit):
+        monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
+        for norm in _capped_configs(corpus):
+            got = khovanskii._minimal_obstructions_scan(norm, 12, 200_000)
+            assert _fields(got) == _row_scan(norm, 12, 200_000), \
+                (limit, norm.points)
+
+    def test_word_split(self):
+        # 1-D, 6 points, cap 468: the value and all five digits in one word
+        trunc = normalize_config(PointConfig.from_points(
+            [(2,), (5,), (6,), (7,), (13,), (15,)]))
+        keys = khovanskii._LevelKeys(trunc, 468)
+        assert keys.words == [[0, 1, 2, 3, 4, 5]]
+        # a value class is the key divided by the span of the digits
+        assert keys.class_stride == 469 ** 5
+        # 12 points at cap 2880: eleven digits of radix 2881 need three words
+        cfg = normalize_config(PointConfig.from_points(
+            [(x,) for x in (0, 1, 3, 4, 7, 9, 10, 13, 14, 17, 19, 20)]))
+        keys = khovanskii._LevelKeys(cfg, 2880)
+        assert keys.words == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11]]
+        assert (keys.class_word, keys.class_stride) == (0, 2881 ** 4)
+
+    def test_several_words_full_cap(self):
+        cfg = normalize_config(PointConfig.from_points(
+            [(x,) for x in (0, 1, 3, 4, 7, 9, 10, 13, 14, 17, 19, 20)]))
+        got = khovanskii._minimal_obstructions_scan(cfg, None, 300_000)
+        assert _fields(got) == obstructions_by_rows(cfg, None, 300_000)
+
+    def test_pinned_values(self):
+        pinned = [
+            ([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)], 9, "exact", 108, 108),
+            ([(0,), (2,), (5,), (11,), (12,)], 11, "exact", 300, 300),
+            ([(2,), (5,), (6,), (7,), (13,), (15,)], 24, "truncated", 427, 468),
+        ]
+        for pts, count, status, scanned, required in pinned:
+            norm = normalize_config(PointConfig.from_points(pts))
+            obs = minimal_obstructions(norm)
+            assert (len(obs.elements), obs.status, obs.weight_scanned,
+                    obs.weight_required) == (count, status, scanned, required)
 
 
 class TestSizeFormula:
