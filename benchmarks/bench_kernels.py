@@ -1,11 +1,18 @@
 """Benchmark the hot kernels against the exact paths they shortcut.
 
-Times the lattice box scan, one sumset expansion step and the obstruction
-scan, checks that every pair returns identical results, and prints tables:
+Times the lattice box scan, one sumset expansion step, the sumset iteration,
+the obstruction scan and the JSON writer, checks that every pair returns
+identical results, and prints tables:
 
 * numpy against exact Python: ``kernels._np_box_count`` against
   ``polytope._box_scan_exact`` and ``kernels.sumset_step`` (numpy backend)
   against one level of ``sumsets._iterate_tuples``;
+* the frontier iteration (``sumsets._iterate_arrays``: each level grown
+  from the new points of the one before) against the full-level loop
+  (``kernels.sumset_step`` on every whole level), for hexagon6 to N=150
+  and simplex3_diag to N=60;
+* ``reporting.to_json`` against ``json.dumps(indent=2)`` on the
+  ``growth --max-n 80 --emit-points`` report of hexagon6;
 * the obstruction scan with its keys packed into as few int64 words as fit
   against the same scan with one word per digit, for hexagon6, for a
   six-point set whose scan the candidate budget truncates, and for a
@@ -25,6 +32,7 @@ Select the backend used by the library itself with SUMSETLAB_KERNEL=numpy.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import time
 
@@ -32,7 +40,8 @@ import numpy as np
 
 from sumsetlab import PointConfig, kernels, khovanskii, normalize_config
 from sumsetlab.polytope import _box_scan_exact, convex_hull
-from sumsetlab.sumsets import _iterate_tuples
+from sumsetlab.reporting import Caps, growth_report, to_json
+from sumsetlab.sumsets import _iterate_arrays, _iterate_tuples
 
 
 def _box_workload(name, points, dilate):
@@ -101,6 +110,12 @@ SUMSET_CASES = [
     ("sumset step 3d simplex, |P|~2*10^5",
      [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 100),
 ]
+HEXAGON6 = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]
+ITERATION_CASES = [
+    ("iterate 2d hexagon6, N=150", HEXAGON6, 150),
+    ("iterate 3d simplex3_diag, N=60",
+     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 60),
+]
 SCAN_CASES = [
     ("obstruction scan hexagon6",
      [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]),
@@ -130,6 +145,37 @@ def numpy_against_exact(repeat):
         print(f"{name:38s} {t_np * 1e3:8.2f}ms {t_ex * 1e3:8.2f}ms "
               f"{t_ex / t_np:7.2f}x   ({len(cur) * len(gens)} -> {len(r_np)} rows)")
     os.environ.pop("SUMSETLAB_KERNEL")
+
+
+def _full_levels(cfg, n_max):
+    """Every level as sumset_step of the whole level before it."""
+    gens = kernels.points_to_array(sorted(cfg.points))
+    levels = [gens]
+    for _ in range(2, n_max + 1):
+        levels.append(kernels.sumset_step(levels[-1], gens))
+    return levels
+
+
+def frontier_against_full(repeat):
+    print(f"{'workload':38s} {'frontier':>10s} {'full':>10s} {'ratio':>8s}")
+    for name, points, n_max in ITERATION_CASES:
+        cfg = PointConfig.from_points(points)
+        t_fr, r_fr = bench(lambda: list(_iterate_arrays(cfg, n_max)), (), repeat)
+        t_fu, r_fu = bench(_full_levels, (cfg, n_max), 1)
+        assert len(r_fr) == len(r_fu) and all(
+            np.array_equal(a, b) for a, b in zip(r_fr, r_fu)), name
+        print(f"{name:38s} {t_fr * 1e3:8.2f}ms {t_fu * 1e3:8.2f}ms "
+              f"{t_fu / t_fr:7.2f}x   ({sum(map(len, r_fr))} points)")
+
+
+def json_writer(repeat):
+    print(f"{'workload':38s} {'to_json':>10s} {'dumps':>10s} {'ratio':>8s}")
+    report, _ = growth_report(PointConfig.from_points(HEXAGON6), Caps(max_n=80), True)
+    t_w, text = bench(to_json, (report,), repeat)
+    t_d, ref = bench(lambda: json.dumps(report, sort_keys=True, indent=2) + "\n", (), 1)
+    assert text == ref
+    print(f"{'to_json hexagon6 emit report, N=80':38s} {t_w * 1e3:8.2f}ms "
+          f"{t_d * 1e3:8.2f}ms {t_d / t_w:7.2f}x   ({len(text)} bytes)")
 
 
 def scan_word_split(repeat):
@@ -175,6 +221,10 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
     numpy_against_exact(args.repeat)
+    print()
+    frontier_against_full(args.repeat)
+    print()
+    json_writer(args.repeat)
     print()
     scan_word_split(args.repeat)
     if "numba" in kernels.available_backends():

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: lattice box scans and sumset expansion.
+"""Hot numeric kernels: lattice box scans, sumset expansion and key packing.
 
 Two interchangeable backends produce bit-identical results:
 
@@ -10,6 +10,12 @@ Two interchangeable backends produce bit-identical results:
 Both operate on int64 and are only entered after the caller has proved the
 arithmetic cannot overflow 63 bits; exact big-integer fallbacks live next to
 the call sites.  ``benchmarks/bench_kernels.py`` times one against the other.
+
+Points of a box are packed into mixed-radix keys whose order is lex order
+(``key_strides``, ``pack_rows``, ``decode_keys``); the sumset iteration
+and the semigroup sieves keep their point sets as sorted keys.
+``sumset_step`` expands one block of sums; the frontier iteration in
+``sumsets`` calls it once per level on the previous level's new points.
 """
 
 from __future__ import annotations
@@ -55,7 +61,12 @@ def points_to_array(points) -> np.ndarray:
 
 
 def array_to_points(arr) -> list[tuple[int, ...]]:
-    return [tuple(int(v) for v in row) for row in np.asarray(arr)]
+    """The rows of a point array as tuples of Python ints.
+
+    ``tolist`` turns int64 entries into Python ints and leaves the Python
+    ints of an object array as they are, so both give the same tuples.
+    """
+    return list(map(tuple, np.asarray(arr).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +256,6 @@ def _nb_expand_keys(pts, gens, mins, strides):
     return keys
 
 
-def _decode_keys(keys, mins, ranges):
-    d = len(ranges)
-    out = np.empty((keys.shape[0], d), dtype=np.int64)
-    vals = keys.copy()
-    for k in range(d - 1, -1, -1):
-        out[:, k] = vals % ranges[k] + mins[k]
-        vals //= ranges[k]
-    return out
-
-
 def key_strides(lo, hi) -> tuple[tuple[int, ...], int]:
     """Mixed-radix strides packing the box [lo, hi] into keys 0..span-1.
 
@@ -271,6 +272,20 @@ def key_strides(lo, hi) -> tuple[tuple[int, ...], int]:
 def key_dtype(span: int) -> np.dtype:
     """int64 when keys below ``span`` fit the kernel range, else Python ints."""
     return np.dtype(np.int64) if int64_budget_ok(span) else np.dtype(object)
+
+
+def decode_keys(keys: np.ndarray, lo, strides) -> np.ndarray:
+    """The int64 rows of the box [lo, ...] whose keys are ``keys`` (see key_strides)."""
+    out = np.empty((len(keys), len(strides)), dtype=np.int64)
+    rest = keys
+    for k, stride in enumerate(strides[:-1]):
+        digit = rest // stride
+        out[:, k] = digit
+        rest = rest - digit * stride
+    if strides:
+        out[:, -1] = rest
+    out += np.asarray(lo, dtype=np.int64)
+    return out
 
 
 def pack_rows(rows, lo, strides, dtype) -> np.ndarray:
@@ -308,7 +323,6 @@ def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
     m = gens.shape[0]
     mins = [int(pts[:, k].min()) + int(gens[:, k].min()) for k in range(d)]
     maxs = [int(pts[:, k].max()) + int(gens[:, k].max()) for k in range(d)]
-    ranges = [mx - mn + 1 for mn, mx in zip(mins, maxs)]
     strides, span = key_strides(mins, maxs)
     if span >= 1 << 62:
         # key packing would overflow; fall back to row-wise unique
@@ -321,8 +335,7 @@ def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
     else:
         sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
         keys = (sums - mins_a) @ strides_a
-    uniq = sorted_unique(keys)
-    return _decode_keys(uniq, mins_a, np.asarray(ranges, dtype=np.int64))
+    return decode_keys(sorted_unique(keys), mins, strides)
 
 
 def int64_budget_ok(*values) -> bool:

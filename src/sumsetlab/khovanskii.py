@@ -30,7 +30,7 @@ from .polynomials import (
 )
 from .polytope import volumes
 from .circuits import kernel_lattice
-from .sumsets import sumset_arrays
+from .sumsets import sumset_levels
 
 
 def enumerate_representations(config: PointConfig, point, h: int) -> list[tuple[int, ...]]:
@@ -342,10 +342,12 @@ def _growth_sizes_capped(config: PointConfig, n_target: int,
                          cap_points: int) -> list[int]:
     """|NA| for N = 1.. up to n_target, stopping quietly at the point budget."""
     sizes: list[int] = []
-    for pts in sumset_arrays(config, n_target):
-        if len(pts) > cap_points:
-            break
-        sizes.append(len(pts))
+    try:
+        # the sizes always start with |1A|, even for a window below 1
+        for size, _ in sumset_levels(config, max(n_target, 1), cap_points):
+            sizes.append(size)
+    except BudgetExceededError:
+        pass
     return sizes
 
 

@@ -30,7 +30,7 @@ from .polytope import (
 )
 from .circuits import circuits
 from .structure import structure_bounds, structure_threshold
-from .sumsets import sumset_iterate
+from .sumsets import sumset_levels
 
 _FLOAT_SAFE = 1 << 53
 # integers with more digits render as a digit count plus leading digits
@@ -202,19 +202,17 @@ def build_analysis(config: PointConfig, caps: Caps, route: str = "auto",
 
 def growth_report(config: PointConfig, caps: Caps, emit_points: bool) -> tuple[dict, bool]:
     n_max = caps.max_n if caps.max_n is not None else 10
+    rows = []
     partial = False
     try:
-        table = sumset_iterate(config, n_max, keep_points=emit_points,
-                               cap_points=caps.cap_points)
-    except BudgetExceededError as exc:
-        table = exc.partial
+        for n, (size, pts) in enumerate(
+                sumset_levels(config, n_max, caps.cap_points, emit_points), start=1):
+            row = {"n": n, "size": size}
+            if emit_points:
+                row["points"] = pts.tolist()
+            rows.append(row)
+    except BudgetExceededError:
         partial = True
-    rows = []
-    for rec in table.records:
-        row = {"n": rec.n, "size": rec.size}
-        if emit_points and rec.points is not None:
-            row["points"] = [render_point(p) for p in rec.points]
-        rows.append(row)
     return {"growth": rows, "partial": partial}, partial
 
 
@@ -251,7 +249,64 @@ def bounds_report(config: PointConfig) -> dict:
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) plus a newline, faster.
+
+    With an indent, json.dumps runs the pure-Python encoder.  This writer
+    lays out the same indentation itself and leaves every scalar to
+    json.dumps; a list of equal-length lists of plain ints (a point list)
+    is filled into one %-template.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the JSON text of value; ``newline`` carries the current indent."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+        elif not all(type(k) is str for k in value):
+            # json.dumps coerces and orders other keys its own way
+            out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+        else:
+            sep = "{" + inner
+            for key in sorted(value):
+                out += (sep, json.dumps(key), ": ")
+                _write_json(value[key], inner, out)
+                sep = "," + inner
+            out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        flat = _int_rows(value)
+        if flat is not None:
+            width = len(value[0])
+            row = "[" + ",".join([inner + "  %d"] * width) + inner + "]"
+            out.append("[" + inner + ("," + inner).join([row] * len(value)) % flat
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def _int_rows(value) -> tuple | None:
+    """The entries of ``value`` row by row when it is a list of equal-length,
+    nonempty lists of plain ints (bool excluded), else None."""
+    width = len(value[0]) if type(value[0]) is list else 0
+    if not width or not all(type(r) is list and len(r) == width for r in value):
+        return None
+    flat = tuple(x for r in value for x in r)
+    return flat if set(map(type, flat)) == {int} else None
 
 
 def _flatten(prefix: str, value, rows: list):

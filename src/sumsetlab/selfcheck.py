@@ -40,9 +40,12 @@ from .polytope import (
     triangulate_from_origin,
     volumes,
 )
-from .structure import structure_bounds, verify_structure_equation
-from .sumsets import RegionSpec, iter_sumsets, sumset_iterate
-from .structure import verify_extremal_decomposition
+from .structure import (
+    structure_bounds,
+    structure_levels,
+    verify_extremal_decomposition,
+)
+from .sumsets import RegionSpec, iter_sumsets, sumset_arrays, sumset_iterate
 
 
 @dataclass
@@ -232,12 +235,12 @@ def run_checks(config: PointConfig, cap_points: int = 10 ** 7,
     _check("threshold_under_bound", threshold_under_bound, results)
 
     def structure_inclusion():
-        bound = min(structure_bounds(norm).bound_a,
-                    structure_bounds(norm).bound_b)
-        top = min(8, bound + 2)
-        for k, pts in enumerate(iter_sumsets(norm, top), start=1):
-            report = verify_structure_equation(norm, k, cap_points=cap_points,
-                                               _sumset_points=pts)
+        bounds = structure_bounds(norm)
+        top = min(8, min(bounds.bound_a, bounds.bound_b) + 2)
+        # structure_levels builds the vertex sieves once for the window
+        levels = zip(structure_levels(norm, top, cap_points=cap_points),
+                     sumset_arrays(norm, top))
+        for k, (report, pts) in enumerate(levels, start=1):
             assert not report.extra, f"extra points at N={k}: {report.extra[:3]}"
             rhs_size = len(pts) + len(report.missing)
             assert rhs_size <= count_dilate_points(norm, k, cap_points=cap_points)

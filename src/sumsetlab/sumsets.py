@@ -65,13 +65,79 @@ class RegionSpec:
         return cls(kind="dilate", n=int(n))
 
 
-def _iterate_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
+# most sums one sumset_step call may expand before deduplication
+CANDIDATE_BLOCK_ROWS = 1 << 22
+
+
+def _frontier_box(config: PointConfig, n_max: int):
+    """(lo, strides) of the key box that holds N*A for every N in 1..n_max.
+
+    None when the coordinates or the keys of that box may leave the int64
+    kernel range.
+    """
+    n_top = max(n_max, 1)
+    max_abs = max((abs(c) for p in config.points for c in p), default=0)
+    if not kernels.int64_budget_ok(max_abs * n_top * 2):
+        return None
+    columns = list(zip(*config.points))
+    lo = [min(min(col), n_top * min(col)) for col in columns]
+    hi = [max(max(col), n_top * max(col)) for col in columns]
+    strides, span = kernels.key_strides(lo, hi)
+    return (lo, strides) if kernels.int64_budget_ok(span) else None
+
+
+def _expand(frontier: np.ndarray, gens: np.ndarray, lo,
+            strides) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct rows of frontier + gens and their keys.
+
+    The sums are expanded in blocks of at most CANDIDATE_BLOCK_ROWS.
+    """
+    m = len(gens)
+    f_step = max(1, CANDIDATE_BLOCK_ROWS // m)
+    g_step = min(m, CANDIDATE_BLOCK_ROWS)
+    blocks = [kernels.sumset_step(frontier[i:i + f_step], gens[j:j + g_step])
+              for i in range(0, len(frontier), f_step)
+              for j in range(0, m, g_step)]
+    if len(blocks) == 1:
+        return blocks[0], kernels.pack_rows(blocks[0], lo, strides, np.int64)
+    keys = kernels.sorted_unique(np.concatenate(
+        [kernels.pack_rows(b, lo, strides, np.int64) for b in blocks]))
+    return kernels.decode_keys(keys, lo, strides), keys
+
+
+def _iterate_keys(config: PointConfig, n_max: int, lo, strides) -> Iterator[np.ndarray]:
+    """Sorted keys of N*A for N = 1..n_max, each level grown from the new
+    points of the one before.
+
+    With t the lex-least point of A, (N-1)A + t lies inside NA, and every
+    other point of NA is f + a with a in A and f in the frontier
+    F = (N-1)A minus ((N-2)A + t).  Keys live in one box that holds every
+    level (``lo`` and ``strides``, from _frontier_box): there adding t
+    shifts every key by the same constant, and key order is lex order.
+    """
     gens = kernels.points_to_array(sorted(config.points))
-    cur = gens.copy()
-    yield cur
+    shift = int(gens[0] @ np.asarray(strides, dtype=np.int64))
+    keys = kernels.pack_rows(gens, lo, strides, np.int64)
+    frontier = gens[1:]
+    yield keys
     for _ in range(2, n_max + 1):
-        cur = kernels.sumset_step(cur, gens)
-        yield cur
+        keys = keys + shift
+        if len(frontier):
+            rows, cand = _expand(frontier, gens, lo, strides)
+            pos = np.searchsorted(keys, cand)
+            new = keys[np.minimum(pos, len(keys) - 1)] != cand
+            frontier = rows[new]
+            # two sorted runs: the stable sort merges them in linear time
+            keys = np.concatenate([keys, cand[new]])
+            keys.sort(kind="stable")
+        yield keys
+
+
+def _iterate_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
+    """The frontier iteration as int64 point arrays (its box must fit int64)."""
+    lo, strides = _frontier_box(config, n_max)
+    for keys in _iterate_keys(config, n_max, lo, strides):
+        yield kernels.decode_keys(keys, lo, strides)
 
 
 def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
@@ -86,16 +152,16 @@ def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
 def sumset_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
     """Yield N*A for N = 1..n_max as lexicographically sorted point arrays.
 
-    The arrays are int64 when every coordinate provably fits the kernel
-    range and hold Python ints (dtype object) from the exact iteration
-    otherwise.
+    Level 1 is always yielded.  The arrays are int64, from the frontier
+    iteration, when the coordinates and the keys of the box that holds all
+    levels provably fit the kernel range; otherwise they hold Python ints
+    (dtype object) from the exact iteration.
     """
-    max_abs = max((abs(c) for p in config.points for c in p), default=0)
-    if kernels.int64_budget_ok(max_abs * max(n_max, 1) * 2):
+    if _frontier_box(config, n_max) is not None:
         yield from _iterate_arrays(config, n_max)
-    else:
-        for pts in _iterate_tuples(config, n_max):
-            yield np.array(pts, dtype=object).reshape(len(pts), config.dim)
+        return
+    for pts in _iterate_tuples(config, n_max):
+        yield np.array(pts, dtype=object).reshape(len(pts), config.dim)
 
 
 def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
@@ -104,27 +170,46 @@ def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
         yield kernels.array_to_points(arr)
 
 
+def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
+                  keep_points: bool = False) -> Iterator[tuple[int, np.ndarray | None]]:
+    """Yield (|N*A|, N*A) for N = 1.. up to n_max, under the point budget.
+
+    The point arrays are those of sumset_arrays with ``keep_points`` and
+    None without; then the int64 levels are never decoded from their keys.
+    A level of more than ``cap_points`` points is not yielded: a
+    BudgetExceededError names it (``reached``) instead.
+    """
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    box = None if keep_points else _frontier_box(config, n_max)
+    levels = (sumset_arrays(config, n_max) if box is None
+              else _iterate_keys(config, n_max, *box))
+    for n, level in enumerate(levels, start=1):
+        if len(level) > cap_points:
+            raise BudgetExceededError(
+                f"sumset size {len(level)} exceeds the {cap_points} point budget at N={n}",
+                reached=n)
+        yield len(level), (level if keep_points else None)
+
+
 def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
                    cap_points: int = 10 ** 7) -> GrowthTable:
     """Exact growth table of |N*A| for N = 1..n_max.
 
-    Computed incrementally as (N-1)A + A with deduplication.  When a level
-    would exceed ``cap_points`` points, a BudgetExceededError is raised that
-    names the level reached and carries the partial table.
+    The levels come from sumset_levels: each grows from the new points of
+    the one before.  When a level would exceed ``cap_points`` points, a
+    BudgetExceededError is raised that names the level reached and carries
+    the partial table.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
     records: list[GrowthRecord] = []
-    for n, pts in enumerate(sumset_arrays(config, n_max), start=1):
-        size = len(pts)
-        if size > cap_points:
-            raise BudgetExceededError(
-                f"sumset size {size} exceeds the {cap_points} point budget at N={n}",
-                reached=n,
-                partial=GrowthTable(records=tuple(records)),
-            )
-        stored = tuple(kernels.array_to_points(pts)) if keep_points else None
-        records.append(GrowthRecord(n=n, size=size, points=stored))
+    try:
+        for n, (size, pts) in enumerate(
+                sumset_levels(config, n_max, cap_points, keep_points), start=1):
+            stored = tuple(kernels.array_to_points(pts)) if keep_points else None
+            records.append(GrowthRecord(n=n, size=size, points=stored))
+    except BudgetExceededError as exc:
+        exc.partial = GrowthTable(records=tuple(records))
+        raise
     return GrowthTable(records=tuple(records))
 
 

@@ -97,3 +97,32 @@ class TestDispatch:
     def test_int64_budget_guard(self):
         assert kernels.int64_budget_ok(1 << 61)
         assert not kernels.int64_budget_ok(1 << 62)
+
+
+class TestArrayToPoints:
+    def test_int64_rows_become_python_int_tuples(self):
+        pts = kernels.array_to_points(np.asarray([[1, -2], [3, 4]], dtype=np.int64))
+        assert pts == [(1, -2), (3, 4)]
+        assert all(type(v) is int for p in pts for v in p)
+
+    def test_object_rows_keep_big_ints(self):
+        big = (1 << 63) + 5
+        arr = np.array([(big, -big), (1, 2)], dtype=object).reshape(2, 2)
+        pts = kernels.array_to_points(arr)
+        assert pts == [(big, -big), (1, 2)]
+        assert all(type(v) is int for p in pts for v in p)
+
+    def test_zero_dimensional_rows(self):
+        assert kernels.array_to_points(np.empty((2, 0), dtype=np.int64)) == [(), ()]
+
+
+def test_decode_keys_inverts_pack_rows():
+    rng = random.Random(41)
+    for dim in (1, 2, 3, 4):
+        lo = [rng.randint(-9, 3) for _ in range(dim)]
+        hi = [a + rng.randint(0, 7) for a in lo]
+        strides, _ = kernels.key_strides(lo, hi)
+        rows = np.asarray([[rng.randint(a, b) for a, b in zip(lo, hi)]
+                           for _ in range(30)], dtype=np.int64)
+        keys = kernels.pack_rows(rows, lo, strides, np.int64)
+        assert np.array_equal(kernels.decode_keys(keys, lo, strides), rows)

@@ -1,8 +1,20 @@
+import json
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sumsetlab.reporting import LEADING_DIGITS, MAX_DECIMAL_DIGITS, render_int
+from sumsetlab.cli import main
+from sumsetlab.reporting import (
+    LEADING_DIGITS,
+    MAX_DECIMAL_DIGITS,
+    render_int,
+    to_json,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -45,3 +57,55 @@ class TestRenderInt:
         for k in range(MAX_DECIMAL_DIGITS + 1, MAX_DECIMAL_DIGITS + 40):
             for value in (10 ** k - 1, 10 ** k, 10 ** k + 1):
                 assert render_int(value)["digits"] == len(str(value))
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+_ints = st.integers() | st.integers(min_value=-(1 << 200), max_value=1 << 200)
+_text = st.text(st.characters(codec="utf-8") | st.sampled_from(
+    '"\\\n\t\x00\x1f\u00e9\u2028\U0001f600'), max_size=6)
+_scalars = st.none() | st.booleans() | _ints | st.floats() | _text
+_rows = st.integers(min_value=1, max_value=3).flatmap(
+    lambda width: st.lists(st.lists(_ints, min_size=width, max_size=width),
+                           max_size=4))
+_rows_with_bool = st.lists(st.lists(_ints | st.booleans(), min_size=2, max_size=2),
+                           min_size=1, max_size=3)
+_trees = st.recursive(
+    _scalars | _rows | _rows_with_bool,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestToJson:
+    @settings(max_examples=120, deadline=None)
+    @given(st.dictionaries(_text, _trees, max_size=4))
+    def test_matches_json_dumps(self, report):
+        assert to_json(report) == _dumps(report)
+
+    @pytest.mark.parametrize("report", [
+        {},
+        {"a": []},
+        {"a": [[]]},
+        {"a": [[1], [2, 3]]},                  # ragged
+        {"a": [[1, True], [2, 3]]},            # bool is not a plain int
+        {"a": [[1 << 70, -(1 << 64)], [0, 5]]},
+        {"a": [(1, 2), (3, 4)]},               # tuples are lists to json
+        {"a": {1: "x", 2: [[1, 2]]}, "b": {"k": {None: 1}}},  # non-str keys
+        {"b": 1.5, "a": [None, "\u00e9\n", [[7]]]},
+    ])
+    def test_edge_cases(self, report):
+        assert to_json(report) == _dumps(report)
+
+    @pytest.mark.parametrize("points, golden", [
+        ("0\n3\n5\n", "growth_a135_emit6.json"),
+        ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}', "growth_square_emit6.json"),
+    ])
+    def test_growth_emit_points_frozen(self, tmp_path, capsys, points, golden):
+        path = tmp_path / "input"
+        path.write_text(points)
+        code = main(["growth", "--input", str(path), "--max-n", "6", "--emit-points"])
+        assert code == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()

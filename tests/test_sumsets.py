@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sumsetlab import (
@@ -11,8 +12,16 @@ from sumsetlab import (
     semigroup_oracle,
     sumset_iterate,
 )
-from sumsetlab.sumsets import growth_sizes, iter_sumsets
+from sumsetlab import kernels, sumsets
+from sumsetlab.sumsets import (
+    _iterate_tuples,
+    growth_sizes,
+    iter_sumsets,
+    sumset_arrays,
+    sumset_levels,
+)
 
+from corpus import random_configs
 from oracles import semigroup_sieve, sumset_by_enumeration
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
@@ -83,6 +92,103 @@ class TestGrowth:
     def test_nonzero_requires_n_max(self):
         with pytest.raises(PreconditionError):
             sumset_iterate(A135, 0)
+
+
+def _assert_levels_exact(config, n_max):
+    """Every level of sumset_arrays equals the exact tuple iteration."""
+    got = [kernels.array_to_points(a) for a in sumset_arrays(config, n_max)]
+    assert got == list(_iterate_tuples(config, n_max)), (config.points, n_max)
+
+
+class TestFrontierIteration:
+    def test_corpus_levels_exact(self, corpus):
+        for name, raw, norm in corpus:
+            for config in (raw, norm):
+                _assert_levels_exact(config, 12)
+
+    def test_random_sets_exact(self):
+        for pts in random_configs(60):
+            _assert_levels_exact(PointConfig.from_points(pts), 8)
+
+    @pytest.mark.parametrize("pts", [
+        [(5, -3), (6, -3), (5, -1), (8, 0)],      # lex-least point off the origin
+        [(-7,), (-2,), (3,), (4,)],               # negative coordinates
+        [(-4, -1, 2), (-3, 0, 2), (-4, 1, 3)],    # all-negative leading column
+        [(3, 4)],                                 # one point: no frontier
+        [(0,)],
+        [(2,), (9,)],
+    ])
+    def test_unnormalized_inputs_exact(self, pts):
+        _assert_levels_exact(PointConfig.from_points(pts), 10)
+
+    def test_int64_path_runs(self):
+        levels = list(sumset_arrays(PointConfig.from_points([(5, -3), (6, -3), (5, -1)]), 4))
+        assert all(a.dtype == np.int64 for a in levels)
+
+    def test_key_span_guard_falls_back_to_tuples(self):
+        # small coordinates for int64, but the key box of 4A spans ~2^64
+        big = 1 << 30
+        config = PointConfig.from_points([(0, 0), (big, 0), (0, big)])
+        levels = list(sumset_arrays(config, 4))
+        assert all(a.dtype == object for a in levels)
+        assert [kernels.array_to_points(a) for a in levels] == \
+            list(_iterate_tuples(config, 4))
+
+    def test_forced_tuples_fallback(self, monkeypatch, corpus):
+        expected = {name: [kernels.array_to_points(a) for a in sumset_arrays(raw, 8)]
+                    for name, raw, _ in corpus}
+        monkeypatch.setattr(sumsets, "_frontier_box", lambda config, n_max: None)
+        for name, raw, _ in corpus:
+            levels = list(sumset_arrays(raw, 8))
+            assert all(a.dtype == object for a in levels), name
+            assert [kernels.array_to_points(a) for a in levels] == expected[name], name
+            assert [size for size, _ in sumset_levels(raw, 8)] == \
+                [len(p) for p in expected[name]], name
+
+    @pytest.mark.parametrize("block", [7, 2])  # 2: fewer rows than |A|
+    def test_bounded_candidate_blocks(self, monkeypatch, corpus, block):
+        calls = []
+        step = kernels.sumset_step
+
+        def recorded(pts, gens):
+            calls.append(len(pts) * len(gens))
+            return step(pts, gens)
+
+        monkeypatch.setattr(sumsets, "CANDIDATE_BLOCK_ROWS", block)
+        monkeypatch.setattr(kernels, "sumset_step", recorded)
+        for name, raw, norm in corpus:
+            for config in (raw, norm):
+                _assert_levels_exact(config, 12)
+        assert calls and max(calls) <= block
+        assert len(calls) > 2 * len(corpus) * 11  # levels split into blocks
+
+
+class TestSumsetLevels:
+    def test_sizes_and_points(self):
+        for config in (A135, SQUARE, STRIP):
+            arrays = list(sumset_arrays(config, 6))
+            sized = list(sumset_levels(config, 6))
+            assert [size for size, pts in sized] == [len(a) for a in arrays]
+            assert all(pts is None for _, pts in sized)
+            kept = list(sumset_levels(config, 6, keep_points=True))
+            assert all(np.array_equal(a, pts) for a, (_, pts) in zip(arrays, kept))
+
+    def test_cap_names_first_level_over_budget(self):
+        got = []
+        with pytest.raises(BudgetExceededError) as err:
+            for size, _ in sumset_levels(SQUARE, 10, cap_points=20):
+                got.append(size)
+        assert got == [4, 9, 16]
+        assert err.value.reached == 4
+
+    def test_iterate_partial_table(self):
+        with pytest.raises(BudgetExceededError) as err:
+            sumset_iterate(SQUARE, 10, keep_points=True, cap_points=20)
+        assert err.value.reached == 4
+        partial = err.value.partial
+        assert partial.sizes() == [4, 9, 16]
+        assert partial.records[2].points == tuple(
+            (x, y) for x in range(4) for y in range(4))
 
 
 class TestSemigroup:
