@@ -17,6 +17,9 @@ identical results, and prints tables:
   against the same scan with one word per digit, for hexagon6, for a
   six-point set whose scan the candidate budget truncates, and for a
   twelve-point set whose keys need three words;
+* hull vertices read off the facet scan (``lattice.extremal_points``, hull
+  cache cleared before each run) against the convex-combination search of
+  ``tests/oracles.py``, on 100 fixed small sets in d = 1..4;
 * numba against numpy, for the box scan and the sumset step, when numba is
   installed.
 
@@ -34,12 +37,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
+import sys
 import time
 
 import numpy as np
 
 from sumsetlab import PointConfig, kernels, khovanskii, normalize_config
-from sumsetlab.polytope import _box_scan_exact, convex_hull
+from sumsetlab.lattice import extremal_points
+from sumsetlab.polytope import _box_scan_exact, _hull_cache, convex_hull
 from sumsetlab.reporting import Caps, growth_report, to_json
 from sumsetlab.sumsets import _iterate_arrays, _iterate_tuples
 
@@ -191,6 +197,38 @@ def scan_word_split(repeat):
               f"weight {r_pk.weight_scanned}, {r_pk.status})")
 
 
+def _vertex_sets(count=100, seed=7):
+    """Small distinct point sets in d = 1..4, some of lower rank."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        size = rng.randint(1, d + 3)
+        pts = set()
+        while len(pts) < size:
+            pts.add(tuple(rng.randint(0, 3) for _ in range(d)))
+        out.append((sorted(pts), d))
+    return out
+
+
+def vertices_against_lp(repeat):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+    from oracles import extremal_points_by_lp
+
+    def by_facets(sets):
+        _hull_cache.clear()
+        return [extremal_points(pts, d) for pts, d in sets]
+
+    sets = _vertex_sets()
+    print(f"{'workload':38s} {'facets':>10s} {'lp':>10s} {'ratio':>8s}")
+    t_fc, r_fc = bench(by_facets, (sets,), repeat)
+    t_lp, r_lp = bench(lambda: [extremal_points_by_lp(p, d) for p, d in sets], (), 1)
+    assert r_fc == r_lp
+    print(f"{'extremal 100 sets, d=1..4':38s} {t_fc * 1e3:8.2f}ms "
+          f"{t_lp * 1e3:8.2f}ms {t_lp / t_fc:7.2f}x   "
+          f"({sum(map(len, r_fc))} vertices)")
+
+
 def numba_against_numpy(repeat):
     print(f"{'workload':38s} {'numba':>10s} {'numpy':>10s} {'speedup':>8s}")
     for name, (lo, hi, lhs, rhs) in (_box_workload(*c) for c in BOX_CASES):
@@ -227,6 +265,8 @@ def main():
     json_writer(args.repeat)
     print()
     scan_word_split(args.repeat)
+    print()
+    vertices_against_lp(args.repeat)
     if "numba" in kernels.available_backends():
         print()
         numba_against_numpy(args.repeat)

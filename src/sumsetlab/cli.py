@@ -111,8 +111,26 @@ def _parse_pivot(text: str | None):
         raise InputFormatError("--pivot expects comma-separated integers") from exc
 
 
+def _budget(text: str) -> int:
+    """A budget option's value: a nonnegative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as bad input (exit 1), in one line."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sumsetlab",
         description="Exact iterated-sumset analysis of finite integer point sets.",
     )
@@ -121,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", default="json", choices=("json", "csv", "text"))
     parser.add_argument("--max-n", type=int, default=None,
                         help="growth levels / verification window cap")
-    parser.add_argument("--cap-points", type=int, default=10 ** 7,
+    parser.add_argument("--cap-points", type=_budget, default=10 ** 7,
                         help="lattice-scan budget (points per scan)")
-    parser.add_argument("--cap-weight", type=int, default=None,
+    parser.add_argument("--cap-weight", type=_budget, default=None,
                         help="obstruction-scan weight budget")
     parser.add_argument("--route", default="auto",
                         choices=("auto", "formula", "interpolation"))
@@ -190,9 +208,8 @@ def run(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, code = run(args)
         text = serialize(report, args.format)
     except InputFormatError as exc:

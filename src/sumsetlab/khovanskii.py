@@ -294,9 +294,14 @@ def sumset_size_formula(config: PointConfig, obstructions: ObstructionSet, h: in
         raise BudgetExceededError(
             "obstruction set too large for subset enumeration; "
             "use the interpolation route")
-    n = config.size
+    return _size_from_weights(_subset_weights(obstructions.elements),
+                              config.size, h)
+
+
+def _size_from_weights(weights: dict[int, int], n: int, h: int) -> int:
+    """The inclusion-exclusion sum for |hA| over precomputed subset weights."""
     total = 0
-    for w, count in _subset_weights(obstructions.elements).items():
+    for w, count in weights.items():
         if count == 0:
             continue
         upper = h - w + n - 1
@@ -324,10 +329,10 @@ def khovanskii_bounds(config: PointConfig) -> KhovanskiiBounds:
     return KhovanskiiBounds(sharp=sharp, coarse=coarse)
 
 
-def _formula_polynomial(config: PointConfig, obstructions: ObstructionSet) -> RationalPolynomial:
+def _formula_polynomial(config: PointConfig, weights: dict[int, int]) -> RationalPolynomial:
     n = config.size
     poly = RationalPolynomial.from_coefficients([0])
-    for w, count in _subset_weights(obstructions.elements).items():
+    for w, count in weights.items():
         if count == 0:
             continue
         poly = poly + monic_shifted_product(-w, n - 1).scale(count)
@@ -370,7 +375,7 @@ def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
         if obs is None:
             obs = minimal_obstructions(config, max_weight=max_weight)
         if obs.exact and len(obs.elements) <= 20:
-            return _formula_polynomial(config, obs)
+            return _formula_polynomial(config, _subset_weights(obs.elements))
         if route == "formula":
             raise BudgetExceededError(
                 "obstruction set truncated or too large for the formula route",
@@ -420,14 +425,16 @@ def khovanskii_threshold(config: PointConfig, *,
     bounds = khovanskii_bounds(config)
     obs = minimal_obstructions(config, max_weight=max_weight)
     if obs.exact and len(obs.elements) <= 20:
-        poly = _formula_polynomial(config, obs)
+        # one subset expansion serves the polynomial and every count below
+        weights = _subset_weights(obs.elements)
+        poly = _formula_polynomial(config, weights)
         window_top = max(1, min(bounds.sharp, obs.column_max_weight() - n + 1))
         small_top = min(window_top, max_n if max_n is not None else window_top,
                         max(cross_check, 1))
         sizes = _growth_sizes_capped(config, small_top, cap_points)
         counts: dict[int, int] = {}
         for i, s in enumerate(sizes, start=1):
-            formula = sumset_size_formula(config, obs, i)
+            formula = _size_from_weights(weights, n, i)
             if formula != s:
                 raise InternalInvariantError(
                     f"size formula disagrees with iterated sumset at N={i}: "
@@ -435,7 +442,7 @@ def khovanskii_threshold(config: PointConfig, *,
             counts[i] = s
         for h in range(1, window_top + 1):
             if h not in counts:
-                counts[h] = sumset_size_formula(config, obs, h)
+                counts[h] = _size_from_weights(weights, n, h)
         if counts[window_top] != poly(window_top):
             raise InternalInvariantError(
                 "growth polynomial fails at its certified window top")

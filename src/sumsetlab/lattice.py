@@ -4,7 +4,10 @@ Everything here is arbitrary precision: determinants via fraction-free
 elimination, lattice bases via integer row reduction to Hermite form, and
 input normalization (translate an extremal point to the origin and change
 coordinates so the generated lattice is the full integer lattice).
-No floating point is used anywhere.
+Hull vertices come from the integer facet scan in :mod:`sumsetlab.polytope`:
+a point is a vertex when the normals of the facets through it have full
+rank.  The lex-least point of a finite set is always a vertex, which is the
+default normalization pivot.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -271,14 +274,29 @@ def convex_coefficients(point, generators, dim) -> list[Fraction] | None:
 
 
 def extremal_points(points, dim) -> list[Point]:
-    """Points not expressible as convex combinations of the others, lex-sorted."""
-    pts = [_as_point(p) for p in points]
-    out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        if not others or convex_coefficients(p, others, dim) is None:
-            out.append(p)
-    return sorted(out)
+    """The vertices of the convex hull of ``points`` (distinct), lex-sorted.
+
+    A point is a vertex when the normals of the hull facets through it have
+    rank ``dim``; :func:`sumsetlab.polytope.convex_hull` reads this off its
+    integer facet scan.  A set of lower rank is first mapped onto Z^rank
+    (the least point to 0, coordinates over the Hermite basis of the
+    differences, as in :func:`normalize_config`); the map is affine and
+    injective, so it keeps exactly the same points as vertices.
+    """
+    from .polytope import convex_hull  # polytope imports this module
+
+    pts = tuple(_as_point(p) for p in points)
+    base = min(pts)
+    diffs = [tuple(x - b for x, b in zip(p, base)) for p in pts]
+    basis = hermite_basis(diffs)
+    if len(basis) == dim:
+        return list(convex_hull(PointConfig(points=pts, dim=dim)).extremal)
+    if not basis:
+        return [base]
+    reduced = tuple(solve_in_lattice(basis, t) for t in diffs)
+    hull = convex_hull(PointConfig(points=reduced, dim=len(basis)))
+    vertices = set(hull.extremal)
+    return sorted(p for p, r in zip(pts, reduced) if r in vertices)
 
 
 @dataclass(frozen=True)
@@ -362,17 +380,18 @@ class PointConfig:
 def normalize_config(config: PointConfig, pivot=None) -> PointConfig:
     """Translate an extremal point to 0 and re-coordinatize onto Z^rank.
 
-    The pivot defaults to the lexicographically least extremal point, which
-    makes the operation deterministic and idempotent.  The recorded
+    The pivot defaults to the lexicographically least point, which is always
+    a vertex of the hull (it is the unique minimizer of a linear functional
+    that weighs each coordinate far above the next); this makes the
+    operation deterministic and idempotent.  The recorded
     :class:`Normalization` maps results back to the input frame.  Sumset
     cardinalities and all thresholds are invariant under this map.
     """
-    ext = config.extremal()
     if pivot is None:
-        piv = ext[0]
+        piv = min(config.points)
     else:
         piv = _as_point(pivot)
-        if piv not in ext:
+        if piv not in config.extremal():
             raise PreconditionError(f"pivot {piv} is not an extremal point")
     translated = [tuple(a - b for a, b in zip(p, piv)) for p in config.points]
     basis = hermite_basis(translated)

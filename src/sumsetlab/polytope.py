@@ -3,8 +3,9 @@
 Facets are found by exhaustive scan over d-subsets (the target scale is
 small d and small point counts), kept as primitive integer normals with the
 hull on the <= side, and classified *outer* (offset > 0, the facet misses
-the origin) or *inner* (offset 0, the facet contains the origin).  All
-volumes, functionals, and ratios are exact integers or Fractions.
+the origin) or *inner* (offset 0, the facet contains the origin).  The same
+scan gives the vertices: the points whose incident facet normals have rank
+d.  All volumes, functionals, and ratios are exact integers or Fractions.
 """
 
 from __future__ import annotations
@@ -174,11 +175,18 @@ def _convex_hull_uncached(config: PointConfig) -> Polytope:
             normal=normal, offset=c, incident=tuple(sorted(incident)), kind=kind,
         ))
     facets.sort(key=lambda f: ({"outer": 0, "inner": 1}.get(f.kind, 2), f.normal, f.offset))
+    # a point is a vertex when the facets through it meet in that point
+    # alone, that is when their normals have rank d
+    normals: list[list[Point]] = [[] for _ in pts]
+    for f in facets:
+        for i in f.incident:
+            normals[i].append(f.normal)
     return Polytope(
         dim=d,
         points=pts,
         facets=tuple(facets),
-        extremal=tuple(config.extremal()),
+        extremal=tuple(sorted(p for p, ns in zip(pts, normals)
+                              if lattice_rank(ns) == d)),
     )
 
 
@@ -236,7 +244,7 @@ def _volumes_uncached(config: PointConfig) -> VolumeData:
     nonzero = [v for v in dets if v]
     if not nonzero:
         raise DegenerateDimensionError("points do not span the ambient space")
-    apex = config.extremal()[0]
+    apex = min(pts)  # the lex-least point is a vertex
     vol = Fraction(0)
     for simplex in _triangulate(pts, d, apex):
         rows = [[p[k] - apex[k] for k in range(d)] for p in simplex]

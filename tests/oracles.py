@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms: cofactor
 determinants instead of fraction-free elimination, multiset enumeration
-instead of incremental sumsets, sieves instead of memoized descent, and
-rational plane-solving instead of cofactor normals.  Slow but exact.
+instead of incremental sumsets, sieves instead of memoized descent,
+rational plane-solving instead of cofactor normals, and a convex-combination
+search instead of facet incidence for hull vertices.  Slow but exact.
 """
 
 from fractions import Fraction
@@ -117,6 +118,24 @@ def hull_facets_by_planes(points, dim):
         elif all(v >= c for v in dots):
             facets.add((tuple(-v for v in ints), -c))
     return facets
+
+
+def extremal_points_by_lp(points, dim):
+    """Hull vertices by exact convex-combination search, lex-sorted.
+
+    A point is a vertex when no simplex of at most dim + 1 of the other
+    points holds it, tested with ``convex_coefficients`` (a Fraction solve
+    per subset), independent of any facet enumeration.
+    """
+    from sumsetlab.lattice import convex_coefficients
+
+    pts = [tuple(p) for p in points]
+    out = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1:]
+        if not others or convex_coefficients(p, others, dim) is None:
+            out.append(p)
+    return sorted(out)
 
 
 def _solve_square(mat, rhs):

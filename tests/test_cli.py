@@ -244,6 +244,40 @@ class TestErrorPaths:
                                "--pivot", "3")
         assert code == 2 and "extremal" in err
 
+    def test_pivot_on_lower_rank_input(self, capsys, tmp_path):
+        path = tmp_path / "diagonal.txt"
+        path.write_text("0 0\n1 1\n2 2\n")
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path),
+                               "--pivot", "1,1")
+        assert code == 2 and "extremal" in err
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(path),
+                               "--pivot", "2,2")
+        assert code == 0
+        assert json.loads(out)["normalization"]["translation"] == [2, 2]
+
+    @pytest.mark.parametrize("argv", [
+        ["structure", "--cap-points", "-5"],
+        ["analyze", "--cap-weight", "-1"],
+        ["analyze", "--cap-points", "many"],
+        ["bogus"],
+        ["analyze", "--format", "xml"],
+    ])
+    def test_malformed_arguments_are_input_errors(self, capsys, a135_txt, argv):
+        code, out, err = run_cli(capsys, *argv, "--input", a135_txt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_input_option_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "analyze")
+        assert code == 1 and out == ""
+        assert err == "error: the following arguments are required: --input\n"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sumsetlab")
+
     def test_duplicate_points_rejected(self, capsys, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("1\n1\n")

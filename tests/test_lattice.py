@@ -18,9 +18,11 @@ from sumsetlab.lattice import (
     is_normalized,
     solve_in_lattice,
 )
+from sumsetlab.polytope import convex_hull
 from sumsetlab.sumsets import growth_sizes
 
-from oracles import naive_determinant
+from corpus import random_configs
+from oracles import extremal_points_by_lp, naive_determinant
 
 
 class TestDeterminant:
@@ -121,6 +123,46 @@ class TestExtremal:
 
     def test_outside_point(self):
         assert convex_coefficients((5, 5), [(0, 0), (3, 0), (0, 3)], 2) is None
+
+    def test_matches_lp_on_corpus(self, corpus):
+        for name, raw, norm in corpus:
+            for cfg in (raw, norm):
+                expected = extremal_points_by_lp(cfg.points, cfg.dim)
+                assert cfg.extremal() == expected, name
+            assert list(convex_hull(norm).extremal) == \
+                extremal_points_by_lp(norm.points, norm.dim), name
+
+    def test_matches_lp_on_random_sets(self):
+        for pts in random_configs(60):
+            cfg = PointConfig.from_points(pts)
+            expected = extremal_points_by_lp(pts, cfg.dim)
+            assert cfg.extremal() == expected, pts
+            assert normalize_config(cfg).normalization.translation == expected[0]
+
+    @pytest.mark.parametrize("pts", [
+        [(5,)],
+        [(2, -1)],
+        [(0, 0, 0)],
+        [(4,), (-2,)],
+        [(0,), (3,), (1,), (7,), (5,)],
+        [(0, 0), (1, 1), (2, 2)],
+        [(3, 1), (0, 0), (-3, -1), (6, 2), (9, 3)],
+        [(0, 0), (2, 4), (1, 2), (5, 10)],
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)],
+        [(1, 2, 3), (3, 2, 1), (2, 2, 2), (0, 2, 4)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 0)],
+        [(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 1), (2, 2, 1), (1, 0, 1)],
+        [(0, 0, 0), (1, 1, 0), (2, 2, 1), (3, 3, 1), (1, 1, 1)],
+    ])
+    def test_matches_lp_on_lower_rank_sets(self, pts):
+        cfg = PointConfig.from_points(pts)
+        expected = extremal_points_by_lp(pts, cfg.dim)
+        assert cfg.extremal() == expected
+        assert extremal_points(pts, cfg.dim) == expected
+        norm = normalize_config(cfg)
+        assert norm.normalization.translation == expected[0]
+        assert list(convex_hull(norm).extremal) == \
+            extremal_points_by_lp(norm.points, norm.dim)
 
 
 class TestNormalize:
