@@ -17,6 +17,10 @@ identical results, and prints tables:
   against the same scan with one word per digit, for hexagon6, for a
   six-point set whose scan the candidate budget truncates, and for a
   twelve-point set whose keys need three words;
+* ``kernels.sorted_member`` (binary search in the sorted sieve keys)
+  against ``np.isin``, on every vertex-sieve query of the structure pass
+  of hexagon6 and prism5 (each level's whole dilate, reflected at each
+  hull vertex), both sides the best of --repeat runs;
 * hull vertices read off the facet scan (``lattice.extremal_points``, hull
   cache cleared before each run) against the convex-combination search of
   ``tests/oracles.py``, on 100 fixed small sets in d = 1..4;
@@ -45,8 +49,10 @@ import numpy as np
 
 from sumsetlab import PointConfig, kernels, khovanskii, normalize_config
 from sumsetlab.lattice import extremal_points
-from sumsetlab.polytope import _box_scan_exact, _hull_cache, convex_hull
+from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
+                                dilate_points)
 from sumsetlab.reporting import Caps, growth_report, to_json
+from sumsetlab.structure import _vertex_sieves, structure_bounds
 from sumsetlab.sumsets import _iterate_arrays, _iterate_tuples
 
 
@@ -197,6 +203,42 @@ def scan_word_split(repeat):
               f"weight {r_pk.weight_scanned}, {r_pk.status})")
 
 
+MEMBER_CASES = [
+    ("sieve queries hexagon6", HEXAGON6),
+    ("sieve queries prism5",
+     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0)]),
+]
+
+
+def _sieve_queries(points):
+    """(query keys, sieve keys) for each level and hull vertex of the
+    structure pass, over the whole dilate of each level."""
+    cfg = normalize_config(PointConfig.from_points(points))
+    bounds = structure_bounds(cfg)
+    sieves, top = _vertex_sieves(cfg, min(bounds.bound_a, bounds.bound_b), 10 ** 7)
+    queries = []
+    for n in range(1, top + 1):
+        x = dilate_points(cfg, n)
+        for a, sieve in sieves:
+            keys = kernels.pack_rows(np.asarray(a, dtype=np.int64) * n - x,
+                                     sieve.lo, sieve.strides, sieve.keys.dtype)
+            queries.append((keys, sieve.keys))
+    return queries
+
+
+def members_against_isin(repeat):
+    print(f"{'workload':38s} {'search':>10s} {'isin':>10s} {'ratio':>8s}")
+    for name, points in MEMBER_CASES:
+        queries = _sieve_queries(points)
+        t_ss, r_ss = bench(lambda: [kernels.sorted_member(k, s) for k, s in queries],
+                           (), repeat)
+        t_in, r_in = bench(lambda: [np.isin(k, s) for k, s in queries], (), repeat)
+        assert all(np.array_equal(a, b) for a, b in zip(r_ss, r_in)), name
+        print(f"{name:38s} {t_ss * 1e3:8.2f}ms {t_in * 1e3:8.2f}ms "
+              f"{t_in / t_ss:7.2f}x   ({len(queries)} queries, "
+              f"{sum(len(k) for k, _ in queries)} keys)")
+
+
 def _vertex_sets(count=100, seed=7):
     """Small distinct point sets in d = 1..4, some of lower rank."""
     rng = random.Random(seed)
@@ -265,6 +307,8 @@ def main():
     json_writer(args.repeat)
     print()
     scan_word_split(args.repeat)
+    print()
+    members_against_isin(args.repeat)
     print()
     vertices_against_lp(args.repeat)
     if "numba" in kernels.available_backends():

@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", required=True, help="point set file (JSON or text)")
     parser.add_argument("--format", default="json", choices=("json", "csv", "text"))
-    parser.add_argument("--max-n", type=int, default=None,
+    parser.add_argument("--max-n", type=_budget, default=None,
                         help="growth levels / verification window cap")
     parser.add_argument("--cap-points", type=_budget, default=10 ** 7,
                         help="lattice-scan budget (points per scan)")

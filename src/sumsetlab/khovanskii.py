@@ -120,13 +120,18 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     _LevelKeys) that packs its value, the point combination, and then its
     entries, so that key order is value order and then lex order.  The
     words are linear in m, so a level's candidates are the survivor keys
-    plus one step per point.  One sort per level dedups the candidates and
-    groups them into value classes in lex order: the first of each class is
-    its lex-least vector and survives.  Any other candidate is a new minimal
+    plus one step per point: one sorted run per point, which a stable sort
+    merges.  That one sort per level dedups the candidates and groups them
+    into value classes in lex order: the first of each class is its
+    lex-least vector and survives.  Any other candidate is a new minimal
     element exactly when every predecessor m - e_j (m_j > 0) survived level
     h-1, as the lex-least vectors are closed downward; a run of equal keys
     has one entry per such survivor, so that is "run length == support
-    size".  Most sets need one word; larger ones a few, sorted together.
+    size".  A run of one therefore marks a minimal element only for a pure
+    power h * e_j, whose key is known, so only candidates with longer runs
+    are decoded into exponent vectors (a few percent of them on the sets
+    measured).  Most sets need one word; larger ones a few, sorted
+    together by lexsort.
     ``candidate_budget`` bounds the number of distinct candidates.  The scan
     is complete at weight |A|^2 * det_max; earlier caps leave the result
     truncated but every returned element is genuine.
@@ -192,10 +197,12 @@ class _LevelKeys:
         Returns their words, the mask of the first of each value class, and
         how many survivors each extends.
         """
-        cand = [(s[:, None] + t[None, :]).ravel()
+        # one run per point, each the survivors shifted by one step: with
+        # one word the runs are sorted, and the stable sort merges them
+        cand = [(t[:, None] + s[None, :]).ravel()
                 for s, t in zip(survivors, self.steps)]
         if len(cand) == 1:
-            cand[0].sort()
+            cand[0].sort(kind="stable")
         else:
             order = np.lexsort(cand[::-1])
             cand = [c[order] for c in cand]
@@ -208,6 +215,21 @@ class _LevelKeys:
         for c in cand[:self.class_word]:
             leader |= first_of_runs(c)
         return cand, leader, held
+
+    def pure_powers(self, cand: tuple[np.ndarray, ...], h: int):
+        """The j for which h * e_j is among the sorted candidates, and its
+        position there."""
+        words = [h * step for step in self.steps]
+        lo = np.searchsorted(cand[0], words[0], "left")
+        hi = np.searchsorted(cand[0], words[0], "right")
+        # later words are sorted within each run of equal earlier words
+        for c, word in zip(cand[1:], words[1:]):
+            for j in np.flatnonzero(lo < hi):
+                run = c[lo[j]:hi[j]]
+                lo[j], hi[j] = (lo[j] + np.searchsorted(run, word[j], "left"),
+                                lo[j] + np.searchsorted(run, word[j], "right"))
+        hit = lo < hi
+        return np.flatnonzero(hit), lo[hit]
 
     def exponents(self, cand: tuple[np.ndarray, ...], h: int) -> list[np.ndarray]:
         """Columns m_0..m_{n-1} of the weight-h exponent vectors with these
@@ -248,7 +270,12 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
         if processed > candidate_budget:
             truncated = True
             break
-        rest = ~leader
+        # A run of one leaves only the pure powers h * e_j, found by key;
+        # only the longer runs are decoded.
+        pure, at = keys.pure_powers(cand, h)
+        found.extend(tuple(h * (i == j) for i in range(n))
+                     for j in pure[~leader[at]].tolist())
+        rest = ~leader & (held >= 2)
         cols = keys.exponents(tuple(c[rest] for c in cand), h)
         minimal = held[rest] == sum(c > 0 for c in cols)
         if minimal.any():

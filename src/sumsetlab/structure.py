@@ -146,14 +146,19 @@ def _rhs_array(config: PointConfig, sieves, n: int, cap_points: int) -> np.ndarr
 
 def _compare(config: PointConfig, n: int, na: np.ndarray,
              rhs: np.ndarray) -> StructureReport:
-    """NA against its predicted shape by a set difference of packed keys."""
+    """NA against its predicted shape by a set difference of packed keys.
+
+    ``na`` and ``rhs`` must be lex-sorted point arrays.  The strides of
+    key_strides are lex-major, so their keys come out ascending and each
+    side is searched by bisection.
+    """
     lo, hi = _dilate_box(config, n)
     strides, span = kernels.key_strides(lo, hi)
     dtype = kernels.key_dtype(span)
     na_keys = kernels.pack_rows(na, lo, strides, dtype)
     rhs_keys = kernels.pack_rows(rhs, lo, strides, dtype)
-    missing = kernels.array_to_points(rhs[~np.isin(rhs_keys, na_keys)])
-    extra = kernels.array_to_points(na[~np.isin(na_keys, rhs_keys)])
+    missing = kernels.array_to_points(rhs[~kernels.sorted_member(rhs_keys, na_keys)])
+    extra = kernels.array_to_points(na[~kernels.sorted_member(na_keys, rhs_keys)])
     return StructureReport(n=n, holds=not missing and not extra,
                            missing=tuple(sorted(missing)), extra=tuple(sorted(extra)))
 
@@ -191,7 +196,7 @@ def verify_structure_equation(config: PointConfig, n: int,
         for na in sumset_arrays(config, n):
             pass
     else:
-        na = np.asarray(list(_sumset_points)).reshape(len(_sumset_points), config.dim)
+        na = np.asarray(sorted(_sumset_points)).reshape(len(_sumset_points), config.dim)
     sieves = _sieves_through(config, n, cap_points)
     return _compare(config, n, na, _rhs_array(config, sieves, n, cap_points))
 

@@ -124,8 +124,7 @@ def _iterate_keys(config: PointConfig, n_max: int, lo, strides) -> Iterator[np.n
         keys = keys + shift
         if len(frontier):
             rows, cand = _expand(frontier, gens, lo, strides)
-            pos = np.searchsorted(keys, cand)
-            new = keys[np.minimum(pos, len(keys) - 1)] != cand
+            new = ~kernels.sorted_member(cand, keys)
             frontier = rows[new]
             # two sorted runs: the stable sort merges them in linear time
             keys = np.concatenate([keys, cand[new]])
@@ -397,7 +396,8 @@ class SemigroupSieve:
 
     Keys pack the box that holds the region (``lo`` and ``strides``, see
     kernels.key_strides); they are int64 when the box fits the kernel range
-    and Python ints (dtype object) otherwise.
+    and Python ints (dtype object) otherwise.  ``keys`` must be sorted
+    ascending: ``members`` searches it by bisection.
     """
 
     ell: Point
@@ -410,9 +410,11 @@ class SemigroupSieve:
         """Boolean mask of the points that lie in P(B).
 
         Every point must lie in the cone of B with ell . point <= limit.
+        The points may come in any order: their keys are looked up by
+        binary search in ``keys``, which is sorted by construction.
         """
         keys = kernels.pack_rows(points, self.lo, self.strides, self.keys.dtype)
-        return np.isin(keys, self.keys)
+        return kernels.sorted_member(keys, self.keys)
 
 
 def semigroup_sieve(config: PointConfig, ell, limit: int,
@@ -454,7 +456,9 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
     empty = levels[0][:0]
 
     def sieve(top: int) -> SemigroupSieve:
-        keys = np.sort(np.concatenate(levels[:top + 1]))
+        # disjoint sorted levels: the stable sort merges the runs
+        keys = np.concatenate(levels[:top + 1])
+        keys.sort(kind="stable")
         return SemigroupSieve(ell=ell, limit=top, lo=lo, strides=strides, keys=keys)
 
     held = 1

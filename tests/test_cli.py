@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sumsetlab
 from sumsetlab.cli import main
+
+from corpus import CORPUS
 
 
 @pytest.fixture
@@ -267,6 +273,15 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["growth", "analyze", "structure",
+                                         "khovanskii"])
+    def test_negative_max_n_is_input_error(self, capsys, a135_txt, command):
+        code, out, err = run_cli(capsys, command, "--input", a135_txt,
+                                 "--max-n", "-3")
+        assert code == 1 and out == ""
+        assert err == ("error: argument --max-n: expected a nonnegative "
+                       "integer, got '-3'\n")
+
     def test_missing_input_option_is_input_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze")
         assert code == 1 and out == ""
@@ -305,3 +320,30 @@ class TestErrorPaths:
         assert code == 4 and out == ""
         assert err.startswith("internal error: ValueError: SUMSETLAB_KERNEL")
         assert err.count("\n") == 1
+
+
+def test_analyze_never_imports_numpy_ma(tmp_path):
+    """Set operations on the analyze path are searches over sorted keys.
+
+    np.isin and np.unique import numpy.ma on their first call in numpy 2.x
+    (about 15 ms in a fresh process), so its absence after
+    ``analyze`` over the corpus shows that neither ran.
+    """
+    paths = []
+    for name, pts in CORPUS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"points": [list(p) for p in pts]}))
+        paths.append(str(path))
+    script = (
+        "import io, sys, contextlib\n"
+        "from sumsetlab.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['analyze', '--input', path]) == 0, path\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sumsetlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -126,3 +126,46 @@ def test_decode_keys_inverts_pack_rows():
                            for _ in range(30)], dtype=np.int64)
         keys = kernels.pack_rows(rows, lo, strides, np.int64)
         assert np.array_equal(kernels.decode_keys(keys, lo, strides), rows)
+
+
+class TestSortedMember:
+    """sorted_member against np.isin, which the library no longer calls."""
+
+    @staticmethod
+    def _check(keys, hay):
+        got = kernels.sorted_member(keys, hay)
+        assert got.dtype == bool
+        assert np.array_equal(got, np.isin(keys, hay))
+
+    def test_random_int64(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 7, 40):
+            hay = np.sort(rng.integers(-30, 30, size))
+            self._check(rng.integers(-60, 60, 200), hay)
+
+    def test_object_keys_above_int64(self):
+        base = 1 << 63
+        hay = np.array([base + k for k in (0, 5, 9, 9, 200)], dtype=object)
+        keys = np.array([base + k for k in (-3, 0, 9, 10, 200, 10 ** 6)] + [7],
+                        dtype=object)
+        self._check(keys, hay)
+        assert kernels.sorted_member(keys, hay).tolist() == [
+            False, True, True, False, True, False, False]
+
+    def test_empty_haystack(self):
+        keys = np.asarray([0, 4, -2], dtype=np.int64)
+        self._check(keys, keys[:0])
+        self._check(keys[:0], keys[:0])
+        obj = np.array([1 << 64], dtype=object)
+        self._check(obj, obj[:0])
+
+    def test_needles_outside_the_range(self):
+        hay = np.asarray([10, 11, 15], dtype=np.int64)
+        self._check(np.asarray([-(1 << 62), 9, 16, 1 << 62], dtype=np.int64), hay)
+
+    def test_descending_and_repeated_needles(self):
+        hay = np.asarray([-4, 0, 0, 3, 8], dtype=np.int64)
+        keys = np.asarray([9, 8, 8, 3, 1, 0, 0, -4, -4, -5], dtype=np.int64)
+        self._check(keys, hay)
+        assert kernels.sorted_member(keys, hay).tolist() == [
+            False, True, True, True, False, True, True, True, True, False]

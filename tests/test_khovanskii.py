@@ -130,8 +130,25 @@ class TestKeyPackedScan:
 
     def test_corpus_full_scan(self, corpus):
         for name, _, norm in corpus:
-            assert _fields(minimal_obstructions(norm)) == \
-                obstructions_by_rows(norm), name
+            assert _fields(minimal_obstructions(norm)) == _row_scan(norm), name
+
+    def test_corpus_full_scan_several_words(self, corpus, monkeypatch):
+        # every corpus set that has a scan needs 2 to 7 words at this limit:
+        # candidates go through lexsort and pure powers are found word by word
+        monkeypatch.setattr(khovanskii, "_WORD_LIMIT", 1 << 12)
+        for name, _, norm in corpus:
+            got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+            assert _fields(got) == _row_scan(norm), name
+
+    @pytest.mark.parametrize("limit", [1 << 62, 1 << 12, 1])
+    def test_unsorted_points_pure_power(self, monkeypatch, limit):
+        # 2 * e_0 = (2, 0, 0) has the lex-smaller (0, 1, 1) in its class and
+        # extends one survivor, (1, 0, 0): a minimal element with run length 1
+        monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
+        cfg = PointConfig(points=((1,), (0,), (2,)), dim=1)
+        got = khovanskii._minimal_obstructions_scan(cfg, None, 5_000_000)
+        assert (2, 0, 0) in got.elements
+        assert _fields(got) == obstructions_by_rows(cfg)
 
     # 1 << 62 is the natural split, 1 << 24 splits values and exponent
     # digits across words mid-digit-run, 1 puts every digit in its own word

@@ -81,6 +81,13 @@ class TestVerifyEquation:
                 report = verify_structure_equation(norm, n, _sumset_points=pts)
                 assert report.extra == (), (name, n)
 
+    def test_given_points_in_any_order(self, corpus):
+        # the comparison searches sorted keys, so the given points are sorted
+        for name, _, norm in corpus:
+            for n, pts in enumerate(iter_sumsets(norm, 4), start=1):
+                got = verify_structure_equation(norm, n, _sumset_points=pts[::-1])
+                assert got == verify_structure_equation(norm, n), (name, n)
+
 
 class TestBounds:
     def test_interval(self):
