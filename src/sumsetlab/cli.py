@@ -11,6 +11,7 @@ per line ('#' starts a comment).  Exit codes: 0 success, 1 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -154,6 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls,
+    and building it costs more than a small request."""
+    return build_parser()
+
+
 def run(args) -> tuple[dict, int]:
     config = load_config(args.input)
     caps = Caps(cap_points=args.cap_points, cap_weight=args.cap_weight,
@@ -209,7 +217,7 @@ def run(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         report, code = run(args)
         text = serialize(report, args.format)
     except InputFormatError as exc:

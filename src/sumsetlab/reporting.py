@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .khovanskii import (
     khovanskii_bounds,
@@ -201,6 +203,8 @@ def build_analysis(config: PointConfig, caps: Caps, route: str = "auto",
 
 
 def growth_report(config: PointConfig, caps: Caps, emit_points: bool) -> tuple[dict, bool]:
+    """|NA| per level; with ``emit_points`` each row's "points" is the
+    level's point array, which the writers render as its ``tolist()``."""
     n_max = caps.max_n if caps.max_n is not None else 10
     rows = []
     partial = False
@@ -209,7 +213,7 @@ def growth_report(config: PointConfig, caps: Caps, emit_points: bool) -> tuple[d
                 sumset_levels(config, n_max, caps.cap_points, emit_points), start=1):
             row = {"n": n, "size": size}
             if emit_points:
-                row["points"] = pts.tolist()
+                row["points"] = pts
             rows.append(row)
     except BudgetExceededError:
         partial = True
@@ -253,8 +257,8 @@ def to_json(report: dict) -> str:
 
     With an indent, json.dumps runs the pure-Python encoder.  This writer
     lays out the same indentation itself and leaves every scalar to
-    json.dumps; a list of equal-length lists of plain ints (a point list)
-    is filled into one %-template.
+    json.dumps.  An ndarray is written as its ``tolist()`` would be (see
+    _array_json).
     """
     out: list[str] = []
     _write_json(report, "\n", out)
@@ -278,16 +282,11 @@ def _write_json(value, newline: str, out: list) -> None:
                 _write_json(value[key], inner, out)
                 sep = "," + inner
             out.append(newline + "}")
+    elif isinstance(value, np.ndarray):
+        out.append(_array_json(value, newline))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-            return
-        flat = _int_rows(value)
-        if flat is not None:
-            width = len(value[0])
-            row = "[" + ",".join([inner + "  %d"] * width) + inner + "]"
-            out.append("[" + inner + ("," + inner).join([row] * len(value)) % flat
-                       + newline + "]")
             return
         sep = "[" + inner
         for item in value:
@@ -299,14 +298,30 @@ def _write_json(value, newline: str, out: list) -> None:
         out.append(json.dumps(value))
 
 
-def _int_rows(value) -> tuple | None:
-    """The entries of ``value`` row by row when it is a list of equal-length,
-    nonempty lists of plain ints (bool excluded), else None."""
-    width = len(value[0]) if type(value[0]) is list else 0
-    if not width or not all(type(r) is list and len(r) == width for r in value):
-        return None
-    flat = tuple(x for r in value for x in r)
-    return flat if set(map(type, flat)) == {int} else None
+def _array_json(arr: np.ndarray, newline: str | None) -> str:
+    """json.dumps(arr.tolist()), laid out as json.dumps(indent=2) lays it out
+    at the depth that ``newline`` carries, or on one line when it is None.
+
+    A 2-D array of integer dtype (a level of growth points) is filled into
+    one %-template from its flat entries, so no row becomes a list.
+    """
+    if arr.ndim != 2 or arr.dtype.kind not in "iu":
+        if newline is None:
+            return json.dumps(arr.tolist())
+        return json.dumps(arr.tolist(), indent=2).replace("\n", newline)
+    rows, width = arr.shape
+    if not rows:
+        return "[]"
+    if newline is None:
+        head, sep, tail = "[", ", ", "]"
+        row = "[" + ", ".join(["%d"] * width) + "]"
+    else:
+        inner = newline + "  "
+        head, sep, tail = "[" + inner, "," + inner, newline + "]"
+        row = "[" + inner + "  " + ("," + inner + "  ").join(["%d"] * width) + inner + "]"
+    if not width:
+        row = "[]"
+    return (head + sep.join([row] * rows) + tail) % tuple(arr.ravel().tolist())
 
 
 def _flatten(prefix: str, value, rows: list):
@@ -350,7 +365,9 @@ def to_text(report: dict, indent: int = 0) -> str:
                 for k in sorted(item):
                     emit(k, item[k], depth + 2)
         else:
-            lines.append(f"{pad}{key}: {json.dumps(value, sort_keys=True)}")
+            text = (_array_json(value, None) if isinstance(value, np.ndarray)
+                    else json.dumps(value, sort_keys=True))
+            lines.append(f"{pad}{key}: {text}")
 
     for k in sorted(report):
         emit(k, report[k], indent)

@@ -293,6 +293,20 @@ class TestErrorPaths:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: sumsetlab")
 
+    def test_bad_arguments_leave_no_state_behind(self, capsys, a135_txt):
+        # main reuses one parser: a rejected command line must not change
+        # how the next one parses
+        code, out, err = run_cli(capsys, "growth", "--input", a135_txt,
+                                 "--emit-points", "--format", "text", "--max-n", "-3")
+        assert code == 1 and out == "" and err.startswith("error: ")
+        code, out, err = run_cli(capsys, "growth", "--input", a135_txt, "--max-n", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"growth": [{"n": 1, "size": 3}, {"n": 2, "size": 6}],
+                                   "partial": False}
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
     def test_duplicate_points_rejected(self, capsys, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("1\n1\n")

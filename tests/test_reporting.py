@@ -2,9 +2,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sumsetlab.cli import main
 from sumsetlab.reporting import (
@@ -12,6 +14,7 @@ from sumsetlab.reporting import (
     MAX_DECIMAL_DIGITS,
     render_int,
     to_json,
+    to_text,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,11 +82,59 @@ _trees = st.recursive(
     max_leaves=12)
 
 
+# growth levels: int64 from the frontier iteration, Python ints (dtype
+# object) from the exact one, beyond the int64 range included
+_arrays = st.tuples(st.integers(min_value=0, max_value=4),
+                    st.integers(min_value=0, max_value=3)).flatmap(
+    lambda shape: hnp.arrays(np.int64, shape)
+    | hnp.arrays(object, shape, elements=_ints))
+_trees_with_arrays = st.recursive(
+    _scalars | _rows | _arrays,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=12)
+
+
+def _tolist(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _tolist(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_tolist(v) for v in value]
+    return value
+
+
 class TestToJson:
     @settings(max_examples=120, deadline=None)
     @given(st.dictionaries(_text, _trees, max_size=4))
     def test_matches_json_dumps(self, report):
         assert to_json(report) == _dumps(report)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.dictionaries(_text, _trees_with_arrays, max_size=4))
+    def test_arrays_match_json_dumps_of_tolist(self, report):
+        assert to_json(report) == _dumps(_tolist(report))
+
+    @pytest.mark.parametrize("array", [
+        np.array([[True, False]]),
+        np.array([[1, True], [1.5, None]], dtype=object),
+        np.array([[0.5, -2.0]]),
+        np.array([3, -4]),
+        np.zeros((1, 2, 2), dtype=np.int64),
+    ], ids=["bool", "object-mixed", "float", "1-d", "3-d"])
+    def test_other_arrays_as_tolist(self, array):
+        report = {"a": [array], "b": array}
+        assert to_json(report) == _dumps(_tolist(report))
+        assert to_text({"b": array}) == to_text({"b": array.tolist()})
+
+    # to_text takes values and lists of records (growth rows), not any tree
+    @settings(max_examples=120, deadline=None)
+    @given(st.dictionaries(_text, _arrays | st.lists(
+        st.dictionaries(_text, _arrays | _ints, max_size=3), min_size=1, max_size=3),
+        max_size=3))
+    def test_text_arrays_match_tolist(self, report):
+        assert to_text(report) == to_text(_tolist(report))
 
     @pytest.mark.parametrize("report", [
         {},
@@ -107,5 +158,24 @@ class TestToJson:
         path = tmp_path / "input"
         path.write_text(points)
         code = main(["growth", "--input", str(path), "--max-n", "6", "--emit-points"])
+        assert code == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("points, argv, golden", [
+        ("0\n3\n5\n", ["--max-n", "6", "--format", "text"], "growth_a135_emit6.txt"),
+        ("0\n3\n5\n", ["--max-n", "6", "--format", "csv"], "growth_a135_emit6.csv"),
+        ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}',
+         ["--max-n", "6", "--format", "text"], "growth_square_emit6.txt"),
+        ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}',
+         ["--max-n", "6", "--format", "csv"], "growth_square_emit6.csv"),
+        # too wide for the int64 box: the exact iteration's object arrays
+        (f"0\n{1 << 61}\n", ["--max-n", "3"], "growth_two_pow61_emit3.json"),
+        ('{"points": [[]]}', ["--max-n", "3"], "growth_zero_width_emit3.json"),
+    ], ids=["a135-text", "a135-csv", "square-text", "square-csv", "two_pow61",
+            "zero_width"])
+    def test_growth_output_frozen(self, tmp_path, capsys, points, argv, golden):
+        path = tmp_path / "input"
+        path.write_text(points)
+        code = main(["growth", "--input", str(path), "--emit-points", *argv])
         assert code == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
