@@ -4,7 +4,7 @@ Times the lattice box scan, one sumset expansion step, the sumset iteration,
 the obstruction scan and the JSON writer, checks that every pair returns
 identical results, and prints tables:
 
-* numpy against exact Python: ``kernels._np_box_count`` against
+* numpy against exact Python: ``kernels.box_count`` against
   ``polytope._box_scan_exact`` and ``kernels.sumset_step`` (numpy backend)
   against one level of ``sumsets._iterate_tuples``;
 * the frontier iteration (``sumsets._iterate_arrays``: each level grown
@@ -26,22 +26,24 @@ identical results, and prints tables:
 * hull vertices read off the facet scan (``lattice.extremal_points``, hull
   cache cleared before each run) against the convex-combination search of
   ``tests/oracles.py``, on 100 fixed small sets in d = 1..4;
-* numba against numpy, for the box scan and the sumset step, when numba is
-  installed.
+* the semigroup membership that ``verify_extremal_decomposition`` asks for
+  on the 26 corpus sets (both sides, on the region ``verify`` checks), from
+  the sieve-backed ``SemigroupOracle.members`` against the per-point DFS
+  oracle of ``tests/oracles.py``.
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
 The first column takes the best of --repeat runs; the second runs once,
 since it is the slower side.  Each sumset row times the step to level N;
 the exact side first iterates the levels below N untimed, which is most of
-the run (about two minutes without numba on a 2-core VM).
-Select the backend used by the library itself with SUMSETLAB_KERNEL=numpy.
+the run (about two minutes on a 2-core VM).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -49,13 +51,15 @@ import time
 
 import numpy as np
 
-from sumsetlab import PointConfig, kernels, khovanskii, normalize_config
+from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovanskii,
+                       normalize_config)
 from sumsetlab.lattice import extremal_points
 from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
-                                dilate_points)
+                                dilate_points, volumes)
 from sumsetlab.reporting import Caps, growth_report, to_json
 from sumsetlab.structure import _vertex_sieves, structure_bounds
-from sumsetlab.sumsets import _iterate_arrays, _iterate_tuples
+from sumsetlab.sumsets import (_iterate_arrays, _iterate_tuples, region_points,
+                               sumset_arrays)
 
 
 def _box_workload(name, points, dilate):
@@ -141,10 +145,9 @@ SCAN_CASES = [
 
 
 def numpy_against_exact(repeat):
-    os.environ["SUMSETLAB_KERNEL"] = "numpy"
     print(f"{'workload':38s} {'numpy':>10s} {'exact':>10s} {'ratio':>8s}")
     for name, (lo, hi, lhs, rhs) in (_box_workload(*c) for c in BOX_CASES):
-        t_np, n_np = bench(kernels._np_box_count, (lo, hi, lhs, rhs), repeat)
+        t_np, n_np = bench(kernels.box_count, (lo, hi, lhs, rhs), repeat)
         t_ex, n_ex = bench(_box_scan_exact,
                            ([int(v) for v in lo], [int(v) for v in hi],
                             lhs.tolist(), rhs.tolist(), False), 1)
@@ -158,7 +161,6 @@ def numpy_against_exact(repeat):
         assert kernels.array_to_points(r_np) == r_ex, name
         print(f"{name:38s} {t_np * 1e3:8.2f}ms {t_ex * 1e3:8.2f}ms "
               f"{t_ex / t_np:7.2f}x   ({len(cur) * len(gens)} -> {len(r_np)} rows)")
-    os.environ.pop("SUMSETLAB_KERNEL")
 
 
 def _full_levels(cfg, n_max):
@@ -281,29 +283,62 @@ def vertices_against_lp(repeat):
           f"({sum(map(len, r_fc))} vertices)")
 
 
-def numba_against_numpy(repeat):
-    print(f"{'workload':38s} {'numba':>10s} {'numpy':>10s} {'speedup':>8s}")
-    for name, (lo, hi, lhs, rhs) in (_box_workload(*c) for c in BOX_CASES):
-        dummy = np.empty((0, len(lo)), dtype=np.int64)
-        kernels._nb_box_scan(lo, hi, lhs, rhs, dummy, False)  # compile once
-        t_nb, n_nb = bench(
-            lambda *a: int(kernels._nb_box_scan(*a, dummy, False)),
-            (lo, hi, lhs, rhs), repeat)
-        t_np, n_np = bench(kernels._np_box_count, (lo, hi, lhs, rhs), repeat)
-        assert n_nb == n_np, (name, n_nb, n_np)
-        print(f"{name:38s} {t_nb * 1e3:8.2f}ms {t_np * 1e3:8.2f}ms "
-              f"{t_np / t_nb:7.2f}x   ({n_nb} points)")
-    for name, points, level in SUMSET_CASES:
-        _, cur, gens = _sumset_workload(points, level - 1)
-        os.environ["SUMSETLAB_KERNEL"] = "numba"
-        kernels.sumset_step(cur[:2], gens)  # compile once
-        t_nb, r_nb = bench(kernels.sumset_step, (cur, gens), repeat)
-        os.environ["SUMSETLAB_KERNEL"] = "numpy"
-        t_np, r_np = bench(kernels.sumset_step, (cur, gens), repeat)
-        os.environ.pop("SUMSETLAB_KERNEL")
-        assert np.array_equal(r_nb, r_np), name
-        print(f"{name:38s} {t_nb * 1e3:8.2f}ms {t_np * 1e3:8.2f}ms "
-              f"{t_np / t_nb:7.2f}x   ({len(r_nb)} -> rows)")
+def _decomposition_cases():
+    """(config, region points, shifts, extremal config) of verify's
+    extremal-decomposition check on each corpus set."""
+    from corpus import CORPUS
+
+    cases = []
+    for _, points in CORPUS:
+        cfg = normalize_config(PointConfig.from_points(points))
+        side = 8
+        bounds = ([(0, side)] if all(c >= 0 for p in cfg.points for c in p)
+                  else [(-side, side)]) * cfg.dim
+        scale = int(volumes(cfg).volume * math.factorial(cfg.dim))
+        shifts = list(sumset_arrays(cfg, scale))[-1]
+        ex_cfg = PointConfig(points=tuple(sorted(cfg.extremal())), dim=cfg.dim,
+                             normalized=True)
+        cases.append((cfg, region_points(cfg, RegionSpec.box(bounds)), shifts, ex_cfg))
+    return cases
+
+
+def _masks_by_sieve(cases):
+    out = []
+    for cfg, pts, shifts, ex_cfg in cases:
+        d = cfg.dim
+        shifted = (pts[None, :, :] - shifts[:, None, :]).reshape(-1, d)
+        out.append((SemigroupOracle(cfg).members(pts),
+                    SemigroupOracle(ex_cfg).members(shifted).reshape(
+                        len(shifts), len(pts)).any(axis=0)))
+    return out
+
+
+def _masks_by_dfs(cases, oracle_class):
+    out = []
+    for cfg, pts, shifts, ex_cfg in cases:
+        full, ex = oracle_class(cfg), oracle_class(ex_cfg)
+        rows = kernels.array_to_points(pts)
+        shift_rows = kernels.array_to_points(shifts)
+        out.append((np.array([full.contains(p) for p in rows], dtype=bool),
+                    np.array([any(ex.contains(tuple(a - b for a, b in zip(p, s)))
+                                  for s in shift_rows) for p in rows], dtype=bool)))
+    return out
+
+
+def membership_against_dfs(repeat):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+    from oracles import DfsSemigroupOracle
+
+    cases = _decomposition_cases()
+    print(f"{'workload':38s} {'sieve':>10s} {'dfs':>10s} {'ratio':>8s}")
+    t_sv, r_sv = bench(_masks_by_sieve, (cases,), repeat)
+    t_df, r_df = bench(_masks_by_dfs, (cases, DfsSemigroupOracle), 1)
+    assert all(np.array_equal(a, b) for pair_sv, pair_df in zip(r_sv, r_df)
+               for a, b in zip(pair_sv, pair_df))
+    print(f"{'extremal decomposition, 26 sets':38s} {t_sv * 1e3:8.2f}ms "
+          f"{t_df * 1e3:8.2f}ms {t_df / t_sv:7.2f}x   "
+          f"({sum(len(pts) for _, pts, _, _ in cases)} region points, "
+          f"{sum(len(pts) * len(s) for _, pts, s, _ in cases)} shifted)")
 
 
 def main():
@@ -321,11 +356,8 @@ def main():
     members_against_isin(args.repeat)
     print()
     vertices_against_lp(args.repeat)
-    if "numba" in kernels.available_backends():
-        print()
-        numba_against_numpy(args.repeat)
-    else:
-        print("\nnumba is not installed; numba against numpy skipped")
+    print()
+    membership_against_dfs(args.repeat)
 
 
 if __name__ == "__main__":

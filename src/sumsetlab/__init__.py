@@ -53,7 +53,6 @@ from .sumsets import (
     exceptional_in_region,
     iter_sumsets,
     semigroup_contains,
-    semigroup_oracle,
     semigroup_sieve,
     sumset_arrays,
     sumset_iterate,

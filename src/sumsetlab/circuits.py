@@ -29,7 +29,7 @@ from .lattice import (
     solve_rational,
 )
 from .polytope import convex_hull, triangulate_from_origin, volumes
-from .sumsets import semigroup_oracle
+from .sumsets import SemigroupOracle
 
 
 def weight(vector) -> int:
@@ -277,8 +277,7 @@ def regular_decompose(config: PointConfig, point) -> tuple[dict[Point, int], dic
     d = config.dim
     zero = (0,) * d
     target = tuple(point)
-    oracle = semigroup_oracle(config)
-    eta = oracle.min_weight_certificate(target)
+    eta = SemigroupOracle(config).min_weight_certificate(target)
     if eta is None:
         raise MembershipError(f"{target} is not in the semigroup of the configuration")
     det_max = volumes(config).det_max if d > 0 else 1

@@ -1,15 +1,9 @@
 """Hot numeric kernels: lattice box scans, sumset expansion and key packing.
 
-Two interchangeable backends produce bit-identical results:
-
-* ``numba`` (default): @njit-compiled loops, fastest for the odometer-style
-  box scans with per-row interval arithmetic.
-* ``numpy``: vectorized fallback, selected with ``SUMSETLAB_KERNEL=numpy``
-  (or automatically when numba is unavailable).
-
-Both operate on int64 and are only entered after the caller has proved the
-arithmetic cannot overflow 63 bits; exact big-integer fallbacks live next to
-the call sites.  ``benchmarks/bench_kernels.py`` times one against the other.
+The kernels are vectorized numpy on int64 and are only entered after the
+caller has proved the arithmetic cannot overflow 63 bits; exact big-integer
+fallbacks live next to the call sites.  ``benchmarks/bench_kernels.py``
+times them against those fallbacks.
 
 Points of a box are packed into mixed-radix keys whose order is lex order
 (``key_strides``, ``pack_rows``, ``decode_keys``); the sumset iteration
@@ -20,37 +14,12 @@ and the semigroup sieves keep their point sets as sorted keys.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "SUMSETLAB_KERNEL"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
 
 
 def active_backend() -> str:
-    choice = os.environ.get(_ENV_FLAG, "numba").strip().lower()
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"{_ENV_FLAG} must be 'numba' or 'numpy', got {choice!r}")
-    if choice == "numba" and not _HAVE_NUMBA:
-        return "numpy"
-    return choice
+    """The kernel backend in use: always ``"numpy"``."""
+    return "numpy"
 
 
 def points_to_array(points) -> np.ndarray:
@@ -74,61 +43,6 @@ def array_to_points(arr) -> list[tuple[int, ...]]:
 # The innermost coordinate is solved as an integer interval, so the work per
 # scanned "row" is O(#constraints) rather than O(#points).
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _nb_box_scan(lo, hi, lhs, rhs, out, collect):
-    d = lo.shape[0]
-    k_num = lhs.shape[0]
-    total = 0
-    for j in range(d):
-        if lo[j] > hi[j]:
-            return 0
-    x = lo.copy()
-    partial = np.zeros((d, k_num), dtype=np.int64)
-    for j in range(d - 1):
-        for k in range(k_num):
-            partial[j + 1, k] = partial[j, k] + lhs[k, j] * x[j]
-    while True:
-        t_lo = lo[d - 1]
-        t_hi = hi[d - 1]
-        feasible = True
-        for k in range(k_num):
-            c = lhs[k, d - 1]
-            r = rhs[k] - partial[d - 1, k]
-            if c > 0:
-                q = r // c
-                if q < t_hi:
-                    t_hi = q
-            elif c < 0:
-                q = -(r // (-c))
-                if q > t_lo:
-                    t_lo = q
-            elif r < 0:
-                feasible = False
-                break
-        if feasible and t_hi >= t_lo:
-            if collect:
-                for t in range(t_lo, t_hi + 1):
-                    for j in range(d - 1):
-                        out[total, j] = x[j]
-                    out[total, d - 1] = t
-                    total += 1
-            else:
-                total += t_hi - t_lo + 1
-        j = d - 2
-        while j >= 0:
-            x[j] += 1
-            if x[j] <= hi[j]:
-                break
-            x[j] = lo[j]
-            j -= 1
-        if j < 0:
-            break
-        for jj in range(j, d - 1):
-            for k in range(k_num):
-                partial[jj + 1, k] = partial[jj, k] + lhs[k, jj] * x[jj]
-    return total
 
 
 def _prefix_chunks(lo, hi, chunk_rows=1 << 18):
@@ -172,7 +86,15 @@ def _np_intervals(prefixes, lo, hi, lhs, rhs):
     return counts, t_lo
 
 
-def _np_box_count(lo, hi, lhs, rhs):
+def _box_arrays(lo, hi, lhs, rhs):
+    return (np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64),
+            np.asarray(lhs, dtype=np.int64).reshape(len(lhs), len(lo)),
+            np.asarray(rhs, dtype=np.int64))
+
+
+def box_count(lo, hi, lhs, rhs) -> int:
+    """Count lattice points in the box satisfying all lhs @ x <= rhs rows."""
+    lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs)
     if any(a > b for a, b in zip(lo, hi)):
         return 0
     total = 0
@@ -182,7 +104,9 @@ def _np_box_count(lo, hi, lhs, rhs):
     return total
 
 
-def _np_box_points(lo, hi, lhs, rhs):
+def box_points(lo, hi, lhs, rhs) -> np.ndarray:
+    """The points counted by :func:`box_count`, in lexicographic order."""
+    lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs)
     d = len(lo)
     if any(a > b for a, b in zip(lo, hi)):
         return np.empty((0, d), dtype=np.int64)
@@ -206,54 +130,11 @@ def _np_box_points(lo, hi, lhs, rhs):
     return np.concatenate(blocks, axis=0)
 
 
-def box_count(lo, hi, lhs, rhs) -> int:
-    """Count lattice points in the box satisfying all lhs @ x <= rhs rows."""
-    lo_a = np.asarray(lo, dtype=np.int64)
-    hi_a = np.asarray(hi, dtype=np.int64)
-    lhs_a = np.asarray(lhs, dtype=np.int64).reshape(len(lhs), len(lo))
-    rhs_a = np.asarray(rhs, dtype=np.int64)
-    if active_backend() == "numba":
-        dummy = np.empty((0, len(lo)), dtype=np.int64)
-        return int(_nb_box_scan(lo_a, hi_a, lhs_a, rhs_a, dummy, False))
-    return _np_box_count(lo_a, hi_a, lhs_a, rhs_a)
-
-
-def box_points(lo, hi, lhs, rhs) -> np.ndarray:
-    """The points counted by :func:`box_count`, in lexicographic order."""
-    lo_a = np.asarray(lo, dtype=np.int64)
-    hi_a = np.asarray(hi, dtype=np.int64)
-    lhs_a = np.asarray(lhs, dtype=np.int64).reshape(len(lhs), len(lo))
-    rhs_a = np.asarray(rhs, dtype=np.int64)
-    if active_backend() == "numba":
-        n = int(_nb_box_scan(lo_a, hi_a, lhs_a, rhs_a,
-                             np.empty((0, len(lo)), dtype=np.int64), False))
-        out = np.empty((n, len(lo)), dtype=np.int64)
-        _nb_box_scan(lo_a, hi_a, lhs_a, rhs_a, out, True)
-        return out
-    return _np_box_points(lo_a, hi_a, lhs_a, rhs_a)
-
-
 # ---------------------------------------------------------------------------
 # sumset expansion: {p + g} for p in points, g in gens, deduplicated and
 # lexicographically sorted.  Points are packed into single int64 keys
 # (mixed radix over the coordinate ranges) so deduplication is a 1-D unique.
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _nb_expand_keys(pts, gens, mins, strides):
-    n, d = pts.shape
-    m = gens.shape[0]
-    keys = np.empty(n * m, dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        for j in range(m):
-            key = np.int64(0)
-            for k in range(d):
-                key += (pts[i, k] + gens[j, k] - mins[k]) * strides[k]
-            keys[pos] = key
-            pos += 1
-    return keys
 
 
 def key_strides(lo, hi) -> tuple[tuple[int, ...], int]:
@@ -346,13 +227,8 @@ def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
         # key packing would overflow; fall back to row-wise unique
         sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
         return np.unique(sums, axis=0)
-    mins_a = np.asarray(mins, dtype=np.int64)
-    strides_a = np.asarray(strides, dtype=np.int64)
-    if active_backend() == "numba":
-        keys = _nb_expand_keys(pts, gens, mins_a, strides_a)
-    else:
-        sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
-        keys = (sums - mins_a) @ strides_a
+    sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
+    keys = (sums - np.asarray(mins, dtype=np.int64)) @ np.asarray(strides, dtype=np.int64)
     return decode_keys(sorted_unique(keys), mins, strides)
 
 

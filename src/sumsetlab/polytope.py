@@ -380,20 +380,17 @@ def _dilate_box(config: PointConfig, n: int):
     return lo, hi
 
 
-def count_dilate_points(config: PointConfig, n: int, enumerate_points: bool = False,
-                        cap_points: int = 10 ** 7):
-    """Lattice points of the n-fold dilated hull, counted or listed exactly.
+def count_dilate_points(config: PointConfig, n: int, cap_points: int = 10 ** 7) -> int:
+    """The number of lattice points of the n-fold dilated hull, exactly.
 
     Scans the integer bounding box of n*H with exact half-space tests; the
     box size is charged against ``cap_points``.
     """
-    if enumerate_points:
-        return kernels.array_to_points(dilate_points(config, n, cap_points))
     return _dilate_scan(config, n, False, cap_points)
 
 
 def dilate_points(config: PointConfig, n: int, cap_points: int = 10 ** 7):
-    """The points :func:`count_dilate_points` lists, as a lex-sorted array.
+    """The points :func:`count_dilate_points` counts, as a lex-sorted array.
 
     The array is int64 when the scan fits the kernel range and holds
     Python ints (dtype object) otherwise.

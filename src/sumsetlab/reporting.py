@@ -358,15 +358,16 @@ def to_text(report: dict, indent: int = 0) -> str:
             lines.append(f"{pad}{key}:")
             for k in sorted(value):
                 emit(k, value[k], depth + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
             lines.append(f"{pad}{key}:")
             for item in value:
                 lines.append(f"{pad}  -")
                 for k in sorted(item):
                     emit(k, item[k], depth + 2)
         else:
+            # an ndarray anywhere in the value is written as its tolist()
             text = (_array_json(value, None) if isinstance(value, np.ndarray)
-                    else json.dumps(value, sort_keys=True))
+                    else json.dumps(value, sort_keys=True, default=np.ndarray.tolist))
             lines.append(f"{pad}{key}: {text}")
 
     for k in sorted(report):

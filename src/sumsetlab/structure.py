@@ -37,9 +37,8 @@ from .polytope import (
 )
 from .sumsets import (
     RegionSpec,
-    iter_sumsets,
+    SemigroupOracle,
     region_points,
-    semigroup_oracle,
     semigroup_sieve,
     sumset_arrays,
 )
@@ -286,20 +285,20 @@ def verify_extremal_decomposition(config: PointConfig, region: RegionSpec,
     if scale.denominator != 1:
         raise InternalInvariantError("d! * volume must be an integer")
     scale = int(scale)
-    shift_points = None
-    for shift_points in iter_sumsets(config, scale):
+    shifts = None
+    for shifts in sumset_arrays(config, scale):
         pass
     ex_cfg = PointConfig(points=tuple(sorted(config.extremal())), dim=d,
                          normalized=config.normalized)
-    oracle_full = semigroup_oracle(config)
-    oracle_ex = semigroup_oracle(ex_cfg)
-    witnesses = []
-    for p in region_points(config, region, cap_points=cap_points):
-        lhs = oracle_full.contains(p)
-        rhs = any(
-            oracle_ex.contains(tuple(a - b for a, b in zip(p, s)))
-            for s in shift_points
-        )
-        if lhs != rhs:
-            witnesses.append(p)
-    return (not witnesses, sorted(witnesses))
+    pts = region_points(config, region, cap_points=cap_points)
+    rows = len(pts) * len(shifts)
+    if rows > cap_points:
+        raise BudgetExceededError(
+            f"{rows} shifted region points exceed the {cap_points} point cap")
+    lhs = SemigroupOracle(config).members(pts, cap_points)
+    # p is on the right side when p - s is in P(ex) for some shift s
+    shifted = (pts[None, :, :] - shifts[:, None, :]).reshape(rows, d)
+    rhs = SemigroupOracle(ex_cfg).members(shifted, cap_points).reshape(
+        len(shifts), len(pts)).any(axis=0)
+    witnesses = kernels.array_to_points(pts[lhs != rhs])
+    return (not witnesses, witnesses)

@@ -9,12 +9,13 @@ are deterministic regardless of backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from . import kernels
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
 from .lattice import (
     Point,
     PointConfig,
@@ -22,7 +23,13 @@ from .lattice import (
     require_normalized,
     solve_in_lattice,
 )
-from .polytope import cone_constraints, convex_hull, count_dilate_points, scan_box
+from .polytope import (
+    cone_constraints,
+    cone_functional,
+    convex_hull,
+    dilate_points,
+    scan_box,
+)
 
 
 @dataclass(frozen=True)
@@ -218,176 +225,141 @@ def growth_sizes(config: PointConfig, n_max: int, cap_points: int = 10 ** 7) -> 
 
 
 class SemigroupOracle:
-    """Memoized decision procedure for nonnegative integer combinations.
+    """Membership in the semigroup P(B) of the nonzero points B of a config.
 
-    Generators are the nonzero points of a configuration whose cone is
-    pointed (the origin is a vertex of hull(points + {0})).  Membership of p
-    descends p -> p - g, pruned by exact cone tests; termination is
-    guaranteed because every step strictly decreases the sum of the inner
-    facet functionals, which is positive away from 0 on the cone.
+    The cone of B must be pointed (the origin a vertex of the hull of
+    B + {0}).  Every answer comes from the semigroup sieve
+    (``semigroup_sieve``) over ell = ``cone_functional`` of that hull, and
+    minimum weights from the generator-count levels N(B + {0}).  A set B of
+    rank below the dimension is mapped onto Z^rank by its Hermite basis,
+    which keeps lex order; a full-rank sublattice needs no map, because
+    sieve keys only ever hold sums of generators.  The oracle keeps no
+    memo: answering never changes it.
     """
 
     def __init__(self, config: PointConfig):
-        dim = config.dim
-        zero = (0,) * dim
-        gens = sorted(set(config.points) - {zero})
-        self._source_dim = dim
-        self._gen_map: dict[Point, Point] = {}
-        if not gens:
-            self._basis = []
-            self._gens: list[Point] = []
-            self._cone: list[Point] = []
-            self._memo: dict[Point, bool] = {(): True}
-            self._via: dict[Point, Point] = {}
-            self._weights: dict[Point, int | None] = {(): 0}
-            return
-        self._basis = hermite_basis(gens)
-        reduced = []
-        for g in gens:
-            coords = solve_in_lattice(self._basis, g)
-            reduced.append(coords)
-            self._gen_map[coords] = g
-        rank = len(self._basis)
-        rzero = (0,) * rank
-        hull_cfg = PointConfig.from_points(sorted(set(reduced) | {rzero}), rank)
-        poly = convex_hull(hull_cfg)
-        if rzero not in poly.extremal:
-            raise PreconditionError("semigroup cone is not pointed at the origin")
-        self._cone = cone_constraints(poly)
-        self._gens = sorted(reduced)
-        self._memo = {rzero: True}
-        self._via = {}
-        self._weights = {rzero: 0}
+        self._dim = config.dim
+        self._source = sorted(set(config.points) - {(0,) * config.dim})
+        basis = hermite_basis(self._source)
+        self._basis = basis if len(basis) < config.dim else None
+        gens = (self._source if self._basis is None
+                else [solve_in_lattice(basis, g) for g in self._source])
+        rank = len(basis)
+        self._gens = gens
+        self._config = PointConfig.from_points([(0,) * rank] + gens, rank)
+        poly = convex_hull(self._config)
+        self._ell = cone_functional(poly)
+        self._normals = cone_constraints(poly)
+        # largest |dot product| per unit coordinate over the cone tests
+        self._reach = max((sum(map(abs, row)) for row in self._normals + [self._ell]),
+                          default=0)
 
-    def _reduce(self, point) -> Point | None:
-        if not self._basis:
-            return () if not any(point) else None
-        if len(point) != self._source_dim:
+    def _coords(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The points in the sieve's coordinates and the mask of cone points.
+
+        The rows are int64 when every cone test provably fits the kernel
+        range and Python ints (dtype object) otherwise.
+        """
+        pts = np.asarray(points)
+        if pts.ndim != 2 or pts.shape[1] != self._dim:
             raise PreconditionError("point dimension mismatch")
-        return solve_in_lattice(self._basis, point)
+        largest = (max(map(abs, pts.ravel().tolist()), default=0) if pts.dtype == object
+                   else int(np.abs(pts).max(initial=0)))
+        pts = pts.astype(np.int64 if kernels.int64_budget_ok(largest * self._reach)
+                         else object, copy=False)
+        inside = np.ones(len(pts), dtype=bool)
+        if self._basis is not None:
+            solved = [solve_in_lattice(self._basis, p) for p in pts.tolist()]
+            inside = np.array([c is not None for c in solved], dtype=bool)
+            zero = (0,) * self._config.dim
+            pts = np.array([c or zero for c in solved], dtype=object).reshape(
+                len(solved), self._config.dim)
+        for normal in self._normals:
+            inside &= pts @ np.asarray(normal, dtype=pts.dtype) <= 0
+        return pts, inside
 
-    def _in_cone(self, point) -> bool:
-        return all(sum(n * x for n, x in zip(normal, point)) <= 0
-                   for normal in self._cone)
+    def _lookup(self, pts, cap_points) -> np.ndarray:
+        """Membership of cone points (in sieve coordinates) by one sieve."""
+        if not len(pts):
+            return np.zeros(0, dtype=bool)
+        top = int((pts @ np.asarray(self._ell, dtype=pts.dtype)).max())
+        return semigroup_sieve(self._config, self._ell, top, cap_points).members(pts)
 
-    def _solve(self, start: Point) -> bool:
-        memo = self._memo
-        gens = self._gens
-        stack = [(start, 0)]
-        while stack:
-            point, idx = stack.pop()
-            if point in memo:
-                continue
-            resolved = False
-            pushed = False
-            j = idx
-            while j < len(gens):
-                child = tuple(a - b for a, b in zip(point, gens[j]))
-                if self._in_cone(child):
-                    val = memo.get(child)
-                    if val is True:
-                        memo[point] = True
-                        self._via[point] = gens[j]
-                        resolved = True
-                        break
-                    if val is None:
-                        stack.append((point, j))
-                        stack.append((child, 0))
-                        pushed = True
-                        break
-                j += 1
-            if not resolved and not pushed:
-                memo[point] = False
-        return memo[start]
+    def members(self, points, cap_points: int = 10 ** 7) -> np.ndarray:
+        """Boolean mask of the rows of ``points`` that lie in P(B).
+
+        Points outside the cone of B or off the lattice of its span are
+        not members; the rest are looked up in one sieve, built up to the
+        largest ell among them and charged against ``cap_points``.
+        """
+        pts, inside = self._coords(points)
+        inside[inside] = self._lookup(pts[inside], cap_points)
+        return inside
 
     def contains(self, point) -> bool:
-        reduced = self._reduce(point)
-        if reduced is None or not self._in_cone(reduced):
-            return False
-        return self._solve(reduced)
+        return bool(self.members(np.array([tuple(point)], dtype=object))[0])
 
-    def certificate(self, point) -> dict[Point, int] | None:
-        """A combination {generator: count} witnessing membership, or None."""
-        if not self.contains(point):
+    def _weight_levels(self, point):
+        """Keys of N(B + {0}) for N = 0..w, w the least with ``point`` in it.
+
+        Returns (levels, point in sieve coordinates, key), where key packs
+        point rows into a box that holds every level and every level
+        shifted by minus a generator; None when ``point`` is not in P(B).
+        """
+        pts, inside = self._coords(np.array([tuple(point)], dtype=object))
+        if not (inside[0] and self._lookup(pts, 10 ** 7)[0]):
             return None
-        reduced = self._reduce(point)
-        counts: dict[Point, int] = {}
-        cur = reduced
-        while any(cur):
-            g = self._via[cur]
-            orig = self._gen_map[g]
-            counts[orig] = counts.get(orig, 0) + 1
-            cur = tuple(a - b for a, b in zip(cur, g))
-        return counts
+        y = tuple(int(v) for v in pts[0])
+        cfg = self._config
+        weights = [sum(e * v for e, v in zip(self._ell, p)) for p in [y] + self._gens]
+        # each generator adds at least the least ell(g) to ell(y)
+        n_max = max(1, weights[0] // min(weights[1:], default=1))
+        columns = list(zip(*cfg.points))
+        lo = [n_max * min(col) - max(col) for col in columns]
+        hi = [n_max * max(col) - min(col) for col in columns]
+        strides, span = kernels.key_strides(lo, hi)
+        key = partial(kernels.pack_rows, lo=lo, strides=strides,
+                      dtype=kernels.key_dtype(span))
+        levels = [key([(0,) * cfg.dim])]
+        for _, level in sumset_levels(cfg, n_max, keep_points=True):
+            if kernels.sorted_member(key([y]), levels[-1])[0]:
+                break
+            levels.append(key(level))
+        return levels, y, key
 
     def min_weight(self, point) -> int | None:
         """Least number of generators summing to ``point`` (None if outside)."""
-        reduced = self._reduce(point)
-        if reduced is None or not self._in_cone(reduced):
-            return None
-        weights = self._weights
-        stack = [(reduced, False)]
-        while stack:
-            cur, expanded = stack.pop()
-            if cur in weights:
-                continue
-            children = []
-            for g in self._gens:
-                child = tuple(a - b for a, b in zip(cur, g))
-                if self._in_cone(child):
-                    children.append(child)
-            if not expanded:
-                stack.append((cur, True))
-                stack.extend((c, False) for c in children if c not in weights)
-                continue
-            best = None
-            for c in children:
-                w = weights.get(c)
-                if w is not None and (best is None or w + 1 < best):
-                    best = w + 1
-            weights[cur] = best
-        return weights[reduced]
+        found = self._weight_levels(point)
+        return None if found is None else len(found[0]) - 1
 
     def min_weight_certificate(self, point) -> dict[Point, int] | None:
-        """A minimum-length combination, built greedily (lex-least generator)."""
-        total = self.min_weight(point)
-        if total is None:
+        """A minimum-length combination {generator: count}, or None.
+
+        Walks down the generator-count levels: from level w it steps to
+        level w - 1 by the lex-least generator g with point - g there.
+        """
+        found = self._weight_levels(point)
+        if found is None:
             return None
+        levels, cur, key = found
         counts: dict[Point, int] = {}
-        cur = self._reduce(point)
-        w = total
-        while w > 0:
-            for g in self._gens:
-                child = tuple(a - b for a, b in zip(cur, g))
-                if self._in_cone(child) and self._weights.get(child) == w - 1:
-                    orig = self._gen_map[g]
-                    counts[orig] = counts.get(orig, 0) + 1
-                    cur = child
-                    w -= 1
-                    break
-            else:  # pragma: no cover - would contradict min_weight
-                raise PreconditionError("certificate reconstruction failed")
+        for level in reversed(levels[:-1]):
+            children = [tuple(a - b for a, b in zip(cur, g)) for g in self._gens]
+            hit = np.flatnonzero(kernels.sorted_member(key(children), level))
+            if not len(hit):  # pragma: no cover - would contradict the levels
+                raise InternalInvariantError("certificate reconstruction failed")
+            j = int(hit[0])
+            counts[self._source[j]] = counts.get(self._source[j], 0) + 1
+            cur = children[j]
         return counts
-
-
-_oracles: dict[tuple, SemigroupOracle] = {}
-
-
-def semigroup_oracle(config: PointConfig) -> SemigroupOracle:
-    key = (config.points, config.dim)
-    oracle = _oracles.get(key)
-    if oracle is None:
-        oracle = SemigroupOracle(config)
-        _oracles[key] = oracle
-    return oracle
 
 
 def semigroup_contains(config: PointConfig, point) -> tuple[bool, dict[Point, int] | None]:
     """Whether ``point`` is a nonnegative integer combination of the nonzero
-    points of ``config``, together with a witnessing combination."""
-    oracle = semigroup_oracle(config)
-    ok = oracle.contains(tuple(point))
-    return (True, oracle.certificate(tuple(point))) if ok else (False, None)
+    points of ``config``, together with a witnessing (minimum-weight)
+    combination."""
+    cert = SemigroupOracle(config).min_weight_certificate(tuple(point))
+    return (cert is not None, cert)
 
 
 @dataclass(frozen=True)
@@ -477,11 +449,11 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
 
 
 def region_points(config: PointConfig, region: RegionSpec,
-                  cap_points: int = 10 ** 7) -> list[Point]:
-    """Lattice points of the region, restricted to the cone of the config."""
+                  cap_points: int = 10 ** 7) -> np.ndarray:
+    """Lattice points of the region in the cone of the config, as a lex-sorted
+    array (int64, or Python ints when the scan needs them)."""
     if region.kind == "dilate":
-        return count_dilate_points(config, region.n, enumerate_points=True,
-                                   cap_points=cap_points)
+        return dilate_points(config, region.n, cap_points)
     bounds = region.bounds
     if len(bounds) != config.dim:
         raise PreconditionError("box bounds must match the dimension")
@@ -494,8 +466,7 @@ def region_points(config: PointConfig, region: RegionSpec,
     normals = cone_constraints(convex_hull(config))
     lo = [a for a, _ in bounds]
     hi = [b for _, b in bounds]
-    return kernels.array_to_points(
-        scan_box(lo, hi, [list(n) for n in normals], [0] * len(normals), True))
+    return scan_box(lo, hi, [list(n) for n in normals], [0] * len(normals), True)
 
 
 def exceptional_in_region(config: PointConfig, region: RegionSpec,
@@ -506,7 +477,5 @@ def exceptional_in_region(config: PointConfig, region: RegionSpec,
     exceptional set can be infinite.
     """
     require_normalized(config)
-    oracle = semigroup_oracle(config)
-    out = [p for p in region_points(config, region, cap_points)
-           if not oracle.contains(p)]
-    return sorted(out)
+    pts = region_points(config, region, cap_points)
+    return kernels.array_to_points(pts[~SemigroupOracle(config).members(pts, cap_points)])

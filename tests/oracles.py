@@ -2,15 +2,21 @@
 
 Everything here deliberately avoids the library's own algorithms: cofactor
 determinants instead of fraction-free elimination, multiset enumeration
-instead of incremental sumsets, sieves instead of memoized descent,
-rational plane-solving instead of cofactor normals, and a convex-combination
-search instead of facet incidence for hull vertices.  Slow but exact.
+instead of incremental sumsets, box sieves and memoized per-point descent
+(the DFS semigroup oracle) instead of the library's ell-level semigroup
+sieve and its generator-count levels, rational plane-solving instead of
+cofactor normals, and a convex-combination search instead of facet
+incidence for hull vertices.  Slow but exact.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
+
+from sumsetlab.errors import PreconditionError
+from sumsetlab.lattice import PointConfig, hermite_basis, solve_in_lattice
+from sumsetlab.polytope import cone_constraints, convex_hull
 
 
 def naive_determinant(rows):
@@ -55,6 +61,138 @@ def semigroup_sieve(gens, bounds):
                     nxt.append(q)
         frontier = nxt
     return sorted(p for p in reached if inside(p))
+
+
+class DfsSemigroupOracle:
+    """Membership and minimum weights in P(B) by memoized descent.
+
+    B is the nonzero points of a configuration whose cone is pointed.
+    Points are first written over the Hermite basis of B; membership of p
+    descends p -> p - g, pruned by exact cone tests, and terminates because
+    every step strictly decreases the sum of the inner facet functionals.
+    The memo tables grow with every query.
+    """
+
+    def __init__(self, config):
+        gens = sorted(set(config.points) - {(0,) * config.dim})
+        self._source_dim = config.dim
+        self._gen_map = {}
+        if not gens:
+            self._basis = []
+            self._gens = []
+            self._cone = []
+            self._memo = {(): True}
+            self._weights = {(): 0}
+            return
+        self._basis = hermite_basis(gens)
+        reduced = []
+        for g in gens:
+            coords = solve_in_lattice(self._basis, g)
+            reduced.append(coords)
+            self._gen_map[coords] = g
+        rzero = (0,) * len(self._basis)
+        hull_cfg = PointConfig.from_points(sorted(set(reduced) | {rzero}),
+                                           len(self._basis))
+        poly = convex_hull(hull_cfg)
+        if rzero not in poly.extremal:
+            raise PreconditionError("semigroup cone is not pointed at the origin")
+        self._cone = cone_constraints(poly)
+        self._gens = sorted(reduced)
+        self._memo = {rzero: True}
+        self._weights = {rzero: 0}
+
+    def _reduce(self, point):
+        if not self._basis:
+            return () if not any(point) else None
+        return solve_in_lattice(self._basis, point)
+
+    def _in_cone(self, point):
+        return all(sum(n * x for n, x in zip(normal, point)) <= 0
+                   for normal in self._cone)
+
+    def _solve(self, start):
+        memo = self._memo
+        gens = self._gens
+        stack = [(start, 0)]
+        while stack:
+            point, idx = stack.pop()
+            if point in memo:
+                continue
+            resolved = False
+            pushed = False
+            j = idx
+            while j < len(gens):
+                child = tuple(a - b for a, b in zip(point, gens[j]))
+                if self._in_cone(child):
+                    val = memo.get(child)
+                    if val is True:
+                        memo[point] = True
+                        resolved = True
+                        break
+                    if val is None:
+                        stack.append((point, j))
+                        stack.append((child, 0))
+                        pushed = True
+                        break
+                j += 1
+            if not resolved and not pushed:
+                memo[point] = False
+        return memo[start]
+
+    def contains(self, point):
+        reduced = self._reduce(tuple(point))
+        if reduced is None or not self._in_cone(reduced):
+            return False
+        return self._solve(reduced)
+
+    def min_weight(self, point):
+        """Least number of generators summing to ``point`` (None if outside)."""
+        reduced = self._reduce(tuple(point))
+        if reduced is None or not self._in_cone(reduced):
+            return None
+        weights = self._weights
+        stack = [(reduced, False)]
+        while stack:
+            cur, expanded = stack.pop()
+            if cur in weights:
+                continue
+            children = []
+            for g in self._gens:
+                child = tuple(a - b for a, b in zip(cur, g))
+                if self._in_cone(child):
+                    children.append(child)
+            if not expanded:
+                stack.append((cur, True))
+                stack.extend((c, False) for c in children if c not in weights)
+                continue
+            best = None
+            for c in children:
+                w = weights.get(c)
+                if w is not None and (best is None or w + 1 < best):
+                    best = w + 1
+            weights[cur] = best
+        return weights[reduced]
+
+    def min_weight_certificate(self, point):
+        """A minimum-length combination, built greedily (lex-least generator)."""
+        total = self.min_weight(point)
+        if total is None:
+            return None
+        counts = {}
+        cur = self._reduce(tuple(point))
+        w = total
+        while w > 0:
+            for g in self._gens:
+                child = tuple(a - b for a, b in zip(cur, g))
+                if self._in_cone(child) and self._weights.get(child) == w - 1:
+                    orig = self._gen_map[g]
+                    counts[orig] = counts.get(orig, 0) + 1
+                    cur = child
+                    w -= 1
+                    break
+            else:
+                raise AssertionError("certificate reconstruction failed")
+        return counts
 
 
 def representations_by_multisets(points, x, h):

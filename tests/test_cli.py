@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import sumsetlab
+from sumsetlab import kernels
 from sumsetlab.cli import main
 
 from corpus import CORPUS
@@ -327,13 +328,15 @@ class TestErrorPaths:
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch,
                                                     a135_txt):
-        # a ValueError from the kernel selector is no input error (exit 1)
-        monkeypatch.setenv("SUMSETLAB_KERNEL", "bogus")
+        # a ValueError from inside the library is no input error (exit 1)
+        def broken(*args, **kwargs):
+            raise ValueError("broken kernel")
+
+        monkeypatch.setattr(kernels, "sumset_step", broken)
         code, out, err = run_cli(capsys, "growth", "--max-n", "3",
                                  "--input", a135_txt)
         assert code == 4 and out == ""
-        assert err.startswith("internal error: ValueError: SUMSETLAB_KERNEL")
-        assert err.count("\n") == 1
+        assert err == "internal error: ValueError: broken kernel\n"
 
 
 def test_analyze_never_imports_numpy_ma(tmp_path):

@@ -1,7 +1,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from sumsetlab import kernels
 from sumsetlab.polytope import _box_scan_exact
@@ -16,71 +15,17 @@ def _random_case(rng, dim):
     return lo, hi, lhs, rhs
 
 
-numba_missing = "numba" not in kernels.available_backends()
-
-
-@pytest.mark.skipif(numba_missing, reason="numba unavailable")
-class TestBackendParity:
-    def test_box_scans_agree(self):
-        rng = random.Random(7)
-        for dim in (1, 2, 3, 4):
-            for _ in range(25):
-                lo, hi, lhs, rhs = _random_case(rng, dim)
-                lo_a = np.asarray(lo, dtype=np.int64)
-                hi_a = np.asarray(hi, dtype=np.int64)
-                lhs_a = np.asarray(lhs, dtype=np.int64).reshape(len(lhs), dim)
-                rhs_a = np.asarray(rhs, dtype=np.int64)
-                dummy = np.empty((0, dim), dtype=np.int64)
-                n_nb = int(kernels._nb_box_scan(lo_a, hi_a, lhs_a, rhs_a,
-                                                dummy, False))
-                n_np = kernels._np_box_count(lo_a, hi_a, lhs_a, rhs_a)
-                assert n_nb == n_np
-                out = np.empty((n_nb, dim), dtype=np.int64)
-                kernels._nb_box_scan(lo_a, hi_a, lhs_a, rhs_a, out, True)
-                pts_np = kernels._np_box_points(lo_a, hi_a, lhs_a, rhs_a)
-                assert np.array_equal(out, pts_np)
-
-    def test_sumset_step_backends_agree(self, monkeypatch):
-        rng = random.Random(29)
-        for dim in (1, 2, 3):
-            pts = np.asarray(sorted({tuple(rng.randint(-8, 8) for _ in range(dim))
-                                     for _ in range(12)}), dtype=np.int64)
-            gens = np.asarray(sorted({tuple(rng.randint(-4, 4) for _ in range(dim))
-                                      for _ in range(5)}), dtype=np.int64)
-            monkeypatch.setenv("SUMSETLAB_KERNEL", "numba")
-            got_nb = kernels.sumset_step(pts, gens)
-            monkeypatch.setenv("SUMSETLAB_KERNEL", "numpy")
-            got_np = kernels.sumset_step(pts, gens)
-            assert np.array_equal(got_nb, got_np)
-            naive = sorted({tuple(int(v) for v in p + g)
-                            for p in pts for g in gens})
-            assert kernels.array_to_points(got_np) == naive
-
-
 def test_python_fallback_agrees():
     rng = random.Random(13)
     for dim in (1, 2, 3):
         for _ in range(10):
             lo, hi, lhs, rhs = _random_case(rng, dim)
             exact = _box_scan_exact(lo, hi, lhs, rhs, True)
-            lo_a = np.asarray(lo, dtype=np.int64)
-            hi_a = np.asarray(hi, dtype=np.int64)
-            lhs_a = np.asarray(lhs, dtype=np.int64).reshape(len(lhs), dim)
-            rhs_a = np.asarray(rhs, dtype=np.int64)
-            pts = kernels._np_box_points(lo_a, hi_a, lhs_a, rhs_a)
+            pts = kernels.box_points(lo, hi, lhs, rhs)
             assert kernels.array_to_points(pts) == exact
 
 
 class TestDispatch:
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("SUMSETLAB_KERNEL", "numpy")
-        assert kernels.active_backend() == "numpy"
-
-    def test_bad_flag_rejected(self, monkeypatch):
-        monkeypatch.setenv("SUMSETLAB_KERNEL", "fortran")
-        with pytest.raises(ValueError):
-            kernels.active_backend()
-
     def test_results_lex_sorted(self):
         pts = kernels.box_points([0, 0], [2, 2], [[1, 1]], [3])
         rows = kernels.array_to_points(pts)

@@ -17,7 +17,9 @@ from sumsetlab import (
     triangulate_from_origin,
     volumes,
 )
+from sumsetlab.kernels import array_to_points
 from sumsetlab.lattice import determinant, solve_rational
+from sumsetlab.polytope import dilate_points
 
 from oracles import dilate_points_by_facets, hull_facets_by_planes
 
@@ -227,7 +229,7 @@ class TestTriangulation:
             if d == 0 or volumes(norm).width * 2 > 20:
                 continue
             simplices = triangulate_from_origin(norm).simplices
-            for x in count_dilate_points(norm, 2, enumerate_points=True):
+            for x in array_to_points(dilate_points(norm, 2)):
                 hit = False
                 for simplex in simplices:
                     rows = [[p[k] for p in simplex] for k in range(d)]
@@ -258,7 +260,7 @@ class TestDilateCounting:
         for name, _, norm in corpus:
             if norm.dim == 0:
                 continue
-            pts = count_dilate_points(norm, 3, enumerate_points=True)
+            pts = array_to_points(dilate_points(norm, 3))
             assert len(pts) == count_dilate_points(norm, 3), name
             assert pts == sorted(pts), name
 
@@ -266,7 +268,7 @@ class TestDilateCounting:
         for name, _, norm in corpus:
             if norm.dim == 0 or volumes(norm).width * 3 > 40:
                 continue
-            got = count_dilate_points(norm, 3, enumerate_points=True)
+            got = array_to_points(dilate_points(norm, 3))
             expected = sorted(dilate_points_by_facets(norm.points, norm.dim, 3))
             assert got == expected, name
 

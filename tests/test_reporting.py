@@ -128,13 +128,25 @@ class TestToJson:
         assert to_json(report) == _dumps(_tolist(report))
         assert to_text({"b": array}) == to_text({"b": array.tolist()})
 
-    # to_text takes values and lists of records (growth rows), not any tree
+    # to_text takes values and lists of records (growth rows), not any tree;
+    # a list that mixes records with other values is a value
     @settings(max_examples=120, deadline=None)
     @given(st.dictionaries(_text, _arrays | st.lists(
-        st.dictionaries(_text, _arrays | _ints, max_size=3), min_size=1, max_size=3),
+        st.dictionaries(_text, _arrays | _ints, max_size=3), min_size=1, max_size=3)
+        | st.lists(_arrays | _ints | st.none()
+                   | st.dictionaries(_text, _arrays | _ints, max_size=2), max_size=3),
         max_size=3))
     def test_text_arrays_match_tolist(self, report):
         assert to_text(report) == to_text(_tolist(report))
+
+    @pytest.mark.parametrize("report, text", [
+        ({"a": [{}, None]}, "a: [{}, null]\n"),
+        ({"a": [None, {"k": 1}]}, 'a: [null, {"k": 1}]\n'),
+        ({"a": [np.array([[1, 2]]), 3]}, "a: [[[1, 2]], 3]\n"),
+        ({"a": [{"p": np.array([[1 << 70]], dtype=object)}]}, f"a:\n  -\n    p: [[{1 << 70}]]\n"),
+    ], ids=["record-then-none", "none-then-record", "array-in-list", "array-in-record"])
+    def test_text_mixed_lists(self, report, text):
+        assert to_text(report) == text
 
     @pytest.mark.parametrize("report", [
         {},

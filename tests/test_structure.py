@@ -9,7 +9,6 @@ from sumsetlab import (
     PointConfig,
     PreconditionError,
     RegionSpec,
-    SemigroupOracle,
     count_dilate_points,
     facet_height_ratio,
     structure_bounds,
@@ -20,13 +19,21 @@ from sumsetlab import (
     volumes,
 )
 from sumsetlab import kernels
-from sumsetlab.polytope import cone_constraints, cone_functional, convex_hull, scan_box
+from sumsetlab.polytope import (
+    cone_constraints,
+    cone_functional,
+    convex_hull,
+    dilate_points,
+    scan_box,
+)
 from sumsetlab.structure import (
     StructureThresholdResult,
     reflected_config,
     structure_levels,
 )
 from sumsetlab.sumsets import iter_sumsets, semigroup_sieve
+
+from oracles import DfsSemigroupOracle
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -172,13 +179,19 @@ class TestExtremalDecomposition:
             SIMPLEX, RegionSpec.box([(0, 9), (0, 9)]))
         assert ok
 
+    def test_shifted_rows_charged_to_the_cap(self):
+        # 169 region points fit a cap of 200; shifted by all of 9A they do not
+        with pytest.raises(BudgetExceededError):
+            verify_extremal_decomposition(
+                TRIANGLE, RegionSpec.box([(0, 12), (0, 12)]), cap_points=200)
+
 
 
 def _rhs_by_oracle(config, n):
     """structure_rhs point by point with the DFS oracle (the reference)."""
-    oracles = [(a, SemigroupOracle(reflected_config(config, a)))
+    oracles = [(a, DfsSemigroupOracle(reflected_config(config, a)))
                for a in config.extremal()]
-    return [x for x in count_dilate_points(config, n, enumerate_points=True)
+    return [x for x in kernels.array_to_points(dilate_points(config, n))
             if all(oracle.contains(tuple(v * n - c for v, c in zip(a, x)))
                    for a, oracle in oracles)]
 
@@ -206,7 +219,7 @@ class TestSieveParity:
                                 for p in cfg.points)
                 cone, _ = _cone_points(cfg, limit)
                 sieve = semigroup_sieve(cfg, ell, limit)
-                oracle = SemigroupOracle(cfg)
+                oracle = DfsSemigroupOracle(cfg)
                 want = [oracle.contains(tuple(int(v) for v in p)) for p in cone]
                 got = sieve.members(cone)
                 assert got.tolist() == want, (name, a)

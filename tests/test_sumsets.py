@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,16 @@ from sumsetlab import (
     PointConfig,
     PreconditionError,
     RegionSpec,
+    SemigroupOracle,
     count_dilate_points,
     exceptional_in_region,
+    khovanskii_bounds,
+    normalize_config,
     semigroup_contains,
-    semigroup_oracle,
     sumset_iterate,
 )
 from sumsetlab import kernels, sumsets
+from sumsetlab.polytope import dilate_points
 from sumsetlab.sumsets import (
     _iterate_tuples,
     growth_sizes,
@@ -22,7 +27,7 @@ from sumsetlab.sumsets import (
 )
 
 from corpus import random_configs
-from oracles import semigroup_sieve, sumset_by_enumeration
+from oracles import DfsSemigroupOracle, semigroup_sieve, sumset_by_enumeration
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -73,7 +78,7 @@ class TestGrowth:
                 assert sizes[n - 1] <= count_dilate_points(norm, n), (name, n)
 
     def test_points_subset_of_dilate(self):
-        hull = set(count_dilate_points(A135, 4, enumerate_points=True))
+        hull = set(kernels.array_to_points(dilate_points(A135, 4)))
         na = None
         for na in iter_sumsets(A135, 4):
             pass
@@ -212,7 +217,7 @@ class TestSemigroup:
         # every point of NA for N <= 5 is a member; members found in the
         # region but missing from all NA up to 5 must need weight > 5
         for name, _, norm in corpus:
-            oracle = semigroup_oracle(norm)
+            oracle = SemigroupOracle(norm)
             seen = set()
             for pts in iter_sumsets(norm, 5):
                 seen.update(pts)
@@ -225,14 +230,26 @@ class TestSemigroup:
                     assert w is not None and w <= 5, (name, p)
 
     def test_min_weight_certificate(self):
-        oracle = semigroup_oracle(A135)
+        oracle = SemigroupOracle(A135)
         assert oracle.min_weight((30,)) == 6
         assert oracle.min_weight_certificate((30,)) == {(5,): 6}
 
     def test_not_pointed_rejected(self):
         cfg = PointConfig.from_points([(-1,), (0,), (1,)])
         with pytest.raises(PreconditionError):
-            semigroup_oracle(cfg)
+            SemigroupOracle(cfg)
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 0), (-1, 0), (0, 1)],          # origin inside an edge
+        [(0, 0), (1, 0), (0, 1), (-1, -1)],         # origin inside the hull
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)],
+    ])
+    def test_not_pointed_cones_rejected(self, pts):
+        cfg = PointConfig.from_points(pts)
+        with pytest.raises(PreconditionError):
+            SemigroupOracle(cfg)
+        with pytest.raises(PreconditionError):
+            semigroup_contains(cfg, pts[1])
 
     def test_sublattice_membership(self):
         cfg = PointConfig.from_points([(0, 0), (2, 0), (0, 2)])
@@ -240,6 +257,90 @@ class TestSemigroup:
         assert ok
         ok, _ = semigroup_contains(cfg, (1, 1))
         assert not ok
+
+    def test_lower_rank_line(self):
+        cfg = PointConfig.from_points([(0, 0), (1, 1), (2, 2)])
+        assert semigroup_contains(cfg, (3, 3)) == (True, {(1, 1): 1, (2, 2): 1})
+        assert semigroup_contains(cfg, (1, 0)) == (False, None)
+        oracle = SemigroupOracle(cfg)
+        assert oracle.min_weight((3, 3)) == 2
+        assert oracle.min_weight((-1, -1)) is None
+        _assert_members_match_dfs(cfg, [(-2, 5)] * 2)
+
+    def test_lower_rank_coplanar_3d(self):
+        # every point on the plane z = x + y; (2, 2, 4) is 2 * (1, 0, 1) +
+        # 2 * (0, 1, 1) but also (0, 1, 1) + (2, 1, 3)
+        cfg = PointConfig.from_points([(0, 0, 0), (1, 0, 1), (0, 1, 1), (2, 1, 3)])
+        oracle = SemigroupOracle(cfg)
+        assert oracle.contains((1, 1, 2)) and not oracle.contains((1, 1, 1))
+        assert oracle.min_weight((2, 2, 4)) == 2
+        assert oracle.min_weight_certificate((2, 2, 4)) == {(0, 1, 1): 1, (2, 1, 3): 1}
+        _assert_members_match_dfs(cfg, [(-1, 4)] * 3)
+
+    def test_members_match_dfs_on_boxes(self, corpus):
+        # boxes around the origin hold points outside the cone too
+        for name, _, norm in corpus:
+            if norm.dim:
+                _assert_members_match_dfs(norm, [(-3, 6) if norm.dim < 3 else (-2, 3)]
+                                          * norm.dim)
+
+    def test_object_points_agree(self, corpus):
+        for name, _, norm in corpus:
+            if norm.dim:
+                box = kernels.points_to_array(list(product(range(-2, 5), repeat=norm.dim)))
+                oracle = SemigroupOracle(norm)
+                assert np.array_equal(oracle.members(box),
+                                      oracle.members(box.astype(object))), name
+
+    def test_huge_points_outside_the_cone(self):
+        # the cone tests of these rows leave int64: they run on Python ints
+        oracle = SemigroupOracle(STRIP)
+        assert not oracle.contains((1 << 70, -1))
+        huge = np.array([[1 << 62, -1], [-(1 << 62), 5], [2, 0]])
+        assert oracle.members(huge).tolist() == [False, False, True]
+        line = SemigroupOracle(PointConfig.from_points([(0, 0), (1, 1)]))
+        assert not line.contains((1 << 70, (1 << 70) + 1))
+
+    def test_certificates_match_dfs_on_selfcheck_samples(self, corpus):
+        # the points verify's regular_representation check decomposes
+        checked = 0
+        for name, _, norm in corpus:
+            sample = None
+            for sample in iter_sumsets(norm, min(4, khovanskii_bounds(norm).sharp)):
+                pass
+            checked += _assert_weights_match_dfs(norm, sample[:20])
+        assert checked > 400
+
+    def test_certificates_match_dfs_on_random_sets(self):
+        checked = 0
+        for pts in random_configs(60):
+            norm = normalize_config(PointConfig.from_points(pts))
+            sample = None
+            for sample in iter_sumsets(norm, 3):
+                pass
+            box = list(product(range(-1, 3), repeat=norm.dim))
+            checked += _assert_weights_match_dfs(norm, sample[:12] + box)
+        assert checked > 1000
+
+
+def _assert_members_match_dfs(config, bounds):
+    """members() over a box equals the DFS reference point by point."""
+    box = list(product(*(range(a, b + 1) for a, b in bounds)))
+    reference = DfsSemigroupOracle(config)
+    want = [reference.contains(p) for p in box]
+    got = SemigroupOracle(config).members(kernels.points_to_array(box))
+    assert got.tolist() == want, config.points
+
+
+def _assert_weights_match_dfs(config, points):
+    """min_weight and min_weight_certificate equal the DFS reference."""
+    oracle = SemigroupOracle(config)
+    reference = DfsSemigroupOracle(config)
+    for p in points:
+        assert oracle.min_weight(p) == reference.min_weight(p), (config.points, p)
+        assert oracle.min_weight_certificate(p) == \
+            reference.min_weight_certificate(p), (config.points, p)
+    return len(points)
 
 
 class TestExceptional:
@@ -274,11 +375,27 @@ class TestExceptional:
         # dilate-region exceptional points = dilate points minus big sumsets
         region = RegionSpec.dilate(4)
         got = exceptional_in_region(A135, region)
-        hull = set(count_dilate_points(A135, 4, enumerate_points=True))
+        hull = set(kernels.array_to_points(dilate_points(A135, 4)))
         reached = set()
         for pts in iter_sumsets(A135, 25):
             reached.update(pts)
         assert got == sorted(hull - reached)
+
+    @pytest.mark.parametrize("region", [
+        RegionSpec.box([(-4, 9), (-5, 6)]),
+        RegionSpec.dilate(3),
+    ], ids=["box", "dilate"])
+    def test_negative_coordinates_match_dfs(self, region):
+        # normalized (the points generate Z^2), with negative coordinates
+        config = normalize_config(PointConfig.from_points(
+            [(0, 0), (1, -1), (1, 2), (3, 1)]))
+        assert config.points == ((0, 0), (1, -1), (1, 2), (3, 1))
+        reference = DfsSemigroupOracle(config)
+        region_pts = sumsets.region_points(config, region)
+        want = [p for p in kernels.array_to_points(region_pts)
+                if not reference.contains(p)]
+        got = exceptional_in_region(config, region)
+        assert got == want and len(got) > 3
 
     def test_region_budget(self):
         with pytest.raises(BudgetExceededError):
