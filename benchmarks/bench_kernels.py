@@ -29,7 +29,16 @@ identical results, and prints tables:
 * the semigroup membership that ``verify_extremal_decomposition`` asks for
   on the 26 corpus sets (both sides, on the region ``verify`` checks), from
   the sieve-backed ``SemigroupOracle.members`` against the per-point DFS
-  oracle of ``tests/oracles.py``.
+  oracle of ``tests/oracles.py``;
+* the obstruction scan that stops once counting proves its elements
+  complete against the scan to its cap (``_CERTIFY_MAX_ELEMENTS`` set to
+  0: with no element known the counts always differ, so no scan stops
+  early), over the 26 corpus sets and the 21 sets of the
+  ``khovanskii-random`` benchmark workload;
+* the frontier iteration stepping packed keys by the generators' key
+  offsets (sizes-only ``sumset_levels``) against the same iteration on
+  point rows (decode, ``kernels.sumset_step`` on rows, pack), for hexagon6
+  to N=150 and {0,2,5,11,12} to N=1000.
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
@@ -58,8 +67,8 @@ from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
                                 dilate_points, volumes)
 from sumsetlab.reporting import Caps, growth_report, to_json
 from sumsetlab.structure import _vertex_sieves, structure_bounds
-from sumsetlab.sumsets import (_iterate_arrays, _iterate_tuples, region_points,
-                               sumset_arrays)
+from sumsetlab.sumsets import (_frontier_box, _iterate_arrays, _iterate_tuples,
+                               region_points, sumset_arrays, sumset_levels)
 
 
 def _box_workload(name, points, dilate):
@@ -341,6 +350,78 @@ def membership_against_dfs(repeat):
           f"{sum(len(pts) * len(s) for _, pts, s, _ in cases)} shifted)")
 
 
+def _scans(cfgs, gate):
+    """The uncached obstruction scans, certified while at most ``gate``
+    elements are known."""
+    chosen = khovanskii._CERTIFY_MAX_ELEMENTS
+    khovanskii._CERTIFY_MAX_ELEMENTS = gate
+    try:
+        return [khovanskii._minimal_obstructions_scan(cfg, None, 5_000_000)
+                for cfg in cfgs]
+    finally:
+        khovanskii._CERTIFY_MAX_ELEMENTS = chosen
+
+
+def obstruction_certificate(repeat):
+    here = os.path.dirname(__file__)
+    sys.path.insert(0, os.path.join(here, "..", "tests"))
+    sys.path.insert(0, os.path.join(here, "..", "perfbench"))
+    import workloads
+    from corpus import CORPUS
+
+    sets = [pts for _, pts in CORPUS] + [
+        [tuple(p) for p in group[0]["points"]]
+        for group in workloads.khovanskii_random(workloads.DRAW_SEED)]
+    cfgs = [normalize_config(PointConfig.from_points(pts)) for pts in sets]
+    print(f"{'workload':38s} {'counted':>10s} {'full':>10s} {'ratio':>8s}")
+    t_ct, r_ct = bench(_scans, (cfgs, khovanskii._CERTIFY_MAX_ELEMENTS), repeat)
+    t_fu, r_fu = bench(_scans, (cfgs, 0), 1)
+    assert r_ct == r_fu
+    print(f"{'obstruction scans, 47 sets':38s} {t_ct * 1e3:8.2f}ms "
+          f"{t_fu * 1e3:8.2f}ms {t_fu / t_ct:7.2f}x   "
+          f"({sum(len(r.elements) for r in r_ct)} elements)")
+
+
+def _row_frontier_sizes(cfg, n_max):
+    """|N*A| by the frontier iteration on point rows: each level steps the
+    rows of its new points by the generators and packs the sums again."""
+    lo, strides = _frontier_box(cfg, n_max)
+    gens = kernels.points_to_array(sorted(cfg.points))
+    shift = int(gens[0] @ np.asarray(strides, dtype=np.int64))
+    keys = kernels.pack_rows(gens, lo, strides, np.int64)
+    frontier = gens[1:]
+    sizes = [len(keys)]
+    for _ in range(2, n_max + 1):
+        keys = keys + shift
+        if len(frontier):
+            rows = kernels.sumset_step(frontier, gens)
+            cand = kernels.pack_rows(rows, lo, strides, np.int64)
+            new = ~kernels.sorted_member(cand, keys)
+            frontier = rows[new]
+            keys = np.concatenate([keys, cand[new]])
+            keys.sort(kind="stable")
+        sizes.append(len(keys))
+    return sizes
+
+
+FRONTIER_CASES = [
+    ("sizes 2d hexagon6, N=150", HEXAGON6, 150),
+    ("sizes 1d {0,2,5,11,12}, N=1000", [(0,), (2,), (5,), (11,), (12,)], 1000),
+]
+
+
+def frontier_keys(repeat):
+    print(f"{'workload':38s} {'keys':>10s} {'rows':>10s} {'ratio':>8s}")
+    for name, points, n_max in FRONTIER_CASES:
+        cfg = PointConfig.from_points(points)
+        t_ky, r_ky = bench(lambda: [size for size, _ in sumset_levels(cfg, n_max)],
+                           (), repeat)
+        t_rw, r_rw = bench(_row_frontier_sizes, (cfg, n_max), repeat)
+        assert r_ky == r_rw, name
+        print(f"{name:38s} {t_ky * 1e3:8.2f}ms {t_rw * 1e3:8.2f}ms "
+              f"{t_rw / t_ky:7.2f}x   ({sum(r_ky)} points)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
@@ -358,6 +439,10 @@ def main():
     vertices_against_lp(args.repeat)
     print()
     membership_against_dfs(args.repeat)
+    print()
+    obstruction_certificate(args.repeat)
+    print()
+    frontier_keys(args.repeat)
 
 
 if __name__ == "__main__":

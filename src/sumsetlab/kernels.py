@@ -8,8 +8,10 @@ times them against those fallbacks.
 Points of a box are packed into mixed-radix keys whose order is lex order
 (``key_strides``, ``pack_rows``, ``decode_keys``); the sumset iteration
 and the semigroup sieves keep their point sets as sorted keys.
-``sumset_step`` expands one block of sums; the frontier iteration in
-``sumsets`` calls it once per level on the previous level's new points.
+``sumset_step`` expands one block of sums: the frontier iteration in
+``sumsets`` calls it on the keys of the previous level's new points and
+the generators' key offsets, and never unpacks a row; its 2-D form steps
+point arrays.
 """
 
 from __future__ import annotations
@@ -217,19 +219,30 @@ def first_of_runs(keys: np.ndarray) -> np.ndarray:
 
 
 def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """One Minkowski step: dedup({p + g}), rows sorted lexicographically."""
+    """One Minkowski step: the distinct sums p + g, sorted.
+
+    On 1-D arrays ``pts`` are the keys of points in a box that holds every
+    sum and ``gens`` the generators' key offsets (g @ strides), so a sum's
+    key is a key plus an offset: the step returns the sorted distinct
+    keys.  On 2-D point arrays it packs the rows into the box of the sums,
+    takes the same step and decodes the rows, sorted lexicographically.
+    """
+    if pts.ndim == 1:
+        return sorted_unique((pts[:, None] + gens[None, :]).ravel())
     n, d = pts.shape
     m = gens.shape[0]
-    mins = [int(pts[:, k].min()) + int(gens[:, k].min()) for k in range(d)]
-    maxs = [int(pts[:, k].max()) + int(gens[:, k].max()) for k in range(d)]
+    p_lo, g_lo = pts.min(axis=0).tolist(), gens.min(axis=0).tolist()
+    mins = [a + b for a, b in zip(p_lo, g_lo)]
+    maxs = [a + b for a, b in zip(pts.max(axis=0).tolist(), gens.max(axis=0).tolist())]
     strides, span = key_strides(mins, maxs)
     if span >= 1 << 62:
         # key packing would overflow; fall back to row-wise unique
         sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
         return np.unique(sums, axis=0)
-    sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
-    keys = (sums - np.asarray(mins, dtype=np.int64)) @ np.asarray(strides, dtype=np.int64)
-    return decode_keys(sorted_unique(keys), mins, strides)
+    keys = pack_rows(pts, p_lo, strides, np.int64)
+    offsets = pack_rows(gens, g_lo, strides, np.int64)
+    return decode_keys(sorted_unique((keys[:, None] + offsets[None, :]).ravel()),
+                       mins, strides)
 
 
 def int64_budget_ok(*values) -> bool:

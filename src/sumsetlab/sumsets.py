@@ -93,50 +93,59 @@ def _frontier_box(config: PointConfig, n_max: int):
     return (lo, strides) if kernels.int64_budget_ok(span) else None
 
 
-def _expand(frontier: np.ndarray, gens: np.ndarray, lo,
-            strides) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct rows of frontier + gens and their keys.
+def _expand(frontier: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys of frontier + offsets.
 
     The sums are expanded in blocks of at most CANDIDATE_BLOCK_ROWS.
     """
-    m = len(gens)
+    m = len(offsets)
     f_step = max(1, CANDIDATE_BLOCK_ROWS // m)
     g_step = min(m, CANDIDATE_BLOCK_ROWS)
-    blocks = [kernels.sumset_step(frontier[i:i + f_step], gens[j:j + g_step])
+    blocks = [kernels.sumset_step(frontier[i:i + f_step], offsets[j:j + g_step])
               for i in range(0, len(frontier), f_step)
               for j in range(0, m, g_step)]
     if len(blocks) == 1:
-        return blocks[0], kernels.pack_rows(blocks[0], lo, strides, np.int64)
-    keys = kernels.sorted_unique(np.concatenate(
-        [kernels.pack_rows(b, lo, strides, np.int64) for b in blocks]))
-    return kernels.decode_keys(keys, lo, strides), keys
+        return blocks[0]
+    return kernels.sorted_unique(np.concatenate(blocks))
 
 
-def _iterate_keys(config: PointConfig, n_max: int, lo, strides) -> Iterator[np.ndarray]:
+def _iterate_keys(config: PointConfig, n_max: int, lo, strides,
+                  cap_points: int | None = None) -> Iterator[np.ndarray]:
     """Sorted keys of N*A for N = 1..n_max, each level grown from the new
     points of the one before.
 
     With t the lex-least point of A, (N-1)A + t lies inside NA, and every
     other point of NA is f + a with a in A and f in the frontier
     F = (N-1)A minus ((N-2)A + t).  Keys live in one box that holds every
-    level (``lo`` and ``strides``, from _frontier_box): there adding t
-    shifts every key by the same constant, and key order is lex order.
+    level (``lo`` and ``strides``, from _frontier_box): there adding a
+    point a shifts every key by the same offset a @ strides, so the
+    frontier stays keys from level to level, and key order is lex order.
+    A level of more than ``cap_points`` keys raises BudgetExceededError
+    (``reached`` names it) before it is allocated.
     """
     gens = kernels.points_to_array(sorted(config.points))
-    shift = int(gens[0] @ np.asarray(strides, dtype=np.int64))
+    offsets = gens @ np.asarray(strides, dtype=np.int64)
     keys = kernels.pack_rows(gens, lo, strides, np.int64)
-    frontier = gens[1:]
+    frontier = keys[1:]
     yield keys
-    for _ in range(2, n_max + 1):
-        keys = keys + shift
+    for n in range(2, n_max + 1):
+        keys = keys + offsets[0]
         if len(frontier):
-            rows, cand = _expand(frontier, gens, lo, strides)
-            new = ~kernels.sorted_member(cand, keys)
-            frontier = rows[new]
+            cand = _expand(frontier, offsets)
+            frontier = cand[~kernels.sorted_member(cand, keys)]
+            size = len(keys) + len(frontier)
+            if cap_points is not None and size > cap_points:
+                raise _level_over_budget(size, cap_points, n)
             # two sorted runs: the stable sort merges them in linear time
-            keys = np.concatenate([keys, cand[new]])
+            keys = np.concatenate([keys, frontier])
             keys.sort(kind="stable")
         yield keys
+
+
+def _level_over_budget(size: int, cap_points: int, n: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"sumset size {size} exceeds the {cap_points} point budget at N={n}",
+        reached=n)
 
 
 def _iterate_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
@@ -183,19 +192,21 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
     The point arrays are those of sumset_arrays with ``keep_points`` and
     None without; then the int64 levels are never decoded from their keys.
     A level of more than ``cap_points`` points is not yielded: a
-    BudgetExceededError names it (``reached``) instead.
+    BudgetExceededError names it (``reached``) instead.  On the int64
+    path that error comes before the level is allocated.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    box = None if keep_points else _frontier_box(config, n_max)
-    levels = (sumset_arrays(config, n_max) if box is None
-              else _iterate_keys(config, n_max, *box))
-    for n, level in enumerate(levels, start=1):
-        if len(level) > cap_points:
-            raise BudgetExceededError(
-                f"sumset size {len(level)} exceeds the {cap_points} point budget at N={n}",
-                reached=n)
-        yield len(level), (level if keep_points else None)
+    box = _frontier_box(config, n_max)
+    if box is None:
+        levels = ((len(pts), pts) for pts in sumset_arrays(config, n_max))
+    else:
+        levels = ((len(keys), kernels.decode_keys(keys, *box) if keep_points else None)
+                  for keys in _iterate_keys(config, n_max, *box, cap_points))
+    for n, (size, pts) in enumerate(levels, start=1):
+        if size > cap_points:
+            raise _level_over_budget(size, cap_points, n)
+        yield size, (pts if keep_points else None)
 
 
 def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,

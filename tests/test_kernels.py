@@ -73,6 +73,26 @@ def test_decode_keys_inverts_pack_rows():
         assert np.array_equal(kernels.decode_keys(keys, lo, strides), rows)
 
 
+def test_sumset_step_on_keys_matches_rows():
+    # keys of a box that holds every sum, stepped by the generators' offsets
+    rng = random.Random(43)
+    for dim in (1, 2, 3):
+        pts = np.asarray([[rng.randint(-5, 5) for _ in range(dim)]
+                          for _ in range(rng.randint(1, 20))], dtype=np.int64)
+        gens = np.asarray([[rng.randint(-3, 6) for _ in range(dim)]
+                           for _ in range(rng.randint(1, 6))], dtype=np.int64)
+        lo = [-8 - rng.randint(0, 3)] * dim
+        strides, _ = kernels.key_strides(lo, [11] * dim)
+        keys = kernels.pack_rows(pts, lo, strides, np.int64)
+        offsets = gens @ np.asarray(strides, dtype=np.int64)
+        stepped = kernels.sumset_step(keys, offsets)
+        rows = kernels.sumset_step(pts, gens)
+        assert np.array_equal(kernels.decode_keys(stepped, lo, strides), rows)
+        assert kernels.array_to_points(rows) == sorted(
+            {tuple(a + b for a, b in zip(p, g))
+             for p in pts.tolist() for g in gens.tolist()})
+
+
 class TestSortedMember:
     """sorted_member against np.isin, which the library no longer calls."""
 

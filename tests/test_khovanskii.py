@@ -14,7 +14,7 @@ from sumsetlab import (
     sumset_size_formula,
     volumes,
 )
-from sumsetlab import khovanskii
+from sumsetlab import InternalInvariantError, khovanskii
 from sumsetlab.circuits import support
 from sumsetlab.sumsets import growth_sizes
 
@@ -192,6 +192,96 @@ class TestKeyPackedScan:
             obs = minimal_obstructions(norm)
             assert (len(obs.elements), obs.status, obs.weight_scanned,
                     obs.weight_required) == (count, status, scanned, required)
+
+
+HEXAGON6 = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]
+TRUNCATING = [(2,), (5,), (6,), (7,), (13,), (15,)]
+
+
+def _norm(pts):
+    return normalize_config(PointConfig.from_points(pts))
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """(weight scanned, elements known, gap found) of every certificate check."""
+    log = []
+    first_gap = khovanskii._Certificate.first_gap
+
+    def recorded(self, found, h):
+        gap = first_gap(self, found, h)
+        log.append((h, len(found), gap))
+        return gap
+
+    monkeypatch.setattr(khovanskii._Certificate, "first_gap", recorded)
+    return log
+
+
+class TestCertificate:
+    """The scan stops once counting proves the elements found complete."""
+
+    def test_hexagon6_stops_at_its_heaviest_element(self, monkeypatch, checks):
+        levels = []
+        candidates = khovanskii._LevelKeys.candidates
+
+        def recorded(self, survivors):
+            levels.append(len(survivors[0]))
+            return candidates(self, survivors)
+
+        monkeypatch.setattr(khovanskii._LevelKeys, "candidates", recorded)
+        norm = _norm(HEXAGON6)
+        got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+        assert _fields(got) == _row_scan(norm)
+        assert len(levels) <= 3 and got.weight_scanned == 108
+        assert checks[-1] == (3, 9, None)
+
+    def test_failed_checks_resume_at_the_gap(self, checks):
+        norm = _norm([(0,), (2,), (5,), (11,), (12,)])
+        got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+        assert _fields(got) == _row_scan(norm)
+        # no element weighs 6, so the check after weight 5 skips a level
+        assert checks == [(2, 0, 3), (3, 5, 4), (4, 7, 5), (5, 10, 7), (7, 11, None)]
+
+    def test_truncating_set_stays_on_the_scan(self, checks):
+        got = khovanskii._minimal_obstructions_scan(_norm(TRUNCATING), None, 5_000_000)
+        assert (len(got.elements), got.status, got.weight_scanned,
+                got.weight_required) == (24, "truncated", 427, 468)
+        # 2 elements after weight 2, 13 after weight 3: past the gate
+        assert checks == [(2, 2, 3)]
+
+    def test_extra_point_is_an_invariant_error(self, monkeypatch):
+        def inflated(config, n_max, cap_points=10 ** 7):
+            for n, (size, pts) in enumerate(levels(config, n_max, cap_points), start=1):
+                yield size + (n == 50), pts
+
+        levels = khovanskii.sumset_levels
+        monkeypatch.setattr(khovanskii, "sumset_levels", inflated)
+        with pytest.raises(InternalInvariantError, match="below"):
+            khovanskii._minimal_obstructions_scan(_norm(HEXAGON6), None, 5_000_000)
+
+    @pytest.mark.parametrize("budget", [2_000, 20_000, 200_000, 400_000])
+    def test_budget_falls_back_to_the_scan(self, budget, checks):
+        # the certificate counts its own points against the budget and gives
+        # up past it; the scan's candidates are counted as before
+        for pts in (HEXAGON6, [(0,), (2,), (5,), (11,), (12,)], TRUNCATING):
+            norm = _norm(pts)
+            got = khovanskii._minimal_obstructions_scan(norm, None, budget)
+            assert _fields(got) == _row_scan(norm, None, budget), (pts, budget)
+
+    def test_certified_past_the_scans_budget(self):
+        # the scan alone runs out of candidates at weight 74; the sizes up
+        # to 108 hold 1.3M points, so the certificate fits the budget
+        norm = _norm(HEXAGON6)
+        got = khovanskii._minimal_obstructions_scan(norm, None, 1_500_000)
+        assert _fields(got) == _row_scan(norm)
+        assert _row_scan(norm, None, 1_500_000)[1:3] == ("truncated", 74)
+
+    def test_no_certificate_without_the_int64_box(self, monkeypatch, corpus, checks):
+        monkeypatch.setattr(khovanskii, "_frontier_box", lambda config, n_max: None)
+        for name, _, norm in corpus:
+            got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+            assert _fields(got) == _row_scan(norm), name
+        assert checks == []
 
 
 class TestSizeFormula:

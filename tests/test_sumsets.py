@@ -195,6 +195,54 @@ class TestSumsetLevels:
         assert partial.records[2].points == tuple(
             (x, y) for x in range(4) for y in range(4))
 
+    def test_sizes_only_never_decode(self, monkeypatch, corpus):
+        decoded = []
+
+        def recorded(keys, lo, strides):
+            decoded.append(len(keys))
+            return decode(keys, lo, strides)
+
+        decode = kernels.decode_keys
+        monkeypatch.setattr(kernels, "decode_keys", recorded)
+        for name, raw, norm in corpus:
+            for config in (raw, norm):
+                sizes = [size for size, _ in sumset_levels(config, 12)]
+                assert sizes == [len(p) for p in _iterate_tuples(config, 12)], name
+        assert decoded == []
+        list(sumset_levels(SQUARE, 3, keep_points=True))
+        assert decoded == [4, 9, 16]
+
+    @pytest.mark.parametrize("cap", [3, 10, 40, 150])
+    def test_budget_checked_before_the_level_exists(self, monkeypatch, corpus, cap):
+        merged = []
+
+        class Numpy:  # numpy, with the length of every merged level recorded
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def concatenate(arrays, *args, **kwargs):
+                out = np.concatenate(arrays, *args, **kwargs)
+                merged.append(len(out))
+                return out
+
+        monkeypatch.setattr(sumsets, "np", Numpy())
+        for name, raw, _ in corpus:
+            sizes = [len(p) for p in _iterate_tuples(raw, 20)]
+            over = next((n for n, size in enumerate(sizes, start=1) if size > cap), None)
+            got = []
+            try:
+                for size, _ in sumset_levels(raw, 20, cap_points=cap):
+                    got.append(size)
+            except BudgetExceededError as err:
+                assert (err.reached, str(err)) == (over, (
+                    f"sumset size {sizes[over - 1]} exceeds the "
+                    f"{cap} point budget at N={over}")), name
+            else:
+                assert over is None, name
+            assert got == sizes[:(over or 21) - 1], name
+        assert merged and max(merged) <= cap
+
 
 class TestSemigroup:
     def test_mixed_generators(self):
