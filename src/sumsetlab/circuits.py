@@ -22,6 +22,7 @@ from .errors import (
 from .lattice import (
     Point,
     PointConfig,
+    config_memo,
     content,
     integer_kernel,
     lattice_rank,
@@ -81,8 +82,14 @@ def circuits(config: PointConfig) -> list[tuple[int, ...]]:
 
     Enumerates column subsets of size at most dim + 2 of the points-plus-ones
     matrix; whenever such a subset has a one-dimensional kernel its primitive
-    generator is a circuit, and every circuit arises this way.
+    generator is a circuit, and every circuit arises this way.  The
+    circuits are memoized as a tuple; each call returns a fresh list.
     """
+    return list(_circuits(config))
+
+
+@config_memo({})
+def _circuits(config: PointConfig) -> tuple[tuple[int, ...], ...]:
     aug = config.augmented_columns()
     n = config.size
     found: dict[tuple[int, ...], None] = {}
@@ -99,19 +106,7 @@ def circuits(config: PointConfig) -> list[tuple[int, ...]]:
             for j, v in zip(subset, gen):
                 full[j] = v
             found[_sign_normalize(full)] = None
-    return sorted(found)
-
-
-_circuit_cache: dict[tuple, list[tuple[int, ...]]] = {}
-
-
-def circuits_cached(config: PointConfig) -> list[tuple[int, ...]]:
-    key = (config.points, config.dim)
-    out = _circuit_cache.get(key)
-    if out is None:
-        out = circuits(config)
-        _circuit_cache[key] = out
-    return out
+    return tuple(sorted(found))
 
 
 def _conformal_orientation(circuit, vector):
@@ -149,7 +144,7 @@ def conformal_decompose(config: PointConfig, vector) -> list[tuple[Fraction, tup
     vec = tuple(int(v) for v in vector)
     if not is_kernel_vector(config, vec) or not any(vec):
         raise PreconditionError("input must be a nonzero zero-weight kernel vector")
-    circuit_list = circuits_cached(config)
+    circuit_list = circuits(config)
     residual = tuple(Fraction(v) for v in vec)
     out: list[tuple[Fraction, tuple[int, ...]]] = []
     while any(residual):
@@ -283,7 +278,7 @@ def regular_decompose(config: PointConfig, point) -> tuple[dict[Point, int], dic
     det_max = volumes(config).det_max if d > 0 else 1
     poly = convex_hull(config)
     outer_ids = [i for i, f in enumerate(poly.facets) if f.kind == "outer"]
-    circuit_list = circuits_cached(config)
+    circuit_list = circuits(config)
     guard = 0
     while True:
         guard += 1

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .kernels import first_of_runs, int64_budget_ok, key_strides
-from .lattice import PointConfig
+from .lattice import PointConfig, config_memo
 from .polynomials import (
     RationalPolynomial,
     interpolate_consecutive,
@@ -152,13 +152,7 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     scan alone would have run out of budget later (hexagon6 with a budget
     of 1.5M: exact at 108, where the scan alone stops at weight 74).
     """
-    cache_key = (config.points, config.dim, max_weight, candidate_budget)
-    cached = _obstruction_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    result = _minimal_obstructions_scan(config, max_weight, candidate_budget)
-    _obstruction_cache[cache_key] = result
-    return result
+    return _minimal_obstructions_scan(config, max_weight, candidate_budget)
 
 
 _WORD_LIMIT = 1 << 62  # every key word stays below this
@@ -308,6 +302,7 @@ class _Certificate:
         return None
 
 
+@config_memo(_obstruction_cache)
 def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
                                candidate_budget: int) -> ObstructionSet:
     n = config.size

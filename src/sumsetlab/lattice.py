@@ -12,6 +12,7 @@ default normalization pivot.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -375,6 +376,34 @@ class PointConfig:
 
     def index_of(self, point) -> int:
         return self.points.index(_as_point(point))
+
+
+CACHE_ENTRIES = 1024  # results one memo store holds before it is emptied
+
+
+def config_memo(store: dict):
+    """Memoize ``fn(config, *args)`` in ``store`` under the key
+    ``(config.points, config.dim, *args)``: configurations with equal points
+    share results, whatever their normalization.  A full store (CACHE_ENTRIES
+    results) is emptied.  Results are shared, so they must be immutable.
+    """
+    def decorate(fn):
+        missing = object()
+
+        @functools.wraps(fn)
+        def memoized(config, *args):
+            key = (config.points, config.dim, *args)
+            value = store.get(key, missing)
+            if value is missing:
+                value = fn(config, *args)
+                if len(store) >= CACHE_ENTRIES:
+                    store.clear()
+                store[key] = value
+            return value
+
+        return memoized
+
+    return decorate
 
 
 def normalize_config(config: PointConfig, pivot=None) -> PointConfig:

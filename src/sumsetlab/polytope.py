@@ -28,6 +28,7 @@ from .errors import (
 from .lattice import (
     Point,
     PointConfig,
+    config_memo,
     content,
     determinant,
     hermite_basis,
@@ -125,22 +126,13 @@ _volume_cache: dict[tuple, "VolumeData"] = {}
 _triangulation_cache: dict[tuple, "Triangulation"] = {}
 
 
+@config_memo(_hull_cache)
 def convex_hull(config: PointConfig) -> Polytope:
     """Exact facets and extremal points of the hull of ``config``.
 
     Requires the points to span the full ambient space; degenerate inputs
     should be normalized first so the ambient dimension matches the rank.
     """
-    key = (config.points, config.dim)
-    cached = _hull_cache.get(key)
-    if cached is not None:
-        return cached
-    poly = _convex_hull_uncached(config)
-    _hull_cache[key] = poly
-    return poly
-
-
-def _convex_hull_uncached(config: PointConfig) -> Polytope:
     d = config.dim
     pts = config.points
     if d == 0:
@@ -216,6 +208,7 @@ def _subset_dets(pts, d):
         yield abs(determinant(rows))
 
 
+@config_memo(_volume_cache)
 def volumes(config: PointConfig) -> VolumeData:
     """Hull volume, extreme simplex determinants, and infinity-norm width.
 
@@ -223,16 +216,6 @@ def volumes(config: PointConfig) -> VolumeData:
     (d+1)-point subsets; det_max / d! is the largest simplex volume spanned
     by the points.
     """
-    key = (config.points, config.dim)
-    cached = _volume_cache.get(key)
-    if cached is not None:
-        return cached
-    data = _volumes_uncached(config)
-    _volume_cache[key] = data
-    return data
-
-
-def _volumes_uncached(config: PointConfig) -> VolumeData:
     d = config.dim
     pts = config.points
     width = 0
@@ -313,6 +296,7 @@ def _triangulate(points, dim, apex) -> list[tuple[Point, ...]]:
     return sorted(set(simplices))
 
 
+@config_memo(_triangulation_cache)
 def triangulate_from_origin(config: PointConfig) -> Triangulation:
     """Partition the hull into simplices sharing the origin as a vertex.
 
@@ -320,20 +304,13 @@ def triangulate_from_origin(config: PointConfig) -> Triangulation:
     linearly independent extremal points (plus the implicit origin), and the
     simplex volumes add up to the hull volume exactly.
     """
-    key = (config.points, config.dim)
-    cached = _triangulation_cache.get(key)
-    if cached is not None:
-        return cached
     d = config.dim
     zero = (0,) * d
     if zero not in config.points or zero not in config.extremal():
         raise PreconditionError("origin must be an extremal point of the hull")
     if d == 0:
-        tri = Triangulation(simplices=((),))
-    else:
-        tri = Triangulation(simplices=tuple(_triangulate(config.points, d, zero)))
-    _triangulation_cache[key] = tri
-    return tri
+        return Triangulation(simplices=((),))
+    return Triangulation(simplices=tuple(_triangulate(config.points, d, zero)))
 
 
 def facet_height_ratio(config: PointConfig) -> Fraction:

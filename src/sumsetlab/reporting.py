@@ -123,11 +123,11 @@ def khovanskii_section(config: PointConfig, caps: Caps, route: str) -> tuple[dic
             "weight_required": render_int(obs.weight_required),
         }
         partial |= not obs.exact
-    if route == "interpolation":
-        poly = khovanskii_polynomial(config, route="interpolation",
-                                     cap_points=caps.cap_points)
-    else:
+    if route == "auto":
         poly = threshold.polynomial
+    else:
+        poly = khovanskii_polynomial(config, route=route, obstructions=obs,
+                                     cap_points=caps.cap_points)
     section["polynomial"] = str(poly)
     section["polynomial_coefficients"] = [
         render_rational(c) for c in poly.coefficients]

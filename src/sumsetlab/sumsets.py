@@ -452,7 +452,8 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
             raise BudgetExceededError(
                 f"semigroup sieve level {t} needs more than {cap_points} points",
                 reached=t - 1, partial=sieve(t - 1))
-        level = kernels.sorted_unique(
+        # a level that no generator weight reaches stays empty, unmerged
+        level = empty if rows == 0 else kernels.sorted_unique(
             np.concatenate([empty] + [lv + step for lv, step in parts]))
         levels.append(level)
         held += len(level)

@@ -61,6 +61,20 @@ class TestKhovanskiiCommand:
         i = json.loads(out_interp)["khovanskii"]["polynomial"]
         assert f == i == "5*X - 5"
 
+    def test_formula_route_refuses_a_truncated_scan(self, capsys, tmp_path):
+        # the scan truncates on this set: "auto" interpolates the sizes and
+        # exits 3 with a report, "formula" has no exact set to expand
+        path = tmp_path / "truncating.txt"
+        path.write_text("2\n5\n6\n7\n13\n15\n")
+        code, out, _ = run_cli(capsys, "khovanskii", "--input", str(path))
+        assert code == 3
+        assert json.loads(out)["khovanskii"]["polynomial"] == "13*X - 5"
+        code, out, err = run_cli(capsys, "khovanskii", "--input", str(path),
+                                 "--route", "formula")
+        assert (code, out) == (3, "")
+        assert err == ("error: budget exhausted: obstruction set truncated "
+                       "or too large for the formula route\n")
+
 
 class TestGrowthCommand:
     def test_csv_rows(self, capsys, square_json):

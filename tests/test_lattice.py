@@ -6,12 +6,15 @@ from sumsetlab import (
     DimensionError,
     PointConfig,
     PreconditionError,
+    circuits,
     determinant,
     integer_kernel,
     lattice_basis,
     normalize_config,
 )
+from sumsetlab import lattice, polytope
 from sumsetlab.lattice import (
+    Normalization,
     convex_coefficients,
     extremal_points,
     hermite_basis,
@@ -210,3 +213,36 @@ class TestNormalize:
     def test_sumset_sizes_invariant(self, corpus):
         for name, raw, norm in corpus:
             assert growth_sizes(raw, 10) == growth_sizes(norm, 10), name
+
+
+class TestConfigMemo:
+    """One bounded memo keyed on (points, dim, *args) serves every cache."""
+
+    def test_equal_points_share_one_entry(self):
+        polytope._hull_cache.clear()
+        plain = PointConfig(points=((0, 0), (2, 0), (0, 3)), dim=2)
+        tagged = PointConfig(points=plain.points, dim=2, normalized=True,
+                             normalization=Normalization((1, 1), None, 2))
+        assert convex_hull(plain) is convex_hull(tagged)
+        assert list(polytope._hull_cache) == [(plain.points, 2)]
+
+    def test_full_store_is_emptied(self, monkeypatch):
+        configs = [PointConfig.from_points([(0, 0), (k, 0), (0, 1), (1, k)])
+                   for k in range(1, 6)]
+        polytope._hull_cache.clear()
+        expected = [convex_hull(c) for c in configs]
+        polytope._hull_cache.clear()
+        monkeypatch.setattr(lattice, "CACHE_ENTRIES", 3)
+        for cfg, want in zip(configs, expected):
+            assert convex_hull(cfg) == want
+            assert len(polytope._hull_cache) <= 3
+        assert [convex_hull(c) for c in configs] == expected
+        assert len(polytope._hull_cache) <= 3
+
+    def test_circuits_are_a_fresh_list(self):
+        cfg = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+        first = circuits(cfg)
+        want = list(first)
+        first.append((9, 9, 9, 9))
+        first[0] = (0, 0, 0, 0)
+        assert circuits(cfg) == want

@@ -261,6 +261,21 @@ class TestSemigroup:
         ok, cert = semigroup_contains(STRIP, (0, 0))
         assert ok and cert == {}
 
+    def test_sieve_skips_unreachable_levels(self, monkeypatch):
+        # on {0, 1024} only level 1024 holds a point: one merge, not 1024
+        calls = []
+        sorted_unique = kernels.sorted_unique
+
+        def counted(keys):
+            calls.append(len(keys))
+            return sorted_unique(keys)
+
+        monkeypatch.setattr(kernels, "sorted_unique", counted)
+        oracle = SemigroupOracle(PointConfig.from_points([(0,), (1024,)]))
+        assert oracle.contains((1024,))
+        assert calls == [1]
+        assert not oracle.contains((1023,))
+
     def test_agrees_with_sumsets(self, corpus):
         # every point of NA for N <= 5 is a member; members found in the
         # region but missing from all NA up to 5 must need weight > 5
