@@ -152,7 +152,7 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     scan alone would have run out of budget later (hexagon6 with a budget
     of 1.5M: exact at 108, where the scan alone stops at weight 74).
     """
-    return _minimal_obstructions_scan(config, max_weight, candidate_budget)
+    return _cached_scan(config, max_weight, candidate_budget)
 
 
 _WORD_LIMIT = 1 << 62  # every key word stays below this
@@ -302,7 +302,6 @@ class _Certificate:
         return None
 
 
-@config_memo(_obstruction_cache)
 def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
                                candidate_budget: int) -> ObstructionSet:
     n = config.size
@@ -360,6 +359,9 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
     status = "truncated" if (truncated or cap < required) else "exact"
     return ObstructionSet(elements=tuple(sorted(found)), status=status,
                           weight_scanned=scanned, weight_required=required)
+
+
+_cached_scan = config_memo(_obstruction_cache)(_minimal_obstructions_scan)
 
 
 def _subset_weights(elements) -> dict[int, int]:
@@ -507,6 +509,7 @@ class ThresholdResult:
     bound: int   # top of the window actually verified
     polynomial: RationalPolynomial
     obstructions: ObstructionSet | None
+    route: str   # "formula" | "interpolation": how the polynomial was found
 
 
 def khovanskii_threshold(config: PointConfig, *,
@@ -552,7 +555,7 @@ def khovanskii_threshold(config: PointConfig, *,
         while value > 1 and counts[value - 1] == poly(value - 1):
             value -= 1
         return ThresholdResult(value=value, status="exact", bound=window_top,
-                               polynomial=poly, obstructions=obs)
+                               polynomial=poly, obstructions=obs, route="formula")
     # truncated obstructions: fall back to sumset iteration alone
     d = config.dim
     want = bounds.sharp + d + 1
@@ -579,4 +582,4 @@ def khovanskii_threshold(config: PointConfig, *,
     while value > 1 and poly(value - 1) == sizes[value - 2]:
         value -= 1
     return ThresholdResult(value=value, status=status, bound=window_top,
-                           polynomial=poly, obstructions=obs)
+                           polynomial=poly, obstructions=obs, route="interpolation")

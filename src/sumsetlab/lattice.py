@@ -385,16 +385,14 @@ def config_memo(store: dict):
     """Memoize ``fn(config, *args)`` in ``store`` under the key
     ``(config.points, config.dim, *args)``: configurations with equal points
     share results, whatever their normalization.  A full store (CACHE_ENTRIES
-    results) is emptied.  Results are shared, so they must be immutable.
+    results) is emptied.  Results are shared, so must be immutable (not None).
     """
     def decorate(fn):
-        missing = object()
-
         @functools.wraps(fn)
         def memoized(config, *args):
             key = (config.points, config.dim, *args)
-            value = store.get(key, missing)
-            if value is missing:
+            value = store.get(key)
+            if value is None:
                 value = fn(config, *args)
                 if len(store) >= CACHE_ENTRIES:
                     store.clear()

@@ -123,7 +123,8 @@ def khovanskii_section(config: PointConfig, caps: Caps, route: str) -> tuple[dic
             "weight_required": render_int(obs.weight_required),
         }
         partial |= not obs.exact
-    if route == "auto":
+    # the threshold's polynomial serves auto, and formula when it came from there
+    if route == "auto" or route == threshold.route == "formula":
         poly = threshold.polynomial
     else:
         poly = khovanskii_polynomial(config, route=route, obstructions=obs,

@@ -1,9 +1,10 @@
 """The names the benchmark under perfbench/ reaches into still exist.
 
-The tracer wraps sumsetlab functions by name and reads the hull memo store,
-and the benchmark scripts import sumsetlab names, so a rename in src/ would
-otherwise break the benchmark without failing any test.  The scripts are
-read with ast, never run.
+The tracer wraps sumsetlab functions by name and the benchmark scripts
+import sumsetlab names, so a rename in src/ would otherwise break the
+benchmark without failing any test.  The scripts are read with ast, never
+run.  The key the tracer looks up in the hull memo store is pinned by
+TestConfigMemo in test_lattice.py.
 """
 
 import ast
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from sumsetlab import PointConfig, kernels, polytope
+from sumsetlab import kernels
 from sumsetlab.sumsets import SemigroupOracle
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -61,10 +62,3 @@ def test_kernels_compare_imports_resolve():
     assert ("sumsetlab.kernels", "active_backend") in found
     for module, name in found:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
-
-
-def test_hull_store_is_keyed_on_points():
-    # the tracer counts a hull-cache hit when this key is present before a call
-    cfg = PointConfig.from_points([(0, 0), (3, 0), (0, 2), (1, 1)])
-    polytope.convex_hull(cfg)
-    assert (cfg.points, cfg.dim) in polytope._hull_cache

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sumsetlab
-from sumsetlab import kernels
+from sumsetlab import kernels, khovanskii
 from sumsetlab.cli import main
 
 from corpus import CORPUS
@@ -74,6 +74,17 @@ class TestKhovanskiiCommand:
         assert (code, out) == (3, "")
         assert err == ("error: budget exhausted: obstruction set truncated "
                        "or too large for the formula route\n")
+
+    def test_formula_route_expands_once(self, capsys, a135_txt, monkeypatch):
+        # the threshold already expanded the formula; the report reuses it
+        calls = []
+        expand = khovanskii._subset_weights
+        monkeypatch.setattr(khovanskii, "_subset_weights",
+                            lambda elements: calls.append(elements) or expand(elements))
+        code, out, _ = run_cli(capsys, "khovanskii", "--input", a135_txt,
+                               "--route", "formula")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["khovanskii"]["polynomial"] == "5*X - 5"
 
 
 class TestGrowthCommand:

@@ -117,9 +117,6 @@ def _fields(obs):
 # shared by the forced word-limit runs
 _row_scan = functools.cache(obstructions_by_rows)
 
-# the scan itself, past its memo, so patched module state takes effect
-_scan = khovanskii._minimal_obstructions_scan.__wrapped__
-
 
 def _capped_configs(corpus):
     norms = [norm for _, _, norm in corpus]
@@ -140,7 +137,7 @@ class TestKeyPackedScan:
         # candidates go through lexsort and pure powers are found word by word
         monkeypatch.setattr(khovanskii, "_WORD_LIMIT", 1 << 12)
         for name, _, norm in corpus:
-            got = _scan(norm, None, 5_000_000)
+            got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
             assert _fields(got) == _row_scan(norm), name
 
     @pytest.mark.parametrize("limit", [1 << 62, 1 << 12, 1])
@@ -149,7 +146,7 @@ class TestKeyPackedScan:
         # extends one survivor, (1, 0, 0): a minimal element with run length 1
         monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
         cfg = PointConfig(points=((1,), (0,), (2,)), dim=1)
-        got = _scan(cfg, None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(cfg, None, 5_000_000)
         assert (2, 0, 0) in got.elements
         assert _fields(got) == obstructions_by_rows(cfg)
 
@@ -159,7 +156,7 @@ class TestKeyPackedScan:
     def test_forced_word_limit(self, corpus, monkeypatch, limit):
         monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
         for norm in _capped_configs(corpus):
-            got = _scan(norm, 12, 200_000)
+            got = khovanskii._minimal_obstructions_scan(norm, 12, 200_000)
             assert _fields(got) == _row_scan(norm, 12, 200_000), \
                 (limit, norm.points)
 
@@ -181,7 +178,7 @@ class TestKeyPackedScan:
     def test_several_words_full_cap(self):
         cfg = normalize_config(PointConfig.from_points(
             [(x,) for x in (0, 1, 3, 4, 7, 9, 10, 13, 14, 17, 19, 20)]))
-        got = _scan(cfg, None, 300_000)
+        got = khovanskii._minimal_obstructions_scan(cfg, None, 300_000)
         assert _fields(got) == obstructions_by_rows(cfg, None, 300_000)
 
     def test_pinned_values(self):
@@ -233,20 +230,20 @@ class TestCertificate:
 
         monkeypatch.setattr(khovanskii._LevelKeys, "candidates", recorded)
         norm = _norm(HEXAGON6)
-        got = _scan(norm, None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
         assert _fields(got) == _row_scan(norm)
         assert len(levels) <= 3 and got.weight_scanned == 108
         assert checks[-1] == (3, 9, None)
 
     def test_failed_checks_resume_at_the_gap(self, checks):
         norm = _norm([(0,), (2,), (5,), (11,), (12,)])
-        got = _scan(norm, None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
         assert _fields(got) == _row_scan(norm)
         # no element weighs 6, so the check after weight 5 skips a level
         assert checks == [(2, 0, 3), (3, 5, 4), (4, 7, 5), (5, 10, 7), (7, 11, None)]
 
     def test_truncating_set_stays_on_the_scan(self, checks):
-        got = _scan(_norm(TRUNCATING), None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(_norm(TRUNCATING), None, 5_000_000)
         assert (len(got.elements), got.status, got.weight_scanned,
                 got.weight_required) == (24, "truncated", 427, 468)
         # 2 elements after weight 2, 13 after weight 3: past the gate
@@ -260,7 +257,7 @@ class TestCertificate:
         levels = khovanskii.sumset_levels
         monkeypatch.setattr(khovanskii, "sumset_levels", inflated)
         with pytest.raises(InternalInvariantError, match="below"):
-            _scan(_norm(HEXAGON6), None, 5_000_000)
+            khovanskii._minimal_obstructions_scan(_norm(HEXAGON6), None, 5_000_000)
 
     @pytest.mark.parametrize("budget", [2_000, 20_000, 200_000, 400_000])
     def test_budget_falls_back_to_the_scan(self, budget, checks):
@@ -268,21 +265,21 @@ class TestCertificate:
         # up past it; the scan's candidates are counted as before
         for pts in (HEXAGON6, [(0,), (2,), (5,), (11,), (12,)], TRUNCATING):
             norm = _norm(pts)
-            got = _scan(norm, None, budget)
+            got = khovanskii._minimal_obstructions_scan(norm, None, budget)
             assert _fields(got) == _row_scan(norm, None, budget), (pts, budget)
 
     def test_certified_past_the_scans_budget(self):
         # the scan alone runs out of candidates at weight 74; the sizes up
         # to 108 hold 1.3M points, so the certificate fits the budget
         norm = _norm(HEXAGON6)
-        got = _scan(norm, None, 1_500_000)
+        got = khovanskii._minimal_obstructions_scan(norm, None, 1_500_000)
         assert _fields(got) == _row_scan(norm)
         assert _row_scan(norm, None, 1_500_000)[1:3] == ("truncated", 74)
 
     def test_no_certificate_without_the_int64_box(self, monkeypatch, corpus, checks):
         monkeypatch.setattr(khovanskii, "_frontier_box", lambda config, n_max: None)
         for name, _, norm in corpus:
-            got = _scan(norm, None, 5_000_000)
+            got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
             assert _fields(got) == _row_scan(norm), name
         assert checks == []
 
