@@ -38,7 +38,12 @@ identical results, and prints tables:
 * the frontier iteration stepping packed keys by the generators' key
   offsets (sizes-only ``sumset_levels``) against the same iteration on
   point rows (decode, ``kernels.sumset_step`` on rows, pack), for hexagon6
-  to N=150 and {0,2,5,11,12} to N=1000.
+  to N=150 and {0,2,5,11,12} to N=1000;
+* the Hilbert series numerator of the obstruction ideal by the pivot
+  recursion (``khovanskii._hilbert_numerator``) against inclusion-exclusion
+  over every subset (``subset_weights`` of ``tests/oracles.py``), on the
+  obstruction sets of at most 16 elements among the same 47 sets, and the
+  pivot recursion alone on the 24 elements of the pinned truncating set.
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
@@ -382,6 +387,35 @@ def obstruction_certificate(repeat):
           f"({sum(len(r.elements) for r in r_ct)} elements)")
 
 
+def numerator_against_subsets(repeat):
+    here = os.path.dirname(__file__)
+    sys.path.insert(0, os.path.join(here, "..", "tests"))
+    sys.path.insert(0, os.path.join(here, "..", "perfbench"))
+    import workloads
+    from corpus import CORPUS
+    from oracles import subset_weights
+
+    sets = [pts for _, pts in CORPUS] + [
+        [tuple(p) for p in group[0]["points"]]
+        for group in workloads.khovanskii_random(workloads.DRAW_SEED)]
+    found = [khovanskii.minimal_obstructions(
+        normalize_config(PointConfig.from_points(pts))).elements for pts in sets]
+    small = [g for g in found if len(g) <= 16]
+    large = [g for g in found if len(g) > 16]
+    print(f"{'workload':38s} {'pivot':>10s} {'subsets':>10s} {'ratio':>8s}")
+    t_pv, r_pv = bench(lambda: [khovanskii._hilbert_numerator(g) for g in small],
+                       (), repeat)
+    t_ss, r_ss = bench(lambda: [subset_weights(g) for g in small], (), 1)
+    assert r_pv == r_ss
+    print(f"{f'numerators, {len(small)} sets of <= 16':38s} {t_pv * 1e3:8.2f}ms "
+          f"{t_ss * 1e3:8.2f}ms {t_ss / t_pv:7.2f}x   "
+          f"(largest {max(map(len, small))} elements)")
+    t_lg, _ = bench(lambda: [khovanskii._hilbert_numerator(g) for g in large],
+                    (), repeat)
+    print(f"{f'numerators, {len(large)} sets of > 16':38s} {t_lg * 1e3:8.2f}ms "
+          f"{'-':>10s} {'-':>8s}   ({', '.join(str(len(g)) for g in large)} elements)")
+
+
 def _row_frontier_sizes(cfg, n_max):
     """|N*A| by the frontier iteration on point rows: each level steps the
     rows of its new points by the generators and packs the sums again."""
@@ -443,6 +477,8 @@ def main():
     obstruction_certificate(args.repeat)
     print()
     frontier_keys(args.repeat)
+    print()
+    numerator_against_subsets(args.repeat)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 |NA| counts the distinct values of weight-N nonnegative combinations of the
 points, which equals the number of lexicographically-least exponent vectors
 of weight N.  The vectors that are *not* lex-least form an upward-closed
-set; its finitely many coordinate-minimal elements drive everything here:
-an inclusion-exclusion size formula, the exact growth polynomial, and the
+set; its finitely many coordinate-minimal elements G generate a monomial
+ideal I, and |hA| is the Hilbert function of S/I at h.  The numerator of
+its Hilbert series, from the Bayer-Stillman pivot recursion, drives
+everything here: the size formula, the exact growth polynomial, and the
 exact onset threshold.
 """
 
@@ -87,8 +89,11 @@ class ObstructionSet:
 
     Exponent vectors m and m' are in one class when they share weight and
     point combination; the non-lex-least ones form an upward-closed set, and
-    ``elements`` are its finitely many minimal members.  ``status`` is
-    "truncated" when a weight cap or candidate budget cut the scan short.
+    ``elements`` are its finitely many minimal members: the minimal
+    generators of a monomial ideal whose Hilbert series numerator
+    (_hilbert_numerator) gives |hA| for every h when the set is exact.
+    ``status`` is "truncated" when a weight cap or candidate budget cut the
+    scan short; every element is still genuine, but some may be missing.
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -139,7 +144,8 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     The scan usually stops long before its cap, by counting (_Certificate):
     after level h, while at most _CERTIFY_MAX_ELEMENTS elements are known,
     the monomials of each weight k in h+1..cap outside the ideal they
-    generate are counted by inclusion-exclusion and compared with |kA|.
+    generate are counted from its Hilbert series numerator and compared
+    with |kA|.
     Equal counts at every k prove no element missing, and the scan ends
     with ``weight_scanned`` = cap; the first k that differs is the weight
     of a missing element, and the scan goes on through k and checks
@@ -253,8 +259,11 @@ class _LevelKeys:
         return cols
 
 
-# Largest set of elements found that the counting certificate expands:
-# 2^12 subsets take about 15 ms, 2^20 several seconds.
+# Largest set of elements found that the counting certificate checks.  The
+# pivot numerator is cheap at any size, and without this gate the set
+# {2,5,6,7,13,15} pinned in the khovanskii-random benchmark workload is
+# certified exact at 468 from its 24 elements; perfbench/refs records it as
+# truncated at 427, so the gate stays until those references are refreshed.
 _CERTIFY_MAX_ELEMENTS = 12
 
 
@@ -289,7 +298,7 @@ class _Certificate:
     def first_gap(self, found, h: int) -> int | None:
         """The least k in h+1..cap at which an element of weight k is
         missing from ``found`` (complete through weight h), or None."""
-        weights = _subset_weights(found)
+        weights = _hilbert_numerator(found)
         for k in range(h + 1, self.cap + 1):
             outside = _size_from_weights(weights, self.n, k)
             size = self._size(k)
@@ -364,46 +373,67 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
 _cached_scan = config_memo(_obstruction_cache)(_minimal_obstructions_scan)
 
 
-def _subset_weights(elements) -> dict[int, int]:
-    """Signed subset counts keyed by the weight of the componentwise max."""
-    acc: dict[int, int] = {}
+def _minimal_monomials(exponents) -> list[tuple[int, ...]]:
+    """The exponent vectors that no other one in ``exponents`` divides."""
+    out: list[tuple[int, ...]] = []
+    for m in sorted(set(exponents), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+            out.append(m)
+    return out
 
-    def rec(i: int, cur: tuple[int, ...], sign: int):
-        if i == len(elements):
-            w = sum(cur)
-            acc[w] = acc.get(w, 0) + sign
-            return
-        rec(i + 1, cur, sign)
-        rec(i + 1, tuple(max(a, b) for a, b in zip(cur, elements[i])), -sign)
 
-    if elements:
-        width = len(elements[0])
-    else:
-        width = 0
-    rec(0, (0,) * width, 1)
-    return acc
+def _hilbert_numerator(elements) -> dict[int, int]:
+    """K(t) with K(t) / (1 - t)^n the Hilbert series of S / (x^m : m in
+    ``elements``), S the polynomial ring in n variables, as {weight: coeff}.
+
+    Bayer-Stillman pivot recursion: for a variable power p = x_j^e the exact
+    sequence 0 -> S/(I : p)(-e) -> S/I -> S/(I + (p)) -> 0 gives
+    K(I) = K(I + (p)) + t^e K(I : p).  Bigatti's pivot takes j as the
+    variable in most generators that are not pure powers and e as the median
+    of its exponents there, so I + (p) has fewer such generators and I : p
+    smaller ones.  Once every generator is a pure power x_j^a (at most one
+    per variable), K = prod (1 - t^a).
+    """
+    def numerator(gens: list[tuple[int, ...]]) -> dict[int, int]:
+        mixed = [g for g in gens if sum(map(bool, g)) > 1]
+        if not mixed:
+            poly = {0: 1}
+            for g in gens:
+                a = sum(g)
+                times = dict(poly)  # poly * (1 - t^a)
+                for w, c in poly.items():
+                    times[w + a] = times.get(w + a, 0) - c
+                poly = times
+            return poly
+        j = max(range(len(gens[0])), key=lambda i: sum(g[i] > 0 for g in mixed))
+        powers = sorted(g[j] for g in mixed if g[j])
+        e = powers[len(powers) // 2]
+        pivot = tuple(e * (i == j) for i in range(len(gens[0])))
+        out = numerator(_minimal_monomials([g for g in gens if g[j] < e] + [pivot]))
+        quotient = [g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in gens]
+        for w, c in numerator(_minimal_monomials(quotient)).items():
+            out[w + e] = out.get(w + e, 0) + c
+        return out
+
+    poly = numerator(_minimal_monomials(map(tuple, elements)))
+    return {w: c for w, c in poly.items() if c}
 
 
 def sumset_size_formula(config: PointConfig, obstructions: ObstructionSet, h: int) -> int:
-    """|hA| by inclusion-exclusion over subsets of the minimal obstructions.
+    """|hA| from the Hilbert series numerator of the obstruction ideal.
 
-    Each subset T contributes (-1)^|T| * C(h - wt(max T) + l - 1, l - 1) with
-    the binomial read as 0 whenever its upper index drops below l - 1.
-    Requires an exact obstruction set and at most 20 elements (2^20 subsets);
-    past that, use the interpolation route of khovanskii_polynomial.
+    With K(t) = sum_w c_w t^w (_hilbert_numerator), |hA| = sum_w c_w *
+    C(h - w + l - 1, l - 1), the binomial read as 0 whenever its upper index
+    drops below l - 1.  Requires an exact obstruction set, of any size.
     """
     if not obstructions.exact:
         raise PreconditionError("size formula needs an exact obstruction set")
-    if len(obstructions.elements) > 20:
-        raise BudgetExceededError(
-            "obstruction set too large for subset enumeration; "
-            "use the interpolation route")
-    return _size_from_weights(_subset_weights(obstructions.elements),
+    return _size_from_weights(_hilbert_numerator(obstructions.elements),
                               config.size, h)
 
 
 def _size_from_weights(weights: dict[int, int], n: int, h: int) -> int:
-    """The inclusion-exclusion sum for |hA| over precomputed subset weights."""
+    """|hA| from a Hilbert series numerator {weight: coefficient}."""
     total = 0
     for w, count in weights.items():
         if count == 0:
@@ -460,17 +490,33 @@ def _growth_sizes_capped(config: PointConfig, n_target: int,
     return sizes
 
 
+def _interpolate_past_sharp(sizes: list[int], sharp: int,
+                            d: int) -> RationalPolynomial | None:
+    """The polynomial through |NA| at N = sharp..sharp + d, verified at
+    N = sharp + d + 1; None when ``sizes`` (|NA| from N = 1) stop short."""
+    top = sharp + d + 1
+    if len(sizes) < top:
+        return None
+    poly = interpolate_consecutive(sharp, sizes[sharp - 1:sharp + d])
+    if poly(top) != sizes[top - 1]:
+        raise InternalInvariantError(
+            "interpolated growth polynomial failed its verification point")
+    if poly.degree > d:
+        raise InternalInvariantError("interpolated polynomial degree too high")
+    return poly
+
+
 def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
                           obstructions: ObstructionSet | None = None,
                           max_weight: int | None = None,
                           cap_points: int = 10 ** 7) -> RationalPolynomial:
     """The degree <= dim polynomial equal to |NA| for all large N.
 
-    route "formula": expand the inclusion-exclusion sum exactly (needs the
-    exact obstruction set, degree drops by cancellation).  route
-    "interpolation": fit |NA| on the proven-stable window just past the
-    sharp bound and verify one step further.  "auto" prefers the formula and
-    falls back when the obstruction scan is truncated.
+    route "formula": expand the size formula exactly (needs the exact
+    obstruction set, degree drops by cancellation).  route "interpolation":
+    fit |NA| on the proven-stable window just past the sharp bound and
+    verify one step further.  "auto" prefers the formula and falls back
+    when the obstruction scan is truncated.
     """
     if route not in ("auto", "formula", "interpolation"):
         raise PreconditionError(f"unknown route {route!r}")
@@ -478,27 +524,21 @@ def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
         obs = obstructions
         if obs is None:
             obs = minimal_obstructions(config, max_weight=max_weight)
-        if obs.exact and len(obs.elements) <= 20:
-            return _formula_polynomial(config, _subset_weights(obs.elements))
+        if obs.exact:
+            return _formula_polynomial(config, _hilbert_numerator(obs.elements))
         if route == "formula":
             raise BudgetExceededError(
-                "obstruction set truncated or too large for the formula route",
+                "obstruction set truncated; the formula route needs an exact set",
                 reached=obs.weight_scanned)
-    bound = khovanskii_bounds(config).sharp
-    d = config.dim
-    top = bound + d + 1
+    sharp = khovanskii_bounds(config).sharp
+    top = sharp + config.dim + 1
     sizes = _growth_sizes_capped(config, top, cap_points)
-    if len(sizes) < top:
+    poly = _interpolate_past_sharp(sizes, sharp, config.dim)
+    if poly is None:
         raise BudgetExceededError(
             f"interpolation needs |NA| up to N={top} but the point budget "
             f"stopped at N={len(sizes)}",
             reached=len(sizes))
-    poly = interpolate_consecutive(bound, sizes[bound - 1:bound + d])
-    if poly(top) != sizes[top - 1]:
-        raise InternalInvariantError(
-            "interpolated growth polynomial failed its verification point")
-    if poly.degree > d:
-        raise InternalInvariantError("interpolated polynomial degree too high")
     return poly
 
 
@@ -529,9 +569,9 @@ def khovanskii_threshold(config: PointConfig, *,
     n = config.size
     bounds = khovanskii_bounds(config)
     obs = minimal_obstructions(config, max_weight=max_weight)
-    if obs.exact and len(obs.elements) <= 20:
-        # one subset expansion serves the polynomial and every count below
-        weights = _subset_weights(obs.elements)
+    if obs.exact:
+        # one numerator serves the polynomial and every count below
+        weights = _hilbert_numerator(obs.elements)
         poly = _formula_polynomial(config, weights)
         window_top = max(1, min(bounds.sharp, obs.column_max_weight() - n + 1))
         small_top = min(window_top, max_n if max_n is not None else window_top,
@@ -562,15 +602,12 @@ def khovanskii_threshold(config: PointConfig, *,
     if max_n is not None:
         want = min(want, max_n)
     sizes = _growth_sizes_capped(config, want, cap_points)
-    top = len(sizes)
-    if top >= bounds.sharp + d + 1:
-        poly = interpolate_consecutive(bounds.sharp, sizes[bounds.sharp - 1:bounds.sharp + d])
-        if poly(bounds.sharp + d + 1) != sizes[bounds.sharp + d]:
-            raise InternalInvariantError(
-                "interpolated growth polynomial failed its verification point")
+    poly = _interpolate_past_sharp(sizes, bounds.sharp, d)
+    if poly is not None:
         window_top = bounds.sharp
         status = "exact"
     else:
+        top = len(sizes)
         if top < d + 2:
             raise BudgetExceededError(
                 "not enough sumset levels within budget to fit a polynomial",

@@ -13,7 +13,6 @@ default normalization pivot.  No floating point is used anywhere.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -29,21 +28,6 @@ Point = tuple[int, ...]
 
 def _as_point(coords) -> Point:
     return tuple(int(c) for c in coords)
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def determinant(rows) -> int:
@@ -245,33 +229,6 @@ def solve_rational(rows, rhs) -> tuple[list[Fraction], int] | None:
     for i, c in enumerate(pivots):
         sol[c] = m[i][ncols]
     return sol, len(pivots)
-
-
-def convex_coefficients(point, generators, dim) -> list[Fraction] | None:
-    """Exact convex-combination coefficients of ``point`` over ``generators``.
-
-    Searches affinely independent subsets of size <= dim + 1 (every point of
-    a hull lies in a simplex spanned by hull points), returning coefficients
-    indexed like ``generators`` or None when no combination exists.
-    """
-    gens = [_as_point(g) for g in generators]
-    target = list(point) + [1]
-    for size in range(1, min(len(gens), dim + 1) + 1):
-        for idxs in itertools.combinations(range(len(gens)), size):
-            cols = [list(gens[i]) + [1] for i in idxs]
-            rows = [[cols[j][k] for j in range(size)] for k in range(dim + 1)]
-            solved = solve_rational(rows, target)
-            if solved is None:
-                continue
-            sol, rank = solved
-            if rank < size:
-                continue  # affinely dependent subset; a smaller one covers it
-            if all(c >= 0 for c in sol):
-                out = [Fraction(0)] * len(gens)
-                for i, c in zip(idxs, sol):
-                    out[i] = c
-                return out
-    return None
 
 
 def extremal_points(points, dim) -> list[Point]:

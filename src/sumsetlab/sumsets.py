@@ -230,11 +230,6 @@ def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
     return GrowthTable(records=tuple(records))
 
 
-def growth_sizes(config: PointConfig, n_max: int, cap_points: int = 10 ** 7) -> list[int]:
-    """|N*A| for N = 1..n_max (same budget behavior as sumset_iterate)."""
-    return sumset_iterate(config, n_max, cap_points=cap_points).sizes()
-
-
 class SemigroupOracle:
     """Membership in the semigroup P(B) of the nonzero points B of a config.
 

@@ -5,8 +5,11 @@ determinants instead of fraction-free elimination, multiset enumeration
 instead of incremental sumsets, box sieves and memoized per-point descent
 (the DFS semigroup oracle) instead of the library's ell-level semigroup
 sieve and its generator-count levels, rational plane-solving instead of
-cofactor normals, and a convex-combination search instead of facet
-incidence for hull vertices.  Slow but exact.
+cofactor normals, a convex-combination search instead of facet
+incidence for hull vertices, and inclusion-exclusion over every subset of
+the obstruction set instead of the pivot recursion for the Hilbert series
+numerator.  Slow but exact.  ``growth_sizes`` is only a shorthand for the
+library's iterated sumset sizes.
 """
 
 from fractions import Fraction
@@ -15,8 +18,14 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 
 from sumsetlab.errors import PreconditionError
-from sumsetlab.lattice import PointConfig, hermite_basis, solve_in_lattice
+from sumsetlab.lattice import (
+    PointConfig,
+    hermite_basis,
+    solve_in_lattice,
+    solve_rational,
+)
 from sumsetlab.polytope import cone_constraints, convex_hull
+from sumsetlab.sumsets import sumset_iterate
 
 
 def naive_determinant(rows):
@@ -30,6 +39,11 @@ def naive_determinant(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * naive_determinant(minor)
     return total
+
+
+def growth_sizes(config, n_max, cap_points=10 ** 7):
+    """|N*A| for N = 1..n_max (same budget behavior as sumset_iterate)."""
+    return sumset_iterate(config, n_max, cap_points=cap_points).sizes()
 
 
 def sumset_by_enumeration(points, n):
@@ -265,8 +279,6 @@ def extremal_points_by_lp(points, dim):
     points holds it, tested with ``convex_coefficients`` (a Fraction solve
     per subset), independent of any facet enumeration.
     """
-    from sumsetlab.lattice import convex_coefficients
-
     pts = [tuple(p) for p in points]
     out = []
     for i, p in enumerate(pts):
@@ -274,6 +286,33 @@ def extremal_points_by_lp(points, dim):
         if not others or convex_coefficients(p, others, dim) is None:
             out.append(p)
     return sorted(out)
+
+
+def convex_coefficients(point, generators, dim):
+    """Exact convex-combination coefficients of ``point`` over ``generators``.
+
+    Searches affinely independent subsets of size <= dim + 1 (every point of
+    a hull lies in a simplex spanned by hull points), returning coefficients
+    indexed like ``generators`` or None when no combination exists.
+    """
+    gens = [tuple(g) for g in generators]
+    target = list(point) + [1]
+    for size in range(1, min(len(gens), dim + 1) + 1):
+        for idxs in combinations(range(len(gens)), size):
+            cols = [list(gens[i]) + [1] for i in idxs]
+            rows = [[cols[j][k] for j in range(size)] for k in range(dim + 1)]
+            solved = solve_rational(rows, target)
+            if solved is None:
+                continue
+            sol, rank = solved
+            if rank < size:
+                continue  # affinely dependent subset; a smaller one covers it
+            if all(c >= 0 for c in sol):
+                out = [Fraction(0)] * len(gens)
+                for i, c in zip(idxs, sol):
+                    out[i] = c
+                return out
+    return None
 
 
 def _solve_square(mat, rhs):
@@ -407,3 +446,21 @@ def obstructions_by_rows(config, max_weight=None, candidate_budget=5_000_000):
     status = "truncated" if (truncated or cap < required) else "exact"
     elements = tuple(sorted(tuple(int(v) for v in row) for row in found))
     return elements, status, scanned, required
+
+
+def subset_weights(elements):
+    """The Hilbert series numerator of the ideal of ``elements`` by
+    inclusion-exclusion: each subset T adds (-1)^|T| at the weight of its
+    componentwise max.  2^|G| subsets; zero coefficients are dropped."""
+    acc = {}
+
+    def rec(i, cur, sign):
+        if i == len(elements):
+            w = sum(cur)
+            acc[w] = acc.get(w, 0) + sign
+            return
+        rec(i + 1, cur, sign)
+        rec(i + 1, tuple(max(a, b) for a, b in zip(cur, elements[i])), -sign)
+
+    rec(0, (0,) * (len(elements[0]) if elements else 0), 1)
+    return {w: c for w, c in acc.items() if c}

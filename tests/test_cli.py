@@ -72,14 +72,14 @@ class TestKhovanskiiCommand:
         code, out, err = run_cli(capsys, "khovanskii", "--input", str(path),
                                  "--route", "formula")
         assert (code, out) == (3, "")
-        assert err == ("error: budget exhausted: obstruction set truncated "
-                       "or too large for the formula route\n")
+        assert err == ("error: budget exhausted: obstruction set truncated; "
+                       "the formula route needs an exact set\n")
 
     def test_formula_route_expands_once(self, capsys, a135_txt, monkeypatch):
         # the threshold already expanded the formula; the report reuses it
         calls = []
-        expand = khovanskii._subset_weights
-        monkeypatch.setattr(khovanskii, "_subset_weights",
+        expand = khovanskii._hilbert_numerator
+        monkeypatch.setattr(khovanskii, "_hilbert_numerator",
                             lambda elements: calls.append(elements) or expand(elements))
         code, out, _ = run_cli(capsys, "khovanskii", "--input", a135_txt,
                                "--route", "formula")

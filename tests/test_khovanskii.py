@@ -16,10 +16,14 @@ from sumsetlab import (
 )
 from sumsetlab import InternalInvariantError, khovanskii
 from sumsetlab.circuits import support
-from sumsetlab.sumsets import growth_sizes
 
 from corpus import random_configs
-from oracles import obstructions_by_rows, representations_by_multisets
+from oracles import (
+    growth_sizes,
+    obstructions_by_rows,
+    representations_by_multisets,
+    subset_weights,
+)
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -303,21 +307,40 @@ class TestSizeFormula:
         with pytest.raises(Exception):
             sumset_size_formula(A135, obs, 4)
 
-    def test_refuses_oversized_sets(self):
-        from sumsetlab import BudgetExceededError
-        from sumsetlab.khovanskii import ObstructionSet
-        fake = ObstructionSet(
-            elements=tuple(tuple(2 if j == i else 0 for j in range(25))
-                           for i in range(21)),
-            status="exact", weight_scanned=99, weight_required=99)
-        cfg = PointConfig.from_points([(k,) for k in range(3)])
-        with pytest.raises(BudgetExceededError, match="interpolation"):
-            sumset_size_formula(cfg, fake, 4)
+    def test_any_size_of_exact_set(self):
+        # the pinned set's scan stops at 427 with 24 elements; they are all
+        # of them, and the numerator gives every |hA| up to the cap
+        norm = _norm(TRUNCATING)
+        obs = minimal_obstructions(norm)
+        assert (len(obs.elements), obs.status) == (24, "truncated")
+        exact = khovanskii.ObstructionSet(
+            elements=obs.elements, status="exact",
+            weight_scanned=obs.weight_required,
+            weight_required=obs.weight_required)
+        sizes = growth_sizes(norm, 468)
+        assert [sumset_size_formula(norm, exact, h)
+                for h in range(1, 469)] == sizes
+
+    def test_numerator_matches_inclusion_exclusion(self, corpus):
+        # the corpus sets' full obstruction sets, and the random sets'
+        # elements up to weight 12: any monomials have the same numerator
+        sets = [minimal_obstructions(norm).elements for _, _, norm in corpus]
+        for pts in random_configs():
+            norm = normalize_config(PointConfig.from_points(pts))
+            sets.append(minimal_obstructions(
+                norm, max_weight=12, candidate_budget=200_000).elements)
+        checked = 0
+        for elements in sets:
+            if len(elements) <= 16:
+                assert khovanskii._hilbert_numerator(elements) == \
+                    subset_weights(elements), elements
+                checked += 1
+        assert checked >= 200
 
     def test_matches_growth_everywhere_small(self, corpus):
         for name, _, norm in corpus:
             obs = minimal_obstructions(norm)
-            if not obs.exact or len(obs.elements) > 20:
+            if not obs.exact:
                 continue
             sizes = growth_sizes(norm, 8)
             for h in range(1, 9):

@@ -15,17 +15,20 @@ from sumsetlab import (
 from sumsetlab import lattice, polytope
 from sumsetlab.lattice import (
     Normalization,
-    convex_coefficients,
     extremal_points,
     hermite_basis,
     is_normalized,
     solve_in_lattice,
 )
 from sumsetlab.polytope import convex_hull
-from sumsetlab.sumsets import growth_sizes
 
 from corpus import random_configs
-from oracles import extremal_points_by_lp, naive_determinant
+from oracles import (
+    convex_coefficients,
+    extremal_points_by_lp,
+    growth_sizes,
+    naive_determinant,
+)
 
 
 class TestDeterminant:

@@ -20,14 +20,18 @@ from sumsetlab import kernels, sumsets
 from sumsetlab.polytope import dilate_points
 from sumsetlab.sumsets import (
     _iterate_tuples,
-    growth_sizes,
     iter_sumsets,
     sumset_arrays,
     sumset_levels,
 )
 
 from corpus import random_configs
-from oracles import DfsSemigroupOracle, semigroup_sieve, sumset_by_enumeration
+from oracles import (
+    DfsSemigroupOracle,
+    growth_sizes,
+    semigroup_sieve,
+    sumset_by_enumeration,
+)
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
