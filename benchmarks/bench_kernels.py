@@ -1,12 +1,13 @@
-"""Benchmark the hot kernels against the exact paths they shortcut.
+"""Benchmark the hot kernels against the plain Python references.
 
 Times the lattice box scan, one sumset expansion step, the sumset iteration,
 the obstruction scan and the JSON writer, checks that every pair returns
 identical results, and prints tables:
 
-* numpy against exact Python: ``kernels.box_count`` against
+* numpy against plain Python: ``kernels.box_count`` against
   ``polytope._box_scan_exact`` and ``kernels.sumset_step`` (numpy backend)
-  against one level of ``sumsets._iterate_tuples``;
+  against one level of ``sumsets._iterate_tuples``, the references the
+  tests hold the kernels to;
 * the frontier iteration (``sumsets._iterate_arrays``: each level grown
   from the new points of the one before) against the full-level loop
   (``kernels.sumset_step`` on every whole level), for hexagon6 to N=150
@@ -419,7 +420,7 @@ def numerator_against_subsets(repeat):
 def _row_frontier_sizes(cfg, n_max):
     """|N*A| by the frontier iteration on point rows: each level steps the
     rows of its new points by the generators and packs the sums again."""
-    lo, strides = _frontier_box(cfg, n_max)
+    lo, strides, _ = _frontier_box(cfg, n_max)
     gens = kernels.points_to_array(sorted(cfg.points))
     shift = int(gens[0] @ np.asarray(strides, dtype=np.int64))
     keys = kernels.pack_rows(gens, lo, strides, np.int64)

@@ -1,9 +1,12 @@
 """Hot numeric kernels: lattice box scans, sumset expansion and key packing.
 
-The kernels are vectorized numpy on int64 and are only entered after the
-caller has proved the arithmetic cannot overflow 63 bits; exact big-integer
-fallbacks live next to the call sites.  ``benchmarks/bench_kernels.py``
-times them against those fallbacks.
+The kernels are vectorized numpy with one code path per kernel: the
+caller picks the dtype (``key_dtype``), int64 when it has proved the
+arithmetic cannot overflow 63 bits and Python ints (dtype object)
+otherwise, and the same numpy code runs on either.  The plain Python
+references ``sumsets._iterate_tuples`` and ``polytope._box_scan_exact``
+are what the tests hold the kernels to; ``benchmarks/bench_kernels.py``
+times the kernels against them.
 
 Points of a box are packed into mixed-radix keys whose order is lex order
 (``key_strides``, ``pack_rows``, ``decode_keys``); the sumset iteration
@@ -24,8 +27,8 @@ def active_backend() -> str:
     return "numpy"
 
 
-def points_to_array(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.int64)
+def points_to_array(points, dtype=np.int64) -> np.ndarray:
+    arr = np.asarray(points, dtype=dtype)
     if arr.ndim == 1:
         arr = arr.reshape(len(points), -1)
     return arr
@@ -48,12 +51,12 @@ def array_to_points(arr) -> list[tuple[int, ...]]:
 
 
 def _prefix_chunks(lo, hi, chunk_rows=1 << 18):
-    """Yield int64 arrays of prefix rows (all but the last coordinate)."""
+    """Yield arrays of prefix rows (all but the last coordinate), in lo's dtype."""
     d = len(lo)
     if d == 1:
-        yield np.zeros((1, 0), dtype=np.int64)
+        yield np.zeros((1, 0), dtype=lo.dtype)
         return
-    ranges = [np.arange(lo[j], hi[j] + 1, dtype=np.int64) for j in range(d - 1)]
+    ranges = [np.arange(lo[j], hi[j] + 1, dtype=lo.dtype) for j in range(d - 1)]
     tail = 1
     for r in ranges[1:]:
         tail *= len(r)
@@ -71,8 +74,8 @@ def _np_intervals(prefixes, lo, hi, lhs, rhs):
     d = len(lo)
     k_num = lhs.shape[0]
     m = prefixes.shape[0]
-    t_lo = np.full(m, lo[d - 1], dtype=np.int64)
-    t_hi = np.full(m, hi[d - 1], dtype=np.int64)
+    t_lo = np.full(m, lo[d - 1], dtype=lo.dtype)
+    t_hi = np.full(m, hi[d - 1], dtype=lo.dtype)
     feasible = np.ones(m, dtype=bool)
     if k_num:
         resid = rhs[None, :] - prefixes @ lhs[:, : d - 1].T
@@ -88,15 +91,19 @@ def _np_intervals(prefixes, lo, hi, lhs, rhs):
     return counts, t_lo
 
 
-def _box_arrays(lo, hi, lhs, rhs):
-    return (np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64),
-            np.asarray(lhs, dtype=np.int64).reshape(len(lhs), len(lo)),
-            np.asarray(rhs, dtype=np.int64))
+def _box_arrays(lo, hi, lhs, rhs, dtype):
+    return (np.asarray(lo, dtype=dtype), np.asarray(hi, dtype=dtype),
+            np.asarray(lhs, dtype=dtype).reshape(len(lhs), len(lo)),
+            np.asarray(rhs, dtype=dtype))
 
 
-def box_count(lo, hi, lhs, rhs) -> int:
-    """Count lattice points in the box satisfying all lhs @ x <= rhs rows."""
-    lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs)
+def box_count(lo, hi, lhs, rhs, dtype=np.int64) -> int:
+    """Count lattice points in the box satisfying all lhs @ x <= rhs rows.
+
+    The scan runs in ``dtype``: int64 only when every dot product provably
+    fits, Python ints (dtype object) otherwise.
+    """
+    lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs, dtype)
     if any(a > b for a, b in zip(lo, hi)):
         return 0
     total = 0
@@ -106,19 +113,20 @@ def box_count(lo, hi, lhs, rhs) -> int:
     return total
 
 
-def box_points(lo, hi, lhs, rhs) -> np.ndarray:
-    """The points counted by :func:`box_count`, in lexicographic order."""
-    lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs)
+def box_points(lo, hi, lhs, rhs, dtype=np.int64) -> np.ndarray:
+    """The points counted by :func:`box_count`, in lexicographic order, as
+    an array of ``dtype``."""
+    lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs, dtype)
     d = len(lo)
     if any(a > b for a, b in zip(lo, hi)):
-        return np.empty((0, d), dtype=np.int64)
+        return np.empty((0, d), dtype=dtype)
     blocks = []
     for prefixes in _prefix_chunks(lo, hi):
         counts, t_lo = _np_intervals(prefixes, lo, hi, lhs, rhs)
         keep = counts > 0
         if not keep.any():
             continue
-        counts = counts[keep]
+        counts = counts[keep].astype(np.int64, copy=False)
         t_lo = t_lo[keep]
         prefixes = prefixes[keep]
         total = int(counts.sum())
@@ -128,7 +136,7 @@ def box_points(lo, hi, lhs, rhs) -> np.ndarray:
         t = np.repeat(t_lo, counts) + inner
         blocks.append(np.concatenate([rows, t[:, None]], axis=1))
     if not blocks:
-        return np.empty((0, d), dtype=np.int64)
+        return np.empty((0, d), dtype=dtype)
     return np.concatenate(blocks, axis=0)
 
 
@@ -152,14 +160,16 @@ def key_strides(lo, hi) -> tuple[tuple[int, ...], int]:
     return tuple(reversed(strides)), span
 
 
-def key_dtype(span: int) -> np.dtype:
-    """int64 when keys below ``span`` fit the kernel range, else Python ints."""
-    return np.dtype(np.int64) if int64_budget_ok(span) else np.dtype(object)
+def key_dtype(*bounds) -> np.dtype:
+    """The dtype a kernel runs in: int64 when every bound (a key span, a
+    coordinate or dot-product bound) fits the kernel range, else Python ints."""
+    return np.dtype(np.int64) if int64_budget_ok(*bounds) else np.dtype(object)
 
 
 def decode_keys(keys: np.ndarray, lo, strides) -> np.ndarray:
-    """The int64 rows of the box [lo, ...] whose keys are ``keys`` (see key_strides)."""
-    out = np.empty((len(keys), len(strides)), dtype=np.int64)
+    """The rows of the box [lo, ...] whose keys are ``keys`` (see key_strides),
+    in the keys' dtype."""
+    out = np.empty((len(keys), len(strides)), dtype=keys.dtype)
     rest = keys
     for k, stride in enumerate(strides[:-1]):
         digit = rest // stride
@@ -167,7 +177,7 @@ def decode_keys(keys: np.ndarray, lo, strides) -> np.ndarray:
         rest = rest - digit * stride
     if strides:
         out[:, -1] = rest
-    out += np.asarray(lo, dtype=np.int64)
+    out += np.asarray(lo, dtype=keys.dtype)
     return out
 
 
@@ -184,7 +194,7 @@ def pack_rows(rows, lo, strides, dtype) -> np.ndarray:
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array, sorted.
 
-    Same result as np.unique, which in numpy 2.x imports numpy.ma on its
+    Same result as numpy's unique, which in numpy 2.x imports numpy.ma on its
     first call (most of the time of a cold run on a tiny input) and dedups
     integers by hashing: on numpy 2.4, 1M int64 keys take about 690 ms
     there against 28 ms for this sort (2-core VM).  The keys may come in
@@ -225,22 +235,19 @@ def sumset_step(pts: np.ndarray, gens: np.ndarray) -> np.ndarray:
     sum and ``gens`` the generators' key offsets (g @ strides), so a sum's
     key is a key plus an offset: the step returns the sorted distinct
     keys.  On 2-D point arrays it packs the rows into the box of the sums,
-    takes the same step and decodes the rows, sorted lexicographically.
+    takes the same step and decodes the rows, sorted lexicographically;
+    the keys, and so the rows, are Python ints when that box's keys or
+    coordinates leave the int64 range.
     """
     if pts.ndim == 1:
         return sorted_unique((pts[:, None] + gens[None, :]).ravel())
-    n, d = pts.shape
-    m = gens.shape[0]
     p_lo, g_lo = pts.min(axis=0).tolist(), gens.min(axis=0).tolist()
     mins = [a + b for a, b in zip(p_lo, g_lo)]
     maxs = [a + b for a, b in zip(pts.max(axis=0).tolist(), gens.max(axis=0).tolist())]
     strides, span = key_strides(mins, maxs)
-    if span >= 1 << 62:
-        # key packing would overflow; fall back to row-wise unique
-        sums = (pts[:, None, :] + gens[None, :, :]).reshape(n * m, d)
-        return np.unique(sums, axis=0)
-    keys = pack_rows(pts, p_lo, strides, np.int64)
-    offsets = pack_rows(gens, g_lo, strides, np.int64)
+    dtype = key_dtype(span, *mins, *maxs)
+    keys = pack_rows(pts, p_lo, strides, dtype)
+    offsets = pack_rows(gens, g_lo, strides, dtype)
     return decode_keys(sorted_unique((keys[:, None] + offsets[None, :]).ravel()),
                        mins, strides)
 

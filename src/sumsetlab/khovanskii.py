@@ -13,6 +13,7 @@ exact onset threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 
@@ -91,7 +92,7 @@ class ObstructionSet:
     point combination; the non-lex-least ones form an upward-closed set, and
     ``elements`` are its finitely many minimal members: the minimal
     generators of a monomial ideal whose Hilbert series numerator
-    (_hilbert_numerator) gives |hA| for every h when the set is exact.
+    (``numerator``) gives |hA| for every h when the set is exact.
     ``status`` is "truncated" when a weight cap or candidate budget cut the
     scan short; every element is still genuine, but some may be missing.
     """
@@ -104,6 +105,11 @@ class ObstructionSet:
     @property
     def exact(self) -> bool:
         return self.status == "exact"
+
+    @cached_property
+    def numerator(self) -> dict[int, int]:
+        """_hilbert_numerator of ``elements``, computed once per set."""
+        return _hilbert_numerator(self.elements)
 
     def column_max_weight(self) -> int:
         """Sum over coordinates of the largest entry over all elements."""
@@ -330,8 +336,8 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
     truncated = False
     keys = _LevelKeys(config, cap)
     survivors = keys.steps
-    certificate = (None if _frontier_box(config, cap) is None
-                   else _Certificate(config, cap, candidate_budget))
+    certificate = (_Certificate(config, cap, candidate_budget)
+                   if _frontier_box(config, cap)[2] == np.int64 else None)
     next_check = 2  # a failed check proves no element missing below its gap
     for h in range(2, cap + 1):
         # A candidate extends one survivor per predecessor m - e_j that
@@ -422,14 +428,13 @@ def _hilbert_numerator(elements) -> dict[int, int]:
 def sumset_size_formula(config: PointConfig, obstructions: ObstructionSet, h: int) -> int:
     """|hA| from the Hilbert series numerator of the obstruction ideal.
 
-    With K(t) = sum_w c_w t^w (_hilbert_numerator), |hA| = sum_w c_w *
+    With K(t) = sum_w c_w t^w (``obstructions.numerator``), |hA| = sum_w c_w *
     C(h - w + l - 1, l - 1), the binomial read as 0 whenever its upper index
     drops below l - 1.  Requires an exact obstruction set, of any size.
     """
     if not obstructions.exact:
         raise PreconditionError("size formula needs an exact obstruction set")
-    return _size_from_weights(_hilbert_numerator(obstructions.elements),
-                              config.size, h)
+    return _size_from_weights(obstructions.numerator, config.size, h)
 
 
 def _size_from_weights(weights: dict[int, int], n: int, h: int) -> int:
@@ -525,7 +530,7 @@ def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
         if obs is None:
             obs = minimal_obstructions(config, max_weight=max_weight)
         if obs.exact:
-            return _formula_polynomial(config, _hilbert_numerator(obs.elements))
+            return _formula_polynomial(config, obs.numerator)
         if route == "formula":
             raise BudgetExceededError(
                 "obstruction set truncated; the formula route needs an exact set",
@@ -571,7 +576,7 @@ def khovanskii_threshold(config: PointConfig, *,
     obs = minimal_obstructions(config, max_weight=max_weight)
     if obs.exact:
         # one numerator serves the polynomial and every count below
-        weights = _hilbert_numerator(obs.elements)
+        weights = obs.numerator
         poly = _formula_polynomial(config, weights)
         window_top = max(1, min(bounds.sharp, obs.column_max_weight() - n + 1))
         small_top = min(window_top, max_n if max_n is not None else window_top,

@@ -399,28 +399,23 @@ def _dilate_scan(config: PointConfig, n: int, enumerate_points: bool, cap_points
 def scan_box(lo, hi, lhs, rhs, enumerate_points: bool):
     """Lattice points x with lo <= x <= hi and lhs @ x <= rhs, or their count.
 
-    Runs the int64 kernels when every dot product provably fits and the
-    exact big-integer scan otherwise.  Points come back as a lex-sorted
-    array: int64 from the kernels, Python ints (dtype object) from the
-    exact scan.
+    The kernels run on int64 when every dot product provably fits and on
+    Python ints (dtype object) otherwise.  Points come back as a
+    lex-sorted array of that dtype.
     """
     bound = max(
         (sum(abs(v) * max(abs(a), abs(b)) for v, a, b in zip(row, lo, hi))
          for row in lhs),
         default=0,
     )
-    if kernels.int64_budget_ok(bound, *(list(lo) + list(hi) + list(rhs))):
-        if enumerate_points:
-            return kernels.box_points(lo, hi, lhs, rhs)
-        return kernels.box_count(lo, hi, lhs, rhs)
-    found = _box_scan_exact(lo, hi, lhs, rhs, enumerate_points)
+    dtype = kernels.key_dtype(bound, *lo, *hi, *rhs)
     if enumerate_points:
-        return np.array(found, dtype=object).reshape(len(found), len(lo))
-    return found
+        return kernels.box_points(lo, hi, lhs, rhs, dtype)
+    return kernels.box_count(lo, hi, lhs, rhs, dtype)
 
 
 def _box_scan_exact(lo, hi, lhs, rhs, enumerate_points):
-    """Big-integer fallback for boxes whose dot products may overflow int64."""
+    """The box scan in plain Python ints: the reference for the kernels' tests."""
     d = len(lo)
     prefix_ranges = [range(lo[j], hi[j] + 1) for j in range(d - 1)]
     total = 0

@@ -1,9 +1,10 @@
 """Iterated sumsets, semigroup membership, and exceptional lattice points.
 
-Point sets ride int64 numpy arrays through the hot kernels whenever the
-coordinates provably fit; otherwise everything falls back to exact Python
-integers.  All outputs are canonicalized (lexicographically sorted) so runs
-are deterministic regardless of backend.
+Point sets ride numpy arrays through the hot kernels: int64 whenever the
+coordinates and keys provably fit, Python ints (dtype object) otherwise,
+on the same code path (kernels.key_dtype picks).  All outputs are
+canonicalized (lexicographically sorted) so runs are deterministic
+whatever the dtype.
 """
 
 from __future__ import annotations
@@ -77,20 +78,18 @@ CANDIDATE_BLOCK_ROWS = 1 << 22
 
 
 def _frontier_box(config: PointConfig, n_max: int):
-    """(lo, strides) of the key box that holds N*A for every N in 1..n_max.
+    """(lo, strides, dtype) of the key box that holds N*A for every N in 1..n_max.
 
-    None when the coordinates or the keys of that box may leave the int64
-    kernel range.
+    dtype is int64 when the coordinates and the keys of that box fit the
+    kernel range, and Python ints (dtype object) otherwise.
     """
     n_top = max(n_max, 1)
     max_abs = max((abs(c) for p in config.points for c in p), default=0)
-    if not kernels.int64_budget_ok(max_abs * n_top * 2):
-        return None
     columns = list(zip(*config.points))
     lo = [min(min(col), n_top * min(col)) for col in columns]
     hi = [max(max(col), n_top * max(col)) for col in columns]
     strides, span = kernels.key_strides(lo, hi)
-    return (lo, strides) if kernels.int64_budget_ok(span) else None
+    return lo, strides, kernels.key_dtype(span, max_abs * n_top * 2)
 
 
 def _expand(frontier: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -109,7 +108,7 @@ def _expand(frontier: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return kernels.sorted_unique(np.concatenate(blocks))
 
 
-def _iterate_keys(config: PointConfig, n_max: int, lo, strides,
+def _iterate_keys(config: PointConfig, n_max: int, lo, strides, dtype,
                   cap_points: int | None = None) -> Iterator[np.ndarray]:
     """Sorted keys of N*A for N = 1..n_max, each level grown from the new
     points of the one before.
@@ -117,15 +116,15 @@ def _iterate_keys(config: PointConfig, n_max: int, lo, strides,
     With t the lex-least point of A, (N-1)A + t lies inside NA, and every
     other point of NA is f + a with a in A and f in the frontier
     F = (N-1)A minus ((N-2)A + t).  Keys live in one box that holds every
-    level (``lo`` and ``strides``, from _frontier_box): there adding a
-    point a shifts every key by the same offset a @ strides, so the
-    frontier stays keys from level to level, and key order is lex order.
-    A level of more than ``cap_points`` keys raises BudgetExceededError
-    (``reached`` names it) before it is allocated.
+    level (``lo``, ``strides`` and the keys' ``dtype``, from _frontier_box):
+    there adding a point a shifts every key by the same offset a @ strides,
+    so the frontier stays keys from level to level, and key order is lex
+    order.  A level N >= 2 of more than ``cap_points`` keys raises
+    BudgetExceededError (``reached`` names it) before it is allocated.
     """
-    gens = kernels.points_to_array(sorted(config.points))
-    offsets = gens @ np.asarray(strides, dtype=np.int64)
-    keys = kernels.pack_rows(gens, lo, strides, np.int64)
+    gens = kernels.points_to_array(sorted(config.points), dtype)
+    offsets = gens @ np.asarray(strides, dtype=dtype)
+    keys = kernels.pack_rows(gens, lo, strides, dtype)
     frontier = keys[1:]
     yield keys
     for n in range(2, n_max + 1):
@@ -148,14 +147,8 @@ def _level_over_budget(size: int, cap_points: int, n: int) -> BudgetExceededErro
         reached=n)
 
 
-def _iterate_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
-    """The frontier iteration as int64 point arrays (its box must fit int64)."""
-    lo, strides = _frontier_box(config, n_max)
-    for keys in _iterate_keys(config, n_max, lo, strides):
-        yield kernels.decode_keys(keys, lo, strides)
-
-
 def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
+    """N*A by the plain {p + g} set iteration: the reference for the tests."""
     gens = sorted(config.points)
     cur = set(gens)
     yield sorted(cur)
@@ -167,16 +160,17 @@ def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
 def sumset_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
     """Yield N*A for N = 1..n_max as lexicographically sorted point arrays.
 
-    Level 1 is always yielded.  The arrays are int64, from the frontier
-    iteration, when the coordinates and the keys of the box that holds all
-    levels provably fit the kernel range; otherwise they hold Python ints
-    (dtype object) from the exact iteration.
+    Level 1 is always yielded.  The levels come from the frontier
+    iteration; the arrays are int64 when the coordinates and the keys of
+    the box that holds all levels provably fit the kernel range, and hold
+    Python ints (dtype object) otherwise.
     """
-    if _frontier_box(config, n_max) is not None:
-        yield from _iterate_arrays(config, n_max)
-        return
-    for pts in _iterate_tuples(config, n_max):
-        yield np.array(pts, dtype=object).reshape(len(pts), config.dim)
+    lo, strides, dtype = _frontier_box(config, n_max)
+    for keys in _iterate_keys(config, n_max, lo, strides, dtype):
+        yield kernels.decode_keys(keys, lo, strides)
+
+
+_iterate_arrays = sumset_arrays  # the name perfbench/kernels_compare.py imports
 
 
 def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
@@ -190,23 +184,19 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
     """Yield (|N*A|, N*A) for N = 1.. up to n_max, under the point budget.
 
     The point arrays are those of sumset_arrays with ``keep_points`` and
-    None without; then the int64 levels are never decoded from their keys.
+    None without; then the levels are never decoded from their keys.
     A level of more than ``cap_points`` points is not yielded: a
-    BudgetExceededError names it (``reached``) instead.  On the int64
-    path that error comes before the level is allocated.
+    BudgetExceededError names it (``reached``) instead.  Past level 1
+    that error comes before the level is allocated.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    box = _frontier_box(config, n_max)
-    if box is None:
-        levels = ((len(pts), pts) for pts in sumset_arrays(config, n_max))
-    else:
-        levels = ((len(keys), kernels.decode_keys(keys, *box) if keep_points else None)
-                  for keys in _iterate_keys(config, n_max, *box, cap_points))
-    for n, (size, pts) in enumerate(levels, start=1):
-        if size > cap_points:
-            raise _level_over_budget(size, cap_points, n)
-        yield size, (pts if keep_points else None)
+    lo, strides, dtype = _frontier_box(config, n_max)
+    for n, keys in enumerate(
+            _iterate_keys(config, n_max, lo, strides, dtype, cap_points), start=1):
+        if len(keys) > cap_points:  # level 1: later ones raise before they exist
+            raise _level_over_budget(len(keys), cap_points, n)
+        yield len(keys), (kernels.decode_keys(keys, lo, strides) if keep_points else None)
 
 
 def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
@@ -271,8 +261,7 @@ class SemigroupOracle:
             raise PreconditionError("point dimension mismatch")
         largest = (max(map(abs, pts.ravel().tolist()), default=0) if pts.dtype == object
                    else int(np.abs(pts).max(initial=0)))
-        pts = pts.astype(np.int64 if kernels.int64_budget_ok(largest * self._reach)
-                         else object, copy=False)
+        pts = pts.astype(kernels.key_dtype(largest * self._reach), copy=False)
         inside = np.ones(len(pts), dtype=bool)
         if self._basis is not None:
             solved = [solve_in_lattice(self._basis, p) for p in pts.tolist()]

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from sumsetlab import PointConfig, normalize_config
+from sumsetlab import PointConfig, kernels, normalize_config
 
 from corpus import CORPUS
 
@@ -13,3 +14,10 @@ def corpus():
         raw = PointConfig.from_points(pts)
         out.append((name, raw, normalize_config(raw)))
     return out
+
+
+@pytest.fixture
+def object_keys(monkeypatch):
+    """Every kernel that takes its dtype from kernels.key_dtype (all but the
+    obstruction scan) runs on Python ints (dtype object): the exact path."""
+    monkeypatch.setattr(kernels, "key_dtype", lambda *bounds: np.dtype(object))

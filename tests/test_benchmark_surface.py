@@ -1,4 +1,5 @@
-"""The names the benchmark under perfbench/ reaches into still exist.
+"""The names the benchmark under perfbench/ and benchmarks/bench_kernels.py
+reach into still exist.
 
 The tracer wraps sumsetlab functions by name and the benchmark scripts
 import sumsetlab names, so a rename in src/ would otherwise break the
@@ -19,6 +20,7 @@ from sumsetlab import kernels
 from sumsetlab.sumsets import SemigroupOracle
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+BENCHMARKS = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
 
 @pytest.fixture(scope="module")
@@ -60,5 +62,13 @@ def test_tracer_targets_resolve(tracer):
 def test_kernels_compare_imports_resolve():
     found = _sumsetlab_names(os.path.join(PERFBENCH, "kernels_compare.py"))
     assert ("sumsetlab.kernels", "active_backend") in found
+    for module, name in found:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_bench_kernels_imports_resolve():
+    found = _sumsetlab_names(os.path.join(BENCHMARKS, "bench_kernels.py"))
+    assert ("sumsetlab.sumsets", "_frontier_box") in found
+    assert ("sumsetlab.khovanskii", "_hilbert_numerator") in found
     for module, name in found:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

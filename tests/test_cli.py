@@ -76,7 +76,12 @@ class TestKhovanskiiCommand:
                        "the formula route needs an exact set\n")
 
     def test_formula_route_expands_once(self, capsys, a135_txt, monkeypatch):
-        # the threshold already expanded the formula; the report reuses it
+        # the threshold already expanded the formula; the report reuses it.
+        # A fresh obstruction set, scanned (with the numerators its
+        # certificate expands) before the count starts:
+        khovanskii._obstruction_cache.clear()
+        khovanskii.minimal_obstructions(
+            sumsetlab.normalize_config(sumsetlab.PointConfig.from_points([(0,), (3,), (5,)])))
         calls = []
         expand = khovanskii._hilbert_numerator
         monkeypatch.setattr(khovanskii, "_hilbert_numerator",
@@ -364,18 +369,38 @@ class TestErrorPaths:
         assert err == "internal error: ValueError: broken kernel\n"
 
 
-def test_analyze_never_imports_numpy_ma(tmp_path):
+@pytest.fixture
+def corpus_paths(tmp_path):
+    """The corpus sets as JSON input files, in corpus order."""
+    paths = []
+    for name, pts in CORPUS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"points": [list(p) for p in pts]}))
+        paths.append(str(path))
+    return paths
+
+
+def test_analyze_identical_on_the_exact_path(capsys, corpus_paths, request):
+    """With every kernel but the obstruction scan on Python ints (dtype
+    object), ``analyze`` writes the same bytes and exit code for every
+    corpus set.  The obstruction memo store is emptied first, so the scans
+    run again, without the counting certificate (int64 keys only)."""
+    def analyses():
+        return [run_cli(capsys, "analyze", "--input", path) for path in corpus_paths]
+
+    fast = analyses()
+    request.getfixturevalue("object_keys")
+    khovanskii._obstruction_cache.clear()
+    assert analyses() == fast
+
+
+def test_analyze_never_imports_numpy_ma(corpus_paths):
     """Set operations on the analyze path are searches over sorted keys.
 
     np.isin and np.unique import numpy.ma on their first call in numpy 2.x
     (about 15 ms in a fresh process), so its absence after
     ``analyze`` over the corpus shows that neither ran.
     """
-    paths = []
-    for name, pts in CORPUS:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"points": [list(p) for p in pts]}))
-        paths.append(str(path))
     script = (
         "import io, sys, contextlib\n"
         "from sumsetlab.cli import main\n"
@@ -385,7 +410,7 @@ def test_analyze_never_imports_numpy_ma(tmp_path):
         "print('numpy.ma' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(sumsetlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *corpus_paths], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"

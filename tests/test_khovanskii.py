@@ -280,8 +280,7 @@ class TestCertificate:
         assert _fields(got) == _row_scan(norm)
         assert _row_scan(norm, None, 1_500_000)[1:3] == ("truncated", 74)
 
-    def test_no_certificate_without_the_int64_box(self, monkeypatch, corpus, checks):
-        monkeypatch.setattr(khovanskii, "_frontier_box", lambda config, n_max: None)
+    def test_no_certificate_without_the_int64_box(self, object_keys, corpus, checks):
         for name, _, norm in corpus:
             got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
             assert _fields(got) == _row_scan(norm), name
@@ -307,9 +306,14 @@ class TestSizeFormula:
         with pytest.raises(Exception):
             sumset_size_formula(A135, obs, 4)
 
-    def test_any_size_of_exact_set(self):
+    def test_any_size_of_exact_set(self, monkeypatch):
         # the pinned set's scan stops at 427 with 24 elements; they are all
-        # of them, and the numerator gives every |hA| up to the cap
+        # of them, and the numerator, computed once, gives every |hA| up to
+        # the cap
+        calls = []
+        expand = khovanskii._hilbert_numerator
+        monkeypatch.setattr(khovanskii, "_hilbert_numerator",
+                            lambda elements: calls.append(elements) or expand(elements))
         norm = _norm(TRUNCATING)
         obs = minimal_obstructions(norm)
         assert (len(obs.elements), obs.status) == (24, "truncated")
@@ -318,8 +322,10 @@ class TestSizeFormula:
             weight_scanned=obs.weight_required,
             weight_required=obs.weight_required)
         sizes = growth_sizes(norm, 468)
+        calls.clear()  # the scan's certificate expands numerators of its own
         assert [sumset_size_formula(norm, exact, h)
                 for h in range(1, 469)] == sizes
+        assert calls == [exact.elements]
 
     def test_numerator_matches_inclusion_exclusion(self, corpus):
         # the corpus sets' full obstruction sets, and the random sets'

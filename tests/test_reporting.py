@@ -18,6 +18,21 @@ from sumsetlab.reporting import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+EMIT_GOLDENS = [
+    ("0\n3\n5\n", "growth_a135_emit6.json"),
+    ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}', "growth_square_emit6.json"),
+]
+OUTPUT_GOLDENS = [
+    ("0\n3\n5\n", ["--max-n", "6", "--format", "text"], "growth_a135_emit6.txt"),
+    ("0\n3\n5\n", ["--max-n", "6", "--format", "csv"], "growth_a135_emit6.csv"),
+    ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}',
+     ["--max-n", "6", "--format", "text"], "growth_square_emit6.txt"),
+    ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}',
+     ["--max-n", "6", "--format", "csv"], "growth_square_emit6.csv"),
+    # too wide for the int64 box: object arrays on every path
+    (f"0\n{1 << 61}\n", ["--max-n", "3"], "growth_two_pow61_emit3.json"),
+    ('{"points": [[]]}', ["--max-n", "3"], "growth_zero_width_emit3.json"),
+]
 
 
 @pytest.fixture
@@ -162,10 +177,7 @@ class TestToJson:
     def test_edge_cases(self, report):
         assert to_json(report) == _dumps(report)
 
-    @pytest.mark.parametrize("points, golden", [
-        ("0\n3\n5\n", "growth_a135_emit6.json"),
-        ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}', "growth_square_emit6.json"),
-    ])
+    @pytest.mark.parametrize("points, golden", EMIT_GOLDENS)
     def test_growth_emit_points_frozen(self, tmp_path, capsys, points, golden):
         path = tmp_path / "input"
         path.write_text(points)
@@ -173,21 +185,22 @@ class TestToJson:
         assert code == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
-    @pytest.mark.parametrize("points, argv, golden", [
-        ("0\n3\n5\n", ["--max-n", "6", "--format", "text"], "growth_a135_emit6.txt"),
-        ("0\n3\n5\n", ["--max-n", "6", "--format", "csv"], "growth_a135_emit6.csv"),
-        ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}',
-         ["--max-n", "6", "--format", "text"], "growth_square_emit6.txt"),
-        ('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}',
-         ["--max-n", "6", "--format", "csv"], "growth_square_emit6.csv"),
-        # too wide for the int64 box: the exact iteration's object arrays
-        (f"0\n{1 << 61}\n", ["--max-n", "3"], "growth_two_pow61_emit3.json"),
-        ('{"points": [[]]}', ["--max-n", "3"], "growth_zero_width_emit3.json"),
-    ], ids=["a135-text", "a135-csv", "square-text", "square-csv", "two_pow61",
-            "zero_width"])
+    @pytest.mark.parametrize("points, argv, golden", OUTPUT_GOLDENS,
+                             ids=["a135-text", "a135-csv", "square-text", "square-csv",
+                                  "two_pow61", "zero_width"])
     def test_growth_output_frozen(self, tmp_path, capsys, points, argv, golden):
         path = tmp_path / "input"
         path.write_text(points)
         code = main(["growth", "--input", str(path), "--emit-points", *argv])
         assert code == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+    def test_growth_goldens_on_the_exact_path(self, tmp_path, capsys, object_keys):
+        # every golden above, written from levels of Python ints (dtype object)
+        path = tmp_path / "input"
+        cases = [(points, ["--max-n", "6"], golden) for points, golden in EMIT_GOLDENS]
+        for points, argv, golden in cases + OUTPUT_GOLDENS:
+            path.write_text(points)
+            code = main(["growth", "--input", str(path), "--emit-points", *argv])
+            assert code == 0
+            assert capsys.readouterr().out == (GOLDEN / golden).read_text(), golden

@@ -143,10 +143,11 @@ class TestFrontierIteration:
         assert [kernels.array_to_points(a) for a in levels] == \
             list(_iterate_tuples(config, 4))
 
-    def test_forced_tuples_fallback(self, monkeypatch, corpus):
+    def test_forced_tuples_fallback(self, request, corpus):
+        # the same iteration on Python-int keys gives the same levels
         expected = {name: [kernels.array_to_points(a) for a in sumset_arrays(raw, 8)]
                     for name, raw, _ in corpus}
-        monkeypatch.setattr(sumsets, "_frontier_box", lambda config, n_max: None)
+        request.getfixturevalue("object_keys")
         for name, raw, _ in corpus:
             levels = list(sumset_arrays(raw, 8))
             assert all(a.dtype == object for a in levels), name
@@ -170,6 +171,25 @@ class TestFrontierIteration:
                 _assert_levels_exact(config, 12)
         assert calls and max(calls) <= block
         assert len(calls) > 2 * len(corpus) * 11  # levels split into blocks
+
+
+@pytest.fixture
+def merged(monkeypatch):
+    """The length of every array sumsets concatenates (every merged level)."""
+    log = []
+
+    class Numpy:  # numpy, with the length of every merged level recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def concatenate(arrays, *args, **kwargs):
+            out = np.concatenate(arrays, *args, **kwargs)
+            log.append(len(out))
+            return out
+
+    monkeypatch.setattr(sumsets, "np", Numpy())
+    return log
 
 
 class TestSumsetLevels:
@@ -217,20 +237,7 @@ class TestSumsetLevels:
         assert decoded == [4, 9, 16]
 
     @pytest.mark.parametrize("cap", [3, 10, 40, 150])
-    def test_budget_checked_before_the_level_exists(self, monkeypatch, corpus, cap):
-        merged = []
-
-        class Numpy:  # numpy, with the length of every merged level recorded
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def concatenate(arrays, *args, **kwargs):
-                out = np.concatenate(arrays, *args, **kwargs)
-                merged.append(len(out))
-                return out
-
-        monkeypatch.setattr(sumsets, "np", Numpy())
+    def test_budget_checked_before_the_level_exists(self, merged, corpus, cap):
         for name, raw, _ in corpus:
             sizes = [len(p) for p in _iterate_tuples(raw, 20)]
             over = next((n for n, size in enumerate(sizes, start=1) if size > cap), None)
@@ -245,6 +252,25 @@ class TestSumsetLevels:
             else:
                 assert over is None, name
             assert got == sizes[:(over or 21) - 1], name
+        assert merged and max(merged) <= cap
+
+    @pytest.mark.parametrize("cap", [3, 10, 40, 150])
+    def test_object_keys_stop_where_int64_keys_do(self, request, corpus, cap):
+        # the exact path, too, raises before a level over the budget exists,
+        # with the int64 path's level and partial table
+        def run(config):
+            try:
+                return None, sumset_iterate(config, 20, keep_points=True, cap_points=cap)
+            except BudgetExceededError as err:
+                return err.reached, err.partial
+
+        fast = {name: run(raw) for name, raw, _ in corpus}
+        assert any(reached for reached, _ in fast.values())
+        request.getfixturevalue("object_keys")
+        assert all(a.dtype == object for a in sumset_arrays(SQUARE, 3))
+        merged = request.getfixturevalue("merged")
+        for name, raw, _ in corpus:
+            assert run(raw) == fast[name], name
         assert merged and max(merged) <= cap
 
 
