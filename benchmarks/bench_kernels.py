@@ -20,10 +20,12 @@ identical results, and prints tables:
   against the same scan with one word per digit, for hexagon6, for a
   six-point set whose scan the candidate budget truncates, and for a
   twelve-point set whose keys need three words;
-* ``kernels.sorted_member`` (binary search in the sorted sieve keys)
-  against ``np.isin``, on every vertex-sieve query of the structure pass
-  of hexagon6 and prism5 (each level's whole dilate, reflected at each
-  hull vertex), both sides the best of --repeat runs;
+* the dense sieve's one-gather lookup (``SemigroupSieve.members``: a
+  point's key indexes the sieve's mask) against a binary search
+  (``kernels.sorted_member``) in the sorted keys of the same sieve, on
+  every vertex-sieve query of the structure pass of hexagon6 and prism5
+  (each level's whole dilate, reflected at each hull vertex), both sides
+  the best of --repeat runs;
 * hull vertices read off the facet scan (``lattice.extremal_points``, hull
   cache cleared before each run) against the convex-combination search of
   ``tests/oracles.py``, on 100 fixed small sets in d = 1..4;
@@ -238,7 +240,7 @@ MEMBER_CASES = [
 
 
 def _sieve_queries(points):
-    """(query keys, sieve keys) for each level and hull vertex of the
+    """(query keys, sieve mask) for each level and hull vertex of the
     structure pass, over the whole dilate of each level."""
     cfg = normalize_config(PointConfig.from_points(points))
     bounds = structure_bounds(cfg)
@@ -248,21 +250,22 @@ def _sieve_queries(points):
         x = dilate_points(cfg, n)
         for a, sieve in sieves:
             keys = kernels.pack_rows(np.asarray(a, dtype=np.int64) * n - x,
-                                     sieve.lo, sieve.strides, sieve.keys.dtype)
-            queries.append((keys, sieve.keys))
+                                     sieve.lo, sieve.strides, np.int64)
+            queries.append((keys, sieve.mask.ravel()))
     return queries
 
 
-def members_against_isin(repeat):
-    print(f"{'workload':38s} {'search':>10s} {'isin':>10s} {'ratio':>8s}")
+def gather_against_bisection(repeat):
+    print(f"{'workload':38s} {'gather':>10s} {'bisect':>10s} {'ratio':>8s}")
     for name, points in MEMBER_CASES:
         queries = _sieve_queries(points)
-        t_ss, r_ss = bench(lambda: [kernels.sorted_member(k, s) for k, s in queries],
-                           (), repeat)
-        t_in, r_in = bench(lambda: [np.isin(k, s) for k, s in queries], (), repeat)
-        assert all(np.array_equal(a, b) for a, b in zip(r_ss, r_in)), name
-        print(f"{name:38s} {t_ss * 1e3:8.2f}ms {t_in * 1e3:8.2f}ms "
-              f"{t_in / t_ss:7.2f}x   ({len(queries)} queries, "
+        sorted_keys = [np.flatnonzero(mask) for _, mask in queries]
+        t_ga, r_ga = bench(lambda: [mask[k] for k, mask in queries], (), repeat)
+        t_bs, r_bs = bench(lambda: [kernels.sorted_member(k, s) for (k, _), s
+                                    in zip(queries, sorted_keys)], (), repeat)
+        assert all(np.array_equal(a, b) for a, b in zip(r_ga, r_bs)), name
+        print(f"{name:38s} {t_ga * 1e3:8.2f}ms {t_bs * 1e3:8.2f}ms "
+              f"{t_bs / t_ga:7.2f}x   ({len(queries)} queries, "
               f"{sum(len(k) for k, _ in queries)} keys)")
 
 
@@ -469,7 +472,7 @@ def main():
     print()
     scan_word_split(args.repeat)
     print()
-    members_against_isin(args.repeat)
+    gather_against_bisection(args.repeat)
     print()
     vertices_against_lp(args.repeat)
     print()

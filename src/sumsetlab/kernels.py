@@ -9,8 +9,10 @@ are what the tests hold the kernels to; ``benchmarks/bench_kernels.py``
 times the kernels against them.
 
 Points of a box are packed into mixed-radix keys whose order is lex order
-(``key_strides``, ``pack_rows``, ``decode_keys``); the sumset iteration
-and the semigroup sieves keep their point sets as sorted keys.
+(``key_strides``, ``pack_rows``, ``decode_keys``).  The sumset iteration
+keeps its point sets as sorted keys; a semigroup sieve is a boolean mask
+over its box in the same order, so a point's key is its flat index there;
+the structure window packs (n, x) rows of several levels into one box.
 ``sumset_step`` expands one block of sums: the frontier iteration in
 ``sumsets`` calls it on the keys of the previous level's new points and
 the generators' key offsets, and never unpacks a row; its 2-D form steps
@@ -185,10 +187,16 @@ def pack_rows(rows, lo, strides, dtype) -> np.ndarray:
     """Keys of the rows of a point array; every row must lie in the box.
 
     Rows are cast to ``dtype`` first, so an object array of Python ints
-    packs exactly whatever the magnitudes.
+    packs exactly whatever the magnitudes.  The key is summed a column at
+    a time, each digit (row - lo) times its stride: no partial sum leaves
+    [0, span), and numpy's integer matmul, which has no BLAS, is several
+    times slower on rows of a few columns.
     """
     rows = np.asarray(rows, dtype=dtype)
-    return (rows - np.asarray(lo, dtype=dtype)) @ np.asarray(strides, dtype=dtype)
+    keys = np.zeros(len(rows), dtype=dtype)
+    for k, (a, stride) in enumerate(zip(lo, strides)):
+        keys += (rows[:, k] - a) * stride
+    return keys
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:

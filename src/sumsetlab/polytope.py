@@ -352,9 +352,24 @@ def facet_height_ratio(config: PointConfig) -> Fraction:
 
 
 def _dilate_box(config: PointConfig, n: int):
-    lo = [n * min(p[k] for p in config.points) for k in range(config.dim)]
-    hi = [n * max(p[k] for p in config.points) for k in range(config.dim)]
-    return lo, hi
+    columns = list(zip(*config.points))
+    return [n * min(c) for c in columns], [n * max(c) for c in columns]
+
+
+def dilate_box_cells(config: PointConfig, n: int) -> int:
+    """The number of points of the integer bounding box of n*H."""
+    return kernels.key_strides(*_dilate_box(config, n))[1]
+
+
+def check_dilate_box(config: PointConfig, n: int, cap_points: int) -> None:
+    """Raise BudgetExceededError (``reached`` = n) when the integer bounding
+    box of n*H holds more than ``cap_points`` points."""
+    box = dilate_box_cells(config, n)
+    if box > cap_points:
+        raise BudgetExceededError(
+            f"bounding box holds {box} points, above the {cap_points} cap",
+            reached=n,
+        )
 
 
 def count_dilate_points(config: PointConfig, n: int, cap_points: int = 10 ** 7) -> int:
@@ -382,15 +397,8 @@ def _dilate_scan(config: PointConfig, n: int, enumerate_points: bool, cap_points
     if d == 0:
         return np.zeros((1, 0), dtype=np.int64) if enumerate_points else 1
     poly = convex_hull(config)
+    check_dilate_box(config, n, cap_points)
     lo, hi = _dilate_box(config, n)
-    box = 1
-    for a, b in zip(lo, hi):
-        box *= (b - a + 1)
-    if box > cap_points:
-        raise BudgetExceededError(
-            f"bounding box holds {box} points, above the {cap_points} cap",
-            reached=n,
-        )
     lhs = [list(f.normal) for f in poly.facets]
     rhs = [n * f.offset for f in poly.facets]
     return scan_box(lo, hi, lhs, rhs, enumerate_points)

@@ -3,9 +3,9 @@
 For a normalized configuration, NA always sits inside the lattice points of
 N*H(A) with, for every hull vertex a, the set a*N - E(a - A) carved out
 (E is the exceptional set of the semigroup at that vertex).  Eventually this
-inclusion is an equality; this module verifies it level by level, finds the
-exact onset when the proven bounds are within budget, and evaluates those
-bounds.
+inclusion is an equality; this module verifies it at every level, a block
+of consecutive levels at a time, finds the exact onset when the proven
+bounds are within budget, and evaluates those bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -29,10 +30,12 @@ from .lattice import (
 )
 from .polytope import (
     _dilate_box,
+    check_dilate_box,
     cone_functional,
     convex_hull,
-    dilate_points,
+    dilate_box_cells,
     facet_height_ratio,
+    scan_box,
     volumes,
 )
 from .sumsets import (
@@ -135,33 +138,6 @@ def _vertex_sieves(config: PointConfig, top: int, cap_points: int):
     return sieves, top
 
 
-def _rhs_array(config: PointConfig, sieves, n: int, cap_points: int) -> np.ndarray:
-    """structure_rhs at level n as a lex-sorted point array."""
-    x = dilate_points(config, n, cap_points)
-    for a, sieve in sieves:
-        x = x[sieve.members(np.asarray(a, dtype=x.dtype) * n - x)]
-    return x
-
-
-def _compare(config: PointConfig, n: int, na: np.ndarray,
-             rhs: np.ndarray) -> StructureReport:
-    """NA against its predicted shape by a set difference of packed keys.
-
-    ``na`` and ``rhs`` must be lex-sorted point arrays.  The strides of
-    key_strides are lex-major, so their keys come out ascending and each
-    side is searched by bisection.
-    """
-    lo, hi = _dilate_box(config, n)
-    strides, span = kernels.key_strides(lo, hi)
-    dtype = kernels.key_dtype(span)
-    na_keys = kernels.pack_rows(na, lo, strides, dtype)
-    rhs_keys = kernels.pack_rows(rhs, lo, strides, dtype)
-    missing = kernels.array_to_points(rhs[~kernels.sorted_member(rhs_keys, na_keys)])
-    extra = kernels.array_to_points(na[~kernels.sorted_member(na_keys, rhs_keys)])
-    return StructureReport(n=n, holds=not missing and not extra,
-                           missing=tuple(sorted(missing)), extra=tuple(sorted(extra)))
-
-
 def _sieves_through(config: PointConfig, n: int, cap_points: int):
     """The vertex sieves for levels 1..n, or BudgetExceededError."""
     sieves, top = _vertex_sieves(config, n, cap_points)
@@ -170,6 +146,80 @@ def _sieves_through(config: PointConfig, n: int, cap_points: int):
             f"the vertex sieves for level {n} exceed the {cap_points} point cap",
             reached=top)
     return sieves
+
+
+# most cells of the box of {(n, x)} that one block of levels may scan
+BLOCK_CELLS = 1 << 14
+
+
+def _block_rhs(config: PointConfig, sieves, n0: int, n1: int) -> np.ndarray:
+    """Rows (n, x) of structure_rhs at the levels n0..n1, lex-sorted.
+
+    One scan of the box [n0, n1] x (box of n1*H) under the homogenized
+    facet rows [-offset | normal] . (n, x) <= 0 gives the lattice points x
+    of n*H for every n at once (the box of n*H grows with n, because A
+    holds the origin); one gather per hull vertex a then keeps the rows
+    whose reflection a*n - x is in P(a - A).
+    """
+    lo, hi = _dilate_box(config, n1)
+    lhs = [[-f.offset, *f.normal] for f in convex_hull(config).facets]
+    rows = scan_box([n0, *lo], [n1, *hi], lhs, [0] * len(lhs), True)
+    keep = np.ones(len(rows), dtype=bool)
+    cols = rows.T
+    for a, sieve in sieves:
+        # column-major: numpy's loops over rows of d entries are slow
+        reflected = np.asarray(a, dtype=rows.dtype)[:, None] * cols[:1] - cols[1:]
+        keep &= sieve.members(reflected.T)
+    return rows.compress(keep, axis=0)
+
+
+def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
+    """Each level (n, NA) of ``block`` against its predicted shape.
+
+    The levels must be consecutive and lex-sorted.  Both sides become keys
+    of (n, x) in one box whose strides are lex-major, so each side comes
+    out ascending, is searched in the other by bisection, and only missing
+    or extra points become tuples.
+    """
+    n0, n1 = block[0][0], block[-1][0]
+    rhs = _block_rhs(config, sieves, n0, n1)
+    lo, hi = _dilate_box(config, n1)
+    strides, span = kernels.key_strides([n0, *lo], [n1, *hi])
+    dtype = kernels.key_dtype(span)
+    na_keys = np.concatenate([
+        kernels.pack_rows(na, lo, strides[1:], dtype) + (n - n0) * strides[0]
+        for n, na in block])
+    rhs_keys = kernels.pack_rows(rhs, [n0, *lo], strides, dtype)
+    lost = ~kernels.sorted_member(na_keys, rhs_keys)
+    missing = rhs[~kernels.sorted_member(rhs_keys, na_keys)]
+    cuts = np.searchsorted(missing[:, 0], np.arange(n0, n1 + 2))
+    reports = []
+    start = 0
+    for i, (n, na) in enumerate(block):
+        miss = kernels.array_to_points(missing[cuts[i]:cuts[i + 1], 1:])
+        extra = kernels.array_to_points(na[lost[start:start + len(na)]])
+        start += len(na)
+        reports.append(StructureReport(n=n, holds=not miss and not extra,
+                                       missing=tuple(miss), extra=tuple(extra)))
+    return reports
+
+
+def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
+    """Reports for the consecutive levels (n, NA) that ``levels`` yields.
+
+    The levels are checked in blocks: a block closes before its box of
+    (n, x) would pass BLOCK_CELLS cells, so a level is drawn from
+    ``levels``, and passes the caller's cut rules there, before it joins
+    a block.
+    """
+    block = []
+    for n, na in levels:
+        if block and (n - block[0][0] + 1) * dilate_box_cells(config, n) > BLOCK_CELLS:
+            yield from _check_block(config, sieves, block)
+            block = []
+        block.append((n, na))
+    if block:
+        yield from _check_block(config, sieves, block)
 
 
 def structure_rhs(config: PointConfig, n: int,
@@ -182,7 +232,8 @@ def structure_rhs(config: PointConfig, n: int,
     """
     require_normalized(config)
     sieves = _sieves_through(config, n, cap_points)
-    return kernels.array_to_points(_rhs_array(config, sieves, n, cap_points))
+    check_dilate_box(config, n, cap_points)
+    return kernels.array_to_points(_block_rhs(config, sieves, n, n)[:, 1:])
 
 
 def verify_structure_equation(config: PointConfig, n: int,
@@ -197,7 +248,8 @@ def verify_structure_equation(config: PointConfig, n: int,
     else:
         na = np.asarray(sorted(_sumset_points)).reshape(len(_sumset_points), config.dim)
     sieves = _sieves_through(config, n, cap_points)
-    return _compare(config, n, na, _rhs_array(config, sieves, n, cap_points))
+    check_dilate_box(config, n, cap_points)
+    return _check_block(config, sieves, [(n, na)])[0]
 
 
 def structure_levels(config: PointConfig, max_n: int,
@@ -207,8 +259,13 @@ def structure_levels(config: PointConfig, max_n: int,
     if max_n < 1:
         return []
     sieves = _sieves_through(config, max_n, cap_points)
-    return [_compare(config, n, na, _rhs_array(config, sieves, n, cap_points))
-            for n, na in enumerate(sumset_arrays(config, max_n), start=1)]
+
+    def levels():
+        for n, na in enumerate(sumset_arrays(config, max_n), start=1):
+            check_dilate_box(config, n, cap_points)
+            yield n, na
+
+    return list(_window(config, sieves, levels()))
 
 
 @dataclass(frozen=True)
@@ -231,7 +288,9 @@ def structure_threshold(config: PointConfig, *,
     bound); otherwise the window stops early and the status is "empirical".
     The full window is always checked; equality at one level is never
     assumed to propagate upward.  The vertex sieves are built once, for the
-    whole window.
+    whole window, and the levels are checked in blocks (_window); each
+    level passes the cut rules (the test budget and the dilate box cap)
+    before it joins a block.
     """
     require_normalized(config)
     bounds = structure_bounds(config)
@@ -239,25 +298,30 @@ def structure_threshold(config: PointConfig, *,
     # level 1 is checked even under max_n < 1: the sumsets start there
     top = max(1, bound if max_n is None else min(bound, max_n))
     sieves, top = _vertex_sieves(config, top, cap_points)
-    spent = 0
     vertex_count = max(1, len(sieves))
+
+    def levels():
+        spent = 0
+        for n, na in zip(range(1, top + 1), sumset_arrays(config, top)):
+            cost = len(na) * (1 + vertex_count)
+            if spent + cost > test_budget and n > 1:
+                return
+            try:
+                check_dilate_box(config, n, cap_points)
+            except BudgetExceededError:
+                return
+            spent += cost
+            yield n, na
+
     failing = []
     checked = 0
-    for n, na in zip(range(1, top + 1), sumset_arrays(config, top)):
-        cost = len(na) * (1 + vertex_count)
-        if spent + cost > test_budget and checked > 0:
-            break
-        try:
-            report = _compare(config, n, na, _rhs_array(config, sieves, n, cap_points))
-        except BudgetExceededError:
-            break
-        spent += cost
-        checked = n
+    for report in _window(config, sieves, levels()):
+        checked = report.n
         if report.extra:
             raise InternalInvariantError(
-                f"sumset escaped its predicted shape at N={n}: {report.extra[:3]}")
+                f"sumset escaped its predicted shape at N={checked}: {report.extra[:3]}")
         if not report.holds:
-            failing.append(n)
+            failing.append(checked)
     if checked == 0:
         raise BudgetExceededError("no structure level fits the test budget",
                                   reached=0)

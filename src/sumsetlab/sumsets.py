@@ -4,7 +4,9 @@ Point sets ride numpy arrays through the hot kernels: int64 whenever the
 coordinates and keys provably fit, Python ints (dtype object) otherwise,
 on the same code path (kernels.key_dtype picks).  All outputs are
 canonicalized (lexicographically sorted) so runs are deterministic
-whatever the dtype.
+whatever the dtype.  Semigroup membership comes from dense sieves
+(``semigroup_sieve``): a boolean mask over a box, closed under each
+generator by doubling shifts, so one query is one gather.
 """
 
 from __future__ import annotations
@@ -228,8 +230,8 @@ class SemigroupOracle:
     (``semigroup_sieve``) over ell = ``cone_functional`` of that hull, and
     minimum weights from the generator-count levels N(B + {0}).  A set B of
     rank below the dimension is mapped onto Z^rank by its Hermite basis,
-    which keeps lex order; a full-rank sublattice needs no map, because
-    sieve keys only ever hold sums of generators.  The oracle keeps no
+    which keeps lex order; a full-rank sublattice needs no map, because a
+    sieve's mask only ever holds sums of generators.  The oracle keeps no
     memo: answering never changes it.
     """
 
@@ -359,29 +361,85 @@ def semigroup_contains(config: PointConfig, point) -> tuple[bool, dict[Point, in
 
 @dataclass(frozen=True)
 class SemigroupSieve:
-    """The semigroup P(B) inside {y : ell . y <= limit}, as sorted packed keys.
+    """The semigroup P(B) inside {y : ell . y <= limit}, as a dense mask.
 
-    Keys pack the box that holds the region (``lo`` and ``strides``, see
-    kernels.key_strides); they are int64 when the box fits the kernel range
-    and Python ints (dtype object) otherwise.  ``keys`` must be sorted
-    ascending: ``members`` searches it by bisection.
+    ``mask`` is a boolean array over the box [lo, lo + mask.shape - 1] that
+    holds the region, in C order, so the flat index of a cell is its key
+    (``lo`` and ``strides``, see kernels.key_strides): the same lex-major
+    order the sumset levels and the dilate scans use.
     """
 
     ell: Point
     limit: int
     lo: Point
     strides: tuple[int, ...]
-    keys: np.ndarray
+    mask: np.ndarray
 
     def members(self, points) -> np.ndarray:
         """Boolean mask of the points that lie in P(B).
 
-        Every point must lie in the cone of B with ell . point <= limit.
-        The points may come in any order: their keys are looked up by
-        binary search in ``keys``, which is sorted by construction.
+        Every point must lie in the cone of B with ell . point <= limit,
+        so inside the box: then its key is a flat index into ``mask``, and
+        the answer is one gather.  The points may be int64 or Python ints
+        (dtype object); inside the box every coordinate fits int64.
         """
-        keys = kernels.pack_rows(points, self.lo, self.strides, self.keys.dtype)
-        return kernels.sorted_member(keys, self.keys)
+        keys = kernels.pack_rows(points, self.lo, self.strides, np.int64)
+        return self.mask.ravel()[keys]
+
+
+def _sieve_box(gens, weights, limit: int, dim: int):
+    """(lo, hi) of the box holding every sum of generators of weight <= limit.
+
+    Coordinate k of such a sum lies between limit * g_k / ell(g) at its
+    least and at its largest over the generators g; so does every cone
+    point with ell <= limit.
+    """
+    lo = tuple(min([0] + [-(-limit * g[k] // w) for g, w in zip(gens, weights)])
+               for k in range(dim))
+    hi = tuple(max([0] + [limit * g[k] // w for g, w in zip(gens, weights)])
+               for k in range(dim))
+    return lo, hi
+
+
+def _shift_or(mask: np.ndarray, offset) -> None:
+    """mask |= mask shifted by ``offset``, cut to the box (no wrap-around).
+
+    Every |offset_k| must be below the box's extent along axis k: the
+    doubling steps of semigroup_sieve are, since 2^t ell(g) <= limit puts
+    2^t g inside the box.
+    """
+    shape = mask.shape
+    src = tuple(slice(max(0, -s), n - max(0, s)) for s, n in zip(offset, shape))
+    dst = tuple(slice(max(0, s), n - max(0, -s)) for s, n in zip(offset, shape))
+    mask[dst] |= mask[src]
+
+
+# most cells whose ell-values _cut_to_region holds at once
+_SLAB_CELLS = 1 << 16
+
+
+def _cut_to_region(mask: np.ndarray, ell, lo, limit: int) -> None:
+    """mask &= {y : ell . y <= limit}, in place.
+
+    The cut runs over slabs of the first axis, so the ell-values it holds
+    at once, int64 or Python ints, are at most _SLAB_CELLS, whatever the
+    size of the box.
+    """
+    if mask.ndim == 0:  # ell . y = 0 <= limit
+        return
+    shape = mask.shape
+    reach = sum(abs(e) * max(abs(a), abs(a + n - 1)) for e, a, n in zip(ell, lo, shape))
+    dtype = kernels.key_dtype(reach, limit)
+    rows = max(1, _SLAB_CELLS * shape[0] // mask.size)
+    for start in range(0, shape[0], rows):
+        slab = mask[start:start + rows]
+        value = np.zeros((1,) * mask.ndim, dtype=dtype)
+        for k, (e, a, n) in enumerate(zip(ell, lo, slab.shape)):
+            axis = [1] * mask.ndim
+            axis[k] = n
+            first = a + start if k == 0 else a
+            value = value + e * (np.arange(n).astype(dtype) + first).reshape(axis)
+        np.logical_and(slab, value <= limit, out=slab)
 
 
 def semigroup_sieve(config: PointConfig, ell, limit: int,
@@ -390,17 +448,21 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
 
     ``ell`` must be an integer functional that is at least 1 on every point
     of B (polytope.cone_functional gives one when the cone of B is pointed
-    at 0), so every partial sum of a representation of y stays in
-    {ell <= ell . y}.  The sieve grows from {0} one ell-level at a time:
-    y with ell . y = t is in P(B) exactly when y - g is for some g in B,
-    and y - g sits on level t - ell . g.  Level t is therefore the union of
-    the earlier levels t - ell . g shifted by g; levels are disjoint, so no
-    point is ever tested against the points already found.
+    at 0).  The sieve is a boolean mask over the box that holds every sum
+    of generators of weight at most ``limit`` (_sieve_box).  It starts from
+    the origin and closes under each generator g in turn by doubling
+    shifts, mask |= mask shifted by 2^t g for 2^t * ell(g) <= limit, and
+    is cut to {ell <= limit} at the end.  This is exact: the box is convex,
+    so a run m, m + g, ..., m + k g whose ends lie in it lies in it, and
+    every partial sum of a representation of a point y of the region
+    (taking the generators in the same order) has weight at most
+    ell . y <= limit, so it lies in the box too.  Each generator costs
+    about log2(limit / ell(g)) array operations.
 
-    Each level is charged against ``cap_points`` (points held plus the rows
-    about to be merged) before it is allocated.  Past the budget a
-    BudgetExceededError names the last complete level (``reached``) and
-    carries the sieve up to it (``partial``).
+    The box's cells are charged against ``cap_points`` before the mask is
+    allocated.  Past the budget a BudgetExceededError names the largest
+    limit whose box fits (``reached``) and carries the sieve up to it
+    (``partial``).
     """
     if limit < 0:
         raise PreconditionError("sieve limit must be >= 0")
@@ -409,39 +471,33 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
     weights = [sum(e * x for e, x in zip(ell, g)) for g in gens]
     if any(w < 1 for w in weights):
         raise PreconditionError("the functional must be at least 1 on every generator")
-    # coordinate k of a sum of generators with total weight <= limit lies
-    # between limit * g_k / ell(g) at its least and at its largest
-    lo = tuple(min([0] + [-(-limit * g[k] // w) for g, w in zip(gens, weights)])
-               for k in range(config.dim))
-    hi = tuple(max([0] + [limit * g[k] // w for g, w in zip(gens, weights)])
-               for k in range(config.dim))
-    strides, span = kernels.key_strides(lo, hi)
-    steps = [(w, sum(x * s for x, s in zip(g, strides)))
-             for g, w in zip(gens, weights)]
-    origin = sum(-a * s for a, s in zip(lo, strides))
-    levels = [np.array([origin], dtype=kernels.key_dtype(span))]
-    empty = levels[0][:0]
+
+    def fits(top: int) -> bool:
+        return kernels.key_strides(*_sieve_box(gens, weights, top, config.dim))[1] <= cap_points
 
     def sieve(top: int) -> SemigroupSieve:
-        # disjoint sorted levels: the stable sort merges the runs
-        keys = np.concatenate(levels[:top + 1])
-        keys.sort(kind="stable")
-        return SemigroupSieve(ell=ell, limit=top, lo=lo, strides=strides, keys=keys)
+        lo, hi = _sieve_box(gens, weights, top, config.dim)
+        strides, _ = kernels.key_strides(lo, hi)
+        mask = np.zeros(tuple(b - a + 1 for a, b in zip(lo, hi)), dtype=bool)
+        mask[tuple(-a for a in lo)] = True
+        for g, w in zip(gens, weights):
+            step = 1
+            while step * w <= top:
+                _shift_or(mask, [step * x for x in g])
+                step *= 2
+        _cut_to_region(mask, ell, lo, top)
+        return SemigroupSieve(ell=ell, limit=top, lo=lo, strides=strides, mask=mask)
 
-    held = 1
-    for t in range(1, limit + 1):
-        parts = [(levels[t - w], step) for w, step in steps if w <= t]
-        rows = sum(len(level) for level, _ in parts)
-        if held + rows > cap_points:
-            raise BudgetExceededError(
-                f"semigroup sieve level {t} needs more than {cap_points} points",
-                reached=t - 1, partial=sieve(t - 1))
-        # a level that no generator weight reaches stays empty, unmerged
-        level = empty if rows == 0 else kernels.sorted_unique(
-            np.concatenate([empty] + [lv + step for lv, step in parts]))
-        levels.append(level)
-        held += len(level)
-    return sieve(limit)
+    if fits(limit):
+        return sieve(limit)
+    # the box grows with the limit: bisect for the largest one that fits
+    low, high = 0, limit
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    raise BudgetExceededError(
+        f"the semigroup sieve up to ell = {limit} needs more than {cap_points} points",
+        reached=low, partial=sieve(low))
 
 
 def region_points(config: PointConfig, region: RegionSpec,

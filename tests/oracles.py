@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithms: cofactor
 determinants instead of fraction-free elimination, multiset enumeration
 instead of incremental sumsets, box sieves and memoized per-point descent
-(the DFS semigroup oracle) instead of the library's ell-level semigroup
+(the DFS semigroup oracle) instead of the library's doubling-closure semigroup
 sieve and its generator-count levels, rational plane-solving instead of
 cofactor normals, a convex-combination search instead of facet
 incidence for hull vertices, and inclusion-exclusion over every subset of

@@ -198,6 +198,32 @@ class TestStructureCommand:
         assert all(lvl["extra"] == [] for lvl in levels)
 
 
+class TestStructureWindowEnds:
+    """A vertex sieve too large for --cap-points ends the window in exit 3."""
+
+    def test_huge_gap_needs_no_level_walk(self, capsys, tmp_path):
+        # reach 2^62 per vertex: no level fits a sieve of 10^7 cells
+        path = tmp_path / "gap62.txt"
+        path.write_text(f"0\n1\n3\n{2 ** 62}\n")
+        code, out, err = run_cli(capsys, "structure", "--input", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: budget exhausted: no structure level fits the test budget\n"
+
+    def test_slow_window_stops_empirical(self, capsys, tmp_path):
+        # bound 285715; the sieves of 10^7 cells reach level 9999 and the
+        # test budget ends the window well before that
+        path = tmp_path / "a_0_7_1000.txt"
+        path.write_text("0\n7\n1000\n")
+        code, out, _ = run_cli(capsys, "structure", "--input", str(path))
+        assert code == 3
+        report = json.loads(out)
+        section = report["structure"]
+        assert report["partial"] is True
+        assert section["threshold_status"] == "empirical"
+        assert section["bound_a"] == 285715
+        assert 1 < section["threshold_window_top"] < 9999
+
+
 class TestHighDimensionRendering:
     """The structure coarse bound has over 4300 digits once d >= 3."""
 

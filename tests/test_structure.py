@@ -18,7 +18,7 @@ from sumsetlab import (
     verify_structure_equation,
     volumes,
 )
-from sumsetlab import kernels
+from sumsetlab import kernels, structure
 from sumsetlab.polytope import (
     cone_constraints,
     cone_functional,
@@ -87,6 +87,12 @@ class TestVerifyEquation:
             for n, pts in enumerate(iter_sumsets(norm, 6), start=1):
                 report = verify_structure_equation(norm, n, _sumset_points=pts)
                 assert report.extra == (), (name, n)
+
+    def test_extra_and_missing_points_reported(self):
+        # at N=1 the predicted shape of {0,3,5} is {0,3,5} itself
+        report = verify_structure_equation(A135, 1, _sumset_points=[(0,), (1,), (3,)])
+        assert report.extra == ((1,),) and report.missing == ((5,),)
+        assert not report.holds
 
     def test_given_points_in_any_order(self, corpus):
         # the comparison searches sorted keys, so the given points are sorted
@@ -223,7 +229,7 @@ class TestSieveParity:
                 want = [oracle.contains(tuple(int(v) for v in p)) for p in cone]
                 got = sieve.members(cone)
                 assert got.tolist() == want, (name, a)
-                assert int(got.sum()) == len(sieve.keys), (name, a)
+                assert int(got.sum()) == int(sieve.mask.sum()), (name, a)
                 checked += len(cone)
         assert checked > 1000
 
@@ -242,7 +248,7 @@ class TestSieveParity:
             semigroup_sieve(cfg, ell, 40, cap_points=100)
         part = err.value.partial
         assert err.value.reached == part.limit < 40
-        assert len(part.keys) <= 100
+        assert part.mask.size <= 100
         # below its limit the partial sieve is exactly the full one
         low = cone[cone @ np.asarray(ell) <= part.limit]
         assert part.members(low).tolist() == full.members(low).tolist()
@@ -274,6 +280,36 @@ class TestPinnedThresholds:
         assert result.status == "empirical"
         assert 1 < result.window_top < dilate_top
         assert result.value == 2 and result.failing_levels == (1,)
+
+
+class TestBlockedWindow:
+    """Checking levels in blocks gives the reports of one level at a time."""
+
+    def test_levels_match_single_level_checks(self, corpus):
+        for name, _, norm in corpus:
+            want = [verify_structure_equation(norm, n) for n in range(1, 13)]
+            assert structure_levels(norm, 12) == want, name
+
+    def test_block_reports_each_level(self):
+        # {0,3,5}: (1,) is off the shape of 2A; (15,) is the top of 3A
+        levels = [sorted(pts) for pts in iter_sumsets(A135, 3)]
+        levels[1] = sorted(levels[1] + [(1,)])
+        levels[2] = levels[2][:-1]
+        block = [(n, np.array(pts)) for n, pts in enumerate(levels, start=1)]
+        reports = structure._check_block(
+            A135, structure._sieves_through(A135, 3, 10 ** 7), block)
+        assert [r.extra for r in reports] == [(), ((1,),), ()]
+        assert [r.missing for r in reports] == [(), (), ((15,),)]
+        assert [r.holds for r in reports] == [True, False, False]
+
+    @pytest.mark.parametrize("name", ["a_0_2_5_11_12", "hexagon6", "prism5"])
+    def test_block_size_does_not_change_the_threshold(self, corpus, monkeypatch, name):
+        norm = next(n for key, _, n in corpus if key == name)
+        blocked = structure_threshold(norm, max_n=40)
+        monkeypatch.setattr(structure, "BLOCK_CELLS", 1)  # one level per block
+        assert structure_threshold(norm, max_n=40) == blocked
+        assert structure_levels(norm, 10) == [
+            verify_structure_equation(norm, n) for n in range(1, 11)]
 
 
 class TestExactPath:

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sumsetlab import (
     BudgetExceededError,
+    DegenerateDimensionError,
     PointConfig,
     PreconditionError,
     RegionSpec,
@@ -17,7 +19,7 @@ from sumsetlab import (
     sumset_iterate,
 )
 from sumsetlab import kernels, sumsets
-from sumsetlab.polytope import dilate_points
+from sumsetlab.polytope import cone_functional, convex_hull, dilate_points
 from sumsetlab.sumsets import (
     _iterate_tuples,
     iter_sumsets,
@@ -291,20 +293,21 @@ class TestSemigroup:
         ok, cert = semigroup_contains(STRIP, (0, 0))
         assert ok and cert == {}
 
-    def test_sieve_skips_unreachable_levels(self, monkeypatch):
-        # on {0, 1024} only level 1024 holds a point: one merge, not 1024
-        calls = []
-        sorted_unique = kernels.sorted_unique
+    def test_sieve_shift_steps_are_logarithmic(self, monkeypatch):
+        # on {0, 1024} up to ell = 1024 * 1000 the doubling closure shifts
+        # once per bit of 1000, not once per ell-level
+        shifts = []
+        shift_or = sumsets._shift_or
 
-        def counted(keys):
-            calls.append(len(keys))
-            return sorted_unique(keys)
+        def counted(mask, offset):
+            shifts.append(tuple(offset))
+            return shift_or(mask, offset)
 
-        monkeypatch.setattr(kernels, "sorted_unique", counted)
+        monkeypatch.setattr(sumsets, "_shift_or", counted)
         oracle = SemigroupOracle(PointConfig.from_points([(0,), (1024,)]))
-        assert oracle.contains((1024,))
-        assert calls == [1]
-        assert not oracle.contains((1023,))
+        assert oracle.contains((1024 * 1000,))
+        assert shifts == [(1024 * 2 ** t,) for t in range(10)]
+        assert not oracle.contains((1024 * 1000 - 1,))
 
     def test_agrees_with_sumsets(self, corpus):
         # every point of NA for N <= 5 is a member; members found in the
@@ -414,6 +417,76 @@ class TestSemigroup:
             box = list(product(range(-1, 3), repeat=norm.dim))
             checked += _assert_weights_match_dfs(norm, sample[:12] + box)
         assert checked > 1000
+
+
+def _seeded_cones(count=24, seed=13):
+    """(config, ell) for seeded full-rank sets of nonnegative generators
+    (plus the origin) in d = 1..3, ell the cone functional of their hull."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = 1 + len(out) % 3
+        gens = {tuple(rng.randint(0, 4) for _ in range(d))
+                for _ in range(rng.randint(d, d + 2))} - {(0,) * d}
+        cfg = PointConfig.from_points(sorted(gens | {(0,) * d}))
+        try:
+            out.append((cfg, cone_functional(convex_hull(cfg))))
+        except DegenerateDimensionError:
+            continue
+    return out
+
+
+def _sieve_points(sieve):
+    """The members the sieve holds, lex-sorted, with the box they sit in."""
+    hi = [a + n - 1 for a, n in zip(sieve.lo, sieve.mask.shape)]
+    rows = kernels.decode_keys(np.flatnonzero(sieve.mask), sieve.lo, sieve.strides)
+    return kernels.array_to_points(rows), list(zip(sieve.lo, hi))
+
+
+class TestDenseSieve:
+    """The doubling-closure sieve against the plain closure of tests/oracles.py."""
+
+    def _assert_matches_closure(self, cfg, ell, sieve):
+        got, bounds = _sieve_points(sieve)
+        gens = [p for p in cfg.points if any(p)]
+        want = [p for p in semigroup_sieve(gens, bounds)
+                if sum(e * x for e, x in zip(ell, p)) <= sieve.limit]
+        assert got == want, (cfg.points, sieve.limit)
+
+    def test_full_sieve_matches_closure(self):
+        for cfg, ell in _seeded_cones():
+            least = min(sum(e * x for e, x in zip(ell, p)) for p in cfg.points if any(p))
+            sieve = sumsets.semigroup_sieve(cfg, ell, 6 * least)
+            self._assert_matches_closure(cfg, ell, sieve)
+
+    @pytest.mark.parametrize("slab", [None, 7])
+    def test_partial_sieve_matches_closure(self, monkeypatch, slab):
+        if slab:  # cut the region over many slabs of the first axis
+            monkeypatch.setattr(sumsets, "_SLAB_CELLS", slab)
+        for cfg, ell in _seeded_cones():
+            with pytest.raises(BudgetExceededError) as err:
+                sumsets.semigroup_sieve(cfg, ell, 10 ** 6, cap_points=3000)
+            part = err.value.partial
+            assert err.value.reached == part.limit < 10 ** 6
+            assert part.mask.size <= 3000
+            # the box of the next limit would not have fitted the cap
+            with pytest.raises(BudgetExceededError):
+                sumsets.semigroup_sieve(cfg, ell, part.limit + 1, cap_points=3000)
+            self._assert_matches_closure(cfg, ell, part)
+
+    def test_python_int_queries(self):
+        for cfg, ell in _seeded_cones():
+            with pytest.raises(BudgetExceededError) as err:
+                sumsets.semigroup_sieve(cfg, ell, 10 ** 6, cap_points=3000)
+            sieve = err.value.partial
+            _, bounds = _sieve_points(sieve)
+            box = np.array(list(product(*[range(a, b + 1) for a, b in bounds])),
+                           dtype=np.int64).reshape(-1, cfg.dim)
+            region = box[box @ np.asarray(ell) <= sieve.limit]
+            fast = sieve.members(region)
+            exact = sieve.members(region.astype(object))
+            assert exact.dtype == bool and exact.tolist() == fast.tolist()
+            assert int(fast.sum()) == int(sieve.mask.sum())
 
 
 def _assert_members_match_dfs(config, bounds):
