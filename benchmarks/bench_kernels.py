@@ -46,7 +46,10 @@ identical results, and prints tables:
   recursion (``khovanskii._hilbert_numerator``) against inclusion-exclusion
   over every subset (``subset_weights`` of ``tests/oracles.py``), on the
   obstruction sets of at most 16 elements among the same 47 sets, and the
-  pivot recursion alone on the 24 elements of the pinned truncating set.
+  pivot recursion alone on the 24 elements of the pinned truncating set;
+* the coarse bounds of {0, e_1..e_d, (1, ..., 1)} for d = 3..7 rendered
+  from their (base, exponent) pairs (``render_int(base, exponent)``)
+  against ``render_int(base ** exponent)``, which builds the integer first.
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
@@ -73,7 +76,7 @@ from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovan
 from sumsetlab.lattice import extremal_points
 from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
                                 dilate_points, volumes)
-from sumsetlab.reporting import Caps, growth_report, to_json
+from sumsetlab.reporting import Caps, growth_report, render_int, to_json
 from sumsetlab.structure import _vertex_sieves, structure_bounds
 from sumsetlab.sumsets import (_frontier_box, _iterate_arrays, _iterate_tuples,
                                region_points, sumset_arrays, sumset_levels)
@@ -420,6 +423,24 @@ def numerator_against_subsets(repeat):
           f"{'-':>10s} {'-':>8s}   ({', '.join(str(len(g)) for g in large)} elements)")
 
 
+def coarse_rendering(repeat):
+    shapes = []
+    for d in range(3, 8):
+        # {0, e_1..e_d, (1, ..., 1)}: d + 2 points of width 1
+        pts = [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        cfg = normalize_config(PointConfig.from_points(pts + [(1,) * d]))
+        shapes.append((d, khovanskii.khovanskii_bounds(cfg).coarse_power,
+                       structure_bounds(cfg).coarse_power))
+    print(f"{'workload':38s} {'pair':>10s} {'built':>10s} {'ratio':>8s}")
+    for d, *pairs in shapes:
+        t_pr, r_pr = bench(lambda: [render_int(*p) for p in pairs], (), repeat)
+        t_bt, r_bt = bench(lambda: [render_int(b ** e) for b, e in pairs], (), 1)
+        assert r_pr == r_bt, d
+        print(f"{f'coarse bounds, d={d}':38s} {t_pr * 1e3:8.2f}ms "
+              f"{t_bt * 1e3:8.2f}ms {t_bt / t_pr:7.2f}x   "
+              f"({r_pr[-1]['digits']} digits)")
+
+
 def _row_frontier_sizes(cfg, n_max):
     """|N*A| by the frontier iteration on point rows: each level steps the
     rows of its new points by the generators and packs the sums again."""
@@ -483,6 +504,8 @@ def main():
     frontier_keys(args.repeat)
     print()
     numerator_against_subsets(args.repeat)
+    print()
+    coarse_rendering(args.repeat)
 
 
 if __name__ == "__main__":

@@ -451,21 +451,30 @@ def _size_from_weights(weights: dict[int, int], n: int, h: int) -> int:
 
 @dataclass(frozen=True)
 class KhovanskiiBounds:
-    """Proven onset bounds: the sharp determinant one and the coarse width one."""
+    """Proven onset bounds: the sharp determinant one and the coarse width one.
+
+    The coarse bound is kept as the exact pair (base, exponent) of
+    ``coarse_power``; ``coarse`` builds base**exponent on first read.
+    """
 
     sharp: int
-    coarse: int
+    coarse_power: tuple[int, int]
+
+    @cached_property
+    def coarse(self) -> int:
+        base, exponent = self.coarse_power
+        return base ** exponent
 
 
 def khovanskii_bounds(config: PointConfig) -> KhovanskiiBounds:
     """sharp = |A|^2 det_max - |A| + 1;  coarse = (2|A| width)^((d+4)|A|)."""
     n = config.size
     if n == 1:
-        return KhovanskiiBounds(sharp=1, coarse=1)
+        return KhovanskiiBounds(sharp=1, coarse_power=(1, 1))
     v = volumes(config)
     sharp = n * n * v.det_max - n + 1
-    coarse = (2 * n * v.width) ** ((config.dim + 4) * n)
-    return KhovanskiiBounds(sharp=sharp, coarse=coarse)
+    return KhovanskiiBounds(
+        sharp=sharp, coarse_power=(2 * n * v.width, (config.dim + 4) * n))
 
 
 def _formula_polynomial(config: PointConfig, weights: dict[int, int]) -> RationalPolynomial:

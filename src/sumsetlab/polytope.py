@@ -361,17 +361,6 @@ def dilate_box_cells(config: PointConfig, n: int) -> int:
     return kernels.key_strides(*_dilate_box(config, n))[1]
 
 
-def check_dilate_box(config: PointConfig, n: int, cap_points: int) -> None:
-    """Raise BudgetExceededError (``reached`` = n) when the integer bounding
-    box of n*H holds more than ``cap_points`` points."""
-    box = dilate_box_cells(config, n)
-    if box > cap_points:
-        raise BudgetExceededError(
-            f"bounding box holds {box} points, above the {cap_points} cap",
-            reached=n,
-        )
-
-
 def count_dilate_points(config: PointConfig, n: int, cap_points: int = 10 ** 7) -> int:
     """The number of lattice points of the n-fold dilated hull, exactly.
 
@@ -397,7 +386,12 @@ def _dilate_scan(config: PointConfig, n: int, enumerate_points: bool, cap_points
     if d == 0:
         return np.zeros((1, 0), dtype=np.int64) if enumerate_points else 1
     poly = convex_hull(config)
-    check_dilate_box(config, n, cap_points)
+    box = dilate_box_cells(config, n)
+    if box > cap_points:
+        raise BudgetExceededError(
+            f"bounding box holds {box} points, above the {cap_points} cap",
+            reached=n,
+        )
     lo, hi = _dilate_box(config, n)
     lhs = [list(f.normal) for f in poly.facets]
     rhs = [n * f.offset for f in poly.facets]

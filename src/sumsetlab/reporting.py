@@ -3,9 +3,11 @@
 Rationals render as "p/q" strings (plain integers when the denominator is
 1); integers too large for exact float-safe JSON render as a decimal string
 plus digit count, and integers of more than MAX_DECIMAL_DIGITS digits as
-their exact digit count plus their leading LEADING_DIGITS digits.  JSON
-output uses sorted keys and LF endings so identical inputs produce
-byte-identical reports.
+their exact digit count plus their leading LEADING_DIGITS digits.
+render_int also takes a value as a power (base, exponent), which the
+coarse bounds use: their digits are bounded from the pair, and the power
+itself is built only when it prints in full.  JSON output uses sorted
+keys and LF endings so identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -47,26 +49,91 @@ def render_rational(value):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _decimal_digits(v: int) -> tuple[int, int]:
-    """(digits, 10**digits) for v > 0: the count by comparison with powers of ten."""
-    # 30102/100000 < log10(2), so the first estimate never exceeds the count
-    digits = (v.bit_length() - 1) * 30102 // 100000 + 1
-    power = 10 ** digits
-    while power <= v:
-        power *= 10
-        digits += 1
-    return digits, power
+# values of at most this many bits print in full: 2**14000 < 10**4215
+_EXACT_BITS = 14000
 
 
-def render_int(value: int):
-    v = int(value)
-    if abs(v) < _FLOAT_SAFE:
-        return v
-    digits, power = _decimal_digits(abs(v))
+def _power_chain(base: int, exponent: int, bits: int, up: bool) -> tuple[int, int]:
+    """(m, s) with m * 2**s <= base**exponent, or >= when ``up``, and m of at
+    most ``bits`` bits: square-and-multiply that rounds every product down
+    (or up) to ``bits`` bits.  base >= 1, exponent >= 0."""
+
+    def trim(m: int, s: int) -> tuple[int, int]:
+        cut = m.bit_length() - bits
+        if cut <= 0:
+            return m, s
+        return (-(-m >> cut) if up else m >> cut), s + cut
+
+    b, b_shift = trim(base, 0)
+    m, s = 1, 0
+    for bit in bin(exponent)[2:]:
+        m, s = trim(m * m, 2 * s)
+        if bit == "1":
+            m, s = trim(m * b, s + b_shift)
+    return m, s
+
+
+def _floor_ratio(num: tuple[int, int], den: tuple[int, int]) -> int:
+    """floor((m1 * 2**s1) / (m2 * 2**s2)) for num = (m1, s1), den = (m2, s2)."""
+    (m1, s1), (m2, s2) = num, den
+    if s1 >= s2:
+        return (m1 << (s1 - s2)) // m2
+    return m1 // (m2 << (s2 - s1))
+
+
+def _digits_and_leading(base: int, exponent: int) -> tuple[int, str]:
+    """The decimal digit count of base**exponent and its first LEADING_DIGITS
+    digits, for base**exponent > 2**_EXACT_BITS.
+
+    The floor and ceiling chains of _power_chain bracket base**exponent and
+    10**k, for k about 40 digits below the count, which bounds
+    q = floor(base**exponent / 10**k) between two integers of some 40
+    digits.  When both have the same length and the same first
+    LEADING_DIGITS digits, so has q, and the count is k plus its length.
+    Otherwise, as at exact powers of ten, q comes from exact division.
+    Each chain rounds about 2*log2(exponent) times by a relative 2**(1 - bits),
+    and the squarings after a rounding scale it by at most the exponent, so
+    with bits = 256 + 2*log2(exponent) the bracket is far below one unit of q.
+    """
+    bits = 256 + 2 * exponent.bit_length()
+    lo = _power_chain(base, exponent, bits, False)
+    hi = _power_chain(base, exponent, bits, True)
+    # 30102/100000 < log10(2): base**exponent has more than k + 40 digits
+    k = max(0, (lo[0].bit_length() + lo[1] - 1) * 30102 // 100000 - 40)
+    q_lo = str(_floor_ratio(lo, _power_chain(10, k, bits, True)))
+    q_hi = str(_floor_ratio(hi, _power_chain(10, k, bits, False)))
+    if len(q_lo) != len(q_hi) or q_lo[:LEADING_DIGITS] != q_hi[:LEADING_DIGITS]:
+        q_lo = _exact_quotient(base, exponent, k)
+    return k + len(q_lo), q_lo[:LEADING_DIGITS]
+
+
+def _exact_quotient(base: int, exponent: int, k: int) -> str:
+    """The decimal digits of floor(base**exponent / 10**k), exactly."""
+    return str(base ** exponent // 10 ** k)
+
+
+def render_int(value: int, exponent: int = 1):
+    """The report form of value**exponent, without building it when it is
+    too large to print in full.
+
+    Float-safe values stay plain ints, values of at most MAX_DECIMAL_DIGITS
+    digits become {"decimal", "digits"}, and larger ones {"digits",
+    "leading"}, whose digit count and leading digits come from
+    _digits_and_leading on the base and exponent.  A plain int is value**1.
+    """
+    v, e = int(value), int(exponent)
+    base = abs(v)
+    if base < 2 or e * base.bit_length() <= _EXACT_BITS:
+        power = v ** e
+        if abs(power) < _FLOAT_SAFE:
+            return power
+        text = str(power)
+        return {"decimal": text, "digits": len(text) - (power < 0)}
+    digits, leading = _digits_and_leading(base, e)
     if digits <= MAX_DECIMAL_DIGITS:
-        return {"decimal": str(v), "digits": digits}
-    leading = abs(v) // (power // 10 ** LEADING_DIGITS)
-    return {"digits": digits, "leading": ("-" if v < 0 else "") + str(leading)}
+        return {"decimal": str(v ** e), "digits": digits}
+    sign = "-" if v < 0 and e % 2 else ""
+    return {"digits": digits, "leading": sign + leading}
 
 
 def render_point(p):
@@ -109,7 +176,7 @@ def khovanskii_section(config: PointConfig, caps: Caps, route: str) -> tuple[dic
     bounds = khovanskii_bounds(config)
     section: dict = {
         "bound_sharp": render_int(bounds.sharp),
-        "bound_coarse": render_int(bounds.coarse),
+        "bound_coarse": render_int(*bounds.coarse_power),
     }
     threshold = khovanskii_threshold(
         config, max_weight=caps.cap_weight, cap_points=caps.cap_points,
@@ -146,7 +213,7 @@ def structure_section(config: PointConfig, caps: Caps) -> tuple[dict, bool]:
         "bound_a": render_int(bounds.bound_a),
         "bound_b": render_int(bounds.bound_b),
         "bound_clean": render_int(bounds.clean),
-        "bound_coarse": render_int(bounds.coarse),
+        "bound_coarse": render_int(*bounds.coarse_power),
     }
     result = structure_threshold(config, cap_points=caps.cap_points,
                                  max_n=caps.max_n)
@@ -242,13 +309,13 @@ def bounds_report(config: PointConfig) -> dict:
     return {
         "khovanskii": {
             "sharp": render_int(kb.sharp),
-            "coarse": render_int(kb.coarse),
+            "coarse": render_int(*kb.coarse_power),
         },
         "structure": {
             "bound_a": render_int(sb.bound_a),
             "bound_b": render_int(sb.bound_b),
             "clean": render_int(sb.clean),
-            "coarse": render_int(sb.coarse),
+            "coarse": render_int(*sb.coarse_power),
         },
     }
 

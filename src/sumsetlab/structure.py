@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +31,6 @@ from .lattice import (
 )
 from .polytope import (
     _dilate_box,
-    check_dilate_box,
     cone_functional,
     convex_hull,
     dilate_box_cells,
@@ -68,13 +68,19 @@ class StructureBounds:
 
     bound_a uses the hull volume and vertex count; bound_b only cardinality
     and the extreme simplex determinant; clean is the weaker volume-squared
-    form; coarse is the width-power bound.
+    form; coarse is the width-power bound, kept as the exact pair
+    (base, exponent) of ``coarse_power`` and built on first read.
     """
 
     bound_a: int
     bound_b: int
     clean: int
-    coarse: int
+    coarse_power: tuple[int, int]
+
+    @cached_property
+    def coarse(self) -> int:
+        base, exponent = self.coarse_power
+        return base ** exponent
 
 
 def _ceil_fraction(value) -> int:
@@ -97,12 +103,12 @@ def structure_bounds(config: PointConfig) -> StructureBounds:
     bound_b = _ceil_fraction((d + 1) * kappa * (n - d - 1) * v.det_max)
     clean = _ceil_fraction(
         (d + 1) * math.factorial(d) ** 2 * (ex_count - d) * v.volume ** 2)
-    coarse = (d * n * v.width) ** (13 * d ** 6) if d > 0 else 1
     return StructureBounds(
         bound_a=max(1, bound_a),
         bound_b=max(1, bound_b),
         clean=max(1, clean),
-        coarse=max(1, coarse),
+        # (d|A| width)^(13 d^6), at least 1: 1^e when the base is 0
+        coarse_power=(max(1, d * n * v.width), 13 * d ** 6),
     )
 
 
@@ -210,7 +216,9 @@ def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
     The levels are checked in blocks: a block closes before its box of
     (n, x) would pass BLOCK_CELLS cells, so a level is drawn from
     ``levels``, and passes the caller's cut rules there, before it joins
-    a block.
+    a block.  No level needs a dilate-box cap of its own: the reflection
+    a*n - box(n*H) is the box of n*(a - A), which lies inside the box of
+    a vertex sieve built for level n, and that box fits the point cap.
     """
     block = []
     for n, na in levels:
@@ -232,7 +240,6 @@ def structure_rhs(config: PointConfig, n: int,
     """
     require_normalized(config)
     sieves = _sieves_through(config, n, cap_points)
-    check_dilate_box(config, n, cap_points)
     return kernels.array_to_points(_block_rhs(config, sieves, n, n)[:, 1:])
 
 
@@ -248,7 +255,6 @@ def verify_structure_equation(config: PointConfig, n: int,
     else:
         na = np.asarray(sorted(_sumset_points)).reshape(len(_sumset_points), config.dim)
     sieves = _sieves_through(config, n, cap_points)
-    check_dilate_box(config, n, cap_points)
     return _check_block(config, sieves, [(n, na)])[0]
 
 
@@ -259,13 +265,8 @@ def structure_levels(config: PointConfig, max_n: int,
     if max_n < 1:
         return []
     sieves = _sieves_through(config, max_n, cap_points)
-
-    def levels():
-        for n, na in enumerate(sumset_arrays(config, max_n), start=1):
-            check_dilate_box(config, n, cap_points)
-            yield n, na
-
-    return list(_window(config, sieves, levels()))
+    levels = enumerate(sumset_arrays(config, max_n), start=1)
+    return list(_window(config, sieves, levels))
 
 
 @dataclass(frozen=True)
@@ -289,8 +290,7 @@ def structure_threshold(config: PointConfig, *,
     The full window is always checked; equality at one level is never
     assumed to propagate upward.  The vertex sieves are built once, for the
     whole window, and the levels are checked in blocks (_window); each
-    level passes the cut rules (the test budget and the dilate box cap)
-    before it joins a block.
+    level passes the test budget before it joins a block.
     """
     require_normalized(config)
     bounds = structure_bounds(config)
@@ -305,10 +305,6 @@ def structure_threshold(config: PointConfig, *,
         for n, na in zip(range(1, top + 1), sumset_arrays(config, top)):
             cost = len(na) * (1 + vertex_count)
             if spent + cost > test_budget and n > 1:
-                return
-            try:
-                check_dilate_box(config, n, cap_points)
-            except BudgetExceededError:
                 return
             spent += cost
             yield n, na

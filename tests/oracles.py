@@ -8,8 +8,9 @@ sieve and its generator-count levels, rational plane-solving instead of
 cofactor normals, a convex-combination search instead of facet
 incidence for hull vertices, and inclusion-exclusion over every subset of
 the obstruction set instead of the pivot recursion for the Hilbert series
-numerator.  Slow but exact.  ``growth_sizes`` is only a shorthand for the
-library's iterated sumset sizes.
+numerator, and comparison with powers of ten instead of rounded power
+chains for the digits of huge integers.  Slow but exact.  ``growth_sizes``
+is only a shorthand for the library's iterated sumset sizes.
 """
 
 from fractions import Fraction
@@ -464,3 +465,17 @@ def subset_weights(elements):
 
     rec(0, (0,) * (len(elements[0]) if elements else 0), 1)
     return {w: c for w, c in acc.items() if c}
+
+
+def digits_and_leading(value, leading=24):
+    """(decimal digit count, first ``leading`` digits) of value > 0 by exact
+    integer arithmetic: the count by comparison with powers of ten, the
+    digits by one exact division.  Needs no str() of the whole value, so it
+    stays fast for values of millions of digits."""
+    # 30102/100000 < log10(2), so the first estimate never exceeds the count
+    digits = (value.bit_length() - 1) * 30102 // 100000 + 1
+    power = 10 ** digits
+    while power <= value:
+        power *= 10
+        digits += 1
+    return digits, str(value // (power // 10 ** leading))

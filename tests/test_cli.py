@@ -6,10 +6,11 @@ import sys
 import pytest
 
 import sumsetlab
-from sumsetlab import kernels, khovanskii
+from sumsetlab import KhovanskiiBounds, StructureBounds, kernels, khovanskii
 from sumsetlab.cli import main
 
 from corpus import CORPUS
+from oracles import digits_and_leading
 
 
 @pytest.fixture
@@ -228,9 +229,11 @@ class TestHighDimensionRendering:
     """The structure coarse bound has over 4300 digits once d >= 3."""
 
     @staticmethod
-    def _write(tmp_path, dim):
+    def _write(tmp_path, dim, ones=False):
+        """The unit d-simplex {0, e_1..e_d}, with (1, ..., 1) when ``ones``."""
         rows = [[0] * dim] + [[int(i == j) for j in range(dim)] for i in range(dim)]
-        path = tmp_path / f"simplex{dim}.txt"
+        rows += [[1] * dim] if ones else []
+        path = tmp_path / f"simplex{dim}{'_ones' * ones}.txt"
         path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
         return str(path)
 
@@ -254,6 +257,36 @@ class TestHighDimensionRendering:
         code, out, _ = run_cli(capsys, "bounds", "--input", self._write(tmp_path, 4))
         assert code == 0
         assert json.loads(out)["structure"]["coarse"]["digits"] > 4300
+
+    def test_bounds_7d_pinned(self, capsys, tmp_path):
+        # (7 * 9 * 1) ** (13 * 7^6): 2.75M digits, never built
+        code, out, _ = run_cli(capsys, "bounds", "--input",
+                               self._write(tmp_path, 7, ones=True))
+        assert code == 0
+        assert json.loads(out)["structure"]["coarse"] == {
+            "digits": 2751979, "leading": "102786159085908823861466"}
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_bounds_5d_6d_exact(self, capsys, tmp_path, dim):
+        code, out, _ = run_cli(capsys, "bounds", "--input",
+                               self._write(tmp_path, dim, ones=True))
+        assert code == 0
+        digits, leading = digits_and_leading((dim * (dim + 2)) ** (13 * dim ** 6))
+        assert json.loads(out)["structure"]["coarse"] == {
+            "digits": digits, "leading": leading}
+
+    def test_4d_commands_never_build_coarse(self, capsys, tmp_path, monkeypatch):
+        """Only the (base, exponent) pairs are read: building either coarse
+        bound would end the run in exit 4."""
+        def unbuilt(self):
+            raise AssertionError("coarse bound built")
+
+        monkeypatch.setattr(KhovanskiiBounds, "coarse", property(unbuilt))
+        monkeypatch.setattr(StructureBounds, "coarse", property(unbuilt))
+        path = self._write(tmp_path, 4)
+        for command in ("bounds", "analyze", "khovanskii", "structure", "verify"):
+            code, _, err = run_cli(capsys, command, "--input", path)
+            assert code == 0, (command, err)
 
 
 class TestOtherCommands:

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sumsetlab import khovanskii_bounds, reporting, structure_bounds
 from sumsetlab.cli import main
 from sumsetlab.reporting import (
     LEADING_DIGITS,
@@ -16,6 +18,8 @@ from sumsetlab.reporting import (
     to_json,
     to_text,
 )
+
+from oracles import digits_and_leading
 
 GOLDEN = Path(__file__).parent / "golden"
 EMIT_GOLDENS = [
@@ -75,6 +79,80 @@ class TestRenderInt:
         for k in range(MAX_DECIMAL_DIGITS + 1, MAX_DECIMAL_DIGITS + 40):
             for value in (10 ** k - 1, 10 ** k, 10 ** k + 1):
                 assert render_int(value)["digits"] == len(str(value))
+
+
+def _reference(value):
+    """render_int's answer for value, read off str(value).
+
+    str() takes quadratic time, so values of over 70,000 bits (the 4-D
+    structure coarse bounds, about 0.2 s each) are read off the exact
+    powers-of-ten comparison of the test oracles instead.
+    """
+    if abs(value) < 1 << 53:
+        return value
+    sign = "-" if value < 0 else ""
+    if abs(value).bit_length() > 70000:
+        digits, leading = digits_and_leading(abs(value), LEADING_DIGITS)
+        return {"digits": digits, "leading": sign + leading}
+    text = str(abs(value))
+    if len(text) <= MAX_DECIMAL_DIGITS:
+        return {"decimal": str(value), "digits": len(text)}
+    return {"digits": len(text), "leading": sign + text[:LEADING_DIGITS]}
+
+
+class TestRenderPower:
+    """render_int(base, exponent) prints base**exponent as str() would."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Counts the exact divisions _digits_and_leading falls back to."""
+        calls = []
+        exact = reporting._exact_quotient
+
+        def counted(base, exponent, k):
+            calls.append((base, exponent))
+            return exact(base, exponent, k)
+
+        monkeypatch.setattr(reporting, "_exact_quotient", counted)
+        return calls
+
+    @staticmethod
+    def _check(pairs):
+        for base, exponent in pairs:
+            assert render_int(base, exponent) == _reference(base ** exponent), (base, exponent)
+
+    def test_bases_across_the_cutoff(self, unlimited_str):
+        pairs = []
+        for base in range(2, 65):
+            # both sides of the 4300-digit edge and of the 14000-bit exact path
+            edge = int(MAX_DECIMAL_DIGITS / math.log10(base))
+            exact = 14000 // base.bit_length()
+            pairs += [(b, e) for b in (base, -base) for e in
+                      {1, 2, 3, exact, exact + 1, *range(edge - 2, edge + 3)}]
+        self._check(pairs)
+        shapes = [render_int(b, e) for b, e in pairs]
+        assert {"decimal", "leading"} <= {key for r in shapes if isinstance(r, dict)
+                                          for key in r}
+
+    def test_powers_of_ten_fall_back_to_exact_division(self, unlimited_str, fallbacks):
+        for k in (4299, 4300, 4301, 4320, 9998, 9999, 10000):
+            for value in (10 ** k, 10 ** k - 1, 10 ** k + 1, 100 ** k, 1000 ** k):
+                self._check([(value, 1), (-value, 1)])
+            self._check([(10, k), (-10, k), (100, k), (-1000, k)])
+        assert (10, 9999) in fallbacks and (10 ** 9999, 1) in fallbacks
+
+    def test_coarse_bounds(self, unlimited_str, corpus):
+        pairs = []
+        for _, _, norm in corpus:
+            pairs += [khovanskii_bounds(norm).coarse_power,
+                      structure_bounds(norm).coarse_power]
+        # every shape of the geometry-batch benchmark's sets
+        for d in range(1, 5):
+            for size in (d + 1, d + 2):
+                for width in range(1, 11):
+                    pairs += [(2 * size * width, (d + 4) * size),
+                              (d * size * width, 13 * d ** 6)]
+        self._check(sorted(set(pairs)))
 
 
 def _dumps(value):

@@ -23,6 +23,7 @@ from sumsetlab.polytope import (
     cone_constraints,
     cone_functional,
     convex_hull,
+    dilate_box_cells,
     dilate_points,
     scan_box,
 )
@@ -123,6 +124,22 @@ class TestBounds:
                 continue
             b = structure_bounds(norm)
             assert min(b.bound_a, b.bound_b, b.clean, b.coarse) >= 1, name
+
+    def test_threshold_leaves_coarse_unbuilt(self, monkeypatch):
+        # the 4-D coarse bound (4 * 5 * 1) ** 53248 has 69,278 digits
+        cfg = PointConfig.from_points(
+            [(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)])
+        made = []
+
+        def recorded(config):
+            made.append(structure_bounds(config))
+            return made[-1]
+
+        monkeypatch.setattr(structure, "structure_bounds", recorded)
+        assert structure.structure_threshold(cfg).status == "exact"
+        assert made and all("coarse" not in vars(b) for b in made)
+        assert made[0].coarse_power == (20, 53248)
+        assert made[0].coarse == 20 ** 53248 and "coarse" in vars(made[0])
 
     def test_simplex_collapse(self, corpus):
         # when the point set is exactly the d+1 vertices of a simplex, the
@@ -280,6 +297,27 @@ class TestPinnedThresholds:
         assert result.status == "empirical"
         assert 1 < result.window_top < dilate_top
         assert result.value == 2 and result.failing_levels == (1,)
+
+
+class TestDilateBoxInsideSieves:
+    """The window needs no per-level dilate-box cap: reflected at a vertex
+    a, the box of n*H is the box of n*(a - A), which lies inside the box of
+    a's sieve for every level n the sieves cover, and that box fits the cap."""
+
+    def test_corpus_under_small_caps(self, corpus):
+        for name, _, norm in corpus:
+            bounds = structure_bounds(norm)
+            for cap in range(20, 1201, 20):
+                sieves, top = structure._vertex_sieves(
+                    norm, min(bounds.bound_a, bounds.bound_b), cap)
+                for n in range(1, top + 1):
+                    lo, hi = structure._dilate_box(norm, n)
+                    assert dilate_box_cells(norm, n) <= cap, (name, cap, n)
+                    for a, sieve in sieves:
+                        top_corner = [b + m - 1 for b, m in zip(sieve.lo, sieve.mask.shape)]
+                        for k in range(norm.dim):
+                            assert sieve.lo[k] <= a[k] * n - hi[k], (name, cap, n, a)
+                            assert a[k] * n - lo[k] <= top_corner[k], (name, cap, n, a)
 
 
 class TestBlockedWindow:
