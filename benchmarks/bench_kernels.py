@@ -12,10 +12,15 @@ identical results, and prints tables:
   from the new points of the one before) against the full-level loop
   (``kernels.sumset_step`` on every whole level), for hexagon6 to N=150
   and simplex3_diag to N=60;
-* ``reporting.to_json`` on the ``growth --max-n 80 --emit-points`` report
-  of hexagon6, whose levels are int64 arrays, against ``json.dumps(indent=2)``
-  of the same report with every level turned into row lists by ``tolist()``
-  (the ``tolist()`` step is also timed on its own);
+* the report writers against ``json.dumps`` of row lists, with equal output
+  checked: ``reporting.to_json`` and ``reporting.to_text`` on the ``growth
+  --max-n 80 --emit-points`` report of hexagon6, whose levels are int64
+  arrays, against ``json.dumps(indent=2)`` (and ``to_text``) of the same
+  report with every level turned into row lists by ``tolist()`` (the
+  ``tolist()`` step is also timed on its own); ``to_json`` on the 1000-row
+  sizes-only report of {0,2,5,11,12}, all plain ints and strs, against
+  ``json.dumps(indent=2)``; and that whole emit request, building the report
+  and writing it, against building it and dumping its row lists;
 * the obstruction scan with its keys packed into as few int64 words as fit
   against the same scan with one word per digit, for hexagon6, for a
   six-point set whose scan the candidate budget truncates, and for a
@@ -76,7 +81,7 @@ from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovan
 from sumsetlab.lattice import extremal_points
 from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
                                 dilate_points, volumes)
-from sumsetlab.reporting import Caps, growth_report, render_int, to_json
+from sumsetlab.reporting import Caps, growth_report, render_int, to_json, to_text
 from sumsetlab.structure import _vertex_sieves, structure_bounds
 from sumsetlab.sumsets import (_frontier_box, _iterate_arrays, _iterate_tuples,
                                region_points, sumset_arrays, sumset_levels)
@@ -149,6 +154,7 @@ SUMSET_CASES = [
      [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 100),
 ]
 HEXAGON6 = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]
+A_0_2_5_11_12 = [(0,), (2,), (5,), (11,), (12,)]
 ITERATION_CASES = [
     ("iterate 2d hexagon6, N=150", HEXAGON6, 150),
     ("iterate 3d simplex3_diag, N=60",
@@ -210,16 +216,41 @@ def _tolist_rows(report):
                                  for row in report["growth"]]}
 
 
+def _dumps(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def json_writer(repeat):
-    print(f"{'workload':38s} {'to_json':>10s} {'dumps':>10s} {'ratio':>8s}")
-    report, _ = growth_report(PointConfig.from_points(HEXAGON6), Caps(max_n=80), True)
+    print(f"{'workload':38s} {'writer':>10s} {'dumps':>10s} {'ratio':>8s}")
+    hexagon = PointConfig.from_points(HEXAGON6)
+    report, _ = growth_report(hexagon, Caps(max_n=80), True)
     t_w, text = bench(to_json, (report,), repeat)
     t_l, listed = bench(_tolist_rows, (report,), repeat)
-    t_d, ref = bench(lambda: json.dumps(listed, sort_keys=True, indent=2) + "\n", (), 1)
+    t_d, ref = bench(_dumps, (listed,), 1)
     assert text == ref
     print(f"{'to_json hexagon6 emit report, N=80':38s} {t_w * 1e3:8.2f}ms "
           f"{(t_l + t_d) * 1e3:8.2f}ms {(t_l + t_d) / t_w:7.2f}x   ({len(text)} bytes)")
     print(f"{'  tolist() of its levels alone':38s} {'':10s} {t_l * 1e3:8.2f}ms")
+    t_w, text = bench(to_text, (report,), repeat)
+    t_d, ref = bench(to_text, (listed,), 1)
+    assert text == ref
+    print(f"{'to_text hexagon6 emit report, N=80':38s} {t_w * 1e3:8.2f}ms "
+          f"{(t_l + t_d) * 1e3:8.2f}ms {(t_l + t_d) / t_w:7.2f}x   ({len(text)} bytes)")
+    sizes, _ = growth_report(PointConfig.from_points(A_0_2_5_11_12), Caps(max_n=1000),
+                             False)
+    t_w, text = bench(to_json, (sizes,), repeat)
+    t_d, ref = bench(_dumps, (sizes,), repeat)
+    assert text == ref
+    print(f"{'to_json {0,2,5,11,12} sizes, N=1000':38s} {t_w * 1e3:8.2f}ms "
+          f"{t_d * 1e3:8.2f}ms {t_d / t_w:7.2f}x   ({len(text)} bytes)")
+    # the whole emit request of the growth-scale benchmark workload
+    t_w, text = bench(lambda: to_json(growth_report(hexagon, Caps(max_n=80), True)[0]),
+                      (), repeat)
+    t_d, ref = bench(lambda: _dumps(_tolist_rows(
+        growth_report(hexagon, Caps(max_n=80), True)[0])), (), 1)
+    assert text == ref
+    print(f"{'build + to_json hexagon6 emit, N=80':38s} {t_w * 1e3:8.2f}ms "
+          f"{t_d * 1e3:8.2f}ms {t_d / t_w:7.2f}x   ({len(text)} bytes)")
 
 
 def scan_word_split(repeat):
@@ -465,7 +496,7 @@ def _row_frontier_sizes(cfg, n_max):
 
 FRONTIER_CASES = [
     ("sizes 2d hexagon6, N=150", HEXAGON6, 150),
-    ("sizes 1d {0,2,5,11,12}, N=1000", [(0,), (2,), (5,), (11,), (12,)], 1000),
+    ("sizes 1d {0,2,5,11,12}, N=1000", A_0_2_5_11_12, 1000),
 ]
 
 

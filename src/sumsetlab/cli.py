@@ -173,7 +173,9 @@ def run(args) -> tuple[dict, int]:
                                          pivot=pivot, with_timing=args.timing)
         return report, EXIT_BUDGET if partial else EXIT_OK
     if command == "growth":
-        report, partial = growth_report(config, caps, args.emit_points)
+        # the csv writer prints n,size only: it needs no decoded level
+        report, partial = growth_report(
+            config, caps, args.emit_points and args.format != "csv")
         return report, EXIT_BUDGET if partial else EXIT_OK
     normalized = normalize_config(config, pivot=pivot)
     if command == "khovanskii":
@@ -219,7 +221,9 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         report, code = run(args)
-        text = serialize(report, args.format)
+        # a failed write (a full disk, a closed pipe) lands in the last handler
+        sys.stdout.write(serialize(report, args.format))
+        sys.stdout.flush()
     except InputFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -237,7 +241,6 @@ def main(argv=None) -> int:
         # exit 1 belongs to input errors, so report it as internal.
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-    sys.stdout.write(text)
     return code
 
 

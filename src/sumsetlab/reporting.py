@@ -16,9 +16,11 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import kernels
 from .errors import BudgetExceededError
 from .khovanskii import (
     khovanskii_bounds,
@@ -324,9 +326,9 @@ def to_json(report: dict) -> str:
     """json.dumps(report, sort_keys=True, indent=2) plus a newline, faster.
 
     With an indent, json.dumps runs the pure-Python encoder.  This writer
-    lays out the same indentation itself and leaves every scalar to
-    json.dumps.  An ndarray is written as its ``tolist()`` would be (see
-    _array_json).
+    lays out the same indentation itself, writes plain ints and strs as
+    json.dumps would, and leaves every other scalar to json.dumps.  An
+    ndarray is written as its ``tolist()`` would be (see _array_json).
     """
     out: list[str] = []
     _write_json(report, "\n", out)
@@ -336,6 +338,14 @@ def to_json(report: dict) -> str:
 
 def _write_json(value, newline: str, out: list) -> None:
     """Append the JSON text of value; ``newline`` carries the current indent."""
+    kind = type(value)
+    if kind is int:
+        # int.__repr__, as json.dumps: past 4300 digits both raise ValueError
+        out.append(str(value))
+        return
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+        return
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -346,12 +356,12 @@ def _write_json(value, newline: str, out: list) -> None:
         else:
             sep = "{" + inner
             for key in sorted(value):
-                out += (sep, json.dumps(key), ": ")
+                out += (sep, encode_basestring_ascii(key), ": ")
                 _write_json(value[key], inner, out)
                 sep = "," + inner
             out.append(newline + "}")
     elif isinstance(value, np.ndarray):
-        out.append(_array_json(value, newline))
+        _write_array(value, newline, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -363,33 +373,78 @@ def _write_json(value, newline: str, out: list) -> None:
             sep = "," + inner
         out.append(newline + "]")
     else:
+        # bool, None, float, and int or str subclasses such as IntEnum
         out.append(json.dumps(value))
 
 
 def _array_json(arr: np.ndarray, newline: str | None) -> str:
     """json.dumps(arr.tolist()), laid out as json.dumps(indent=2) lays it out
-    at the depth that ``newline`` carries, or on one line when it is None.
+    at the depth that ``newline`` carries, or on one line when it is None."""
+    out: list[str] = []
+    _write_array(arr, newline, out)
+    return "".join(out)
 
-    A 2-D array of integer dtype (a level of growth points) is filled into
-    one %-template from its flat entries, so no row becomes a list.
+
+def _write_array(arr: np.ndarray, newline: str | None, out: list) -> None:
+    """Append the pieces of _array_json(arr, newline) to out.
+
+    A 2-D array of integer dtype (a level of growth points) is written from
+    the texts of its distinct values (see _token_table).  Column j gathers
+    them from a table in which each text carries the separator before it,
+    into every width-th slot of one list, which joins out.  So no row
+    becomes a list, no value is rendered twice, and the text is copied
+    once, when out is joined.
     """
     if arr.ndim != 2 or arr.dtype.kind not in "iu":
         if newline is None:
-            return json.dumps(arr.tolist())
-        return json.dumps(arr.tolist(), indent=2).replace("\n", newline)
+            out.append(json.dumps(arr.tolist()))
+        else:
+            out.append(json.dumps(arr.tolist(), indent=2).replace("\n", newline))
+        return
     rows, width = arr.shape
     if not rows:
-        return "[]"
+        out.append("[]")
+        return
     if newline is None:
         head, sep, tail = "[", ", ", "]"
-        row = "[" + ", ".join(["%d"] * width) + "]"
+        first, comma, last = "[", ", ", "]"
     else:
         inner = newline + "  "
         head, sep, tail = "[" + inner, "," + inner, newline + "]"
-        row = "[" + inner + "  " + ("," + inner + "  ").join(["%d"] * width) + inner + "]"
+        first, comma, last = "[" + inner + "  ", "," + inner + "  ", inner + "]"
     if not width:
-        row = "[]"
-    return (head + sep.join([row] * rows) + tail) % tuple(arr.ravel().tolist())
+        out.append(head + sep.join(["[]"] * rows) + tail)
+        return
+    texts, index = _token_table(arr)
+    parts = [None] * (rows * width)
+    for j in range(width):
+        # column 0 opens its row (and closes the row before)
+        lead = last + sep + first if j == 0 else comma
+        table = np.empty(len(texts), dtype=object)
+        table[:] = [lead + t for t in texts]
+        parts[j::width] = table[index[:, j]].tolist()
+    parts[0] = head + first + texts[index[0, 0]]
+    out += parts
+    out.append(last + tail)
+
+
+def _token_table(arr: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(texts, index): str(v) for each distinct value v of an integer
+    array, and for each entry of arr the position of its text.
+
+    When the values span no more integers than arr has entries, the texts
+    are of every integer from the least to the greatest, and an entry's
+    position is its offset from the least.  Otherwise they are of the
+    sorted distinct values, and positions come from a binary search.
+    """
+    low, high = arr.min(), arr.max()
+    if int(high) - int(low) < arr.size:
+        # the offset fits the dtype's unsigned twin even where the signed
+        # subtraction wraps (int8 from -100 to 100)
+        index = (arr - low).view(f"u{arr.itemsize}")
+        return [str(v) for v in range(int(low), int(high) + 1)], index
+    distinct = kernels.sorted_unique(arr.ravel())
+    return [str(v) for v in distinct.tolist()], np.searchsorted(distinct, arr)
 
 
 def _flatten(prefix: str, value, rows: list):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -114,6 +115,18 @@ class TestGrowthCommand:
         report = json.loads(out)
         assert report["partial"] is True
         assert len(report["growth"]) < 40
+
+    def test_csv_never_decodes_levels(self, capsys, a135_txt, monkeypatch):
+        # csv prints n,size only, so --emit-points asks for no point arrays
+        def no_decode(*args):
+            raise AssertionError("a level was decoded")
+
+        plain = run_cli(capsys, "growth", "--input", a135_txt, "--max-n", "6",
+                        "--format", "csv")
+        monkeypatch.setattr(kernels, "decode_keys", no_decode)
+        emitted = run_cli(capsys, "growth", "--input", a135_txt, "--max-n", "6",
+                          "--format", "csv", "--emit-points")
+        assert emitted == plain and plain[0] == 0
 
     def test_weight_cap_marks_partial(self, capsys, a135_txt):
         code, out, _ = run_cli(capsys, "khovanskii", "--input", a135_txt,
@@ -426,6 +439,51 @@ class TestErrorPaths:
                                  "--input", a135_txt)
         assert code == 4 and out == ""
         assert err == "internal error: ValueError: broken kernel\n"
+
+
+class _FullStdout:
+    """A stdout on a full disk: ``write`` or only ``flush`` fails."""
+
+    def __init__(self, on_write):
+        self.on_write = on_write
+
+    def _fail(self, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.on_write:
+            self._fail()
+        return len(text)
+
+    flush = _fail
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+    def test_full_stdout_is_internal_error(self, capsys, monkeypatch, a135_txt,
+                                           on_write):
+        monkeypatch.setattr(sys, "stdout", _FullStdout(on_write))
+        code = main(["growth", "--max-n", "5", "--input", a135_txt])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"internal error: OSError: [Errno {errno.ENOSPC}] "
+            f"{os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["--max-n", "5"],
+                                      ["--max-n", "40", "--emit-points"]],
+                             ids=["small", "large"])
+    def test_dev_full_exits_4(self, a135_txt, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sumsetlab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "sumsetlab.cli", "growth", "--input", a135_txt,
+                 *argv], stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=120)
+        assert done.returncode == 4
+        assert done.stderr == (f"internal error: OSError: [Errno {errno.ENOSPC}] "
+                               f"{os.strerror(errno.ENOSPC)}\n")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import sys
@@ -14,6 +15,8 @@ from sumsetlab.cli import main
 from sumsetlab.reporting import (
     LEADING_DIGITS,
     MAX_DECIMAL_DIGITS,
+    _array_json,
+    _token_table,
     render_int,
     to_json,
     to_text,
@@ -282,3 +285,121 @@ class TestToJson:
             code = main(["growth", "--input", str(path), "--emit-points", *argv])
             assert code == 0
             assert capsys.readouterr().out == (GOLDEN / golden).read_text(), golden
+
+
+_I64 = np.iinfo(np.int64)
+
+
+class TestArrayWriter:
+    """_array_json on 2-D integer arrays, against json.dumps of tolist()."""
+
+    @staticmethod
+    def _check(arr):
+        rows = arr.tolist()
+        assert _array_json(arr, "\n") == json.dumps(rows, indent=2)
+        assert _array_json(arr, None) == json.dumps(rows)
+        assert to_json({"a": [{"points": arr}]}) == _dumps({"a": [{"points": rows}]})
+        assert to_text({"a": arr}) == to_text({"a": rows})
+
+    def test_range_table_branch(self):
+        # 12 entries spanning 7 integers: the table is every integer
+        # between, 2 (which no entry holds) included
+        arr = np.array([[0, 3], [1, 6], [5, 5], [4, 0], [6, 6], [3, 1]])
+        texts, index = _token_table(arr)
+        assert texts == [str(v) for v in range(7)]
+        assert np.array_equal(index, arr)
+        self._check(arr)
+
+    def test_sorted_distinct_branch(self):
+        arr = np.array([[10 ** 12, -7], [5, 10 ** 12], [-7, 5]])
+        texts, index = _token_table(arr)
+        assert texts == ["-7", "5", str(10 ** 12)]
+        assert np.array_equal(index, [[2, 0], [1, 2], [0, 1]])
+        self._check(arr)
+
+    def test_negative_coordinates(self):
+        rng = np.random.default_rng(5)
+        self._check(rng.integers(-9, 0, size=(40, 3)))
+        self._check(rng.integers(-1000, 1000, size=(30, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32])
+    def test_small_dtypes(self, dtype):
+        info = np.iinfo(dtype)
+        # offsets from the least value overflow the signed dtype: int8 -100..100
+        wide = np.arange(-100, 101).repeat(2).reshape(-1, 2).astype(dtype)
+        assert len(_token_table(wide)[0]) == 201
+        self._check(wide)
+        self._check(np.array([[info.min, info.max], [0, -1]], dtype=dtype))
+
+    def test_uint64_near_two_to_the_64(self):
+        top = (1 << 64) - 1
+        dense = np.array([[top, top - 1], [top - 2, top - 3]], dtype=np.uint64)
+        assert len(_token_table(dense)[0]) == 4
+        self._check(dense)
+        sparse = np.array([[top, 0], [1 << 63, 7]], dtype=np.uint64)
+        assert len(_token_table(sparse)[0]) == 4
+        self._check(sparse)
+
+    def test_int64_extremes(self):
+        self._check(np.array([[_I64.min, _I64.max], [0, -1]]))
+        # both ends of the range, each in the range-table branch
+        self._check(np.array([[_I64.max, _I64.max - 1], [_I64.max - 2, _I64.max - 3]]))
+        self._check(np.array([[_I64.min, _I64.min + 1], [_I64.min + 3, _I64.min + 2]]))
+
+    def test_width_one(self):
+        self._check(np.array([[4], [-2], [4], [9]]))
+
+    def test_zero_width_rows(self):
+        self._check(np.zeros((3, 0), dtype=np.int64))
+        self._check(np.zeros((0, 0), dtype=np.int64))
+
+    def test_single_row(self):
+        self._check(np.array([[-3, 0, 8]]))
+        self._check(np.array([[1 << 40]]))
+
+    def test_many_rows(self):
+        rng = np.random.default_rng(11)
+        self._check(rng.integers(-50, 50, size=(10_000, 3)))
+        self._check(rng.integers(-(1 << 40), 1 << 40, size=(10_000, 2)))
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Loud(int):
+    def __str__(self):
+        return "loud"
+
+
+class TestScalarWriter:
+    """Plain ints and strs are written without json.dumps, as it would."""
+
+    def test_bools(self):
+        report = {"t": True, "f": False, "rows": [True, 1, False, 0]}
+        assert to_json(report) == _dumps(report)
+        assert to_json(report).count("true") == 2
+
+    def test_int_subclasses_go_through_json_dumps(self):
+        report = {"enum": _Colour.RED, "loud": _Loud(5), "rows": [_Colour.RED, _Loud(7)]}
+        assert to_json(report) == _dumps(report)
+        assert '"loud": 5' in to_json(report)
+
+    @pytest.mark.parametrize("text", [
+        "\u00e9t\u00e9 \u65e5\u672c \U0001f600",
+        "\x00\x01\x1f\x7f\t\n\r\"\\/",
+        "\ud800 \udfff \udc00\ud800",
+        "\u2028\u2029",
+    ], ids=["non-ascii", "control", "lone-surrogates", "line-separators"])
+    def test_strings_in_keys_and_values(self, text):
+        report = {text: text, "k": [text, {text: [text]}]}
+        assert to_json(report) == _dumps(report)
+
+    def test_int_past_the_digit_limit_raises_as_json_dumps(self):
+        value = 10 ** 4300
+        with pytest.raises(ValueError) as ours:
+            to_json({"a": [value]})
+        with pytest.raises(ValueError) as theirs:
+            json.dumps(value)
+        assert str(ours.value) == str(theirs.value)
+        assert to_json({"a": [10 ** 4299]}) == _dumps({"a": [10 ** 4299]})
