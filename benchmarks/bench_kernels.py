@@ -1,8 +1,8 @@
 """Benchmark the hot kernels against the plain Python references.
 
-Times the lattice box scan, one sumset expansion step, the sumset iteration,
-the obstruction scan and the JSON writer, checks that every pair returns
-identical results, and prints tables:
+Times the lattice box scan, one sumset expansion step, the sumset iteration
+(on keys and as bitsets), the obstruction scan and the JSON writer, checks
+that every pair returns identical results, and prints tables:
 
 * numpy against plain Python: ``kernels.box_count`` against
   ``polytope._box_scan_exact`` and ``kernels.sumset_step`` (numpy backend)
@@ -44,9 +44,16 @@ identical results, and prints tables:
   early), over the 26 corpus sets and the 21 sets of the
   ``khovanskii-random`` benchmark workload;
 * the frontier iteration stepping packed keys by the generators' key
-  offsets (sizes-only ``sumset_levels``) against the same iteration on
+  offsets (``sumsets._iterate_keys``) against the same iteration on
   point rows (decode, ``kernels.sumset_step`` on rows, pack), for hexagon6
   to N=150 and {0,2,5,11,12} to N=1000;
+* the sizes |NA| from bitset levels (sizes-only ``sumset_levels``, which
+  takes the bitset engine when the levels' key box fits the point budget:
+  one shift and OR per generator per level, and a bit count) against the
+  frontier iteration on sorted keys (``sumsets._iterate_keys``), for
+  hexagon6 to N=150, simplex3_diag to N=60, {0,2,5,11,12} to N=1000, the
+  interpolation walk of normalized simplex3_diag (to its sharp bound plus
+  d + 1) and {0,7,1000} to N=2000;
 * the Hilbert series numerator of the obstruction ideal by the pivot
   recursion (``khovanskii._hilbert_numerator``) against inclusion-exclusion
   over every subset (``subset_weights`` of ``tests/oracles.py``), on the
@@ -83,8 +90,9 @@ from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
                                 dilate_points, volumes)
 from sumsetlab.reporting import Caps, growth_report, render_int, to_json, to_text
 from sumsetlab.structure import _vertex_sieves, structure_bounds
-from sumsetlab.sumsets import (_frontier_box, _iterate_arrays, _iterate_tuples,
-                               region_points, sumset_arrays, sumset_levels)
+from sumsetlab.sumsets import (_frontier_box, _frontier_key_box, _iterate_arrays,
+                               _iterate_keys, _iterate_tuples, region_points,
+                               sumset_arrays, sumset_levels)
 
 
 def _box_workload(name, points, dilate):
@@ -155,10 +163,10 @@ SUMSET_CASES = [
 ]
 HEXAGON6 = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]
 A_0_2_5_11_12 = [(0,), (2,), (5,), (11,), (12,)]
+SIMPLEX3_DIAG = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 ITERATION_CASES = [
     ("iterate 2d hexagon6, N=150", HEXAGON6, 150),
-    ("iterate 3d simplex3_diag, N=60",
-     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 60),
+    ("iterate 3d simplex3_diag, N=60", SIMPLEX3_DIAG, 60),
 ]
 SCAN_CASES = [
     ("obstruction scan hexagon6",
@@ -494,6 +502,12 @@ def _row_frontier_sizes(cfg, n_max):
     return sizes
 
 
+def _key_frontier_sizes(cfg, n_max):
+    """|N*A| by the frontier iteration on sorted keys."""
+    box = _frontier_box(cfg, n_max)
+    return [len(keys) for keys in _iterate_keys(cfg, n_max, *box)]
+
+
 FRONTIER_CASES = [
     ("sizes 2d hexagon6, N=150", HEXAGON6, 150),
     ("sizes 1d {0,2,5,11,12}, N=1000", A_0_2_5_11_12, 1000),
@@ -504,12 +518,37 @@ def frontier_keys(repeat):
     print(f"{'workload':38s} {'keys':>10s} {'rows':>10s} {'ratio':>8s}")
     for name, points, n_max in FRONTIER_CASES:
         cfg = PointConfig.from_points(points)
-        t_ky, r_ky = bench(lambda: [size for size, _ in sumset_levels(cfg, n_max)],
-                           (), repeat)
+        t_ky, r_ky = bench(_key_frontier_sizes, (cfg, n_max), repeat)
         t_rw, r_rw = bench(_row_frontier_sizes, (cfg, n_max), repeat)
         assert r_ky == r_rw, name
         print(f"{name:38s} {t_ky * 1e3:8.2f}ms {t_rw * 1e3:8.2f}ms "
               f"{t_rw / t_ky:7.2f}x   ({sum(r_ky)} points)")
+
+
+def _bitset_cases():
+    diag = normalize_config(PointConfig.from_points(SIMPLEX3_DIAG))
+    walk = khovanskii.khovanskii_bounds(diag).sharp + diag.dim + 1
+    return [
+        ("sizes 2d hexagon6, N=150", PointConfig.from_points(HEXAGON6), 150),
+        ("sizes 3d simplex3_diag, N=60", PointConfig.from_points(SIMPLEX3_DIAG), 60),
+        ("sizes 1d {0,2,5,11,12}, N=1000", PointConfig.from_points(A_0_2_5_11_12), 1000),
+        (f"interpolation simplex3_diag, N={walk}", diag, walk),
+        ("sizes 1d {0,7,1000}, N=2000", PointConfig.from_points([(0,), (7,), (1000,)]),
+         2000),
+    ]
+
+
+def bitset_levels(repeat):
+    print(f"{'workload':38s} {'bits':>10s} {'keys':>10s} {'ratio':>8s}")
+    for name, cfg, n_max in _bitset_cases():
+        _, _, span, dtype = _frontier_key_box(cfg, n_max)
+        assert dtype == np.int64 and span <= 10 ** 7, name  # the bitset route
+        t_bt, r_bt = bench(lambda: [size for size, _ in sumset_levels(cfg, n_max)],
+                           (), repeat)
+        t_ky, r_ky = bench(_key_frontier_sizes, (cfg, n_max), 1)
+        assert r_bt == r_ky, name
+        print(f"{name:38s} {t_bt * 1e3:8.2f}ms {t_ky * 1e3:8.2f}ms "
+              f"{t_ky / t_bt:7.2f}x   ({span} keys in the box)")
 
 
 def main():
@@ -533,6 +572,8 @@ def main():
     obstruction_certificate(args.repeat)
     print()
     frontier_keys(args.repeat)
+    print()
+    bitset_levels(args.repeat)
     print()
     numerator_against_subsets(args.repeat)
     print()

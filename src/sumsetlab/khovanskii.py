@@ -155,8 +155,10 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     Equal counts at every k prove no element missing, and the scan ends
     with ``weight_scanned`` = cap; the first k that differs is the weight
     of a missing element, and the scan goes on through k and checks
-    again.  The sizes come from the frontier iteration, only when its key
-    box fits int64, and the certificate counts their points against
+    again.  The sizes come from sumset_levels (bitset levels when the key
+    box up to the cap holds at most ``candidate_budget`` keys, the frontier
+    iteration on sorted keys otherwise), only when that box fits int64,
+    and the certificate counts their points against
     ``candidate_budget`` on its own; past either limit it gives up and the
     scan runs on as if it were not there, so the budget still counts only
     the scan's candidates and a truncated scan stops at the same weight.
@@ -281,8 +283,10 @@ class _Certificate:
     number |kA|.  When G holds every element up to weight h, the two
     counts agree at every k in h+1..cap exactly when no element of weight
     in that range is missing, and they first differ at the weight of the
-    lightest missing one.  |kA| comes lazily from the size-only frontier
-    iteration, whose merged points are counted against ``budget``.
+    lightest missing one.  |kA| comes lazily from sumset_levels under
+    ``budget``: bit sets over the key box of the levels up to the cap when
+    it holds at most ``budget`` keys, the frontier iteration on sorted keys
+    otherwise.  The sizes read are also counted against ``budget``.
     """
 
     def __init__(self, config: PointConfig, cap: int, budget: int):

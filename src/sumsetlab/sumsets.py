@@ -4,7 +4,11 @@ Point sets ride numpy arrays through the hot kernels: int64 whenever the
 coordinates and keys provably fit, Python ints (dtype object) otherwise,
 on the same code path (kernels.key_dtype picks).  All outputs are
 canonicalized (lexicographically sorted) so runs are deterministic
-whatever the dtype.  Semigroup membership comes from dense sieves
+whatever the dtype.  The levels N*A live in one key box that holds them
+all: as bit sets over its keys (a Python int per level, one shift and OR
+per generator) when the box has int64 keys and no more of them than the
+point budget, and as sorted keys grown from each level's new points
+otherwise.  Semigroup membership comes from dense sieves
 (``semigroup_sieve``): a boolean mask over a box, closed under each
 generator by doubling shifts, so one query is one gather.
 """
@@ -79,8 +83,9 @@ class RegionSpec:
 CANDIDATE_BLOCK_ROWS = 1 << 22
 
 
-def _frontier_box(config: PointConfig, n_max: int):
-    """(lo, strides, dtype) of the key box that holds N*A for every N in 1..n_max.
+def _frontier_key_box(config: PointConfig, n_max: int):
+    """(lo, strides, span, dtype) of the key box that holds N*A for every N
+    in 1..n_max: its keys run over 0..span-1.
 
     dtype is int64 when the coordinates and the keys of that box fit the
     kernel range, and Python ints (dtype object) otherwise.
@@ -91,7 +96,13 @@ def _frontier_box(config: PointConfig, n_max: int):
     lo = [min(min(col), n_top * min(col)) for col in columns]
     hi = [max(max(col), n_top * max(col)) for col in columns]
     strides, span = kernels.key_strides(lo, hi)
-    return lo, strides, kernels.key_dtype(span, max_abs * n_top * 2)
+    return lo, strides, span, kernels.key_dtype(span, max_abs * n_top * 2)
+
+
+def _frontier_box(config: PointConfig, n_max: int):
+    """(lo, strides, dtype) of _frontier_key_box."""
+    lo, strides, _, dtype = _frontier_key_box(config, n_max)
+    return lo, strides, dtype
 
 
 def _expand(frontier: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -149,6 +160,39 @@ def _level_over_budget(size: int, cap_points: int, n: int) -> BudgetExceededErro
         reached=n)
 
 
+def _iterate_bits(config: PointConfig, n_max: int, lo, strides) -> Iterator[int]:
+    """N*A for N = 1..n_max as bit sets: bit k of a level is set when the
+    point of key k (in the box of ``lo`` and ``strides``, from
+    _frontier_key_box) lies in it.
+
+    Adding a point a shifts every key by a @ strides, so a level is the OR
+    of the level before shifted by each generator's offset.  The shifts run
+    relative to the least offset, that of the lex-least generator, and the
+    OR is shifted by it once (right when it is negative).  Every level lies
+    inside the box, so no bit is lost, and |N*A| is the level's bit count.
+    """
+    gens = sorted(config.points)
+    offsets = [sum(c * s for c, s in zip(g, strides)) for g in gens]
+    base = offsets[0]
+    steps = [o - base for o in offsets[1:]]
+    mask = 0
+    for key in kernels.pack_rows(gens, lo, strides, np.int64).tolist():
+        mask |= 1 << key
+    yield mask
+    for _ in range(2, n_max + 1):
+        level = mask
+        for step in steps:
+            level |= mask << step
+        mask = level << base if base >= 0 else level >> -base
+        yield mask
+
+
+def _bits_to_keys(mask: int) -> np.ndarray:
+    """The keys of the set bits of ``mask``, ascending, as int64."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
 def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
     """N*A by the plain {p + g} set iteration: the reference for the tests."""
     gens = sorted(config.points)
@@ -186,14 +230,25 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
     """Yield (|N*A|, N*A) for N = 1.. up to n_max, under the point budget.
 
     The point arrays are those of sumset_arrays with ``keep_points`` and
-    None without; then the levels are never decoded from their keys.
-    A level of more than ``cap_points`` points is not yielded: a
-    BudgetExceededError names it (``reached``) instead.  Past level 1
-    that error comes before the level is allocated.
+    None without; then the levels are never decoded.  When the key box
+    that holds every level has int64 keys and at most ``cap_points`` of
+    them, the levels are bit sets over those keys (_iterate_bits): one
+    shift and OR per generator per level, and |N*A| is a bit count.  Such
+    a box holds no level over the budget.  Otherwise they come from the
+    frontier iteration on sorted keys (_iterate_keys).  A level of more
+    than ``cap_points`` points is not yielded: a BudgetExceededError names
+    it (``reached``) instead.  Past level 1 that error comes before the
+    level is allocated.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    lo, strides, dtype = _frontier_box(config, n_max)
+    lo, strides, span, dtype = _frontier_key_box(config, n_max)
+    if dtype == np.int64 and span <= cap_points:
+        for mask in _iterate_bits(config, n_max, lo, strides):
+            yield mask.bit_count(), (
+                kernels.decode_keys(_bits_to_keys(mask), lo, strides) if keep_points
+                else None)
+        return
     for n, keys in enumerate(
             _iterate_keys(config, n_max, lo, strides, dtype, cap_points), start=1):
         if len(keys) > cap_points:  # level 1: later ones raise before they exist

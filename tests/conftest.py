@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sumsetlab import PointConfig, kernels, normalize_config
+from sumsetlab import PointConfig, kernels, normalize_config, sumsets
 
 from corpus import CORPUS
 
@@ -21,3 +21,21 @@ def object_keys(monkeypatch):
     """Every kernel that takes its dtype from kernels.key_dtype (all but the
     obstruction scan) runs on Python ints (dtype object): the exact path."""
     monkeypatch.setattr(kernels, "key_dtype", lambda *bounds: np.dtype(object))
+
+
+@pytest.fixture
+def sumset_routes(monkeypatch):
+    """The route of every sumset level walk, in order: "bits" for the bitset
+    engine (sumsets._iterate_bits), "keys" for the frontier iteration on
+    sorted keys (sumsets._iterate_keys)."""
+    log = []
+
+    def recorded(route, iterate):
+        def wrapper(*args, **kwargs):
+            log.append(route)
+            return iterate(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sumsets, "_iterate_bits", recorded("bits", sumsets._iterate_bits))
+    monkeypatch.setattr(sumsets, "_iterate_keys", recorded("keys", sumsets._iterate_keys))
+    return log

@@ -434,7 +434,8 @@ class TestErrorPaths:
         def broken(*args, **kwargs):
             raise ValueError("broken kernel")
 
-        monkeypatch.setattr(kernels, "sumset_step", broken)
+        # both sumset routes pack the generators' keys
+        monkeypatch.setattr(kernels, "pack_rows", broken)
         code, out, err = run_cli(capsys, "growth", "--max-n", "3",
                                  "--input", a135_txt)
         assert code == 4 and out == ""
@@ -509,6 +510,26 @@ def test_analyze_identical_on_the_exact_path(capsys, corpus_paths, request):
     request.getfixturevalue("object_keys")
     khovanskii._obstruction_cache.clear()
     assert analyses() == fast
+
+
+def test_exact_path_never_takes_bitsets(capsys, corpus_paths, request, sumset_routes):
+    """The bitset engine needs int64 keys, so with every kernel on Python
+    ints ``growth`` and ``analyze`` walk their levels by the frontier
+    iteration on sorted keys: the exact path that
+    ``test_analyze_identical_on_the_exact_path`` and
+    ``test_growth_goldens_on_the_exact_path`` hold to the int64 output."""
+    def walk():
+        for path in corpus_paths:
+            run_cli(capsys, "growth", "--max-n", "12", "--input", path)
+            run_cli(capsys, "analyze", "--input", path)
+
+    walk()
+    assert "bits" in sumset_routes
+    sumset_routes.clear()
+    request.getfixturevalue("object_keys")
+    khovanskii._obstruction_cache.clear()
+    walk()
+    assert sumset_routes and set(sumset_routes) == {"keys"}
 
 
 def test_analyze_never_imports_numpy_ma(corpus_paths):

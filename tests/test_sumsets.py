@@ -19,8 +19,10 @@ from sumsetlab import (
     sumset_iterate,
 )
 from sumsetlab import kernels, sumsets
+from sumsetlab.cli import main
 from sumsetlab.polytope import cone_functional, convex_hull, dilate_points
 from sumsetlab.sumsets import (
+    _frontier_key_box,
     _iterate_tuples,
     iter_sumsets,
     sumset_arrays,
@@ -204,13 +206,14 @@ class TestSumsetLevels:
             kept = list(sumset_levels(config, 6, keep_points=True))
             assert all(np.array_equal(a, pts) for a, (_, pts) in zip(arrays, kept))
 
-    def test_cap_names_first_level_over_budget(self):
+    def test_cap_names_first_level_over_budget(self, sumset_routes):
         got = []
         with pytest.raises(BudgetExceededError) as err:
             for size, _ in sumset_levels(SQUARE, 10, cap_points=20):
                 got.append(size)
         assert got == [4, 9, 16]
         assert err.value.reached == 4
+        assert sumset_routes == ["keys"]  # a box of 121 keys is over the budget
 
     def test_iterate_partial_table(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -274,6 +277,89 @@ class TestSumsetLevels:
         for name, raw, _ in corpus:
             assert run(raw) == fast[name], name
         assert merged and max(merged) <= cap
+
+
+def _assert_bit_levels_exact(config, n_max):
+    """Every level of the bitset engine, its size and its decoded points,
+    equals the exact tuple iteration."""
+    lo, strides, _, _ = _frontier_key_box(config, n_max)
+    got = [(mask.bit_count(), kernels.array_to_points(
+                kernels.decode_keys(sumsets._bits_to_keys(mask), lo, strides)))
+           for mask in sumsets._iterate_bits(config, n_max, lo, strides)]
+    assert got == [(len(p), p) for p in _iterate_tuples(config, n_max)], \
+        (config.points, n_max)
+
+
+# the unit triangle to N = 10: a box of 11 x 11 keys, levels of at most 66
+UNIT_SIMPLEX2 = PointConfig.from_points([(0, 0), (1, 0), (0, 1)])
+
+
+class TestBitsetLevels:
+    def test_corpus_levels_exact(self, corpus):
+        for name, raw, norm in corpus:
+            for config in (raw, norm):
+                _assert_bit_levels_exact(config, 12)
+
+    def test_random_sets_exact(self):
+        configs = [PointConfig.from_points(pts) for pts in random_configs(60)]
+        assert {c.dim for c in configs} == {1, 2, 3}
+        for config in configs:
+            _assert_bit_levels_exact(config, 8)
+
+    @pytest.mark.parametrize("pts", [
+        [(5, -3), (6, -3), (5, -1)],              # negative offsets: right shifts
+        [(5, -3), (6, -3), (5, -1), (8, 0)],
+        [(-7,), (-2,), (3,), (4,)],
+        [(-9,), (-4,)],                           # every offset negative
+        [(-4, -1, 2), (-3, 0, 2), (-4, 1, 3)],
+        [(3, 4)],                                 # one point: one bit per level
+        [(0,)],
+    ])
+    def test_unnormalized_inputs_exact(self, pts):
+        _assert_bit_levels_exact(PointConfig.from_points(pts), 10)
+
+    def test_first_level_only(self, corpus):
+        for name, raw, _ in corpus:
+            _assert_bit_levels_exact(raw, 1)
+            assert list(sumset_levels(raw, 1)) == [(raw.size, None)], name
+
+    def test_keys_ascend_as_int64(self):
+        keys = sumsets._bits_to_keys((1 << 70) | (1 << 9) | 1)
+        assert keys.dtype == np.int64 and keys.tolist() == [0, 9, 70]
+
+    def test_route_boundary(self, sumset_routes):
+        span = _frontier_key_box(UNIT_SIMPLEX2, 10)[2]
+        assert span == 121
+        at_span, past = [list(sumset_levels(UNIT_SIMPLEX2, 10, cap, keep_points=True))
+                         for cap in (span, span - 1)]
+        assert sumset_routes == ["bits", "keys"]
+        assert [size for size, _ in at_span] == \
+            [len(p) for p in _iterate_tuples(UNIT_SIMPLEX2, 10)]
+        assert all(a == b and np.array_equal(p, q) and p.dtype == q.dtype == np.int64
+                   for (a, p), (b, q) in zip(at_span, past))
+
+    def test_int64_span_over_the_budget_takes_keys(self, sumset_routes):
+        # {0, 1, 3, 2^62}: the box's keys leave int64
+        config = PointConfig.from_points([(0,), (1,), (3,), (1 << 62,)])
+        assert [size for size, _ in sumset_levels(config, 3)] == [4, 10, 19]
+        assert sumset_routes == ["keys"]
+
+    @pytest.mark.parametrize("cap", [20, 120, 121, 10 ** 7])
+    @pytest.mark.parametrize("emit", [[], ["--emit-points"]])
+    def test_growth_cli_equal_to_the_keys_route(self, tmp_path, capsys, request,
+                                                sumset_routes, cap, emit):
+        # the unit square to N = 10 has a box of 121 keys and |10A| = 121
+        path = tmp_path / "square.json"
+        path.write_text('{"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}')
+        argv = ["growth", "--input", str(path), "--max-n", "10",
+                "--cap-points", str(cap), *emit]
+        code = main(argv)
+        got = (code, capsys.readouterr())
+        assert sumset_routes == ["bits" if cap >= 121 else "keys"]
+        assert code == (0 if cap >= 121 else 3)
+        request.getfixturevalue("object_keys")  # the keys route, on Python ints
+        assert (main(argv), capsys.readouterr()) == got
+        assert sumset_routes[1:] == ["keys"]
 
 
 class TestSemigroup:
