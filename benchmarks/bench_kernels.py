@@ -8,8 +8,9 @@ that every pair returns identical results, and prints tables:
   ``polytope._box_scan_exact`` and ``kernels.sumset_step`` (numpy backend)
   against one level of ``sumsets._iterate_tuples``, the references the
   tests hold the kernels to;
-* the frontier iteration (``sumsets._iterate_arrays``: each level grown
-  from the new points of the one before) against the full-level loop
+* the frontier iteration on sorted keys (``sumsets._iterate_keys``: each
+  level grown from the new points of the one before, decoded to point
+  arrays) against the full-level loop
   (``kernels.sumset_step`` on every whole level), for hexagon6 to N=150
   and simplex3_diag to N=60;
 * the report writers against ``json.dumps`` of row lists, with equal output
@@ -90,9 +91,8 @@ from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
                                 dilate_points, volumes)
 from sumsetlab.reporting import Caps, growth_report, render_int, to_json, to_text
 from sumsetlab.structure import _vertex_sieves, structure_bounds
-from sumsetlab.sumsets import (_frontier_box, _frontier_key_box, _iterate_arrays,
-                               _iterate_keys, _iterate_tuples, region_points,
-                               sumset_arrays, sumset_levels)
+from sumsetlab.sumsets import (_frontier_key_box, _iterate_keys, _iterate_tuples,
+                               region_points, sumset_arrays, sumset_levels)
 
 
 def _box_workload(name, points, dilate):
@@ -210,7 +210,7 @@ def frontier_against_full(repeat):
     print(f"{'workload':38s} {'frontier':>10s} {'full':>10s} {'ratio':>8s}")
     for name, points, n_max in ITERATION_CASES:
         cfg = PointConfig.from_points(points)
-        t_fr, r_fr = bench(lambda: list(_iterate_arrays(cfg, n_max)), (), repeat)
+        t_fr, r_fr = bench(_key_frontier_levels, (cfg, n_max), repeat)
         t_fu, r_fu = bench(_full_levels, (cfg, n_max), 1)
         assert len(r_fr) == len(r_fu) and all(
             np.array_equal(a, b) for a, b in zip(r_fr, r_fu)), name
@@ -483,7 +483,7 @@ def coarse_rendering(repeat):
 def _row_frontier_sizes(cfg, n_max):
     """|N*A| by the frontier iteration on point rows: each level steps the
     rows of its new points by the generators and packs the sums again."""
-    lo, strides, _ = _frontier_box(cfg, n_max)
+    lo, strides, _, _ = _frontier_key_box(cfg, n_max)
     gens = kernels.points_to_array(sorted(cfg.points))
     shift = int(gens[0] @ np.asarray(strides, dtype=np.int64))
     keys = kernels.pack_rows(gens, lo, strides, np.int64)
@@ -502,10 +502,17 @@ def _row_frontier_sizes(cfg, n_max):
     return sizes
 
 
+def _key_frontier_levels(cfg, n_max):
+    """N*A as point arrays by the frontier iteration on sorted keys."""
+    lo, strides, _, dtype = _frontier_key_box(cfg, n_max)
+    return [kernels.decode_keys(keys, lo, strides)
+            for keys in _iterate_keys(cfg, n_max, lo, strides, dtype, 10 ** 7)]
+
+
 def _key_frontier_sizes(cfg, n_max):
     """|N*A| by the frontier iteration on sorted keys."""
-    box = _frontier_box(cfg, n_max)
-    return [len(keys) for keys in _iterate_keys(cfg, n_max, *box)]
+    lo, strides, _, dtype = _frontier_key_box(cfg, n_max)
+    return [len(keys) for keys in _iterate_keys(cfg, n_max, lo, strides, dtype, 10 ** 7)]
 
 
 FRONTIER_CASES = [

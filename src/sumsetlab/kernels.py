@@ -9,9 +9,9 @@ are what the tests hold the kernels to; ``benchmarks/bench_kernels.py``
 times the kernels against them.
 
 Points of a box are packed into mixed-radix keys whose order is lex order
-(``key_strides``, ``pack_rows``, ``decode_keys``).  The sumset levels are
-bit sets over those keys when their box fits the point budget and sorted
-keys otherwise; a semigroup sieve is a boolean mask over its box in the
+(``key_strides``, ``pack_rows``, ``decode_keys``).  The sumset levels
+(``sumsets.sumset_levels``) are bit sets over those keys when their box
+fits the point budget and sorted keys otherwise; a semigroup sieve is a boolean mask over its box in the
 same order, so a point's key is its flat index there; the structure
 window packs (n, x) rows of several levels into one box.  ``sumset_step``
 expands one block of sums: the frontier iteration on sorted keys in

@@ -33,7 +33,7 @@ from .polynomials import (
 )
 from .polytope import volumes
 from .circuits import kernel_lattice
-from .sumsets import _frontier_box, sumset_levels
+from .sumsets import _frontier_key_box, sumset_levels
 
 
 def enumerate_representations(config: PointConfig, point, h: int) -> list[tuple[int, ...]]:
@@ -341,7 +341,7 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
     keys = _LevelKeys(config, cap)
     survivors = keys.steps
     certificate = (_Certificate(config, cap, candidate_budget)
-                   if _frontier_box(config, cap)[2] == np.int64 else None)
+                   if _frontier_key_box(config, cap)[3] == np.int64 else None)
     next_check = 2  # a failed check proves no element missing below its gap
     for h in range(2, cap + 1):
         # A candidate extends one survivor per predecessor m - e_j that
@@ -570,11 +570,14 @@ class ThresholdResult:
     route: str   # "formula" | "interpolation": how the polynomial was found
 
 
+# levels of iterated sumsets the exact threshold checks the size formula on
+CROSS_CHECK_LEVELS = 16
+
+
 def khovanskii_threshold(config: PointConfig, *,
                          max_weight: int | None = None,
                          cap_points: int = 10 ** 7,
-                         max_n: int | None = None,
-                         cross_check: int = 16) -> ThresholdResult:
+                         max_n: int | None = None) -> ThresholdResult:
     """Least N from which |NA| equals the growth polynomial, certified.
 
     With an exact obstruction set the verification window ends at
@@ -593,24 +596,20 @@ def khovanskii_threshold(config: PointConfig, *,
         poly = _formula_polynomial(config, weights)
         window_top = max(1, min(bounds.sharp, obs.column_max_weight() - n + 1))
         small_top = min(window_top, max_n if max_n is not None else window_top,
-                        max(cross_check, 1))
+                        CROSS_CHECK_LEVELS)
         sizes = _growth_sizes_capped(config, small_top, cap_points)
-        counts: dict[int, int] = {}
         for i, s in enumerate(sizes, start=1):
             formula = _size_from_weights(weights, n, i)
             if formula != s:
                 raise InternalInvariantError(
                     f"size formula disagrees with iterated sumset at N={i}: "
                     f"{formula} != {s}")
-            counts[i] = s
-        for h in range(1, window_top + 1):
-            if h not in counts:
-                counts[h] = _size_from_weights(weights, n, h)
-        if counts[window_top] != poly(window_top):
+        # past the cross-check every |hA| in the window is the formula's
+        if _size_from_weights(weights, n, window_top) != poly(window_top):
             raise InternalInvariantError(
                 "growth polynomial fails at its certified window top")
         value = window_top
-        while value > 1 and counts[value - 1] == poly(value - 1):
+        while value > 1 and _size_from_weights(weights, n, value - 1) == poly(value - 1):
             value -= 1
         return ThresholdResult(value=value, status="exact", bound=window_top,
                                polynomial=poly, obstructions=obs, route="formula")

@@ -45,7 +45,7 @@ from .structure import (
     structure_levels,
     verify_extremal_decomposition,
 )
-from .sumsets import RegionSpec, iter_sumsets, sumset_arrays, sumset_iterate
+from .sumsets import RegionSpec, iter_sumsets, sumset_iterate, sumset_levels
 
 
 @dataclass
@@ -239,10 +239,10 @@ def run_checks(config: PointConfig, cap_points: int = 10 ** 7,
         top = min(8, min(bounds.bound_a, bounds.bound_b) + 2)
         # structure_levels builds the vertex sieves once for the window
         levels = zip(structure_levels(norm, top, cap_points=cap_points),
-                     sumset_arrays(norm, top))
-        for k, (report, pts) in enumerate(levels, start=1):
+                     sumset_levels(norm, top, cap_points))
+        for k, (report, (size, _)) in enumerate(levels, start=1):
             assert not report.extra, f"extra points at N={k}: {report.extra[:3]}"
-            rhs_size = len(pts) + len(report.missing)
+            rhs_size = size + len(report.missing)
             assert rhs_size <= count_dilate_points(norm, k, cap_points=cap_points)
 
     _check("structure_inclusion", structure_inclusion, results)

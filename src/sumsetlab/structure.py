@@ -43,7 +43,7 @@ from .sumsets import (
     SemigroupOracle,
     region_points,
     semigroup_sieve,
-    sumset_arrays,
+    sumset_levels,
 )
 
 
@@ -144,13 +144,16 @@ def _vertex_sieves(config: PointConfig, top: int, cap_points: int):
     return sieves, top
 
 
+def _sieves_over_cap(n: int, cap_points: int, top: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"the vertex sieves for level {n} exceed the {cap_points} point cap", reached=top)
+
+
 def _sieves_through(config: PointConfig, n: int, cap_points: int):
     """The vertex sieves for levels 1..n, or BudgetExceededError."""
     sieves, top = _vertex_sieves(config, n, cap_points)
     if top < n:
-        raise BudgetExceededError(
-            f"the vertex sieves for level {n} exceed the {cap_points} point cap",
-            reached=top)
+        raise _sieves_over_cap(n, cap_points, top)
     return sieves
 
 
@@ -211,7 +214,8 @@ def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
 
 
 def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
-    """Reports for the consecutive levels (n, NA) that ``levels`` yields.
+    """Reports for the levels 1A, 2A, ... that ``levels`` yields as
+    (|NA|, NA), as sumset_levels does.
 
     The levels are checked in blocks: a block closes before its box of
     (n, x) would pass BLOCK_CELLS cells, so a level is drawn from
@@ -221,7 +225,7 @@ def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
     a vertex sieve built for level n, and that box fits the point cap.
     """
     block = []
-    for n, na in levels:
+    for n, (_, na) in enumerate(levels, start=1):
         if block and (n - block[0][0] + 1) * dilate_box_cells(config, n) > BLOCK_CELLS:
             yield from _check_block(config, sieves, block)
             block = []
@@ -246,15 +250,15 @@ def structure_rhs(config: PointConfig, n: int,
 def verify_structure_equation(config: PointConfig, n: int,
                               cap_points: int = 10 ** 7,
                               _sumset_points=None) -> StructureReport:
-    """Compare NA against structure_rhs at one level."""
+    """Compare NA against structure_rhs at one level (the vertex sieves
+    are built first, so an input over ``cap_points`` fails on them)."""
     require_normalized(config)
+    sieves = _sieves_through(config, n, cap_points)
     if _sumset_points is None:
-        na = None
-        for na in sumset_arrays(config, n):
+        for _, na in sumset_levels(config, n, cap_points, keep_points=True):
             pass
     else:
         na = np.asarray(sorted(_sumset_points)).reshape(len(_sumset_points), config.dim)
-    sieves = _sieves_through(config, n, cap_points)
     return _check_block(config, sieves, [(n, na)])[0]
 
 
@@ -265,7 +269,7 @@ def structure_levels(config: PointConfig, max_n: int,
     if max_n < 1:
         return []
     sieves = _sieves_through(config, max_n, cap_points)
-    levels = enumerate(sumset_arrays(config, max_n), start=1)
+    levels = sumset_levels(config, max_n, cap_points, keep_points=True)
     return list(_window(config, sieves, levels))
 
 
@@ -278,19 +282,25 @@ class StructureThresholdResult:
     failing_levels: tuple[int, ...]
 
 
+# most work a structure window may do: the sum over its levels of |NA|
+# times (1 + the number of hull vertices)
+TEST_BUDGET = 10 ** 7
+
+
 def structure_threshold(config: PointConfig, *,
                         cap_points: int = 10 ** 7,
-                        test_budget: int = 10 ** 7,
                         max_n: int | None = None) -> StructureThresholdResult:
     """Least N from which the structure equation holds, verified level by level.
 
-    With B = min(bound_a, bound_b): when every level up to B fits the test
-    budget the result is exact (levels beyond B are covered by the proven
-    bound); otherwise the window stops early and the status is "empirical".
-    The full window is always checked; equality at one level is never
-    assumed to propagate upward.  The vertex sieves are built once, for the
-    whole window, and the levels are checked in blocks (_window); each
-    level passes the test budget before it joins a block.
+    With B = min(bound_a, bound_b): when every level up to B fits
+    TEST_BUDGET the result is exact (levels beyond B are covered by the
+    proven bound); otherwise the window stops early and the status is
+    "empirical".  The full window is always checked; equality at one level
+    is never assumed to propagate upward.  The vertex sieves are built
+    once, for the whole window, and must reach level 1.  Their boxes hold
+    the key box of the levels from sumset_levels, so the walk's budget
+    never fires.  The levels are checked in blocks (_window); each level
+    past the first passes TEST_BUDGET before it joins a block.
     """
     require_normalized(config)
     bounds = structure_bounds(config)
@@ -298,16 +308,18 @@ def structure_threshold(config: PointConfig, *,
     # level 1 is checked even under max_n < 1: the sumsets start there
     top = max(1, bound if max_n is None else min(bound, max_n))
     sieves, top = _vertex_sieves(config, top, cap_points)
+    if top < 1:
+        raise _sieves_over_cap(1, cap_points, top)
     vertex_count = max(1, len(sieves))
 
     def levels():
-        spent = 0
-        for n, na in zip(range(1, top + 1), sumset_arrays(config, top)):
-            cost = len(na) * (1 + vertex_count)
-            if spent + cost > test_budget and n > 1:
+        spent = 0  # nonzero from level 2 on: every level costs at least 2
+        for level in sumset_levels(config, top, cap_points, keep_points=True):
+            cost = level[0] * (1 + vertex_count)
+            if spent and spent + cost > TEST_BUDGET:
                 return
             spent += cost
-            yield n, na
+            yield level
 
     failing = []
     checked = 0
@@ -318,9 +330,6 @@ def structure_threshold(config: PointConfig, *,
                 f"sumset escaped its predicted shape at N={checked}: {report.extra[:3]}")
         if not report.holds:
             failing.append(checked)
-    if checked == 0:
-        raise BudgetExceededError("no structure level fits the test budget",
-                                  reached=0)
     status = "exact" if checked >= bound else "empirical"
     value = (failing[-1] + 1) if failing else 1
     if status == "exact" and value > bound:
@@ -345,8 +354,7 @@ def verify_extremal_decomposition(config: PointConfig, region: RegionSpec,
     if scale.denominator != 1:
         raise InternalInvariantError("d! * volume must be an integer")
     scale = int(scale)
-    shifts = None
-    for shifts in sumset_arrays(config, scale):
+    for _, shifts in sumset_levels(config, scale, cap_points, keep_points=True):
         pass
     ex_cfg = PointConfig(points=tuple(sorted(config.extremal())), dim=d,
                          normalized=config.normalized)

@@ -4,13 +4,13 @@ Point sets ride numpy arrays through the hot kernels: int64 whenever the
 coordinates and keys provably fit, Python ints (dtype object) otherwise,
 on the same code path (kernels.key_dtype picks).  All outputs are
 canonicalized (lexicographically sorted) so runs are deterministic
-whatever the dtype.  The levels N*A live in one key box that holds them
-all: as bit sets over its keys (a Python int per level, one shift and OR
-per generator) when the box has int64 keys and no more of them than the
-point budget, and as sorted keys grown from each level's new points
-otherwise.  Semigroup membership comes from dense sieves
-(``semigroup_sieve``): a boolean mask over a box, closed under each
-generator by doubling shifts, so one query is one gather.
+whatever the dtype.  Every reader of the levels N*A walks them through
+sumset_levels, in one key box that holds them all: bit sets over its keys
+(one shift and OR per generator per level) when the box has int64 keys
+and no more of them than the point budget, sorted keys grown from each
+level's new points otherwise.  Semigroup membership comes from dense
+sieves (``semigroup_sieve``): a boolean mask over a box, closed under
+each generator by doubling shifts, so one query is one gather.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ def _frontier_key_box(config: PointConfig, n_max: int):
     return lo, strides, span, kernels.key_dtype(span, max_abs * n_top * 2)
 
 
-def _frontier_box(config: PointConfig, n_max: int):
-    """(lo, strides, dtype) of _frontier_key_box."""
-    lo, strides, _, dtype = _frontier_key_box(config, n_max)
-    return lo, strides, dtype
-
-
 def _expand(frontier: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sorted distinct keys of frontier + offsets.
 
@@ -122,22 +116,25 @@ def _expand(frontier: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _iterate_keys(config: PointConfig, n_max: int, lo, strides, dtype,
-                  cap_points: int | None = None) -> Iterator[np.ndarray]:
+                  cap_points: int) -> Iterator[np.ndarray]:
     """Sorted keys of N*A for N = 1..n_max, each level grown from the new
     points of the one before.
 
     With t the lex-least point of A, (N-1)A + t lies inside NA, and every
     other point of NA is f + a with a in A and f in the frontier
     F = (N-1)A minus ((N-2)A + t).  Keys live in one box that holds every
-    level (``lo``, ``strides`` and the keys' ``dtype``, from _frontier_box):
+    level (``lo``, ``strides`` and the keys' ``dtype``, from _frontier_key_box):
     there adding a point a shifts every key by the same offset a @ strides,
     so the frontier stays keys from level to level, and key order is lex
-    order.  A level N >= 2 of more than ``cap_points`` keys raises
-    BudgetExceededError (``reached`` names it) before it is allocated.
+    order.  A level of more than ``cap_points`` keys raises
+    BudgetExceededError (``reached`` names it), past level 1 before it is
+    allocated.
     """
     gens = kernels.points_to_array(sorted(config.points), dtype)
     offsets = gens @ np.asarray(strides, dtype=dtype)
     keys = kernels.pack_rows(gens, lo, strides, dtype)
+    if len(keys) > cap_points:
+        raise _level_over_budget(len(keys), cap_points, 1)
     frontier = keys[1:]
     yield keys
     for n in range(2, n_max + 1):
@@ -146,7 +143,7 @@ def _iterate_keys(config: PointConfig, n_max: int, lo, strides, dtype,
             cand = _expand(frontier, offsets)
             frontier = cand[~kernels.sorted_member(cand, keys)]
             size = len(keys) + len(frontier)
-            if cap_points is not None and size > cap_points:
+            if size > cap_points:
                 raise _level_over_budget(size, cap_points, n)
             # two sorted runs: the stable sort merges them in linear time
             keys = np.concatenate([keys, frontier])
@@ -204,16 +201,11 @@ def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
 
 
 def sumset_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
-    """Yield N*A for N = 1..n_max as lexicographically sorted point arrays.
-
-    Level 1 is always yielded.  The levels come from the frontier
-    iteration; the arrays are int64 when the coordinates and the keys of
-    the box that holds all levels provably fit the kernel range, and hold
-    Python ints (dtype object) otherwise.
-    """
-    lo, strides, dtype = _frontier_box(config, n_max)
-    for keys in _iterate_keys(config, n_max, lo, strides, dtype):
-        yield kernels.decode_keys(keys, lo, strides)
+    """Yield N*A for N = 1..n_max as lexicographically sorted point arrays:
+    the decoded levels of sumset_levels under its default point budget.
+    Level 1 is always yielded."""
+    for _, pts in sumset_levels(config, max(n_max, 1), keep_points=True):
+        yield pts
 
 
 _iterate_arrays = sumset_arrays  # the name perfbench/kernels_compare.py imports
@@ -229,8 +221,11 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
                   keep_points: bool = False) -> Iterator[tuple[int, np.ndarray | None]]:
     """Yield (|N*A|, N*A) for N = 1.. up to n_max, under the point budget.
 
-    The point arrays are those of sumset_arrays with ``keep_points`` and
-    None without; then the levels are never decoded.  When the key box
+    This is the one walk over the levels N*A.  With ``keep_points`` each
+    level comes as a lexicographically sorted point array, int64 when the
+    coordinates and the keys of the box that holds all levels provably fit
+    the kernel range and Python ints (dtype object) otherwise; without it
+    the second item is None and no level is decoded.  When the key box
     that holds every level has int64 keys and at most ``cap_points`` of
     them, the levels are bit sets over those keys (_iterate_bits): one
     shift and OR per generator per level, and |N*A| is a bit count.  Such
@@ -249,10 +244,7 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
                 kernels.decode_keys(_bits_to_keys(mask), lo, strides) if keep_points
                 else None)
         return
-    for n, keys in enumerate(
-            _iterate_keys(config, n_max, lo, strides, dtype, cap_points), start=1):
-        if len(keys) > cap_points:  # level 1: later ones raise before they exist
-            raise _level_over_budget(len(keys), cap_points, n)
+    for keys in _iterate_keys(config, n_max, lo, strides, dtype, cap_points):
         yield len(keys), (kernels.decode_keys(keys, lo, strides) if keep_points else None)
 
 

@@ -68,7 +68,7 @@ def test_kernels_compare_imports_resolve():
 
 def test_bench_kernels_imports_resolve():
     found = _sumsetlab_names(os.path.join(BENCHMARKS, "bench_kernels.py"))
-    assert ("sumsetlab.sumsets", "_frontier_box") in found
+    assert ("sumsetlab.sumsets", "_frontier_key_box") in found
     assert ("sumsetlab.khovanskii", "_hilbert_numerator") in found
     for module, name in found:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -169,6 +169,21 @@ class TestDeterminism:
         report = json.loads(out)
         assert json.dumps(report, sort_keys=True, indent=2) + "\n" == out
 
+    @pytest.mark.parametrize("fixture", ["a135_txt", "square_json"])
+    def test_timing_adds_only_the_layer_times(self, capsys, request, fixture):
+        path = request.getfixturevalue(fixture)
+        code, out, _ = run_cli(capsys, "analyze", "--input", path)
+        timed_code, timed_out, _ = run_cli(capsys, "analyze", "--input", path,
+                                           "--timing")
+        assert code == timed_code == 0
+        plain, timed = json.loads(out), json.loads(timed_out)
+        assert "timing" not in plain
+        timing = timed.pop("timing")
+        assert set(timing) == {"normalize_s", "geometry_s", "khovanskii_s",
+                               "structure_s"}
+        assert all(isinstance(v, float) and v >= 0 for v in timing.values())
+        assert timed == plain
+
 
 class TestStructureCommand:
     def test_threshold_report(self, capsys, a135_txt):
@@ -216,12 +231,22 @@ class TestStructureWindowEnds:
     """A vertex sieve too large for --cap-points ends the window in exit 3."""
 
     def test_huge_gap_needs_no_level_walk(self, capsys, tmp_path):
-        # reach 2^62 per vertex: no level fits a sieve of 10^7 cells
+        # reach 2^62 per vertex: no level fits a sieve of 10^7 cells, and
+        # the error names that cap
         path = tmp_path / "gap62.txt"
         path.write_text(f"0\n1\n3\n{2 ** 62}\n")
         code, out, err = run_cli(capsys, "structure", "--input", str(path))
         assert code == 3 and out == ""
-        assert err == "error: budget exhausted: no structure level fits the test budget\n"
+        assert err == ("error: budget exhausted: the vertex sieves for level 1 "
+                       "exceed the 10000000 point cap\n")
+
+    @pytest.mark.parametrize("command", ["structure", "analyze"])
+    def test_zero_cap_names_the_sieve_cap(self, capsys, a135_txt, command):
+        code, out, err = run_cli(capsys, command, "--input", a135_txt,
+                                 "--cap-points", "0")
+        assert code == 3 and out == ""
+        assert err == ("error: budget exhausted: the vertex sieves for level 1 "
+                       "exceed the 0 point cap\n")
 
     def test_slow_window_stops_empirical(self, capsys, tmp_path):
         # bound 285715; the sieves of 10^7 cells reach level 9999 and the
@@ -513,10 +538,11 @@ def test_analyze_identical_on_the_exact_path(capsys, corpus_paths, request):
 
 
 def test_exact_path_never_takes_bitsets(capsys, corpus_paths, request, sumset_routes):
-    """The bitset engine needs int64 keys, so with every kernel on Python
-    ints ``growth`` and ``analyze`` walk their levels by the frontier
-    iteration on sorted keys: the exact path that
-    ``test_analyze_identical_on_the_exact_path`` and
+    """On int64 every level walk of ``growth`` and ``analyze`` over the
+    corpus, the structure window's too, fits the bitset engine.  That
+    engine needs int64 keys, so with every kernel on Python ints they walk
+    their levels by the frontier iteration on sorted keys: the exact path
+    that ``test_analyze_identical_on_the_exact_path`` and
     ``test_growth_goldens_on_the_exact_path`` hold to the int64 output."""
     def walk():
         for path in corpus_paths:
@@ -524,7 +550,7 @@ def test_exact_path_never_takes_bitsets(capsys, corpus_paths, request, sumset_ro
             run_cli(capsys, "analyze", "--input", path)
 
     walk()
-    assert "bits" in sumset_routes
+    assert sumset_routes and set(sumset_routes) == {"bits"}
     sumset_routes.clear()
     request.getfixturevalue("object_keys")
     khovanskii._obstruction_cache.clear()

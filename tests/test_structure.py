@@ -102,6 +102,13 @@ class TestVerifyEquation:
                 got = verify_structure_equation(norm, n, _sumset_points=pts[::-1])
                 assert got == verify_structure_equation(norm, n), (name, n)
 
+    def test_sieves_fail_before_the_walk(self):
+        # under a cap of 20 the sieves for level 5 do not fit, and the walk
+        # would stop at 4A (25 points): the sieves are built first
+        with pytest.raises(BudgetExceededError) as err:
+            verify_structure_equation(SQUARE, 5, cap_points=20)
+        assert str(err.value) == "the vertex sieves for level 5 exceed the 20 point cap"
+
 
 class TestBounds:
     def test_interval(self):
@@ -174,16 +181,23 @@ class TestThreshold:
         result = structure_threshold(SIMPLEX)
         assert result.value == 1 and result.status == "exact"
 
+    def test_no_sieve_for_level_one_names_the_cap(self):
+        with pytest.raises(BudgetExceededError) as err:
+            structure_threshold(A135, cap_points=0)
+        assert str(err.value) == "the vertex sieves for level 1 exceed the 0 point cap"
+        assert err.value.reached == 0
+
     def test_budget_degrades_to_empirical(self):
         cfg = PointConfig.from_points([(0,), (7,), (11,)])
         result = structure_threshold(cfg, max_n=5)
         assert result.status == "empirical"
         assert result.window_top <= 5
 
-    def test_window_is_suffix_closed(self, corpus):
+    def test_window_is_suffix_closed(self, monkeypatch, corpus):
         # once equality holds it keeps holding through the checked window
+        monkeypatch.setattr(structure, "TEST_BUDGET", 10 ** 6)
         for name, _, norm in corpus:
-            result = structure_threshold(norm, max_n=12, test_budget=10 ** 6)
+            result = structure_threshold(norm, max_n=12)
             assert all(n < result.value for n in result.failing_levels), name
 
 

@@ -107,10 +107,21 @@ class TestGrowth:
             sumset_iterate(A135, 0)
 
 
+def _key_levels(config, n_max):
+    """N*A for N = 1..n_max from the frontier iteration on sorted keys,
+    called directly (whatever route sumset_levels would take), as points."""
+    lo, strides, _, dtype = _frontier_key_box(config, n_max)
+    return [kernels.array_to_points(kernels.decode_keys(keys, lo, strides))
+            for keys in sumsets._iterate_keys(config, n_max, lo, strides, dtype, 10 ** 7)]
+
+
 def _assert_levels_exact(config, n_max):
-    """Every level of sumset_arrays equals the exact tuple iteration."""
+    """Every level of sumset_arrays, and of the frontier iteration on sorted
+    keys, equals the exact tuple iteration."""
+    expected = list(_iterate_tuples(config, n_max))
     got = [kernels.array_to_points(a) for a in sumset_arrays(config, n_max)]
-    assert got == list(_iterate_tuples(config, n_max)), (config.points, n_max)
+    assert got == expected, (config.points, n_max)
+    assert _key_levels(config, n_max) == expected, (config.points, n_max)
 
 
 class TestFrontierIteration:
@@ -172,7 +183,7 @@ class TestFrontierIteration:
         monkeypatch.setattr(kernels, "sumset_step", recorded)
         for name, raw, norm in corpus:
             for config in (raw, norm):
-                _assert_levels_exact(config, 12)
+                assert _key_levels(config, 12) == list(_iterate_tuples(config, 12)), name
         assert calls and max(calls) <= block
         assert len(calls) > 2 * len(corpus) * 11  # levels split into blocks
 
