@@ -15,10 +15,12 @@ that every pair returns identical results, and prints tables:
   and simplex3_diag to N=60;
 * the report writers against ``json.dumps`` of row lists, with equal output
   checked: ``reporting.to_json`` and ``reporting.to_text`` on the ``growth
-  --max-n 80 --emit-points`` report of hexagon6, whose levels are int64
-  arrays, against ``json.dumps(indent=2)`` (and ``to_text``) of the same
-  report with every level turned into row lists by ``tolist()`` (the
-  ``tolist()`` step is also timed on its own); ``to_json`` on the 1000-row
+  --max-n 80 --emit-points`` report of hexagon6, whose levels are packed
+  keys in the key box of the walk (``kernels.PackedPoints``), against
+  ``json.dumps(indent=2)`` (and ``to_text``) of the same report with every
+  level decoded and turned into row lists by ``tolist()`` (that step is
+  also timed on its own, and the rows written are printed beside the
+  distinct points the writer renders); ``to_json`` on the 1000-row
   sizes-only report of {0,2,5,11,12}, all plain ints and strs, against
   ``json.dumps(indent=2)``; and that whole emit request, building the report
   and writing it, against building it and dumping its row lists;
@@ -64,12 +66,14 @@ that every pair returns identical results, and prints tables:
   from their (base, exponent) pairs (``render_int(base, exponent)``)
   against ``render_int(base ** exponent)``, which builds the integer first.
 
-    python benchmarks/bench_kernels.py [--repeat 5]
+    python benchmarks/bench_kernels.py [--repeat 5] [--only SECTION[,SECTION]]
 
-The first column takes the best of --repeat runs; the second runs once,
-since it is the slower side.  Each sumset row times the step to level N;
-the exact side first iterates the levels below N untimed, which is most of
-the run (about two minutes on a 2-core VM).
+--only runs the named sections (the functions in SECTIONS, such as
+json_writer) and defaults to all of them.  The first column takes the
+best of --repeat runs; the second runs once, since it is the slower side.
+Each sumset row times the step to level N; the exact side first iterates
+the levels below N untimed, which is most of the run (about two minutes
+on a 2-core VM).
 """
 
 from __future__ import annotations
@@ -219,8 +223,8 @@ def frontier_against_full(repeat):
 
 
 def _tolist_rows(report):
-    """The growth report with every level's array turned into row lists."""
-    return {**report, "growth": [{**row, "points": row["points"].tolist()}
+    """The growth report with every level decoded and turned into row lists."""
+    return {**report, "growth": [{**row, "points": row["points"].rows().tolist()}
                                  for row in report["growth"]]}
 
 
@@ -236,9 +240,12 @@ def json_writer(repeat):
     t_l, listed = bench(_tolist_rows, (report,), repeat)
     t_d, ref = bench(_dumps, (listed,), 1)
     assert text == ref
+    rows = sum(len(row["points"]) for row in listed["growth"])
+    distinct = len({tuple(p) for row in listed["growth"] for p in row["points"]})
     print(f"{'to_json hexagon6 emit report, N=80':38s} {t_w * 1e3:8.2f}ms "
-          f"{(t_l + t_d) * 1e3:8.2f}ms {(t_l + t_d) / t_w:7.2f}x   ({len(text)} bytes)")
-    print(f"{'  tolist() of its levels alone':38s} {'':10s} {t_l * 1e3:8.2f}ms")
+          f"{(t_l + t_d) * 1e3:8.2f}ms {(t_l + t_d) / t_w:7.2f}x   ({len(text)} bytes, "
+          f"{rows} rows written, {distinct} distinct points rendered)")
+    print(f"{'  decode + tolist() of its levels alone':38s} {'':10s} {t_l * 1e3:8.2f}ms")
     t_w, text = bench(to_text, (report,), repeat)
     t_d, ref = bench(to_text, (listed,), 1)
     assert text == ref
@@ -558,33 +565,28 @@ def bitset_levels(repeat):
               f"{t_ky / t_bt:7.2f}x   ({span} keys in the box)")
 
 
+SECTIONS = (numpy_against_exact, frontier_against_full, json_writer, scan_word_split,
+            gather_against_bisection, vertices_against_lp, membership_against_dfs,
+            obstruction_certificate, frontier_keys, bitset_levels,
+            numerator_against_subsets, coarse_rendering)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--only", default=None, metavar="SECTION[,SECTION]",
+                        help="comma-separated sections to run (default: all)")
     args = parser.parse_args()
-    numpy_against_exact(args.repeat)
-    print()
-    frontier_against_full(args.repeat)
-    print()
-    json_writer(args.repeat)
-    print()
-    scan_word_split(args.repeat)
-    print()
-    gather_against_bisection(args.repeat)
-    print()
-    vertices_against_lp(args.repeat)
-    print()
-    membership_against_dfs(args.repeat)
-    print()
-    obstruction_certificate(args.repeat)
-    print()
-    frontier_keys(args.repeat)
-    print()
-    bitset_levels(args.repeat)
-    print()
-    numerator_against_subsets(args.repeat)
-    print()
-    coarse_rendering(args.repeat)
+    by_name = {section.__name__: section for section in SECTIONS}
+    names = list(by_name) if args.only is None else args.only.split(",")
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        parser.error(f"unknown section {', '.join(unknown)}; "
+                     f"choose from {', '.join(by_name)}")
+    for i, name in enumerate(names):
+        if i:
+            print()
+        by_name[name](args.repeat)
 
 
 if __name__ == "__main__":

@@ -9,18 +9,21 @@ are what the tests hold the kernels to; ``benchmarks/bench_kernels.py``
 times the kernels against them.
 
 Points of a box are packed into mixed-radix keys whose order is lex order
-(``key_strides``, ``pack_rows``, ``decode_keys``).  The sumset levels
+(``key_strides``, ``pack_rows``, ``decode_keys``), and ``PackedPoints``
+holds a point set as its keys together with their box.  The sumset levels
 (``sumsets.sumset_levels``) are bit sets over those keys when their box
-fits the point budget and sorted keys otherwise; a semigroup sieve is a boolean mask over its box in the
-same order, so a point's key is its flat index there; the structure
-window packs (n, x) rows of several levels into one box.  ``sumset_step``
-expands one block of sums: the frontier iteration on sorted keys in
-``sumsets`` calls it on the keys of the previous level's new points and
-the generators' key offsets, and never unpacks a row; its 2-D form steps
-point arrays.
+fits the point budget and sorted keys otherwise; a semigroup sieve is a
+boolean mask over its box in the same order, so a point's key is its
+flat index there; the structure window packs (n, x) rows of several
+levels into one box.  ``sumset_step`` expands one block of sums: the
+frontier iteration on sorted keys in ``sumsets`` calls it on the keys of
+the previous level's new points and the generators' key offsets, and
+never unpacks a row; its 2-D form steps point arrays.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,6 +185,42 @@ def decode_keys(keys: np.ndarray, lo, strides) -> np.ndarray:
         out[:, -1] = rest
     out += np.asarray(lo, dtype=keys.dtype)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class PackedPoints:
+    """A point set as the keys of its points in the box [lo, ...] with
+    ``strides`` and keys 0..span-1 (see key_strides), int64 or Python ints
+    (dtype object).  The levels of one sumset walk share its box."""
+
+    keys: np.ndarray
+    lo: tuple[int, ...]
+    strides: tuple[int, ...]
+    span: int
+
+    @classmethod
+    def pack(cls, rows: np.ndarray) -> "PackedPoints":
+        """The rows of a 2-D integer array, in their order, packed over
+        their own box: int64 keys when that box's keys and coordinates fit
+        the kernel range, Python ints otherwise."""
+        if len(rows):
+            lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+        else:
+            lo = hi = [0] * rows.shape[1]
+        strides, span = key_strides(lo, hi)
+        dtype = key_dtype(span, *lo, *hi)
+        return cls(pack_rows(rows, lo, strides, dtype), tuple(lo), strides, span)
+
+    @property
+    def box(self) -> tuple:
+        return self.lo, self.strides, self.span
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def rows(self) -> np.ndarray:
+        """The points, one row per key, in the keys' dtype."""
+        return decode_keys(self.keys, self.lo, self.strides)
 
 
 def pack_rows(rows, lo, strides, dtype) -> np.ndarray:

@@ -274,16 +274,19 @@ def build_analysis(config: PointConfig, caps: Caps, route: str = "auto",
 
 def growth_report(config: PointConfig, caps: Caps, emit_points: bool) -> tuple[dict, bool]:
     """|NA| per level; with ``emit_points`` each row's "points" is the
-    level's point array, which the writers render as its ``tolist()``."""
+    level as its keys in the key box of the walk (kernels.PackedPoints),
+    which the writers render as the rows of its points, lexicographically
+    sorted.  Under ``max_n`` 0 the table is empty."""
     n_max = caps.max_n if caps.max_n is not None else 10
     rows = []
     partial = False
     try:
-        for n, (size, pts) in enumerate(
-                sumset_levels(config, n_max, caps.cap_points, emit_points), start=1):
+        for n, (size, level) in enumerate(
+                sumset_levels(config, n_max, caps.cap_points, packed=emit_points)
+                if n_max else (), start=1):
             row = {"n": n, "size": size}
             if emit_points:
-                row["points"] = pts
+                row["points"] = level
             rows.append(row)
     except BudgetExceededError:
         partial = True
@@ -327,16 +330,18 @@ def to_json(report: dict) -> str:
 
     With an indent, json.dumps runs the pure-Python encoder.  This writer
     lays out the same indentation itself, writes plain ints and strs as
-    json.dumps would, and leaves every other scalar to json.dumps.  An
-    ndarray is written as its ``tolist()`` would be (see _array_json).
+    json.dumps would, and leaves every other scalar to json.dumps.  Packed
+    points (kernels.PackedPoints) and 2-D integer arrays are written as
+    the row lists of their points (see _RowTables), other arrays as their
+    ``tolist()``.
     """
     out: list[str] = []
-    _write_json(report, "\n", out)
+    _write_json(report, "\n", out, _RowTables(report))
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list) -> None:
+def _write_json(value, newline: str, out: list, tables: "_RowTables") -> None:
     """Append the JSON text of value; ``newline`` carries the current indent."""
     kind = type(value)
     if kind is int:
@@ -357,11 +362,11 @@ def _write_json(value, newline: str, out: list) -> None:
             sep = "{" + inner
             for key in sorted(value):
                 out += (sep, encode_basestring_ascii(key), ": ")
-                _write_json(value[key], inner, out)
+                _write_json(value[key], inner, out, tables)
                 sep = "," + inner
             out.append(newline + "}")
-    elif isinstance(value, np.ndarray):
-        _write_array(value, newline, out)
+    elif isinstance(value, (kernels.PackedPoints, np.ndarray)):
+        tables.write(value, newline, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -369,7 +374,7 @@ def _write_json(value, newline: str, out: list) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, tables)
             sep = "," + inner
         out.append(newline + "]")
     else:
@@ -377,74 +382,123 @@ def _write_json(value, newline: str, out: list) -> None:
         out.append(json.dumps(value))
 
 
+def _rows_list(value) -> list:
+    """The json.dumps default for points: an array's ``tolist()``, and
+    for packed points that of their rows."""
+    if isinstance(value, kernels.PackedPoints):
+        value = value.rows()
+    return np.ndarray.tolist(value)
+
+
+class _RowTables:
+    """The row texts of the point sets of one report.
+
+    When the first packed point set is written, every kernels.PackedPoints
+    in the report is found, and those that share a key box (the levels of
+    one sumset walk) share one table per layout (``newline``, or None for
+    one line): the text of each of their distinct points, decoded once and
+    rendered once, with the separator before it.  A point set is then one
+    gather from the table into the output list, plus a fix to the opening
+    of its first row.  A key's row in the table is its key offset when the
+    box has no more cells than those point sets have rows, else its
+    position among their sorted distinct keys, found by ``searchsorted``.
+    A 2-D integer array is packed over its own box and written from a
+    table of its own; any other array is written as its ``tolist()``.
+    """
+
+    def __init__(self, report):
+        self.report = report
+        self.levels: dict[tuple, list] | None = None
+        self.tables: dict[tuple, _RowTable] = {}
+
+    def _collect(self, value) -> None:
+        if isinstance(value, kernels.PackedPoints):
+            self.levels.setdefault(value.box, []).append(value)
+        elif isinstance(value, dict):
+            for item in value.values():
+                self._collect(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                self._collect(item)
+
+    def write(self, points, newline: str | None, out: list) -> None:
+        """Append the JSON text of packed points or an array at the depth
+        that ``newline`` carries, or on one line when it is None."""
+        if isinstance(points, np.ndarray):
+            if points.ndim == 2 and points.dtype.kind in "iu":
+                packed = kernels.PackedPoints.pack(points)
+                _RowTables(packed).write(packed, newline, out)
+            elif newline is None:
+                out.append(json.dumps(points.tolist()))
+            else:
+                out.append(json.dumps(points.tolist(), indent=2).replace("\n", newline))
+            return
+        if not len(points):
+            out.append("[]")
+            return
+        table = self.tables.get((points.box, newline))
+        if table is None:
+            if self.levels is None:
+                self.levels = {}
+                self._collect(self.report)
+            table = self.tables[points.box, newline] = _RowTable(
+                self.levels[points.box], newline)
+        table.write(points.keys, out)
+
+
+class _RowTable:
+    """The row texts of the distinct points of packed point sets that
+    share one key box, in one layout (see _RowTables)."""
+
+    def __init__(self, levels: list, newline: str | None):
+        lo, strides, span = levels[0].box
+        dtype = np.result_type(*(level.keys.dtype for level in levels))
+        if span <= sum(map(len, levels)):
+            seen = np.zeros(span, dtype=bool)
+            for level in levels:
+                seen[level.keys.astype(np.int64, copy=False)] = True
+            distinct = np.flatnonzero(seen)
+            self.sorted_keys = None
+        else:
+            distinct = kernels.sorted_unique(np.concatenate([level.keys for level in levels]))
+            self.sorted_keys = distinct
+        points = kernels.decode_keys(distinct.astype(dtype, copy=False), lo, strides)
+        if newline is None:
+            self.head, sep, self.tail = "[", ", ", "]"
+            first, comma, last = "[", ", ", "]"
+        else:
+            inner = newline + "  "
+            self.head, sep, self.tail = "[" + inner, "," + inner, newline + "]"
+            first, comma, last = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        self.cut = len(sep)
+        # "%d" writes a Python int as str() does
+        row = sep + (first + comma.join(["%d"] * len(strides)) + last if strides else "[]")
+        texts = list(map(row.__mod__, map(tuple, points.tolist())))
+        if self.sorted_keys is None:
+            self.table = np.empty(span, dtype=object)
+            self.table[distinct] = texts
+        else:
+            self.table = np.empty(len(texts), dtype=object)
+            self.table[:] = texts
+
+    def write(self, keys: np.ndarray, out: list) -> None:
+        """Append the text of the points of ``keys``, in their order."""
+        if self.sorted_keys is None:
+            rows = keys.astype(np.int64, copy=False)
+        else:
+            rows = np.searchsorted(self.sorted_keys, keys)
+        # the first row opens the list instead of following a row
+        out.append(self.head + self.table[rows[0]][self.cut:])
+        out.extend(self.table[rows[1:]])
+        out.append(self.tail)
+
+
 def _array_json(arr: np.ndarray, newline: str | None) -> str:
     """json.dumps(arr.tolist()), laid out as json.dumps(indent=2) lays it out
     at the depth that ``newline`` carries, or on one line when it is None."""
     out: list[str] = []
-    _write_array(arr, newline, out)
+    _RowTables(None).write(arr, newline, out)
     return "".join(out)
-
-
-def _write_array(arr: np.ndarray, newline: str | None, out: list) -> None:
-    """Append the pieces of _array_json(arr, newline) to out.
-
-    A 2-D array of integer dtype (a level of growth points) is written from
-    the texts of its distinct values (see _token_table).  Column j gathers
-    them from a table in which each text carries the separator before it,
-    into every width-th slot of one list, which joins out.  So no row
-    becomes a list, no value is rendered twice, and the text is copied
-    once, when out is joined.
-    """
-    if arr.ndim != 2 or arr.dtype.kind not in "iu":
-        if newline is None:
-            out.append(json.dumps(arr.tolist()))
-        else:
-            out.append(json.dumps(arr.tolist(), indent=2).replace("\n", newline))
-        return
-    rows, width = arr.shape
-    if not rows:
-        out.append("[]")
-        return
-    if newline is None:
-        head, sep, tail = "[", ", ", "]"
-        first, comma, last = "[", ", ", "]"
-    else:
-        inner = newline + "  "
-        head, sep, tail = "[" + inner, "," + inner, newline + "]"
-        first, comma, last = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-    if not width:
-        out.append(head + sep.join(["[]"] * rows) + tail)
-        return
-    texts, index = _token_table(arr)
-    parts = [None] * (rows * width)
-    for j in range(width):
-        # column 0 opens its row (and closes the row before)
-        lead = last + sep + first if j == 0 else comma
-        table = np.empty(len(texts), dtype=object)
-        table[:] = [lead + t for t in texts]
-        parts[j::width] = table[index[:, j]].tolist()
-    parts[0] = head + first + texts[index[0, 0]]
-    out += parts
-    out.append(last + tail)
-
-
-def _token_table(arr: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(texts, index): str(v) for each distinct value v of an integer
-    array, and for each entry of arr the position of its text.
-
-    When the values span no more integers than arr has entries, the texts
-    are of every integer from the least to the greatest, and an entry's
-    position is its offset from the least.  Otherwise they are of the
-    sorted distinct values, and positions come from a binary search.
-    """
-    low, high = arr.min(), arr.max()
-    if int(high) - int(low) < arr.size:
-        # the offset fits the dtype's unsigned twin even where the signed
-        # subtraction wraps (int8 from -100 to 100)
-        index = (arr - low).view(f"u{arr.itemsize}")
-        return [str(v) for v in range(int(low), int(high) + 1)], index
-    distinct = kernels.sorted_unique(arr.ravel())
-    return [str(v) for v in distinct.tolist()], np.searchsorted(distinct, arr)
 
 
 def _flatten(prefix: str, value, rows: list):
@@ -474,6 +528,7 @@ def to_csv(report: dict) -> str:
 
 def to_text(report: dict, indent: int = 0) -> str:
     lines: list[str] = []
+    tables = _RowTables(report)
 
     def emit(key, value, depth):
         pad = "  " * depth
@@ -487,10 +542,13 @@ def to_text(report: dict, indent: int = 0) -> str:
                 lines.append(f"{pad}  -")
                 for k in sorted(item):
                     emit(k, item[k], depth + 2)
+        elif isinstance(value, (kernels.PackedPoints, np.ndarray)):
+            pieces = [f"{pad}{key}: "]
+            tables.write(value, None, pieces)
+            lines.append("".join(pieces))
         else:
-            # an ndarray anywhere in the value is written as its tolist()
-            text = (_array_json(value, None) if isinstance(value, np.ndarray)
-                    else json.dumps(value, sort_keys=True, default=np.ndarray.tolist))
+            # points anywhere deeper in the value are written as row lists
+            text = json.dumps(value, sort_keys=True, default=_rows_list)
             lines.append(f"{pad}{key}: {text}")
 
     for k in sorted(report):

@@ -255,8 +255,9 @@ def verify_structure_equation(config: PointConfig, n: int,
     require_normalized(config)
     sieves = _sieves_through(config, n, cap_points)
     if _sumset_points is None:
-        for _, na in sumset_levels(config, n, cap_points, keep_points=True):
+        for _, level in sumset_levels(config, n, cap_points, packed=True):
             pass
+        na = level.rows()  # only the last level is decoded
     else:
         na = np.asarray(sorted(_sumset_points)).reshape(len(_sumset_points), config.dim)
     return _check_block(config, sieves, [(n, na)])[0]
@@ -354,8 +355,9 @@ def verify_extremal_decomposition(config: PointConfig, region: RegionSpec,
     if scale.denominator != 1:
         raise InternalInvariantError("d! * volume must be an integer")
     scale = int(scale)
-    for _, shifts in sumset_levels(config, scale, cap_points, keep_points=True):
+    for _, level in sumset_levels(config, scale, cap_points, packed=True):
         pass
+    shifts = level.rows()  # only the last level is decoded
     ex_cfg = PointConfig(points=tuple(sorted(config.extremal())), dim=d,
                          normalized=config.normalized)
     pts = region_points(config, region, cap_points=cap_points)

@@ -8,9 +8,12 @@ whatever the dtype.  Every reader of the levels N*A walks them through
 sumset_levels, in one key box that holds them all: bit sets over its keys
 (one shift and OR per generator per level) when the box has int64 keys
 and no more of them than the point budget, sorted keys grown from each
-level's new points otherwise.  Semigroup membership comes from dense
-sieves (``semigroup_sieve``): a boolean mask over a box, closed under
-each generator by doubling shifts, so one query is one gather.
+level's new points otherwise.  It hands a level out as its keys in that
+box (kernels.PackedPoints), which the report writers render without
+decoding a point twice, or decoded into a point array.  Semigroup
+membership comes from dense sieves (``semigroup_sieve``): a boolean mask
+over a box, closed under each generator by doubling shifts, so one query
+is one gather.
 """
 
 from __future__ import annotations
@@ -218,34 +221,41 @@ def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
 
 
 def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
-                  keep_points: bool = False) -> Iterator[tuple[int, np.ndarray | None]]:
+                  keep_points: bool = False, packed: bool = False
+                  ) -> Iterator[tuple[int, np.ndarray | kernels.PackedPoints | None]]:
     """Yield (|N*A|, N*A) for N = 1.. up to n_max, under the point budget.
 
-    This is the one walk over the levels N*A.  With ``keep_points`` each
-    level comes as a lexicographically sorted point array, int64 when the
-    coordinates and the keys of the box that holds all levels provably fit
-    the kernel range and Python ints (dtype object) otherwise; without it
-    the second item is None and no level is decoded.  When the key box
-    that holds every level has int64 keys and at most ``cap_points`` of
-    them, the levels are bit sets over those keys (_iterate_bits): one
-    shift and OR per generator per level, and |N*A| is a bit count.  Such
-    a box holds no level over the budget.  Otherwise they come from the
-    frontier iteration on sorted keys (_iterate_keys).  A level of more
-    than ``cap_points`` points is not yielded: a BudgetExceededError names
-    it (``reached``) instead.  Past level 1 that error comes before the
-    level is allocated.
+    This is the one walk over the levels N*A.  All levels live in one key
+    box (_frontier_key_box), whose keys and coordinates are int64 when they
+    provably fit the kernel range and Python ints (dtype object) otherwise.
+    With ``packed`` each level comes as the kernels.PackedPoints of its
+    sorted keys in that box, undecoded; with ``keep_points`` as its
+    decoded point array, lexicographically sorted; with neither the second
+    item is None and no level is decoded.  When the box has int64 keys
+    and at most ``cap_points`` of them, the levels are bit sets over those
+    keys (_iterate_bits): one shift and OR per generator per level, and
+    |N*A| is a bit count.  Such a box holds no level over the budget.
+    Otherwise they come from the frontier iteration on sorted keys
+    (_iterate_keys).  A level of more than ``cap_points`` points is not
+    yielded: a BudgetExceededError names it (``reached``) instead.  Past
+    level 1 that error comes before the level is allocated.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     lo, strides, span, dtype = _frontier_key_box(config, n_max)
+
+    def hand_out(keys):
+        if packed:
+            return kernels.PackedPoints(keys, tuple(lo), strides, span)
+        return kernels.decode_keys(keys, lo, strides)
+
     if dtype == np.int64 and span <= cap_points:
         for mask in _iterate_bits(config, n_max, lo, strides):
             yield mask.bit_count(), (
-                kernels.decode_keys(_bits_to_keys(mask), lo, strides) if keep_points
-                else None)
+                hand_out(_bits_to_keys(mask)) if packed or keep_points else None)
         return
     for keys in _iterate_keys(config, n_max, lo, strides, dtype, cap_points):
-        yield len(keys), (kernels.decode_keys(keys, lo, strides) if keep_points else None)
+        yield len(keys), (hand_out(keys) if packed or keep_points else None)
 
 
 def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,

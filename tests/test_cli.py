@@ -101,6 +101,16 @@ class TestGrowthCommand:
         assert code == 0
         assert out == "n,size\n1,4\n2,9\n3,16\n4,25\n"
 
+    @pytest.mark.parametrize("emit", [[], ["--emit-points"]])
+    @pytest.mark.parametrize("fmt, text", [
+        ("json", '{\n  "growth": [],\n  "partial": false\n}\n'),
+        ("csv", "n,size\n"),
+        ("text", "growth: []\npartial: false\n"),
+    ])
+    def test_max_n_zero_prints_the_empty_table(self, capsys, a135_txt, emit, fmt, text):
+        assert run_cli(capsys, "growth", "--input", a135_txt, "--max-n", "0",
+                       "--format", fmt, *emit) == (0, text, "")
+
     def test_emit_points(self, capsys, a135_txt):
         code, out, _ = run_cli(capsys, "growth", "--input", a135_txt,
                                "--max-n", "2", "--emit-points")

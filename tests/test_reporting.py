@@ -10,17 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sumsetlab import khovanskii_bounds, reporting, structure_bounds
+from sumsetlab import PointConfig, khovanskii_bounds, kernels, reporting, structure_bounds
 from sumsetlab.cli import main
+from sumsetlab.errors import BudgetExceededError
 from sumsetlab.reporting import (
     LEADING_DIGITS,
     MAX_DECIMAL_DIGITS,
     _array_json,
-    _token_table,
+    _RowTable,
     render_int,
     to_json,
     to_text,
 )
+from sumsetlab.sumsets import sumset_arrays, sumset_levels
 
 from oracles import digits_and_leading
 
@@ -184,14 +186,27 @@ _arrays = st.tuples(st.integers(min_value=0, max_value=4),
                     st.integers(min_value=0, max_value=3)).flatmap(
     lambda shape: hnp.arrays(np.int64, shape)
     | hnp.arrays(object, shape, elements=_ints))
+# emitted growth levels: the packed keys of one sumset walk, whose levels
+# share a key box, from sets with negative coordinates included
+_walks = st.tuples(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=4,
+             unique=True)
+    | st.lists(st.tuples(st.integers(-(1 << 62), 1 << 62)), min_size=1, max_size=3,
+               unique=True),
+    st.integers(min_value=1, max_value=4)).map(
+    lambda walk: [level for _, level in sumset_levels(
+        PointConfig.from_points(walk[0]), walk[1], packed=True)])
+_levels = _walks.flatmap(st.sampled_from)
 _trees_with_arrays = st.recursive(
-    _scalars | _rows | _arrays,
+    _scalars | _rows | _arrays | _levels,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(_text, inner, max_size=4)),
     max_leaves=12)
 
 
 def _tolist(value):
+    if isinstance(value, kernels.PackedPoints):
+        return value.rows().tolist()
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, dict):
@@ -227,10 +242,14 @@ class TestToJson:
     # to_text takes values and lists of records (growth rows), not any tree;
     # a list that mixes records with other values is a value
     @settings(max_examples=120, deadline=None)
-    @given(st.dictionaries(_text, _arrays | st.lists(
-        st.dictionaries(_text, _arrays | _ints, max_size=3), min_size=1, max_size=3)
-        | st.lists(_arrays | _ints | st.none()
-                   | st.dictionaries(_text, _arrays | _ints, max_size=2), max_size=3),
+    @given(st.dictionaries(_text, _arrays | _levels | st.lists(
+        st.dictionaries(_text, _arrays | _levels | _ints, max_size=3), min_size=1,
+        max_size=3)
+        | st.lists(_arrays | _levels | _ints | st.none()
+                   | st.dictionaries(_text, _arrays | _levels | _ints, max_size=2),
+                   max_size=3)
+        | _walks.map(lambda levels: [{"n": n, "points": level, "size": len(level)}
+                                     for n, level in enumerate(levels, start=1)]),
         max_size=3))
     def test_text_arrays_match_tolist(self, report):
         assert to_text(report) == to_text(_tolist(report))
@@ -287,6 +306,115 @@ class TestToJson:
             assert capsys.readouterr().out == (GOLDEN / golden).read_text(), golden
 
 
+def _tolist_report(config, n_max, cap_points=10 ** 7):
+    """The growth --emit-points report of config, each level a row list from
+    tolist() of its decoded array, and whether the budget cut it short."""
+    rows = []
+    try:
+        for n, (size, pts) in enumerate(
+                sumset_levels(config, n_max, cap_points, keep_points=True), start=1):
+            rows.append({"n": n, "points": pts.tolist(), "size": size})
+    except BudgetExceededError:
+        return {"growth": rows, "partial": True}
+    return {"growth": rows, "partial": False}
+
+
+class TestEmitWriter:
+    """growth --emit-points in json and text, byte for byte against the
+    report rebuilt from row lists (json.dumps(indent=2) and to_text)."""
+
+    @staticmethod
+    def _check(tmp_path, capsys, config, n_max, cap_points=10 ** 7):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"points": [list(p) for p in config.points]}))
+        report = _tolist_report(config, n_max, cap_points)
+        code = 3 if report["partial"] else 0
+        for fmt, render in (("json", _dumps), ("text", to_text)):
+            got = main(["growth", "--input", str(path), "--emit-points", "--max-n",
+                        str(n_max), "--cap-points", str(cap_points), "--format", fmt])
+            assert (got, *capsys.readouterr()) == (code, render(report), ""), fmt
+        return report
+
+    def test_corpus_raw_sets(self, tmp_path, capsys, corpus):
+        for name, raw, _ in corpus:
+            self._check(tmp_path, capsys, raw, 12)
+
+    @pytest.mark.parametrize("route", ["int64", "object"])
+    @pytest.mark.parametrize("points", [
+        [(5, -3), (6, -3), (5, -1)], [(-9,), (-4,)], [(2,), (5,), (7,)]],
+        ids=["negative-2d", "negative-1d", "a257"])
+    def test_levels_whose_boxes_are_not_nested(self, tmp_path, capsys, request,
+                                               route, points):
+        if route == "object":
+            request.getfixturevalue("object_keys")
+        self._check(tmp_path, capsys, PointConfig.from_points(points), 20)
+
+    @pytest.fixture
+    def branches(self, monkeypatch):
+        """The branch of every row table built: "offset" when a key's row
+        is its offset in the box, "searchsorted" otherwise."""
+        log = []
+        init = _RowTable.__init__
+
+        def recorded(table, *args):
+            init(table, *args)
+            log.append("offset" if table.sorted_keys is None else "searchsorted")
+
+        monkeypatch.setattr(_RowTable, "__init__", recorded)
+        return log
+
+    def test_sparse_box_takes_searchsorted(self, tmp_path, capsys, branches):
+        # {0, 1000} to N = 30: 495 rows in a box of 30001 cells
+        self._check(tmp_path, capsys, PointConfig.from_points([(0,), (1000,)]), 30)
+        assert branches == ["searchsorted", "searchsorted"]
+        branches.clear()
+        self._check(tmp_path, capsys, PointConfig.from_points([(0,), (1,), (3,)]), 30)
+        assert branches == ["offset", "offset"]
+
+    @pytest.mark.parametrize("route", ["int64", "object"])
+    def test_keys_route(self, tmp_path, capsys, request, sumset_routes, route):
+        # boxes of 30001 and 81^2 keys over a budget that every level fits
+        if route == "object":
+            request.getfixturevalue("object_keys")
+        self._check(tmp_path, capsys, PointConfig.from_points([(0,), (1000,)]), 30,
+                    cap_points=1000)
+        hexagon = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)])
+        self._check(tmp_path, capsys, hexagon, 40, cap_points=5000)
+        assert set(sumset_routes) == {"keys"}
+
+    @pytest.mark.parametrize("route", ["int64", "object"])
+    def test_report_cut_by_the_budget(self, tmp_path, capsys, request, route):
+        if route == "object":
+            request.getfixturevalue("object_keys")
+        square = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+        report = self._check(tmp_path, capsys, square, 10, cap_points=20)
+        assert report["partial"] and len(report["growth"]) == 3
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("points, n_max", [
+        ([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)], 12), ([(0,), (1000,)], 30)],
+        ids=["hexagon6", "sparse"])
+    def test_each_distinct_point_decoded_once(self, tmp_path, capsys, monkeypatch,
+                                              points, n_max, fmt):
+        config = PointConfig.from_points(points)
+        distinct = {tuple(p) for a in sumset_arrays(config, n_max) for p in a.tolist()}
+        decoded = []
+        decode = kernels.decode_keys
+
+        def recorded(keys, lo, strides):
+            decoded.append(len(keys))
+            return decode(keys, lo, strides)
+
+        monkeypatch.setattr(kernels, "decode_keys", recorded)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"points": points}))
+        assert main(["growth", "--input", str(path), "--emit-points", "--max-n",
+                     str(n_max), "--format", fmt]) == 0
+        assert decoded == [len(distinct)]
+        rows = sum(len(row["points"]) for row in _tolist_report(config, n_max)["growth"])
+        assert rows > len(distinct)
+
+
 _I64 = np.iinfo(np.int64)
 
 
@@ -301,20 +429,27 @@ class TestArrayWriter:
         assert to_json({"a": [{"points": arr}]}) == _dumps({"a": [{"points": rows}]})
         assert to_text({"a": arr}) == to_text({"a": rows})
 
+    @staticmethod
+    def _table(arr):
+        """The one-line row table that writes arr, packed over its own box."""
+        return _RowTable([kernels.PackedPoints.pack(arr)], None)
+
     def test_range_table_branch(self):
-        # 12 entries spanning 7 integers: the table is every integer
-        # between, 2 (which no entry holds) included
-        arr = np.array([[0, 3], [1, 6], [5, 5], [4, 0], [6, 6], [3, 1]])
-        texts, index = _token_table(arr)
-        assert texts == [str(v) for v in range(7)]
-        assert np.array_equal(index, arr)
+        # 12 rows in a box of 12 cells: a key's row is its offset, and the
+        # cell of (1, 2), which no row holds, has no text
+        arr = np.array([[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [1, 1],
+                        [1, 3], [2, 0], [2, 1], [2, 2], [2, 3], [0, 0]])
+        table = self._table(arr)
+        assert table.sorted_keys is None and len(table.table) == 12
+        assert table.table[6] is None
+        assert table.table[11] == ", [2, 3]"
         self._check(arr)
 
     def test_sorted_distinct_branch(self):
         arr = np.array([[10 ** 12, -7], [5, 10 ** 12], [-7, 5]])
-        texts, index = _token_table(arr)
-        assert texts == ["-7", "5", str(10 ** 12)]
-        assert np.array_equal(index, [[2, 0], [1, 2], [0, 1]])
+        table = self._table(arr)
+        assert table.table.tolist() == [", [-7, 5]", f", [5, {10 ** 12}]",
+                                        f", [{10 ** 12}, -7]"]
         self._check(arr)
 
     def test_negative_coordinates(self):
@@ -325,19 +460,21 @@ class TestArrayWriter:
     @pytest.mark.parametrize("dtype", [np.int8, np.int32])
     def test_small_dtypes(self, dtype):
         info = np.iinfo(dtype)
-        # offsets from the least value overflow the signed dtype: int8 -100..100
+        # a box wider than the dtype holds: int8 -100..100 spans 201 values
         wide = np.arange(-100, 101).repeat(2).reshape(-1, 2).astype(dtype)
-        assert len(_token_table(wide)[0]) == 201
+        assert len(self._table(wide).table) == 201
         self._check(wide)
         self._check(np.array([[info.min, info.max], [0, -1]], dtype=dtype))
 
     def test_uint64_near_two_to_the_64(self):
         top = (1 << 64) - 1
+        # coordinates past the int64 range pack into Python-int keys
         dense = np.array([[top, top - 1], [top - 2, top - 3]], dtype=np.uint64)
-        assert len(_token_table(dense)[0]) == 4
+        assert kernels.PackedPoints.pack(dense).keys.dtype == object
+        assert len(self._table(dense).table) == 2
         self._check(dense)
         sparse = np.array([[top, 0], [1 << 63, 7]], dtype=np.uint64)
-        assert len(_token_table(sparse)[0]) == 4
+        assert len(self._table(sparse).table) == 2
         self._check(sparse)
 
     def test_int64_extremes(self):

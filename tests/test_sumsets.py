@@ -217,6 +217,20 @@ class TestSumsetLevels:
             kept = list(sumset_levels(config, 6, keep_points=True))
             assert all(np.array_equal(a, pts) for a, (_, pts) in zip(arrays, kept))
 
+    @pytest.mark.parametrize("route", ["bits", "keys"])
+    def test_packed_levels_share_the_box_and_decode_to_the_kept_ones(self, request,
+                                                                     sumset_routes, route):
+        if route == "keys":
+            request.getfixturevalue("object_keys")
+        for config in (A135, SQUARE, STRIP):
+            kept = list(sumset_levels(config, 6, keep_points=True))
+            packed = list(sumset_levels(config, 6, packed=True))
+            assert [size for size, _ in packed] == [size for size, _ in kept]
+            assert len({level.box for _, level in packed}) == 1
+            assert all(np.array_equal(level.rows(), pts) and len(level) == size
+                       for (size, level), (_, pts) in zip(packed, kept))
+        assert set(sumset_routes) == {route}
+
     def test_cap_names_first_level_over_budget(self, sumset_routes):
         got = []
         with pytest.raises(BudgetExceededError) as err:
