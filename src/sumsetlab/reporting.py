@@ -282,7 +282,7 @@ def growth_report(config: PointConfig, caps: Caps, emit_points: bool) -> tuple[d
     partial = False
     try:
         for n, (size, level) in enumerate(
-                sumset_levels(config, n_max, caps.cap_points, packed=emit_points)
+                sumset_levels(config, n_max, caps.cap_points, keep_points=emit_points)
                 if n_max else (), start=1):
             row = {"n": n, "size": size}
             if emit_points:
@@ -491,14 +491,6 @@ class _RowTable:
         out.append(self.head + self.table[rows[0]][self.cut:])
         out.extend(self.table[rows[1:]])
         out.append(self.tail)
-
-
-def _array_json(arr: np.ndarray, newline: str | None) -> str:
-    """json.dumps(arr.tolist()), laid out as json.dumps(indent=2) lays it out
-    at the depth that ``newline`` carries, or on one line when it is None."""
-    out: list[str] = []
-    _RowTables(None).write(arr, newline, out)
-    return "".join(out)
 
 
 def _flatten(prefix: str, value, rows: list):

@@ -215,7 +215,8 @@ def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
 
 def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
     """Reports for the levels 1A, 2A, ... that ``levels`` yields as
-    (|NA|, NA), as sumset_levels does.
+    (|NA|, NA), as sumset_levels(keep_points=True) does; each level is
+    decoded when it joins a block.
 
     The levels are checked in blocks: a block closes before its box of
     (n, x) would pass BLOCK_CELLS cells, so a level is drawn from
@@ -229,7 +230,7 @@ def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
         if block and (n - block[0][0] + 1) * dilate_box_cells(config, n) > BLOCK_CELLS:
             yield from _check_block(config, sieves, block)
             block = []
-        block.append((n, na))
+        block.append((n, na.rows()))
     if block:
         yield from _check_block(config, sieves, block)
 
@@ -255,7 +256,7 @@ def verify_structure_equation(config: PointConfig, n: int,
     require_normalized(config)
     sieves = _sieves_through(config, n, cap_points)
     if _sumset_points is None:
-        for _, level in sumset_levels(config, n, cap_points, packed=True):
+        for _, level in sumset_levels(config, n, cap_points, keep_points=True):
             pass
         na = level.rows()  # only the last level is decoded
     else:
@@ -355,7 +356,7 @@ def verify_extremal_decomposition(config: PointConfig, region: RegionSpec,
     if scale.denominator != 1:
         raise InternalInvariantError("d! * volume must be an integer")
     scale = int(scale)
-    for _, level in sumset_levels(config, scale, cap_points, packed=True):
+    for _, level in sumset_levels(config, scale, cap_points, keep_points=True):
         pass
     shifts = level.rows()  # only the last level is decoded
     ex_cfg = PointConfig(points=tuple(sorted(config.extremal())), dim=d,

@@ -207,8 +207,8 @@ def sumset_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
     """Yield N*A for N = 1..n_max as lexicographically sorted point arrays:
     the decoded levels of sumset_levels under its default point budget.
     Level 1 is always yielded."""
-    for _, pts in sumset_levels(config, max(n_max, 1), keep_points=True):
-        yield pts
+    for _, level in sumset_levels(config, max(n_max, 1), keep_points=True):
+        yield level.rows()
 
 
 _iterate_arrays = sumset_arrays  # the name perfbench/kernels_compare.py imports
@@ -221,41 +221,36 @@ def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
 
 
 def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
-                  keep_points: bool = False, packed: bool = False
-                  ) -> Iterator[tuple[int, np.ndarray | kernels.PackedPoints | None]]:
+                  keep_points: bool = False
+                  ) -> Iterator[tuple[int, kernels.PackedPoints | None]]:
     """Yield (|N*A|, N*A) for N = 1.. up to n_max, under the point budget.
 
     This is the one walk over the levels N*A.  All levels live in one key
     box (_frontier_key_box), whose keys and coordinates are int64 when they
     provably fit the kernel range and Python ints (dtype object) otherwise.
-    With ``packed`` each level comes as the kernels.PackedPoints of its
-    sorted keys in that box, undecoded; with ``keep_points`` as its
-    decoded point array, lexicographically sorted; with neither the second
-    item is None and no level is decoded.  When the box has int64 keys
-    and at most ``cap_points`` of them, the levels are bit sets over those
-    keys (_iterate_bits): one shift and OR per generator per level, and
-    |N*A| is a bit count.  Such a box holds no level over the budget.
-    Otherwise they come from the frontier iteration on sorted keys
-    (_iterate_keys).  A level of more than ``cap_points`` points is not
-    yielded: a BudgetExceededError names it (``reached``) instead.  Past
-    level 1 that error comes before the level is allocated.
+    With ``keep_points`` each level comes as the kernels.PackedPoints of
+    its sorted keys in that box, undecoded (its ``rows()`` are the points,
+    lexicographically sorted); without it the second item is None.  When
+    the box has int64 keys and at most ``cap_points`` of them, the levels
+    are bit sets over those keys (_iterate_bits): one shift and OR per
+    generator per level, and |N*A| is a bit count.  Such a box holds no
+    level over the budget.  Otherwise they come from the frontier
+    iteration on sorted keys (_iterate_keys).  A level of more than
+    ``cap_points`` points is not yielded: a BudgetExceededError names it
+    (``reached``) instead.  Past level 1 that error comes before the level
+    is allocated.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     lo, strides, span, dtype = _frontier_key_box(config, n_max)
-
-    def hand_out(keys):
-        if packed:
-            return kernels.PackedPoints(keys, tuple(lo), strides, span)
-        return kernels.decode_keys(keys, lo, strides)
-
+    box = tuple(lo), strides, span
     if dtype == np.int64 and span <= cap_points:
         for mask in _iterate_bits(config, n_max, lo, strides):
             yield mask.bit_count(), (
-                hand_out(_bits_to_keys(mask)) if packed or keep_points else None)
+                kernels.PackedPoints(_bits_to_keys(mask), *box) if keep_points else None)
         return
     for keys in _iterate_keys(config, n_max, lo, strides, dtype, cap_points):
-        yield len(keys), (hand_out(keys) if packed or keep_points else None)
+        yield len(keys), (kernels.PackedPoints(keys, *box) if keep_points else None)
 
 
 def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
@@ -271,7 +266,7 @@ def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
     try:
         for n, (size, pts) in enumerate(
                 sumset_levels(config, n_max, cap_points, keep_points), start=1):
-            stored = tuple(kernels.array_to_points(pts)) if keep_points else None
+            stored = tuple(kernels.array_to_points(pts.rows())) if keep_points else None
             records.append(GrowthRecord(n=n, size=size, points=stored))
     except BudgetExceededError as exc:
         exc.partial = GrowthTable(records=tuple(records))
@@ -378,7 +373,7 @@ class SemigroupOracle:
         for _, level in sumset_levels(cfg, n_max, keep_points=True):
             if kernels.sorted_member(key([y]), levels[-1])[0]:
                 break
-            levels.append(key(level))
+            levels.append(key(level.rows()))
         return levels, y, key
 
     def min_weight(self, point) -> int | None:

@@ -16,7 +16,6 @@ from sumsetlab.errors import BudgetExceededError
 from sumsetlab.reporting import (
     LEADING_DIGITS,
     MAX_DECIMAL_DIGITS,
-    _array_json,
     _RowTable,
     render_int,
     to_json,
@@ -195,7 +194,7 @@ _walks = st.tuples(
                unique=True),
     st.integers(min_value=1, max_value=4)).map(
     lambda walk: [level for _, level in sumset_levels(
-        PointConfig.from_points(walk[0]), walk[1], packed=True)])
+        PointConfig.from_points(walk[0]), walk[1], keep_points=True)])
 _levels = _walks.flatmap(st.sampled_from)
 _trees_with_arrays = st.recursive(
     _scalars | _rows | _arrays | _levels,
@@ -313,7 +312,7 @@ def _tolist_report(config, n_max, cap_points=10 ** 7):
     try:
         for n, (size, pts) in enumerate(
                 sumset_levels(config, n_max, cap_points, keep_points=True), start=1):
-            rows.append({"n": n, "points": pts.tolist(), "size": size})
+            rows.append({"n": n, "points": pts.rows().tolist(), "size": size})
     except BudgetExceededError:
         return {"growth": rows, "partial": True}
     return {"growth": rows, "partial": False}
@@ -419,15 +418,14 @@ _I64 = np.iinfo(np.int64)
 
 
 class TestArrayWriter:
-    """_array_json on 2-D integer arrays, against json.dumps of tolist()."""
+    """The writers on 2-D integer arrays, against json.dumps of tolist()."""
 
     @staticmethod
     def _check(arr):
         rows = arr.tolist()
-        assert _array_json(arr, "\n") == json.dumps(rows, indent=2)
-        assert _array_json(arr, None) == json.dumps(rows)
+        assert to_json({"a": arr}) == _dumps({"a": rows})
         assert to_json({"a": [{"points": arr}]}) == _dumps({"a": [{"points": rows}]})
-        assert to_text({"a": arr}) == to_text({"a": rows})
+        assert to_text({"a": arr}) == f"a: {json.dumps(rows)}\n" == to_text({"a": rows})
 
     @staticmethod
     def _table(arr):

@@ -215,20 +215,18 @@ class TestSumsetLevels:
             assert [size for size, pts in sized] == [len(a) for a in arrays]
             assert all(pts is None for _, pts in sized)
             kept = list(sumset_levels(config, 6, keep_points=True))
-            assert all(np.array_equal(a, pts) for a, (_, pts) in zip(arrays, kept))
+            assert all(np.array_equal(a, pts.rows()) for a, (_, pts) in zip(arrays, kept))
 
     @pytest.mark.parametrize("route", ["bits", "keys"])
-    def test_packed_levels_share_the_box_and_decode_to_the_kept_ones(self, request,
-                                                                     sumset_routes, route):
+    def test_kept_levels_share_the_box_and_decode_to_the_points(self, request,
+                                                                sumset_routes, route):
         if route == "keys":
             request.getfixturevalue("object_keys")
         for config in (A135, SQUARE, STRIP):
             kept = list(sumset_levels(config, 6, keep_points=True))
-            packed = list(sumset_levels(config, 6, packed=True))
-            assert [size for size, _ in packed] == [size for size, _ in kept]
-            assert len({level.box for _, level in packed}) == 1
-            assert all(np.array_equal(level.rows(), pts) and len(level) == size
-                       for (size, level), (_, pts) in zip(packed, kept))
+            assert len({level.box for _, level in kept}) == 1
+            assert all(level.rows().tolist() == [list(p) for p in pts] and len(level) == size
+                       for (size, level), pts in zip(kept, _iterate_tuples(config, 6)))
         assert set(sumset_routes) == {route}
 
     def test_cap_names_first_level_over_budget(self, sumset_routes):
@@ -263,7 +261,9 @@ class TestSumsetLevels:
                 sizes = [size for size, _ in sumset_levels(config, 12)]
                 assert sizes == [len(p) for p in _iterate_tuples(config, 12)], name
         assert decoded == []
-        list(sumset_levels(SQUARE, 3, keep_points=True))
+        kept = list(sumset_levels(SQUARE, 3, keep_points=True))
+        assert decoded == []
+        [level.rows() for _, level in kept]
         assert decoded == [4, 9, 16]
 
     @pytest.mark.parametrize("cap", [3, 10, 40, 150])
@@ -360,7 +360,8 @@ class TestBitsetLevels:
         assert sumset_routes == ["bits", "keys"]
         assert [size for size, _ in at_span] == \
             [len(p) for p in _iterate_tuples(UNIT_SIMPLEX2, 10)]
-        assert all(a == b and np.array_equal(p, q) and p.dtype == q.dtype == np.int64
+        assert all(a == b and np.array_equal(p.rows(), q.rows())
+                   and p.rows().dtype == q.rows().dtype == np.int64
                    for (a, p), (b, q) in zip(at_span, past))
 
     def test_int64_span_over_the_budget_takes_keys(self, sumset_routes):
