@@ -10,15 +10,18 @@ times the kernels against them.
 
 Points of a box are packed into mixed-radix keys whose order is lex order
 (``key_strides``, ``pack_rows``, ``decode_keys``), and ``PackedPoints``
-holds a point set as its keys together with their box.  The sumset levels
+holds a point set as its keys together with their box: the one form a
+sumset level takes from the walk to the report writers.  The sumset levels
 (``sumsets.sumset_levels``) are bit sets over those keys when their box
 fits the point budget and sorted keys otherwise; a semigroup sieve is a
 boolean mask over its box in the same order, so a point's key is its
-flat index there; the structure window packs (n, x) rows of several
-levels into one box.  ``sumset_step`` expands one block of sums: the
-frontier iteration on sorted keys in ``sumsets`` calls it on the keys of
-the previous level's new points and the generators' key offsets, and
-never unpacks a row; its 2-D form steps point arrays.
+flat index there; the structure window stacks consecutive levels into
+one box of (n, x) by shifting each level's keys by a multiple of the
+walk's span, and packs the predicted rows there.  ``sumset_step``
+expands one block of sums: the frontier iteration on sorted keys in
+``sumsets`` calls it on the keys of the previous level's new points and
+the generators' key offsets, and never unpacks a row; its 2-D form steps
+point arrays.
 """
 
 from __future__ import annotations
@@ -197,19 +200,6 @@ class PackedPoints:
     lo: tuple[int, ...]
     strides: tuple[int, ...]
     span: int
-
-    @classmethod
-    def pack(cls, rows: np.ndarray) -> "PackedPoints":
-        """The rows of a 2-D integer array, in their order, packed over
-        their own box: int64 keys when that box's keys and coordinates fit
-        the kernel range, Python ints otherwise."""
-        if len(rows):
-            lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
-        else:
-            lo = hi = [0] * rows.shape[1]
-        strides, span = key_strides(lo, hi)
-        dtype = key_dtype(span, *lo, *hi)
-        return cls(pack_rows(rows, lo, strides, dtype), tuple(lo), strides, span)
 
     @property
     def box(self) -> tuple:

@@ -69,12 +69,6 @@ class FacetFunctional:
             raise KindError("beta is defined only for outer facets")
         return Fraction(self.dot(point), self.offset)
 
-    def gamma_value(self, point) -> int:
-        """gamma(point) for an inner facet: 0 on the facet, >= 0 on the hull."""
-        if self.kind != "inner":
-            raise KindError("gamma is defined only for inner facets")
-        return -self.dot(point)
-
 
 @dataclass(frozen=True)
 class Polytope:

@@ -331,9 +331,8 @@ def to_json(report: dict) -> str:
     With an indent, json.dumps runs the pure-Python encoder.  This writer
     lays out the same indentation itself, writes plain ints and strs as
     json.dumps would, and leaves every other scalar to json.dumps.  Packed
-    points (kernels.PackedPoints) and 2-D integer arrays are written as
-    the row lists of their points (see _RowTables), other arrays as their
-    ``tolist()``.
+    points (kernels.PackedPoints), the one form a report gives a point
+    set, are written as the row lists of their points (see _RowTables).
     """
     out: list[str] = []
     _write_json(report, "\n", out, _RowTables(report))
@@ -365,7 +364,7 @@ def _write_json(value, newline: str, out: list, tables: "_RowTables") -> None:
                 _write_json(value[key], inner, out, tables)
                 sep = "," + inner
             out.append(newline + "}")
-    elif isinstance(value, (kernels.PackedPoints, np.ndarray)):
+    elif isinstance(value, kernels.PackedPoints):
         tables.write(value, newline, out)
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -383,11 +382,10 @@ def _write_json(value, newline: str, out: list, tables: "_RowTables") -> None:
 
 
 def _rows_list(value) -> list:
-    """The json.dumps default for points: an array's ``tolist()``, and
-    for packed points that of their rows."""
+    """The json.dumps default for packed points: the row list of their points."""
     if isinstance(value, kernels.PackedPoints):
-        value = value.rows()
-    return np.ndarray.tolist(value)
+        return value.rows().tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class _RowTables:
@@ -402,8 +400,6 @@ class _RowTables:
     of its first row.  A key's row in the table is its key offset when the
     box has no more cells than those point sets have rows, else its
     position among their sorted distinct keys, found by ``searchsorted``.
-    A 2-D integer array is packed over its own box and written from a
-    table of its own; any other array is written as its ``tolist()``.
     """
 
     def __init__(self, report):
@@ -422,17 +418,8 @@ class _RowTables:
                 self._collect(item)
 
     def write(self, points, newline: str | None, out: list) -> None:
-        """Append the JSON text of packed points or an array at the depth
-        that ``newline`` carries, or on one line when it is None."""
-        if isinstance(points, np.ndarray):
-            if points.ndim == 2 and points.dtype.kind in "iu":
-                packed = kernels.PackedPoints.pack(points)
-                _RowTables(packed).write(packed, newline, out)
-            elif newline is None:
-                out.append(json.dumps(points.tolist()))
-            else:
-                out.append(json.dumps(points.tolist(), indent=2).replace("\n", newline))
-            return
+        """Append the JSON text of packed points at the depth that
+        ``newline`` carries, or on one line when it is None."""
         if not len(points):
             out.append("[]")
             return
@@ -534,7 +521,7 @@ def to_text(report: dict, indent: int = 0) -> str:
                 lines.append(f"{pad}  -")
                 for k in sorted(item):
                     emit(k, item[k], depth + 2)
-        elif isinstance(value, (kernels.PackedPoints, np.ndarray)):
+        elif isinstance(value, kernels.PackedPoints):
             pieces = [f"{pad}{key}: "]
             tables.write(value, None, pieces)
             lines.append("".join(pieces))

@@ -182,41 +182,46 @@ def _block_rhs(config: PointConfig, sieves, n0: int, n1: int) -> np.ndarray:
     return rows.compress(keep, axis=0)
 
 
+def _by_level(rows: np.ndarray, n0: int, n1: int) -> list[tuple[Point, ...]]:
+    """The points x of the rows (n, x), sorted by n, at each level n0..n1."""
+    cuts = np.searchsorted(rows[:, 0], np.arange(n0, n1 + 2))
+    return [tuple(kernels.array_to_points(rows[a:b, 1:]))
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
     """Each level (n, NA) of ``block`` against its predicted shape.
 
-    The levels must be consecutive and lex-sorted.  Both sides become keys
-    of (n, x) in one box whose strides are lex-major, so each side comes
-    out ascending, is searched in the other by bisection, and only missing
-    or extra points become tuples.
+    The levels must be consecutive, and each NA the kernels.PackedPoints
+    of one walk of sumset_levels, whose key box (lo, strides, span) is the
+    box of the walk's top level; as A holds the origin, that box holds the
+    dilate box of every level below.  Both sides become keys of (n, x) in
+    the box with strides (span, *strides) over [n0, *lo], which is lex-major:
+    NA's keys are the walk's keys plus (n - n0) * span, undecoded, and the
+    predicted rows are packed there.  Each side comes out ascending and is
+    searched in the other by bisection; only missing or extra points
+    become tuples.
     """
     n0, n1 = block[0][0], block[-1][0]
-    rhs = _block_rhs(config, sieves, n0, n1)
-    lo, hi = _dilate_box(config, n1)
-    strides, span = kernels.key_strides([n0, *lo], [n1, *hi])
-    dtype = kernels.key_dtype(span)
+    lo, level_strides, span = block[0][1].box
+    strides = (span, *level_strides)
+    dtype = kernels.key_dtype((n1 - n0 + 1) * span)
     na_keys = np.concatenate([
-        kernels.pack_rows(na, lo, strides[1:], dtype) + (n - n0) * strides[0]
-        for n, na in block])
+        na.keys.astype(dtype, copy=False) + (n - n0) * span for n, na in block])
+    rhs = _block_rhs(config, sieves, n0, n1)
     rhs_keys = kernels.pack_rows(rhs, [n0, *lo], strides, dtype)
-    lost = ~kernels.sorted_member(na_keys, rhs_keys)
-    missing = rhs[~kernels.sorted_member(rhs_keys, na_keys)]
-    cuts = np.searchsorted(missing[:, 0], np.arange(n0, n1 + 2))
-    reports = []
-    start = 0
-    for i, (n, na) in enumerate(block):
-        miss = kernels.array_to_points(missing[cuts[i]:cuts[i + 1], 1:])
-        extra = kernels.array_to_points(na[lost[start:start + len(na)]])
-        start += len(na)
-        reports.append(StructureReport(n=n, holds=not miss and not extra,
-                                       missing=tuple(miss), extra=tuple(extra)))
-    return reports
+    missing = _by_level(rhs[~kernels.sorted_member(rhs_keys, na_keys)], n0, n1)
+    lost = na_keys[~kernels.sorted_member(na_keys, rhs_keys)]
+    extra = _by_level(kernels.decode_keys(lost, [n0, *lo], strides), n0, n1)
+    return [StructureReport(n=n, holds=not miss and not ext, missing=miss, extra=ext)
+            for n, miss, ext in zip(range(n0, n1 + 1), missing, extra)]
 
 
 def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
     """Reports for the levels 1A, 2A, ... that ``levels`` yields as
-    (|NA|, NA), as sumset_levels(keep_points=True) does; each level is
-    decoded when it joins a block.
+    (|NA|, NA), as sumset_levels(keep_points=True) does; the levels go to
+    _check_block as the walk's packed keys, and no point of NA is decoded
+    unless it is extra.
 
     The levels are checked in blocks: a block closes before its box of
     (n, x) would pass BLOCK_CELLS cells, so a level is drawn from
@@ -230,7 +235,7 @@ def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
         if block and (n - block[0][0] + 1) * dilate_box_cells(config, n) > BLOCK_CELLS:
             yield from _check_block(config, sieves, block)
             block = []
-        block.append((n, na.rows()))
+        block.append((n, na))
     if block:
         yield from _check_block(config, sieves, block)
 
@@ -249,19 +254,14 @@ def structure_rhs(config: PointConfig, n: int,
 
 
 def verify_structure_equation(config: PointConfig, n: int,
-                              cap_points: int = 10 ** 7,
-                              _sumset_points=None) -> StructureReport:
+                              cap_points: int = 10 ** 7) -> StructureReport:
     """Compare NA against structure_rhs at one level (the vertex sieves
     are built first, so an input over ``cap_points`` fails on them)."""
     require_normalized(config)
     sieves = _sieves_through(config, n, cap_points)
-    if _sumset_points is None:
-        for _, level in sumset_levels(config, n, cap_points, keep_points=True):
-            pass
-        na = level.rows()  # only the last level is decoded
-    else:
-        na = np.asarray(sorted(_sumset_points)).reshape(len(_sumset_points), config.dim)
-    return _check_block(config, sieves, [(n, na)])[0]
+    for _, level in sumset_levels(config, n, cap_points, keep_points=True):
+        pass
+    return _check_block(config, sieves, [(n, level)])[0]
 
 
 def structure_levels(config: PointConfig, max_n: int,

@@ -56,9 +56,6 @@ class GrowthTable:
     def sizes(self) -> list[int]:
         return [r.size for r in self.records]
 
-    def size_at(self, n: int) -> int:
-        return self.records[n - 1].size
-
 
 @dataclass(frozen=True)
 class RegionSpec:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from sumsetlab import PointConfig, khovanskii_bounds, kernels, reporting, structure_bounds
 from sumsetlab.cli import main
@@ -179,12 +178,13 @@ _trees = st.recursive(
     max_leaves=12)
 
 
-# growth levels: int64 from the frontier iteration, Python ints (dtype
-# object) from the exact one, beyond the int64 range included
-_arrays = st.tuples(st.integers(min_value=0, max_value=4),
-                    st.integers(min_value=0, max_value=3)).flatmap(
-    lambda shape: hnp.arrays(np.int64, shape)
-    | hnp.arrays(object, shape, elements=_ints))
+def _walk(points, n_max):
+    """The levels 1A..n_max A of the set ``points`` as packed keys, the
+    form growth --emit-points gives them."""
+    return [level for _, level in sumset_levels(
+        PointConfig.from_points(points), n_max, keep_points=True)]
+
+
 # emitted growth levels: the packed keys of one sumset walk, whose levels
 # share a key box, from sets with negative coordinates included
 _walks = st.tuples(
@@ -192,12 +192,10 @@ _walks = st.tuples(
              unique=True)
     | st.lists(st.tuples(st.integers(-(1 << 62), 1 << 62)), min_size=1, max_size=3,
                unique=True),
-    st.integers(min_value=1, max_value=4)).map(
-    lambda walk: [level for _, level in sumset_levels(
-        PointConfig.from_points(walk[0]), walk[1], keep_points=True)])
+    st.integers(min_value=1, max_value=4)).map(lambda walk: _walk(*walk))
 _levels = _walks.flatmap(st.sampled_from)
 _trees_with_arrays = st.recursive(
-    _scalars | _rows | _arrays | _levels,
+    _scalars | _rows | _levels,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(_text, inner, max_size=4)),
     max_leaves=12)
@@ -206,8 +204,6 @@ _trees_with_arrays = st.recursive(
 def _tolist(value):
     if isinstance(value, kernels.PackedPoints):
         return value.rows().tolist()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, dict):
         return {k: _tolist(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -226,26 +222,14 @@ class TestToJson:
     def test_arrays_match_json_dumps_of_tolist(self, report):
         assert to_json(report) == _dumps(_tolist(report))
 
-    @pytest.mark.parametrize("array", [
-        np.array([[True, False]]),
-        np.array([[1, True], [1.5, None]], dtype=object),
-        np.array([[0.5, -2.0]]),
-        np.array([3, -4]),
-        np.zeros((1, 2, 2), dtype=np.int64),
-    ], ids=["bool", "object-mixed", "float", "1-d", "3-d"])
-    def test_other_arrays_as_tolist(self, array):
-        report = {"a": [array], "b": array}
-        assert to_json(report) == _dumps(_tolist(report))
-        assert to_text({"b": array}) == to_text({"b": array.tolist()})
-
     # to_text takes values and lists of records (growth rows), not any tree;
     # a list that mixes records with other values is a value
     @settings(max_examples=120, deadline=None)
-    @given(st.dictionaries(_text, _arrays | _levels | st.lists(
-        st.dictionaries(_text, _arrays | _levels | _ints, max_size=3), min_size=1,
+    @given(st.dictionaries(_text, _levels | st.lists(
+        st.dictionaries(_text, _levels | _ints, max_size=3), min_size=1,
         max_size=3)
-        | st.lists(_arrays | _levels | _ints | st.none()
-                   | st.dictionaries(_text, _arrays | _levels | _ints, max_size=2),
+        | st.lists(_levels | _ints | st.none()
+                   | st.dictionaries(_text, _levels | _ints, max_size=2),
                    max_size=3)
         | _walks.map(lambda levels: [{"n": n, "points": level, "size": len(level)}
                                      for n, level in enumerate(levels, start=1)]),
@@ -256,8 +240,8 @@ class TestToJson:
     @pytest.mark.parametrize("report, text", [
         ({"a": [{}, None]}, "a: [{}, null]\n"),
         ({"a": [None, {"k": 1}]}, 'a: [null, {"k": 1}]\n'),
-        ({"a": [np.array([[1, 2]]), 3]}, "a: [[[1, 2]], 3]\n"),
-        ({"a": [{"p": np.array([[1 << 70]], dtype=object)}]}, f"a:\n  -\n    p: [[{1 << 70}]]\n"),
+        ({"a": [_walk([(1, 2)], 1)[0], 3]}, "a: [[[1, 2]], 3]\n"),
+        ({"a": [{"p": _walk([(1 << 70,)], 1)[0]}]}, f"a:\n  -\n    p: [[{1 << 70}]]\n"),
     ], ids=["record-then-none", "none-then-record", "array-in-list", "array-in-record"])
     def test_text_mixed_lists(self, report, text):
         assert to_text(report) == text
@@ -418,84 +402,69 @@ _I64 = np.iinfo(np.int64)
 
 
 class TestArrayWriter:
-    """The writers on 2-D integer arrays, against json.dumps of tolist()."""
+    """The writers on the packed levels of real sumset walks, against
+    json.dumps (and to_text) of their row lists."""
 
     @staticmethod
-    def _check(arr):
-        rows = arr.tolist()
-        assert to_json({"a": arr}) == _dumps({"a": rows})
-        assert to_json({"a": [{"points": arr}]}) == _dumps({"a": [{"points": rows}]})
-        assert to_text({"a": arr}) == f"a: {json.dumps(rows)}\n" == to_text({"a": rows})
-
-    @staticmethod
-    def _table(arr):
-        """The one-line row table that writes arr, packed over its own box."""
-        return _RowTable([kernels.PackedPoints.pack(arr)], None)
+    def _check(levels):
+        rows = [level.rows().tolist() for level in levels]
+        assert to_json({"a": levels}) == _dumps({"a": rows})
+        records = [{"points": level} for level in levels]
+        listed = [{"points": r} for r in rows]
+        assert to_json({"a": records}) == _dumps({"a": listed})
+        assert to_text({"a": records}) == to_text({"a": listed})
+        assert to_text({"a": levels[-1]}) == f"a: {json.dumps(rows[-1])}\n"
 
     def test_range_table_branch(self):
-        # 12 rows in a box of 12 cells: a key's row is its offset, and the
-        # cell of (1, 2), which no row holds, has no text
-        arr = np.array([[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [1, 1],
-                        [1, 3], [2, 0], [2, 1], [2, 2], [2, 3], [0, 0]])
-        table = self._table(arr)
-        assert table.sorted_keys is None and len(table.table) == 12
-        assert table.table[6] is None
-        assert table.table[11] == ", [2, 3]"
-        self._check(arr)
+        # {0,1,3} to N=2: 9 rows in a box of 7 cells, so a key's row is its
+        # offset, and the cell of (5,), which no level holds, has no text
+        levels = _walk([(0,), (1,), (3,)], 2)
+        table = _RowTable(levels, None)
+        assert table.sorted_keys is None and len(table.table) == 7
+        assert table.table[5] is None
+        assert table.table[6] == ", [6]"
+        self._check(levels)
 
     def test_sorted_distinct_branch(self):
-        arr = np.array([[10 ** 12, -7], [5, 10 ** 12], [-7, 5]])
-        table = self._table(arr)
-        assert table.table.tolist() == [", [-7, 5]", f", [5, {10 ** 12}]",
-                                        f", [{10 ** 12}, -7]"]
-        self._check(arr)
+        # {0,1000} to N=30: 495 rows, 31 of them distinct, in 30001 cells
+        levels = _walk([(0,), (1000,)], 30)
+        table = _RowTable(levels, None)
+        assert len(table.sorted_keys) == len(table.table) == 31
+        assert table.table[:3].tolist() == [", [0]", ", [1000]", ", [2000]"]
+        self._check(levels)
+
+    def test_python_int_keys(self):
+        # a box of more than 2^62 keys: Python ints (dtype object)
+        levels = _walk([(0,), (1,), (3,), (1 << 62,)], 4)
+        assert levels[0].keys.dtype == object
+        self._check(levels)
 
     def test_negative_coordinates(self):
-        rng = np.random.default_rng(5)
-        self._check(rng.integers(-9, 0, size=(40, 3)))
-        self._check(rng.integers(-1000, 1000, size=(30, 2)))
-
-    @pytest.mark.parametrize("dtype", [np.int8, np.int32])
-    def test_small_dtypes(self, dtype):
-        info = np.iinfo(dtype)
-        # a box wider than the dtype holds: int8 -100..100 spans 201 values
-        wide = np.arange(-100, 101).repeat(2).reshape(-1, 2).astype(dtype)
-        assert len(self._table(wide).table) == 201
-        self._check(wide)
-        self._check(np.array([[info.min, info.max], [0, -1]], dtype=dtype))
-
-    def test_uint64_near_two_to_the_64(self):
-        top = (1 << 64) - 1
-        # coordinates past the int64 range pack into Python-int keys
-        dense = np.array([[top, top - 1], [top - 2, top - 3]], dtype=np.uint64)
-        assert kernels.PackedPoints.pack(dense).keys.dtype == object
-        assert len(self._table(dense).table) == 2
-        self._check(dense)
-        sparse = np.array([[top, 0], [1 << 63, 7]], dtype=np.uint64)
-        assert len(self._table(sparse).table) == 2
-        self._check(sparse)
+        self._check(_walk([(-9, -9, -1), (-1, -5, -3), (-4, -2, -7), (-6, -1, -1)], 5))
+        self._check(_walk([(-1000, 1000), (999, -1000), (-3, -7)], 8))
 
     def test_int64_extremes(self):
-        self._check(np.array([[_I64.min, _I64.max], [0, -1]]))
-        # both ends of the range, each in the range-table branch
-        self._check(np.array([[_I64.max, _I64.max - 1], [_I64.max - 2, _I64.max - 3]]))
-        self._check(np.array([[_I64.min, _I64.min + 1], [_I64.min + 3, _I64.min + 2]]))
+        # both ends of the range, and sums past them
+        self._check(_walk([(_I64.min, _I64.max), (0, -1)], 3))
+        self._check(_walk([(_I64.max,), (_I64.max - 1,), (_I64.max - 3,)], 3))
+        self._check(_walk([(_I64.min,), (_I64.min + 1,), (_I64.min + 3,)], 3))
 
     def test_width_one(self):
-        self._check(np.array([[4], [-2], [4], [9]]))
+        self._check(_walk([(4,), (-2,), (9,)], 4))
 
     def test_zero_width_rows(self):
-        self._check(np.zeros((3, 0), dtype=np.int64))
-        self._check(np.zeros((0, 0), dtype=np.int64))
+        self._check(_walk([()], 3))
+        empty = kernels.PackedPoints(np.zeros(0, dtype=np.int64), (), (), 1)
+        assert to_json({"a": empty}) == _dumps({"a": []})
+        assert to_text({"a": empty}) == "a: []\n"
 
     def test_single_row(self):
-        self._check(np.array([[-3, 0, 8]]))
-        self._check(np.array([[1 << 40]]))
+        self._check(_walk([(-3, 0, 8)], 1))
+        self._check(_walk([(1 << 40,)], 2))
 
     def test_many_rows(self):
-        rng = np.random.default_rng(11)
-        self._check(rng.integers(-50, 50, size=(10_000, 3)))
-        self._check(rng.integers(-(1 << 40), 1 << 40, size=(10_000, 2)))
+        self._check(_walk([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)], 14))
+        self._check(_walk([(0, 0), (1 << 40, 1), (1, 1 << 40), (-5, 3)], 20))
 
 
 class _Colour(enum.IntEnum):

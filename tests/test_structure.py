@@ -32,7 +32,7 @@ from sumsetlab.structure import (
     reflected_config,
     structure_levels,
 )
-from sumsetlab.sumsets import iter_sumsets, semigroup_sieve
+from sumsetlab.sumsets import semigroup_sieve, sumset_levels
 
 from oracles import DfsSemigroupOracle
 
@@ -41,6 +41,33 @@ SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 SIMPLEX = PointConfig.from_points([(0, 0), (1, 0), (0, 1)])
 TRIANGLE = PointConfig.from_points([(0, 0), (3, 0), (0, 3), (1, 1)])
 AB = PointConfig.from_points([(0,), (1,)])
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The row count of every kernels.decode_keys call, in order."""
+    log = []
+    decode = kernels.decode_keys
+
+    def recorded(keys, lo, strides):
+        log.append(len(keys))
+        return decode(keys, lo, strides)
+
+    monkeypatch.setattr(kernels, "decode_keys", recorded)
+    return log
+
+
+def _edited(level, add=(), drop=()):
+    """A packed sumset level with the keys of the points ``add`` put in and
+    those of ``drop`` taken out, in the walk's key box."""
+    lo, strides, _ = level.box
+
+    def keys(points):
+        rows = np.array(points, dtype=object).reshape(len(points), len(lo))
+        return kernels.pack_rows(rows, lo, strides, level.keys.dtype)
+
+    kept = level.keys[~np.isin(level.keys, keys(drop))]
+    return kernels.PackedPoints(np.sort(np.concatenate([kept, keys(add)])), *level.box)
 
 
 class TestStructureRhs:
@@ -85,22 +112,18 @@ class TestVerifyEquation:
 
     def test_inclusion_never_has_extra(self, corpus):
         for name, _, norm in corpus:
-            for n, pts in enumerate(iter_sumsets(norm, 6), start=1):
-                report = verify_structure_equation(norm, n, _sumset_points=pts)
+            for n in range(1, 7):
+                report = verify_structure_equation(norm, n)
                 assert report.extra == (), (name, n)
 
     def test_extra_and_missing_points_reported(self):
         # at N=1 the predicted shape of {0,3,5} is {0,3,5} itself
-        report = verify_structure_equation(A135, 1, _sumset_points=[(0,), (1,), (3,)])
+        (_, level), = sumset_levels(A135, 1, keep_points=True)
+        forged = _edited(level, add=[(1,)], drop=[(5,)])
+        report, = structure._check_block(
+            A135, structure._sieves_through(A135, 1, 10 ** 7), [(1, forged)])
         assert report.extra == ((1,),) and report.missing == ((5,),)
         assert not report.holds
-
-    def test_given_points_in_any_order(self, corpus):
-        # the comparison searches sorted keys, so the given points are sorted
-        for name, _, norm in corpus:
-            for n, pts in enumerate(iter_sumsets(norm, 4), start=1):
-                got = verify_structure_equation(norm, n, _sumset_points=pts[::-1])
-                assert got == verify_structure_equation(norm, n), (name, n)
 
     def test_sieves_fail_before_the_walk(self):
         # under a cap of 20 the sieves for level 5 do not fit, and the walk
@@ -342,17 +365,25 @@ class TestBlockedWindow:
             want = [verify_structure_equation(norm, n) for n in range(1, 13)]
             assert structure_levels(norm, 12) == want, name
 
-    def test_block_reports_each_level(self):
+    def test_block_reports_each_level(self, decoded):
         # {0,3,5}: (1,) is off the shape of 2A; (15,) is the top of 3A
-        levels = [sorted(pts) for pts in iter_sumsets(A135, 3)]
-        levels[1] = sorted(levels[1] + [(1,)])
-        levels[2] = levels[2][:-1]
-        block = [(n, np.array(pts)) for n, pts in enumerate(levels, start=1)]
+        levels = [level for _, level in sumset_levels(A135, 3, keep_points=True)]
+        block = [(1, levels[0]), (2, _edited(levels[1], add=[(1,)])),
+                 (3, _edited(levels[2], drop=[(15,)]))]
         reports = structure._check_block(
             A135, structure._sieves_through(A135, 3, 10 ** 7), block)
         assert [r.extra for r in reports] == [(), ((1,),), ()]
         assert [r.missing for r in reports] == [(), (), ((15,),)]
         assert [r.holds for r in reports] == [True, False, False]
+        # only the one extra key is decoded
+        assert sum(decoded) == 1
+
+    @pytest.mark.parametrize("name", ["hexagon6", "prism5"])
+    def test_levels_are_not_decoded(self, corpus, decoded, name):
+        norm = next(n for key, _, n in corpus if key == name)
+        structure_threshold(norm)
+        structure_levels(norm, 30)
+        assert sum(decoded) == 0
 
     @pytest.mark.parametrize("name", ["a_0_2_5_11_12", "hexagon6", "prism5"])
     def test_block_size_does_not_change_the_threshold(self, corpus, monkeypatch, name):
