@@ -147,7 +147,7 @@ def _obstruction_scan(cfg, word_limit):
     chosen = khovanskii._WORD_LIMIT
     khovanskii._WORD_LIMIT = word_limit
     try:
-        return khovanskii._minimal_obstructions_scan(cfg, None, 5_000_000)
+        return khovanskii._minimal_obstructions_scan(cfg, None)
     finally:
         khovanskii._WORD_LIMIT = chosen
 
@@ -414,7 +414,7 @@ def _scans(cfgs, gate):
     chosen = khovanskii._CERTIFY_MAX_ELEMENTS
     khovanskii._CERTIFY_MAX_ELEMENTS = gate
     try:
-        return [khovanskii._minimal_obstructions_scan(cfg, None, 5_000_000)
+        return [khovanskii._minimal_obstructions_scan(cfg, None)
                 for cfg in cfgs]
     finally:
         khovanskii._CERTIFY_MAX_ELEMENTS = chosen

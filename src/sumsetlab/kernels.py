@@ -13,15 +13,15 @@ Points of a box are packed into mixed-radix keys whose order is lex order
 holds a point set as its keys together with their box: the one form a
 sumset level takes from the walk to the report writers.  The sumset levels
 (``sumsets.sumset_levels``) are bit sets over those keys when their box
-fits the point budget and sorted keys otherwise; a semigroup sieve is a
-boolean mask over its box in the same order, so a point's key is its
-flat index there; the structure window stacks consecutive levels into
-one box of (n, x) by shifting each level's keys by a multiple of the
-walk's span, and packs the predicted rows there.  ``sumset_step``
-expands one block of sums: the frontier iteration on sorted keys in
-``sumsets`` calls it on the keys of the previous level's new points and
-the generators' key offsets, and never unpacks a row; its 2-D form steps
-point arrays.
+fits the point budget and sorted keys otherwise, and a level becomes a
+PackedPoints only when a reader calls for it; a semigroup sieve is a
+boolean mask over its box in the same order, so a point's key is its flat
+index there; the structure window stacks consecutive levels into one box of
+(n, x) by shifting each level's keys by a multiple of the walk's span, and
+packs the predicted rows there.  ``sumset_step`` expands one block of sums:
+the frontier iteration on sorted keys in ``sumsets`` calls it on the keys
+of the previous level's new points and the generators' key offsets, and
+never unpacks a row; its 2-D form steps point arrays.
 """
 
 from __future__ import annotations

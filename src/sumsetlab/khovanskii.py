@@ -120,10 +120,11 @@ class ObstructionSet:
 
 
 _obstruction_cache: dict[tuple, "ObstructionSet"] = {}
+CANDIDATE_BUDGET = 5_000_000  # most distinct candidates one scan may process
 
 
-def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
-                         candidate_budget: int = 5_000_000) -> ObstructionSet:
+def minimal_obstructions(config: PointConfig,
+                         max_weight: int | None = None) -> ObstructionSet:
     """Scan weight levels for the minimal non-lex-least exponent vectors.
 
     Level h candidates are single-step extensions of the level h-1 lex-least
@@ -143,30 +144,29 @@ def minimal_obstructions(config: PointConfig, max_weight: int | None = None,
     are decoded into exponent vectors (a few percent of them on the sets
     measured).  Most sets need one word; larger ones a few, sorted
     together by lexsort.
-    ``candidate_budget`` bounds the number of distinct candidates.  The scan
+    CANDIDATE_BUDGET bounds the number of distinct candidates.  The scan
     is complete at weight |A|^2 * det_max; earlier caps leave the result
     truncated but every returned element is genuine.
 
     The scan usually stops long before its cap, by counting (_Certificate):
     after level h, while at most _CERTIFY_MAX_ELEMENTS elements are known,
     the monomials of each weight k in h+1..cap outside the ideal they
-    generate are counted from its Hilbert series numerator and compared
-    with |kA|.
-    Equal counts at every k prove no element missing, and the scan ends
-    with ``weight_scanned`` = cap; the first k that differs is the weight
-    of a missing element, and the scan goes on through k and checks
+    generate are counted from its Hilbert series numerator and compared with
+    |kA|.  Equal counts at every k prove no element missing, and the scan
+    ends with ``weight_scanned`` = cap; the first k that differs is the
+    weight of a missing element, and the scan goes on through k and checks
     again.  The sizes come from sumset_levels (bitset levels when the key
-    box up to the cap holds at most ``candidate_budget`` keys, the frontier
-    iteration on sorted keys otherwise), only when that box fits int64,
-    and the certificate counts their points against
-    ``candidate_budget`` on its own; past either limit it gives up and the
-    scan runs on as if it were not there, so the budget still counts only
-    the scan's candidates and a truncated scan stops at the same weight.
-    A set the certificate proves complete can therefore be exact where the
-    scan alone would have run out of budget later (hexagon6 with a budget
-    of 1.5M: exact at 108, where the scan alone stops at weight 74).
+    box up to the cap holds at most CANDIDATE_BUDGET keys, the frontier
+    iteration on sorted keys otherwise), only when that box fits int64, and
+    the certificate counts their points against CANDIDATE_BUDGET on its own;
+    past either limit it gives up and the scan runs on as if it were not
+    there, so the budget still counts only the scan's candidates and a
+    truncated scan stops at the same weight.  A set the certificate proves
+    complete can therefore be exact where the scan alone would have run out
+    of budget later (hexagon6 with a budget of 1.5M: exact at 108, where the
+    scan alone stops at weight 74).
     """
-    return _cached_scan(config, max_weight, candidate_budget)
+    return _cached_scan(config, max_weight)
 
 
 _WORD_LIMIT = 1 << 62  # every key word stays below this
@@ -321,8 +321,8 @@ class _Certificate:
         return None
 
 
-def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
-                               candidate_budget: int) -> ObstructionSet:
+def _minimal_obstructions_scan(config: PointConfig,
+                               max_weight: int | None) -> ObstructionSet:
     n = config.size
     if n == 1 or not kernel_lattice(config):
         return ObstructionSet(elements=(), status="exact",
@@ -340,7 +340,7 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
     truncated = False
     keys = _LevelKeys(config, cap)
     survivors = keys.steps
-    certificate = (_Certificate(config, cap, candidate_budget)
+    certificate = (_Certificate(config, cap, CANDIDATE_BUDGET)
                    if _frontier_key_box(config, cap)[3] == np.int64 else None)
     next_check = 2  # a failed check proves no element missing below its gap
     for h in range(2, cap + 1):
@@ -348,7 +348,7 @@ def _minimal_obstructions_scan(config: PointConfig, max_weight: int | None,
         # survived h - 1, so it is minimal when that count is its support.
         cand, leader, held = keys.candidates(survivors)
         processed += len(leader)
-        if processed > candidate_budget:
+        if processed > CANDIDATE_BUDGET:
             truncated = True
             break
         # A run of one leaves only the pure powers h * e_j, found by key;

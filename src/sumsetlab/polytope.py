@@ -118,6 +118,7 @@ def _hyperplane_normal(points, dim) -> Point | None:
 _hull_cache: dict[tuple, Polytope] = {}
 _volume_cache: dict[tuple, "VolumeData"] = {}
 _triangulation_cache: dict[tuple, "Triangulation"] = {}
+_facet_ratio_cache: dict[tuple, Fraction] = {}
 
 
 @config_memo(_hull_cache)
@@ -307,6 +308,7 @@ def triangulate_from_origin(config: PointConfig) -> Triangulation:
     return Triangulation(simplices=tuple(_triangulate(config.points, d, zero)))
 
 
+@config_memo(_facet_ratio_cache)
 def facet_height_ratio(config: PointConfig) -> Fraction:
     """Worst facet-wise ratio of farthest to nearest point "heights".
 

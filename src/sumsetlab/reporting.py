@@ -192,8 +192,8 @@ def khovanskii_section(config: PointConfig, caps: Caps, route: str) -> tuple[dic
             "weight_required": render_int(obs.weight_required),
         }
         partial |= not obs.exact
-    # the threshold's polynomial serves auto, and formula when it came from there
-    if route == "auto" or route == threshold.route == "formula":
+    # the threshold's polynomial serves auto, and its own route when exact
+    if route == "auto" or (route == threshold.route and threshold.status == "exact"):
         poly = threshold.polynomial
     else:
         poly = khovanskii_polynomial(config, route=route, obstructions=obs,
@@ -282,11 +282,10 @@ def growth_report(config: PointConfig, caps: Caps, emit_points: bool) -> tuple[d
     partial = False
     try:
         for n, (size, level) in enumerate(
-                sumset_levels(config, n_max, caps.cap_points, keep_points=emit_points)
-                if n_max else (), start=1):
+                sumset_levels(config, n_max, caps.cap_points) if n_max else (), start=1):
             row = {"n": n, "size": size}
             if emit_points:
-                row["points"] = level
+                row["points"] = level()
             rows.append(row)
     except BudgetExceededError:
         partial = True

@@ -190,24 +190,25 @@ def _by_level(rows: np.ndarray, n0: int, n1: int) -> list[tuple[Point, ...]]:
 
 
 def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
-    """Each level (n, NA) of ``block`` against its predicted shape.
+    """Each level (n, level) of ``block`` against its predicted shape.
 
-    The levels must be consecutive, and each NA the kernels.PackedPoints
-    of one walk of sumset_levels, whose key box (lo, strides, span) is the
-    box of the walk's top level; as A holds the origin, that box holds the
-    dilate box of every level below.  Both sides become keys of (n, x) in
-    the box with strides (span, *strides) over [n0, *lo], which is lex-major:
-    NA's keys are the walk's keys plus (n - n0) * span, undecoded, and the
-    predicted rows are packed there.  Each side comes out ascending and is
-    searched in the other by bisection; only missing or extra points
-    become tuples.
+    The levels must be consecutive in one walk of sumset_levels; each
+    ``level()``, called once here, is NA as that walk's PackedPoints, whose
+    key box (lo, strides, span) is the box of the walk's top level; as A
+    holds the origin, that box holds the dilate box of every level below.
+    Both sides become keys of (n, x) in the box with strides (span,
+    *strides) over [n0, *lo], which is lex-major: NA's keys are the walk's
+    keys plus (n - n0) * span, undecoded, and the predicted rows are
+    packed there.  Each side comes out ascending and is searched in the
+    other by bisection; only missing or extra points become tuples.
     """
     n0, n1 = block[0][0], block[-1][0]
-    lo, level_strides, span = block[0][1].box
+    levels = [level() for _, level in block]
+    lo, level_strides, span = levels[0].box
     strides = (span, *level_strides)
     dtype = kernels.key_dtype((n1 - n0 + 1) * span)
-    na_keys = np.concatenate([
-        na.keys.astype(dtype, copy=False) + (n - n0) * span for n, na in block])
+    na_keys = np.concatenate([na.keys.astype(dtype, copy=False) + k * span
+                              for k, na in enumerate(levels)])
     rhs = _block_rhs(config, sieves, n0, n1)
     rhs_keys = kernels.pack_rows(rhs, [n0, *lo], strides, dtype)
     missing = _by_level(rhs[~kernels.sorted_member(rhs_keys, na_keys)], n0, n1)
@@ -219,9 +220,9 @@ def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
 
 def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
     """Reports for the levels 1A, 2A, ... that ``levels`` yields as
-    (|NA|, NA), as sumset_levels(keep_points=True) does; the levels go to
-    _check_block as the walk's packed keys, and no point of NA is decoded
-    unless it is extra.
+    (|NA|, level), as sumset_levels does; each ``level`` goes to
+    _check_block unread, which unpacks it to the walk's packed keys when
+    its block is checked, and no point of NA is decoded unless it is extra.
 
     The levels are checked in blocks: a block closes before its box of
     (n, x) would pass BLOCK_CELLS cells, so a level is drawn from
@@ -231,11 +232,11 @@ def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
     a vertex sieve built for level n, and that box fits the point cap.
     """
     block = []
-    for n, (_, na) in enumerate(levels, start=1):
+    for n, (_, level) in enumerate(levels, start=1):
         if block and (n - block[0][0] + 1) * dilate_box_cells(config, n) > BLOCK_CELLS:
             yield from _check_block(config, sieves, block)
             block = []
-        block.append((n, na))
+        block.append((n, level))
     if block:
         yield from _check_block(config, sieves, block)
 
@@ -259,7 +260,7 @@ def verify_structure_equation(config: PointConfig, n: int,
     are built first, so an input over ``cap_points`` fails on them)."""
     require_normalized(config)
     sieves = _sieves_through(config, n, cap_points)
-    for _, level in sumset_levels(config, n, cap_points, keep_points=True):
+    for _, level in sumset_levels(config, n, cap_points):
         pass
     return _check_block(config, sieves, [(n, level)])[0]
 
@@ -271,8 +272,7 @@ def structure_levels(config: PointConfig, max_n: int,
     if max_n < 1:
         return []
     sieves = _sieves_through(config, max_n, cap_points)
-    levels = sumset_levels(config, max_n, cap_points, keep_points=True)
-    return list(_window(config, sieves, levels))
+    return list(_window(config, sieves, sumset_levels(config, max_n, cap_points)))
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def structure_threshold(config: PointConfig, *,
 
     def levels():
         spent = 0  # nonzero from level 2 on: every level costs at least 2
-        for level in sumset_levels(config, top, cap_points, keep_points=True):
+        for level in sumset_levels(config, top, cap_points):
             cost = level[0] * (1 + vertex_count)
             if spent and spent + cost > TEST_BUDGET:
                 return
@@ -356,9 +356,9 @@ def verify_extremal_decomposition(config: PointConfig, region: RegionSpec,
     if scale.denominator != 1:
         raise InternalInvariantError("d! * volume must be an integer")
     scale = int(scale)
-    for _, level in sumset_levels(config, scale, cap_points, keep_points=True):
+    for _, level in sumset_levels(config, scale, cap_points):
         pass
-    shifts = level.rows()  # only the last level is decoded
+    shifts = level().rows()  # only the last level is unpacked and decoded
     ex_cfg = PointConfig(points=tuple(sorted(config.extremal())), dim=d,
                          normalized=config.normalized)
     pts = region_points(config, region, cap_points=cap_points)

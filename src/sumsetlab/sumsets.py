@@ -8,19 +8,19 @@ whatever the dtype.  Every reader of the levels N*A walks them through
 sumset_levels, in one key box that holds them all: bit sets over its keys
 (one shift and OR per generator per level) when the box has int64 keys
 and no more of them than the point budget, sorted keys grown from each
-level's new points otherwise.  It hands a level out as its keys in that
-box (kernels.PackedPoints), which the report writers render without
-decoding a point twice, or decoded into a point array.  Semigroup
-membership comes from dense sieves (``semigroup_sieve``): a boolean mask
-over a box, closed under each generator by doubling shifts, so one query
-is one gather.
+level's new points otherwise.  A level comes out as a callable for its
+keys in that box (kernels.PackedPoints), which unpacks a bit set only when
+called; the writers render the keys without decoding a point twice.
+Semigroup membership comes from dense sieves (``semigroup_sieve``): a
+boolean mask over a box, closed under each generator by doubling shifts,
+so one query is one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -204,8 +204,8 @@ def sumset_arrays(config: PointConfig, n_max: int) -> Iterator[np.ndarray]:
     """Yield N*A for N = 1..n_max as lexicographically sorted point arrays:
     the decoded levels of sumset_levels under its default point budget.
     Level 1 is always yielded."""
-    for _, level in sumset_levels(config, max(n_max, 1), keep_points=True):
-        yield level.rows()
+    for _, level in sumset_levels(config, max(n_max, 1)):
+        yield level().rows()
 
 
 _iterate_arrays = sumset_arrays  # the name perfbench/kernels_compare.py imports
@@ -217,25 +217,23 @@ def iter_sumsets(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
         yield kernels.array_to_points(arr)
 
 
-def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
-                  keep_points: bool = False
-                  ) -> Iterator[tuple[int, kernels.PackedPoints | None]]:
-    """Yield (|N*A|, N*A) for N = 1.. up to n_max, under the point budget.
+def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7
+                  ) -> Iterator[tuple[int, Callable[[], kernels.PackedPoints]]]:
+    """Yield (|N*A|, level) for N = 1.. up to n_max, under the point budget.
 
     This is the one walk over the levels N*A.  All levels live in one key
     box (_frontier_key_box), whose keys and coordinates are int64 when they
     provably fit the kernel range and Python ints (dtype object) otherwise.
-    With ``keep_points`` each level comes as the kernels.PackedPoints of
-    its sorted keys in that box, undecoded (its ``rows()`` are the points,
-    lexicographically sorted); without it the second item is None.  When
-    the box has int64 keys and at most ``cap_points`` of them, the levels
-    are bit sets over those keys (_iterate_bits): one shift and OR per
-    generator per level, and |N*A| is a bit count.  Such a box holds no
-    level over the budget.  Otherwise they come from the frontier
-    iteration on sorted keys (_iterate_keys).  A level of more than
-    ``cap_points`` points is not yielded: a BudgetExceededError names it
-    (``reached``) instead.  Past level 1 that error comes before the level
-    is allocated.
+    ``level()`` returns N*A as the kernels.PackedPoints of its sorted keys
+    in that box (its ``rows()`` are the points, lexicographically sorted).
+    When the box has int64 keys and at most ``cap_points`` of them, the
+    levels are bit sets over those keys (_iterate_bits): one shift and OR
+    per generator per level, |N*A| is a bit count, and only ``level()``
+    unpacks a bit set.  Such a box holds no level over the budget.
+    Otherwise they come from the frontier iteration on sorted keys
+    (_iterate_keys).  A level of more than ``cap_points`` points is not
+    yielded: a BudgetExceededError names it (``reached``) instead.  Past
+    level 1 that error comes before the level is allocated.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -243,11 +241,11 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7,
     box = tuple(lo), strides, span
     if dtype == np.int64 and span <= cap_points:
         for mask in _iterate_bits(config, n_max, lo, strides):
-            yield mask.bit_count(), (
-                kernels.PackedPoints(_bits_to_keys(mask), *box) if keep_points else None)
+            yield mask.bit_count(), lambda mask=mask: kernels.PackedPoints(
+                _bits_to_keys(mask), *box)
         return
     for keys in _iterate_keys(config, n_max, lo, strides, dtype, cap_points):
-        yield len(keys), (kernels.PackedPoints(keys, *box) if keep_points else None)
+        yield len(keys), partial(kernels.PackedPoints, keys, *box)
 
 
 def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
@@ -261,9 +259,9 @@ def sumset_iterate(config: PointConfig, n_max: int, keep_points: bool = False,
     """
     records: list[GrowthRecord] = []
     try:
-        for n, (size, pts) in enumerate(
-                sumset_levels(config, n_max, cap_points, keep_points), start=1):
-            stored = tuple(kernels.array_to_points(pts.rows())) if keep_points else None
+        for n, (size, level) in enumerate(sumset_levels(config, n_max, cap_points),
+                                          start=1):
+            stored = tuple(kernels.array_to_points(level().rows())) if keep_points else None
             records.append(GrowthRecord(n=n, size=size, points=stored))
     except BudgetExceededError as exc:
         exc.partial = GrowthTable(records=tuple(records))
@@ -367,10 +365,10 @@ class SemigroupOracle:
         key = partial(kernels.pack_rows, lo=lo, strides=strides,
                       dtype=kernels.key_dtype(span))
         levels = [key([(0,) * cfg.dim])]
-        for _, level in sumset_levels(cfg, n_max, keep_points=True):
+        for _, level in sumset_levels(cfg, n_max):
             if kernels.sorted_member(key([y]), levels[-1])[0]:
                 break
-            levels.append(key(level.rows()))
+            levels.append(key(level().rows()))
         return levels, y, key
 
     def min_weight(self, point) -> int | None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sumsetlab import PointConfig, kernels, normalize_config, sumsets
+from sumsetlab import PointConfig, kernels, khovanskii, normalize_config, sumsets
 
 from corpus import CORPUS
 
@@ -39,3 +39,32 @@ def sumset_routes(monkeypatch):
     monkeypatch.setattr(sumsets, "_iterate_bits", recorded("bits", sumsets._iterate_bits))
     monkeypatch.setattr(sumsets, "_iterate_keys", recorded("keys", sumsets._iterate_keys))
     return log
+
+
+@pytest.fixture
+def unpacked(monkeypatch):
+    """The key count of every bit set level unpacked by
+    sumsets._bits_to_keys, in order."""
+    log = []
+    unpack = sumsets._bits_to_keys
+
+    def recorded(mask):
+        keys = unpack(mask)
+        log.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(sumsets, "_bits_to_keys", recorded)
+    return log
+
+
+@pytest.fixture
+def candidate_budget(monkeypatch):
+    """A setter of khovanskii.CANDIDATE_BUDGET for one test.  The memo key
+    of the obstruction scans does not hold the budget, so their store is
+    emptied when the budget is set and again after the test."""
+    def set_budget(value):
+        monkeypatch.setattr(khovanskii, "CANDIDATE_BUDGET", value)
+        khovanskii._obstruction_cache.clear()
+
+    yield set_budget
+    khovanskii._obstruction_cache.clear()

@@ -45,12 +45,13 @@ def _report(num, text):
 def test_criterion_1_golden_interval(capsys):
     """P = 5*X - 5 and exact onset 3 for {0,3,5}, in under a second."""
     from sumsetlab.khovanskii import _obstruction_cache
-    from sumsetlab.polytope import _hull_cache, _triangulation_cache, _volume_cache
+    from sumsetlab.polytope import (_facet_ratio_cache, _hull_cache,
+                                    _triangulation_cache, _volume_cache)
     cfg = PointConfig.from_points([(0,), (3,), (5,)])
     # warm the jitted kernels, then time a cold analysis of this set
     count_dilate_points(cfg, 2)
     for cache in (_obstruction_cache, _hull_cache, _volume_cache,
-                  _triangulation_cache):
+                  _triangulation_cache, _facet_ratio_cache):
         cache.clear()
     start = time.perf_counter()
     norm = normalize_config(cfg)
@@ -100,8 +101,9 @@ def test_criterion_3_size_formula(corpus, capsys):
                    f"{checked_values} (set, h) pairs")
 
 
-def test_criterion_4_circuit_invariants(corpus, capsys):
+def test_criterion_4_circuit_invariants(corpus, capsys, candidate_budget):
     """Circuit heights under det_max; minimal elements under |A| * det_max."""
+    candidate_budget(100_000)
     configs = [norm for _, _, norm in corpus]
     configs += [normalize_config(PointConfig.from_points(pts))
                 for pts in random_configs(200)]
@@ -114,8 +116,7 @@ def test_criterion_4_circuit_invariants(corpus, capsys):
         for u in circuits(norm):
             assert max(abs(v) for v in u) <= det_max, (norm.points, u)
             circuit_count += 1
-        obs = minimal_obstructions(norm, max_weight=10,
-                                   candidate_budget=100_000)
+        obs = minimal_obstructions(norm, max_weight=10)
         for m in obs.elements:
             assert max(m) <= norm.size * det_max, (norm.points, m)
             element_count += 1

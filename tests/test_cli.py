@@ -77,6 +77,22 @@ class TestKhovanskiiCommand:
         assert err == ("error: budget exhausted: obstruction set truncated; "
                        "the formula route needs an exact set\n")
 
+    def test_interpolation_route_walks_once(self, capsys, tmp_path, monkeypatch):
+        # the scan truncates on this set, so the threshold fits |NA| past the
+        # sharp bound, exactly: --route interpolation reuses that fit
+        path = tmp_path / "truncating.txt"
+        path.write_text("2\n5\n6\n7\n13\n15\n")
+        walks = []
+        sizes = khovanskii._growth_sizes_capped
+        monkeypatch.setattr(khovanskii, "_growth_sizes_capped",
+                            lambda *args: walks.append(args[1:]) or sizes(*args))
+        auto = run_cli(capsys, "khovanskii", "--input", str(path))
+        assert auto[0] == 3 and walks == [(465, 10 ** 7)]
+        walks.clear()
+        assert run_cli(capsys, "khovanskii", "--input", str(path),
+                       "--route", "interpolation") == auto
+        assert walks == [(465, 10 ** 7)]
+
     def test_formula_route_expands_once(self, capsys, a135_txt, monkeypatch):
         # the threshold already expanded the formula; the report reuses it.
         # A fresh obstruction set, scanned (with the numerators its

@@ -102,14 +102,14 @@ class TestMinimalObstructions:
                     norm, norm.combine(m), sum(m))[0]
                 assert not set(support(m)) & set(support(lexmin)), (name, m)
 
-    def test_bounds_on_random_sets(self):
+    def test_bounds_on_random_sets(self, candidate_budget):
+        candidate_budget(100_000)
         for pts in random_configs(60, seed=23):
             norm = normalize_config(PointConfig.from_points(pts))
             if norm.dim == 0:
                 continue
             det_max = volumes(norm).det_max
-            obs = minimal_obstructions(norm, max_weight=10,
-                                       candidate_budget=100_000)
+            obs = minimal_obstructions(norm, max_weight=10)
             for m in obs.elements:
                 assert max(m) <= norm.size * det_max, (pts, m)
 
@@ -141,7 +141,7 @@ class TestKeyPackedScan:
         # candidates go through lexsort and pure powers are found word by word
         monkeypatch.setattr(khovanskii, "_WORD_LIMIT", 1 << 12)
         for name, _, norm in corpus:
-            got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+            got = khovanskii._minimal_obstructions_scan(norm, None)
             assert _fields(got) == _row_scan(norm), name
 
     @pytest.mark.parametrize("limit", [1 << 62, 1 << 12, 1])
@@ -150,17 +150,18 @@ class TestKeyPackedScan:
         # extends one survivor, (1, 0, 0): a minimal element with run length 1
         monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
         cfg = PointConfig(points=((1,), (0,), (2,)), dim=1)
-        got = khovanskii._minimal_obstructions_scan(cfg, None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(cfg, None)
         assert (2, 0, 0) in got.elements
         assert _fields(got) == obstructions_by_rows(cfg)
 
     # 1 << 62 is the natural split, 1 << 24 splits values and exponent
     # digits across words mid-digit-run, 1 puts every digit in its own word
     @pytest.mark.parametrize("limit", [1 << 62, 1 << 24, 1])
-    def test_forced_word_limit(self, corpus, monkeypatch, limit):
+    def test_forced_word_limit(self, corpus, monkeypatch, candidate_budget, limit):
         monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
+        candidate_budget(200_000)
         for norm in _capped_configs(corpus):
-            got = khovanskii._minimal_obstructions_scan(norm, 12, 200_000)
+            got = khovanskii._minimal_obstructions_scan(norm, 12)
             assert _fields(got) == _row_scan(norm, 12, 200_000), \
                 (limit, norm.points)
 
@@ -179,10 +180,11 @@ class TestKeyPackedScan:
         assert keys.words == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11]]
         assert (keys.class_word, keys.class_stride) == (0, 2881 ** 4)
 
-    def test_several_words_full_cap(self):
+    def test_several_words_full_cap(self, candidate_budget):
         cfg = normalize_config(PointConfig.from_points(
             [(x,) for x in (0, 1, 3, 4, 7, 9, 10, 13, 14, 17, 19, 20)]))
-        got = khovanskii._minimal_obstructions_scan(cfg, None, 300_000)
+        candidate_budget(300_000)
+        got = khovanskii._minimal_obstructions_scan(cfg, None)
         assert _fields(got) == obstructions_by_rows(cfg, None, 300_000)
 
     def test_pinned_values(self):
@@ -234,20 +236,20 @@ class TestCertificate:
 
         monkeypatch.setattr(khovanskii._LevelKeys, "candidates", recorded)
         norm = _norm(HEXAGON6)
-        got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(norm, None)
         assert _fields(got) == _row_scan(norm)
         assert len(levels) <= 3 and got.weight_scanned == 108
         assert checks[-1] == (3, 9, None)
 
     def test_failed_checks_resume_at_the_gap(self, checks):
         norm = _norm([(0,), (2,), (5,), (11,), (12,)])
-        got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(norm, None)
         assert _fields(got) == _row_scan(norm)
         # no element weighs 6, so the check after weight 5 skips a level
         assert checks == [(2, 0, 3), (3, 5, 4), (4, 7, 5), (5, 10, 7), (7, 11, None)]
 
     def test_truncating_set_stays_on_the_scan(self, checks):
-        got = khovanskii._minimal_obstructions_scan(_norm(TRUNCATING), None, 5_000_000)
+        got = khovanskii._minimal_obstructions_scan(_norm(TRUNCATING), None)
         assert (len(got.elements), got.status, got.weight_scanned,
                 got.weight_required) == (24, "truncated", 427, 468)
         # 2 elements after weight 2, 13 after weight 3: past the gate
@@ -261,28 +263,30 @@ class TestCertificate:
         levels = khovanskii.sumset_levels
         monkeypatch.setattr(khovanskii, "sumset_levels", inflated)
         with pytest.raises(InternalInvariantError, match="below"):
-            khovanskii._minimal_obstructions_scan(_norm(HEXAGON6), None, 5_000_000)
+            khovanskii._minimal_obstructions_scan(_norm(HEXAGON6), None)
 
     @pytest.mark.parametrize("budget", [2_000, 20_000, 200_000, 400_000])
-    def test_budget_falls_back_to_the_scan(self, budget, checks):
+    def test_budget_falls_back_to_the_scan(self, budget, checks, candidate_budget):
         # the certificate counts its own points against the budget and gives
         # up past it; the scan's candidates are counted as before
+        candidate_budget(budget)
         for pts in (HEXAGON6, [(0,), (2,), (5,), (11,), (12,)], TRUNCATING):
             norm = _norm(pts)
-            got = khovanskii._minimal_obstructions_scan(norm, None, budget)
+            got = khovanskii._minimal_obstructions_scan(norm, None)
             assert _fields(got) == _row_scan(norm, None, budget), (pts, budget)
 
-    def test_certified_past_the_scans_budget(self):
+    def test_certified_past_the_scans_budget(self, candidate_budget):
         # the scan alone runs out of candidates at weight 74; the sizes up
         # to 108 hold 1.3M points, so the certificate fits the budget
         norm = _norm(HEXAGON6)
-        got = khovanskii._minimal_obstructions_scan(norm, None, 1_500_000)
+        candidate_budget(1_500_000)
+        got = khovanskii._minimal_obstructions_scan(norm, None)
         assert _fields(got) == _row_scan(norm)
         assert _row_scan(norm, None, 1_500_000)[1:3] == ("truncated", 74)
 
     def test_no_certificate_without_the_int64_box(self, object_keys, corpus, checks):
         for name, _, norm in corpus:
-            got = khovanskii._minimal_obstructions_scan(norm, None, 5_000_000)
+            got = khovanskii._minimal_obstructions_scan(norm, None)
             assert _fields(got) == _row_scan(norm), name
         assert checks == []
 
@@ -327,14 +331,14 @@ class TestSizeFormula:
                 for h in range(1, 469)] == sizes
         assert calls == [exact.elements]
 
-    def test_numerator_matches_inclusion_exclusion(self, corpus):
+    def test_numerator_matches_inclusion_exclusion(self, corpus, candidate_budget):
         # the corpus sets' full obstruction sets, and the random sets'
         # elements up to weight 12: any monomials have the same numerator
         sets = [minimal_obstructions(norm).elements for _, _, norm in corpus]
+        candidate_budget(200_000)
         for pts in random_configs():
             norm = normalize_config(PointConfig.from_points(pts))
-            sets.append(minimal_obstructions(
-                norm, max_weight=12, candidate_budget=200_000).elements)
+            sets.append(minimal_obstructions(norm, max_weight=12).elements)
         checked = 0
         for elements in sets:
             if len(elements) <= 16:

@@ -181,8 +181,7 @@ _trees = st.recursive(
 def _walk(points, n_max):
     """The levels 1A..n_max A of the set ``points`` as packed keys, the
     form growth --emit-points gives them."""
-    return [level for _, level in sumset_levels(
-        PointConfig.from_points(points), n_max, keep_points=True)]
+    return [level() for _, level in sumset_levels(PointConfig.from_points(points), n_max)]
 
 
 # emitted growth levels: the packed keys of one sumset walk, whose levels
@@ -294,9 +293,8 @@ def _tolist_report(config, n_max, cap_points=10 ** 7):
     tolist() of its decoded array, and whether the budget cut it short."""
     rows = []
     try:
-        for n, (size, pts) in enumerate(
-                sumset_levels(config, n_max, cap_points, keep_points=True), start=1):
-            rows.append({"n": n, "points": pts.rows().tolist(), "size": size})
+        for n, (size, level) in enumerate(sumset_levels(config, n_max, cap_points), start=1):
+            rows.append({"n": n, "points": level().rows().tolist(), "size": size})
     except BudgetExceededError:
         return {"growth": rows, "partial": True}
     return {"growth": rows, "partial": False}

@@ -58,16 +58,19 @@ def decoded(monkeypatch):
 
 
 def _edited(level, add=(), drop=()):
-    """A packed sumset level with the keys of the points ``add`` put in and
-    those of ``drop`` taken out, in the walk's key box."""
-    lo, strides, _ = level.box
+    """A sumset level as sumset_levels hands it out (a callable for its
+    packed keys), with the keys of the points ``add`` put in and those of
+    ``drop`` taken out, in the walk's key box."""
+    packed = level()
+    lo, strides, _ = packed.box
 
     def keys(points):
         rows = np.array(points, dtype=object).reshape(len(points), len(lo))
-        return kernels.pack_rows(rows, lo, strides, level.keys.dtype)
+        return kernels.pack_rows(rows, lo, strides, packed.keys.dtype)
 
-    kept = level.keys[~np.isin(level.keys, keys(drop))]
-    return kernels.PackedPoints(np.sort(np.concatenate([kept, keys(add)])), *level.box)
+    kept = packed.keys[~np.isin(packed.keys, keys(drop))]
+    edited = kernels.PackedPoints(np.sort(np.concatenate([kept, keys(add)])), *packed.box)
+    return lambda: edited
 
 
 class TestStructureRhs:
@@ -118,12 +121,21 @@ class TestVerifyEquation:
 
     def test_extra_and_missing_points_reported(self):
         # at N=1 the predicted shape of {0,3,5} is {0,3,5} itself
-        (_, level), = sumset_levels(A135, 1, keep_points=True)
+        (_, level), = sumset_levels(A135, 1)
         forged = _edited(level, add=[(1,)], drop=[(5,)])
         report, = structure._check_block(
             A135, structure._sieves_through(A135, 1, 10 ** 7), [(1, forged)])
         assert report.extra == ((1,),) and report.missing == ((5,),)
         assert not report.holds
+
+    def test_only_the_last_level_is_unpacked(self, corpus, unpacked):
+        # the walks run 60 and 6 levels; each check reads its last one only
+        norm = next(n for key, _, n in corpus if key == "hexagon6")
+        sizes = [size for size, _ in sumset_levels(norm, 60)]
+        verify_structure_equation(norm, 60)
+        assert unpacked == [sizes[59]]
+        verify_extremal_decomposition(norm, RegionSpec.box([(0, 8)] * 2))
+        assert unpacked == [sizes[59], sizes[5]]
 
     def test_sieves_fail_before_the_walk(self):
         # under a cap of 20 the sieves for level 5 do not fit, and the walk
@@ -215,6 +227,14 @@ class TestThreshold:
         result = structure_threshold(cfg, max_n=5)
         assert result.status == "empirical"
         assert result.window_top <= 5
+
+    def test_budget_cut_level_is_not_unpacked(self, monkeypatch, corpus, unpacked):
+        # the level the budget turns away is drawn from the walk, never read
+        norm = next(n for key, _, n in corpus if key == "hexagon6")
+        monkeypatch.setattr(structure, "TEST_BUDGET", 2000)
+        result = structure_threshold(norm)
+        assert result.status == "empirical" and result.window_top > 1
+        assert unpacked == [size for size, _ in sumset_levels(norm, result.window_top)]
 
     def test_window_is_suffix_closed(self, monkeypatch, corpus):
         # once equality holds it keeps holding through the checked window
@@ -367,7 +387,7 @@ class TestBlockedWindow:
 
     def test_block_reports_each_level(self, decoded):
         # {0,3,5}: (1,) is off the shape of 2A; (15,) is the top of 3A
-        levels = [level for _, level in sumset_levels(A135, 3, keep_points=True)]
+        levels = [level for _, level in sumset_levels(A135, 3)]
         block = [(1, levels[0]), (2, _edited(levels[1], add=[(1,)])),
                  (3, _edited(levels[2], drop=[(15,)]))]
         reports = structure._check_block(

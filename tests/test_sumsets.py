@@ -208,14 +208,15 @@ def merged(monkeypatch):
 
 
 class TestSumsetLevels:
-    def test_sizes_and_points(self):
+    def test_sizes_and_points(self, unpacked):
         for config in (A135, SQUARE, STRIP):
             arrays = list(sumset_arrays(config, 6))
-            sized = list(sumset_levels(config, 6))
-            assert [size for size, pts in sized] == [len(a) for a in arrays]
-            assert all(pts is None for _, pts in sized)
-            kept = list(sumset_levels(config, 6, keep_points=True))
-            assert all(np.array_equal(a, pts.rows()) for a, (_, pts) in zip(arrays, kept))
+            unpacked.clear()
+            walk = list(sumset_levels(config, 6))
+            assert [size for size, _ in walk] == [len(a) for a in arrays]
+            assert unpacked == []  # sizes only: no level is unpacked
+            assert all(np.array_equal(a, level().rows()) for a, (_, level) in zip(arrays, walk))
+            assert unpacked == [len(a) for a in arrays]
 
     @pytest.mark.parametrize("route", ["bits", "keys"])
     def test_kept_levels_share_the_box_and_decode_to_the_points(self, request,
@@ -223,7 +224,7 @@ class TestSumsetLevels:
         if route == "keys":
             request.getfixturevalue("object_keys")
         for config in (A135, SQUARE, STRIP):
-            kept = list(sumset_levels(config, 6, keep_points=True))
+            kept = [(size, level()) for size, level in sumset_levels(config, 6)]
             assert len({level.box for _, level in kept}) == 1
             assert all(level.rows().tolist() == [list(p) for p in pts] and len(level) == size
                        for (size, level), pts in zip(kept, _iterate_tuples(config, 6)))
@@ -247,7 +248,7 @@ class TestSumsetLevels:
         assert partial.records[2].points == tuple(
             (x, y) for x in range(4) for y in range(4))
 
-    def test_sizes_only_never_decode(self, monkeypatch, corpus):
+    def test_sizes_only_never_decode(self, monkeypatch, corpus, unpacked):
         decoded = []
 
         def recorded(keys, lo, strides):
@@ -260,10 +261,10 @@ class TestSumsetLevels:
             for config in (raw, norm):
                 sizes = [size for size, _ in sumset_levels(config, 12)]
                 assert sizes == [len(p) for p in _iterate_tuples(config, 12)], name
-        assert decoded == []
-        kept = list(sumset_levels(SQUARE, 3, keep_points=True))
-        assert decoded == []
-        [level.rows() for _, level in kept]
+        assert decoded == [] and unpacked == []
+        kept = [level() for _, level in sumset_levels(SQUARE, 3)]
+        assert decoded == [] and unpacked == [4, 9, 16]
+        [level.rows() for level in kept]
         assert decoded == [4, 9, 16]
 
     @pytest.mark.parametrize("cap", [3, 10, 40, 150])
@@ -343,10 +344,12 @@ class TestBitsetLevels:
     def test_unnormalized_inputs_exact(self, pts):
         _assert_bit_levels_exact(PointConfig.from_points(pts), 10)
 
-    def test_first_level_only(self, corpus):
-        for name, raw, _ in corpus:
+    def test_first_level_only(self, corpus, unpacked):
+        sizes = [[size for size, _ in sumset_levels(raw, 1)] for _, raw, _ in corpus]
+        assert sizes == [[raw.size] for _, raw, _ in corpus]
+        assert unpacked == []
+        for _, raw, _ in corpus:
             _assert_bit_levels_exact(raw, 1)
-            assert list(sumset_levels(raw, 1)) == [(raw.size, None)], name
 
     def test_keys_ascend_as_int64(self):
         keys = sumsets._bits_to_keys((1 << 70) | (1 << 9) | 1)
@@ -355,7 +358,7 @@ class TestBitsetLevels:
     def test_route_boundary(self, sumset_routes):
         span = _frontier_key_box(UNIT_SIMPLEX2, 10)[2]
         assert span == 121
-        at_span, past = [list(sumset_levels(UNIT_SIMPLEX2, 10, cap, keep_points=True))
+        at_span, past = [[(size, level()) for size, level in sumset_levels(UNIT_SIMPLEX2, 10, cap)]
                          for cap in (span, span - 1)]
         assert sumset_routes == ["bits", "keys"]
         assert [size for size, _ in at_span] == \
