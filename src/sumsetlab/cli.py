@@ -167,6 +167,9 @@ def run(args) -> tuple[dict, int]:
     caps = Caps(cap_points=args.cap_points, cap_weight=args.cap_weight,
                 max_n=args.max_n)
     pivot = _parse_pivot(args.pivot)
+    if pivot is not None and len(pivot) != config.dim:
+        raise InputFormatError(
+            f"--pivot has length {len(pivot)}, the input points have length {config.dim}")
     command = args.command
     if command == "analyze":
         report, partial = build_analysis(config, caps, route=args.route,

@@ -526,7 +526,6 @@ def _interpolate_past_sharp(sizes: list[int], sharp: int,
 
 def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
                           obstructions: ObstructionSet | None = None,
-                          max_weight: int | None = None,
                           cap_points: int = 10 ** 7) -> RationalPolynomial:
     """The degree <= dim polynomial equal to |NA| for all large N.
 
@@ -541,7 +540,7 @@ def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
     if route in ("auto", "formula"):
         obs = obstructions
         if obs is None:
-            obs = minimal_obstructions(config, max_weight=max_weight)
+            obs = minimal_obstructions(config)
         if obs.exact:
             return _formula_polynomial(config, obs.numerator)
         if route == "formula":

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .errors import (
     BudgetExceededError,
@@ -372,26 +370,29 @@ def dilate_points(config: PointConfig, n: int, cap_points: int = 10 ** 7):
     The array is int64 when the scan fits the kernel range and holds
     Python ints (dtype object) otherwise.
     """
-    return _dilate_scan(config, n, True, cap_points)
+    return _dilate_scan(config, n, True, cap_points)[:, 1:]
 
 
 def _dilate_scan(config: PointConfig, n: int, enumerate_points: bool, cap_points: int):
     if n < 1:
         raise PreconditionError("dilation factor must be >= 1")
-    d = config.dim
-    if d == 0:
-        return np.zeros((1, 0), dtype=np.int64) if enumerate_points else 1
-    poly = convex_hull(config)
     box = dilate_box_cells(config, n)
     if box > cap_points:
         raise BudgetExceededError(
-            f"bounding box holds {box} points, above the {cap_points} cap",
-            reached=n,
-        )
-    lo, hi = _dilate_box(config, n)
-    lhs = [list(f.normal) for f in poly.facets]
-    rhs = [n * f.offset for f in poly.facets]
-    return scan_box(lo, hi, lhs, rhs, enumerate_points)
+            f"bounding box holds {box} points, above the {cap_points} cap", reached=n)
+    return dilate_rows(config, n, n, enumerate_points)
+
+
+def dilate_rows(config: PointConfig, n0: int, n1: int, enumerate_points: bool):
+    """Rows (n, x), x a lattice point of n*H, for n = n0..n1, or their count.
+
+    The one scan of dilates: the box [n0, n1] x (box of n1*H) under the
+    homogenized facet rows [-offset | normal] . (n, x) <= 0.  For n0 < n1
+    H must hold the origin, so that the box of n*H grows with n.
+    """
+    lo, hi = _dilate_box(config, n1)
+    lhs = [[-f.offset, *f.normal] for f in convex_hull(config).facets]
+    return scan_box([n0, *lo], [n1, *hi], lhs, [0] * len(lhs), enumerate_points)
 
 
 def scan_box(lo, hi, lhs, rhs, enumerate_points: bool):
@@ -451,14 +452,13 @@ def cone_constraints(poly: Polytope) -> list[Point]:
     return [f.normal for f in poly.inner_facets]
 
 
-def cone_functional(poly: Polytope) -> Point:
-    """The negated sum of the inner facet normals: an integer functional.
-
-    The hull must have the origin as a vertex.  The functional is zero at
-    the origin and at least 1 on every other lattice point of the cone,
-    because the only point on every facet through a vertex is the vertex.
+def cone_functional(poly: Polytope, vertex) -> Point:
+    """The negated sum of the normals of the facets through ``vertex``: 0 at
+    the origin and at least 1 on every other lattice point of the cone of
+    H - vertex, as the vertex is the only point on all of those facets.
     """
-    if (0,) * poly.dim not in poly.extremal:
-        raise PreconditionError("cone is not pointed at the origin")
-    normals = cone_constraints(poly)
+    if tuple(vertex) not in poly.extremal:
+        where = vertex if any(vertex) else "the origin"
+        raise PreconditionError(f"cone is not pointed at {where}")
+    normals = [f.normal for f in poly.facets if f.dot(vertex) == f.offset]
     return tuple(-sum(n[k] for n in normals) for k in range(poly.dim))

@@ -504,7 +504,7 @@ def to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_text(report: dict, indent: int = 0) -> str:
+def to_text(report: dict) -> str:
     lines: list[str] = []
     tables = _RowTables(report)
 
@@ -530,7 +530,7 @@ def to_text(report: dict, indent: int = 0) -> str:
             lines.append(f"{pad}{key}: {text}")
 
     for k in sorted(report):
-        emit(k, report[k], indent)
+        emit(k, report[k], 0)
     return "\n".join(lines) + "\n"
 
 

@@ -218,10 +218,12 @@ def run_checks(config: PointConfig, cap_points: int = 10 ** 7,
         for k in range(1, top + 1):
             assert sizes[k - 1] <= count_dilate_points(norm, k, cap_points=cap_points), \
                 "sumset exceeds its dilated hull count"
-        if obs.exact:
-            for h in range(1, top + 1):
-                assert sumset_size_formula(norm, obs, h) == sizes[h - 1], \
-                    f"size formula mismatch at N={h}"
+        if not obs.exact:
+            raise BudgetExceededError(f"obstruction set truncated at weight "
+                                      f"{obs.weight_scanned}: size formula not compared")
+        for h in range(1, top + 1):
+            assert sumset_size_formula(norm, obs, h) == sizes[h - 1], \
+                f"size formula mismatch at N={h}"
 
     _check("growth_and_formula", growth_and_formula, results)
 

@@ -30,12 +30,11 @@ from .lattice import (
     require_normalized,
 )
 from .polytope import (
-    _dilate_box,
     cone_functional,
     convex_hull,
     dilate_box_cells,
+    dilate_rows,
     facet_height_ratio,
-    scan_box,
     volumes,
 )
 from .sumsets import (
@@ -121,19 +120,21 @@ def reflected_config(config: PointConfig, vertex) -> PointConfig:
 
 
 def _vertex_sieves(config: PointConfig, top: int, cap_points: int):
-    """One semigroup sieve per hull vertex a, covering levels 1..top.
+    """One semigroup sieve per vertex a of H(A), covering levels 1..top.
 
-    At level n every reflected point a*n - x of a dilate point x lies in
-    n*H(a - A), so in the cone of a - A with ell <= n * max ell(a - A); the
-    sieve of P(a - A) up to top * max ell answers all of them.  For a
-    normalized A the points a - A generate Z^d, so no lattice reduction is
-    needed.  Returns (sieves, top), with top lowered to the levels the
+    The facets of H(A) through a, reflected, are the inner facets of
+    H(a - A), so ell is the sum of their normals.  At level n every a*n - x
+    for x in n*H lies in n*H(a - A), so ell(a*n - x) <= n * max ell(a - A):
+    inside the region on which the sieve up to top * max ell is exact.  For
+    a normalized A the points a - A generate Z^d, so no lattice reduction
+    is needed.  Returns (sieves, top), with top lowered to the levels the
     sieves could be built for within ``cap_points``.
     """
+    poly = convex_hull(config)
     sieves = []
-    for a in config.extremal():
+    for a in poly.extremal:
         cfg = reflected_config(config, a)
-        ell = cone_functional(convex_hull(cfg))
+        ell = tuple(-v for v in cone_functional(poly, a))
         reach = max(sum(e * x for e, x in zip(ell, p)) for p in cfg.points)
         try:
             sieve = semigroup_sieve(cfg, ell, top * reach, cap_points)
@@ -164,15 +165,11 @@ BLOCK_CELLS = 1 << 14
 def _block_rhs(config: PointConfig, sieves, n0: int, n1: int) -> np.ndarray:
     """Rows (n, x) of structure_rhs at the levels n0..n1, lex-sorted.
 
-    One scan of the box [n0, n1] x (box of n1*H) under the homogenized
-    facet rows [-offset | normal] . (n, x) <= 0 gives the lattice points x
-    of n*H for every n at once (the box of n*H grows with n, because A
-    holds the origin); one gather per hull vertex a then keeps the rows
-    whose reflection a*n - x is in P(a - A).
+    One dilate_rows scan gives the rows (n, x) for x in n*H; one gather
+    per hull vertex a, in the region where its sieve is exact
+    (_vertex_sieves), keeps those whose a*n - x is in P(a - A).
     """
-    lo, hi = _dilate_box(config, n1)
-    lhs = [[-f.offset, *f.normal] for f in convex_hull(config).facets]
-    rows = scan_box([n0, *lo], [n1, *hi], lhs, [0] * len(lhs), True)
+    rows = dilate_rows(config, n0, n1, True)
     keep = np.ones(len(rows), dtype=bool)
     cols = rows.T
     for a, sieve in sieves:

@@ -293,7 +293,7 @@ class SemigroupOracle:
         self._gens = gens
         self._config = PointConfig.from_points([(0,) * rank] + gens, rank)
         poly = convex_hull(self._config)
-        self._ell = cone_functional(poly)
+        self._ell = cone_functional(poly, (0,) * rank)
         self._normals = cone_constraints(poly)
         # largest |dot product| per unit coordinate over the cone tests
         self._reach = max((sum(map(abs, row)) for row in self._normals + [self._ell]),
@@ -413,7 +413,8 @@ class SemigroupSieve:
     ``mask`` is a boolean array over the box [lo, lo + mask.shape - 1] that
     holds the region, in C order, so the flat index of a cell is its key
     (``lo`` and ``strides``, see kernels.key_strides): the same lex-major
-    order the sumset levels and the dilate scans use.
+    order the sumset levels and the dilate scans use.  The mask is exact on
+    the region; on the other cells of the box it is unspecified.
     """
 
     ell: Point
@@ -461,34 +462,6 @@ def _shift_or(mask: np.ndarray, offset) -> None:
     mask[dst] |= mask[src]
 
 
-# most cells whose ell-values _cut_to_region holds at once
-_SLAB_CELLS = 1 << 16
-
-
-def _cut_to_region(mask: np.ndarray, ell, lo, limit: int) -> None:
-    """mask &= {y : ell . y <= limit}, in place.
-
-    The cut runs over slabs of the first axis, so the ell-values it holds
-    at once, int64 or Python ints, are at most _SLAB_CELLS, whatever the
-    size of the box.
-    """
-    if mask.ndim == 0:  # ell . y = 0 <= limit
-        return
-    shape = mask.shape
-    reach = sum(abs(e) * max(abs(a), abs(a + n - 1)) for e, a, n in zip(ell, lo, shape))
-    dtype = kernels.key_dtype(reach, limit)
-    rows = max(1, _SLAB_CELLS * shape[0] // mask.size)
-    for start in range(0, shape[0], rows):
-        slab = mask[start:start + rows]
-        value = np.zeros((1,) * mask.ndim, dtype=dtype)
-        for k, (e, a, n) in enumerate(zip(ell, lo, slab.shape)):
-            axis = [1] * mask.ndim
-            axis[k] = n
-            first = a + start if k == 0 else a
-            value = value + e * (np.arange(n).astype(dtype) + first).reshape(axis)
-        np.logical_and(slab, value <= limit, out=slab)
-
-
 def semigroup_sieve(config: PointConfig, ell, limit: int,
                     cap_points: int = 10 ** 7) -> SemigroupSieve:
     """P(B) inside {ell <= limit}, for the nonzero points B of ``config``.
@@ -498,13 +471,13 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
     at 0).  The sieve is a boolean mask over the box that holds every sum
     of generators of weight at most ``limit`` (_sieve_box).  It starts from
     the origin and closes under each generator g in turn by doubling
-    shifts, mask |= mask shifted by 2^t g for 2^t * ell(g) <= limit, and
-    is cut to {ell <= limit} at the end.  This is exact: the box is convex,
-    so a run m, m + g, ..., m + k g whose ends lie in it lies in it, and
-    every partial sum of a representation of a point y of the region
-    (taking the generators in the same order) has weight at most
-    ell . y <= limit, so it lies in the box too.  Each generator costs
-    about log2(limit / ell(g)) array operations.
+    shifts, mask |= mask shifted by 2^t g for 2^t * ell(g) <= limit.  It
+    marks only sums of generators, and every one in the region {ell <=
+    limit}: the box is convex, so a run m, m + g, ..., m + k g whose ends
+    lie in it lies in it, and every partial sum of a representation of a
+    point y of the region has weight at most ell . y <= limit, so it lies
+    in the box too.  Off the region the mask is unspecified.  Each
+    generator costs about log2(limit / ell(g)) array operations.
 
     The box's cells are charged against ``cap_points`` before the mask is
     allocated.  Past the budget a BudgetExceededError names the largest
@@ -532,7 +505,6 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
             while step * w <= top:
                 _shift_or(mask, [step * x for x in g])
                 step *= 2
-        _cut_to_region(mask, ell, lo, top)
         return SemigroupSieve(ell=ell, limit=top, lo=lo, strides=strides, mask=mask)
 
     if fits(limit):

@@ -382,6 +382,29 @@ class TestOtherCommands:
         assert all(c["status"] == "ok" for c in report["checks"])
 
 
+    def test_verify_skips_the_formula_on_a_truncated_scan(self, capsys, tmp_path):
+        path = tmp_path / "pinned.txt"
+        path.write_text("2\n5\n6\n7\n13\n15\n")
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 3
+        report = json.loads(out)
+        assert report["ok"] is False
+        not_ok = [c for c in report["checks"] if c["status"] != "ok"]
+        assert [(c["name"], c["status"]) for c in not_ok] == [
+            ("growth_and_formula", "skipped")]
+        assert "truncated at weight" in not_ok[0]["detail"]
+
+    def test_verify_clean_on_the_corpus(self, capsys, tmp_path):
+        # every corpus set has an exact obstruction scan
+        for name, pts in CORPUS:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"dim": len(pts[0]),
+                                        "points": [list(p) for p in pts]}))
+            code, out, err = run_cli(capsys, "verify", "--input", str(path))
+            assert code == 0, (name, err)
+            assert json.loads(out)["ok"] is True, name
+
+
 class TestErrorPaths:
     def test_unreadable_tokens(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -402,6 +425,16 @@ class TestErrorPaths:
     def test_bad_pivot_is_precondition_error(self, capsys, a135_txt):
         code, _, err = run_cli(capsys, "analyze", "--input", a135_txt,
                                "--pivot", "3")
+        assert code == 2 and "extremal" in err
+
+    def test_pivot_of_the_wrong_length_is_bad_input(self, capsys, square_json, a135_txt):
+        code, _, err = run_cli(capsys, "analyze", "--input", square_json, "--pivot", "1")
+        assert code == 1
+        assert "--pivot has length 1, the input points have length 2" in err
+        code, _, err = run_cli(capsys, "structure", "--input", a135_txt, "--pivot", "0,0")
+        assert code == 1 and "length 2" in err and "length 1" in err
+        # a pivot of the right length that is no vertex is still exit 2
+        code, _, err = run_cli(capsys, "analyze", "--input", square_json, "--pivot", "1,2")
         assert code == 2 and "extremal" in err
 
     def test_pivot_on_lower_rank_input(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumsetlab import (
@@ -14,12 +15,13 @@ from sumsetlab import (
     facet_functional,
     facet_height_ratio,
     interpolate_consecutive,
+    normalize_config,
     triangulate_from_origin,
     volumes,
 )
 from sumsetlab.kernels import array_to_points
 from sumsetlab.lattice import determinant, solve_rational
-from sumsetlab.polytope import dilate_points
+from sumsetlab.polytope import _box_scan_exact, _dilate_box, dilate_points
 
 from oracles import dilate_points_by_facets, hull_facets_by_planes
 
@@ -245,6 +247,16 @@ class TestTriangulation:
                 assert hit, (name, x)
 
 
+def _dilate_by_box_scan(config, n):
+    """The lattice points of n*H by the plain-int box scan of its facets."""
+    if config.dim == 0:
+        return [()]
+    facets = convex_hull(config).facets
+    lo, hi = _dilate_box(config, n)
+    return _box_scan_exact(lo, hi, [list(f.normal) for f in facets],
+                           [n * f.offset for f in facets], True)
+
+
 class TestDilateCounting:
     def test_interval_count_matches_cited_value(self):
         # R(N) = 5N + 1 for the interval [0, 5]; at N=4 this is 21
@@ -263,6 +275,22 @@ class TestDilateCounting:
             pts = array_to_points(dilate_points(norm, 3))
             assert len(pts) == count_dilate_points(norm, 3), name
             assert pts == sorted(pts), name
+
+    @pytest.mark.parametrize("keys", ["int64", "object"])
+    def test_matches_exact_box_scan(self, request, corpus, keys):
+        # dilate_points and count_dilate_points are the n0 = n1 = n case of
+        # the homogenized dilate_rows scan
+        if keys == "object":
+            request.getfixturevalue("object_keys")
+        point = normalize_config(PointConfig.from_points([(4, 7)]))
+        assert point.dim == 0
+        for name, norm in [(key, cfg) for key, _, cfg in corpus] + [("point", point)]:
+            for n in (1, 2, 5):
+                got = dilate_points(norm, n)
+                want = _dilate_by_box_scan(norm, n)
+                assert got.dtype == np.dtype(keys), (name, n)
+                assert array_to_points(got) == want, (name, n)
+                assert count_dilate_points(norm, n) == len(want), (name, n)
 
     def test_against_facet_oracle(self, corpus):
         for name, _, norm in corpus:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sumsetlab import (
     RegionSpec,
     count_dilate_points,
     facet_height_ratio,
+    normalize_config,
     structure_bounds,
     structure_rhs,
     structure_threshold,
@@ -18,7 +20,7 @@ from sumsetlab import (
     verify_structure_equation,
     volumes,
 )
-from sumsetlab import kernels, structure
+from sumsetlab import kernels, polytope, structure
 from sumsetlab.polytope import (
     cone_constraints,
     cone_functional,
@@ -34,6 +36,7 @@ from sumsetlab.structure import (
 )
 from sumsetlab.sumsets import semigroup_sieve, sumset_levels
 
+from corpus import random_configs
 from oracles import DfsSemigroupOracle
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
@@ -279,7 +282,7 @@ def _rhs_by_oracle(config, n):
 def _cone_points(config, limit):
     """Lattice points of the cone of config with ell <= limit, and ell."""
     poly = convex_hull(config)
-    ell = cone_functional(poly)
+    ell = cone_functional(poly, (0,) * config.dim)
     normals = [list(v) for v in cone_constraints(poly)]
     # ell >= 1 on every generator, so |y_k| <= limit * max |g_k|
     hi = [limit * max(abs(c) for c in col) for col in zip(*config.points)]
@@ -288,23 +291,30 @@ def _cone_points(config, limit):
     return pts, ell
 
 
+def _region_cells(sieve):
+    """Every cell of the sieve's box with ell <= limit: the region on which
+    its mask is exact."""
+    ranges = [range(a, a + m) for a, m in zip(sieve.lo, sieve.mask.shape)]
+    box = np.array(list(product(*ranges)), dtype=np.int64).reshape(-1, len(ranges))
+    return box[box @ np.asarray(sieve.ell, dtype=np.int64) <= sieve.limit]
+
+
 class TestSieveParity:
     def test_sieve_matches_oracle_on_cone_points(self, corpus):
+        # every cell of the region, in the cone of a - A or not
         checked = 0
         for name, _, norm in corpus:
             for a in norm.extremal():
                 cfg = reflected_config(norm, a)
-                ell = cone_functional(convex_hull(cfg))
+                ell = cone_functional(convex_hull(cfg), (0,) * norm.dim)
                 limit = 3 * max(sum(e * x for e, x in zip(ell, p))
                                 for p in cfg.points)
-                cone, _ = _cone_points(cfg, limit)
                 sieve = semigroup_sieve(cfg, ell, limit)
+                cells = _region_cells(sieve)
                 oracle = DfsSemigroupOracle(cfg)
-                want = [oracle.contains(tuple(int(v) for v in p)) for p in cone]
-                got = sieve.members(cone)
-                assert got.tolist() == want, (name, a)
-                assert int(got.sum()) == int(sieve.mask.sum()), (name, a)
-                checked += len(cone)
+                want = [oracle.contains(p) for p in kernels.array_to_points(cells)]
+                assert sieve.members(cells).tolist() == want, (name, a)
+                checked += sum(want)
         assert checked > 1000
 
     def test_rhs_matches_oracle_reference(self, corpus):
@@ -368,7 +378,7 @@ class TestDilateBoxInsideSieves:
                 sieves, top = structure._vertex_sieves(
                     norm, min(bounds.bound_a, bounds.bound_b), cap)
                 for n in range(1, top + 1):
-                    lo, hi = structure._dilate_box(norm, n)
+                    lo, hi = polytope._dilate_box(norm, n)
                     assert dilate_box_cells(norm, n) <= cap, (name, cap, n)
                     for a, sieve in sieves:
                         top_corner = [b + m - 1 for b, m in zip(sieve.lo, sieve.mask.shape)]
@@ -427,3 +437,34 @@ class TestExactPath:
         assert structure_threshold(norm, max_n=8) == fast
         assert structure_levels(norm, 6) == fast_levels
         assert structure_rhs(norm, 3) == _rhs_by_oracle(norm, 3)
+
+
+class TestOneHull:
+    """The structure pass reads every vertex cone off the one hull H(A)."""
+
+    @staticmethod
+    def _assert_cones_match_reflected_hulls(norm):
+        sieves, _ = structure._vertex_sieves(norm, 1, 10 ** 7)
+        assert [a for a, _ in sieves] == norm.extremal()
+        for a, sieve in sieves:
+            # the reference: the functional of the hull of a - A at its origin
+            want = cone_functional(convex_hull(reflected_config(norm, a)), (0,) * norm.dim)
+            assert sieve.ell == want, (norm.points, a)
+        return len(sieves)
+
+    def test_facet_sums_match_reflected_hulls(self, corpus):
+        checked = sum(self._assert_cones_match_reflected_hulls(norm)
+                      for _, _, norm in corpus)
+        for pts in random_configs(60, seed=21):
+            norm = normalize_config(PointConfig.from_points(pts))
+            checked += self._assert_cones_match_reflected_hulls(norm)
+        assert checked > 250
+
+    def test_no_hull_of_a_reflected_set(self, corpus):
+        for name, _, norm in corpus:
+            polytope._hull_cache.clear()
+            structure_threshold(norm, max_n=40)
+            # a - A may be A itself (a centrally symmetric set), hulled anyway
+            reflected = {reflected_config(norm, a).points for a in norm.extremal()}
+            hulled = {key[0] for key in polytope._hull_cache}
+            assert not (reflected - {norm.points}) & hulled, name

@@ -545,39 +545,39 @@ def _seeded_cones(count=24, seed=13):
                 for _ in range(rng.randint(d, d + 2))} - {(0,) * d}
         cfg = PointConfig.from_points(sorted(gens | {(0,) * d}))
         try:
-            out.append((cfg, cone_functional(convex_hull(cfg))))
+            out.append((cfg, cone_functional(convex_hull(cfg), (0,) * d)))
         except DegenerateDimensionError:
             continue
     return out
 
 
-def _sieve_points(sieve):
-    """The members the sieve holds, lex-sorted, with the box they sit in."""
-    hi = [a + n - 1 for a, n in zip(sieve.lo, sieve.mask.shape)]
-    rows = kernels.decode_keys(np.flatnonzero(sieve.mask), sieve.lo, sieve.strides)
-    return kernels.array_to_points(rows), list(zip(sieve.lo, hi))
+def _region_cells(sieve):
+    """Every cell of the sieve's box with ell <= limit (the region on which
+    its mask is exact), and the box's bounds."""
+    bounds = [(a, a + n - 1) for a, n in zip(sieve.lo, sieve.mask.shape)]
+    box = np.array(list(product(*[range(a, b + 1) for a, b in bounds])),
+                   dtype=np.int64).reshape(-1, len(bounds))
+    return box[box @ np.asarray(sieve.ell) <= sieve.limit], bounds
 
 
 class TestDenseSieve:
     """The doubling-closure sieve against the plain closure of tests/oracles.py."""
 
-    def _assert_matches_closure(self, cfg, ell, sieve):
-        got, bounds = _sieve_points(sieve)
+    def _assert_matches_closure(self, cfg, sieve, cells=None):
+        region, bounds = _region_cells(sieve)
+        cells = region if cells is None else cells
         gens = [p for p in cfg.points if any(p)]
-        want = [p for p in semigroup_sieve(gens, bounds)
-                if sum(e * x for e, x in zip(ell, p)) <= sieve.limit]
-        assert got == want, (cfg.points, sieve.limit)
+        closure = set(semigroup_sieve(gens, bounds))
+        want = [p in closure for p in kernels.array_to_points(cells)]
+        assert sieve.members(cells).tolist() == want, (cfg.points, sieve.limit)
 
     def test_full_sieve_matches_closure(self):
         for cfg, ell in _seeded_cones():
             least = min(sum(e * x for e, x in zip(ell, p)) for p in cfg.points if any(p))
             sieve = sumsets.semigroup_sieve(cfg, ell, 6 * least)
-            self._assert_matches_closure(cfg, ell, sieve)
+            self._assert_matches_closure(cfg, sieve)
 
-    @pytest.mark.parametrize("slab", [None, 7])
-    def test_partial_sieve_matches_closure(self, monkeypatch, slab):
-        if slab:  # cut the region over many slabs of the first axis
-            monkeypatch.setattr(sumsets, "_SLAB_CELLS", slab)
+    def test_partial_sieve_matches_closure(self):
         for cfg, ell in _seeded_cones():
             with pytest.raises(BudgetExceededError) as err:
                 sumsets.semigroup_sieve(cfg, ell, 10 ** 6, cap_points=3000)
@@ -587,21 +587,18 @@ class TestDenseSieve:
             # the box of the next limit would not have fitted the cap
             with pytest.raises(BudgetExceededError):
                 sumsets.semigroup_sieve(cfg, ell, part.limit + 1, cap_points=3000)
-            self._assert_matches_closure(cfg, ell, part)
+            self._assert_matches_closure(cfg, part)
 
     def test_python_int_queries(self):
         for cfg, ell in _seeded_cones():
             with pytest.raises(BudgetExceededError) as err:
                 sumsets.semigroup_sieve(cfg, ell, 10 ** 6, cap_points=3000)
             sieve = err.value.partial
-            _, bounds = _sieve_points(sieve)
-            box = np.array(list(product(*[range(a, b + 1) for a, b in bounds])),
-                           dtype=np.int64).reshape(-1, cfg.dim)
-            region = box[box @ np.asarray(ell) <= sieve.limit]
+            region, _ = _region_cells(sieve)
             fast = sieve.members(region)
             exact = sieve.members(region.astype(object))
             assert exact.dtype == bool and exact.tolist() == fast.tolist()
-            assert int(fast.sum()) == int(sieve.mask.sum())
+            self._assert_matches_closure(cfg, sieve, region.astype(object))
 
 
 def _assert_members_match_dfs(config, bounds):
