@@ -577,16 +577,19 @@ class TestDenseSieve:
             sieve = sumsets.semigroup_sieve(cfg, ell, 6 * least)
             self._assert_matches_closure(cfg, sieve)
 
-    def test_partial_sieve_matches_closure(self):
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_partial_sieve_matches_closure(self, cap):
+        # None: a 3000-cell cap; 7: a cap that stops at the first few limits
+        cap = cap or 3000
         for cfg, ell in _seeded_cones():
             with pytest.raises(BudgetExceededError) as err:
-                sumsets.semigroup_sieve(cfg, ell, 10 ** 6, cap_points=3000)
+                sumsets.semigroup_sieve(cfg, ell, 10 ** 6, cap_points=cap)
             part = err.value.partial
             assert err.value.reached == part.limit < 10 ** 6
-            assert part.mask.size <= 3000
+            assert part.mask.size <= cap
             # the box of the next limit would not have fitted the cap
             with pytest.raises(BudgetExceededError):
-                sumsets.semigroup_sieve(cfg, ell, part.limit + 1, cap_points=3000)
+                sumsets.semigroup_sieve(cfg, ell, part.limit + 1, cap_points=cap)
             self._assert_matches_closure(cfg, part)
 
     def test_python_int_queries(self):
