@@ -5,17 +5,19 @@ points, which equals the number of lexicographically-least exponent vectors
 of weight N.  The vectors that are *not* lex-least form an upward-closed
 set; its finitely many coordinate-minimal elements G generate a monomial
 ideal I, and |hA| is the Hilbert function of S/I at h.  The numerator of
-its Hilbert series, from the Bayer-Stillman pivot recursion, drives
+its Hilbert series, K(t) from the Bayer-Stillman pivot recursion, drives
 everything here: the size formula, the exact growth polynomial, and the
-exact onset threshold.
+exact onset threshold.  Each term c_w * C(h - w + |A| - 1, |A| - 1) of the
+formula is polynomial in h from h = w - |A| + 1 on, so the onset is
+max(1, deg K - |A| + 1) and |A| values of the formula from there pin the
+polynomial (_formula_fit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -26,11 +28,7 @@ from .errors import (
 )
 from .kernels import first_of_runs, int64_budget_ok, key_strides
 from .lattice import PointConfig, config_memo
-from .polynomials import (
-    RationalPolynomial,
-    interpolate_consecutive,
-    monic_shifted_product,
-)
+from .polynomials import RationalPolynomial, interpolate_consecutive
 from .polytope import volumes
 from .circuits import kernel_lattice
 from .sumsets import _frontier_key_box, sumset_levels
@@ -442,11 +440,9 @@ def sumset_size_formula(config: PointConfig, obstructions: ObstructionSet, h: in
 
 
 def _size_from_weights(weights: dict[int, int], n: int, h: int) -> int:
-    """|hA| from a Hilbert series numerator {weight: coefficient}."""
+    """|hA| from a Hilbert series numerator {weight: nonzero coefficient}."""
     total = 0
     for w, count in weights.items():
-        if count == 0:
-            continue
         upper = h - w + n - 1
         if upper >= 0:
             total += count * comb(upper, n - 1)
@@ -481,20 +477,6 @@ def khovanskii_bounds(config: PointConfig) -> KhovanskiiBounds:
         sharp=sharp, coarse_power=(2 * n * v.width, (config.dim + 4) * n))
 
 
-def _formula_polynomial(config: PointConfig, weights: dict[int, int]) -> RationalPolynomial:
-    n = config.size
-    poly = RationalPolynomial.from_coefficients([0])
-    for w, count in weights.items():
-        if count == 0:
-            continue
-        poly = poly + monic_shifted_product(-w, n - 1).scale(count)
-    poly = poly.scale(Fraction(1, factorial(n - 1)))
-    if poly.degree > config.dim:
-        raise InternalInvariantError(
-            f"growth polynomial degree {poly.degree} above the dimension")
-    return poly
-
-
 def _growth_sizes_capped(config: PointConfig, n_target: int,
                          cap_points: int) -> list[int]:
     """|NA| for N = 1.. up to n_target, stopping quietly at the point budget."""
@@ -508,20 +490,33 @@ def _growth_sizes_capped(config: PointConfig, n_target: int,
     return sizes
 
 
-def _interpolate_past_sharp(sizes: list[int], sharp: int,
-                            d: int) -> RationalPolynomial | None:
-    """The polynomial through |NA| at N = sharp..sharp + d, verified at
-    N = sharp + d + 1; None when ``sizes`` (|NA| from N = 1) stop short."""
-    top = sharp + d + 1
-    if len(sizes) < top:
-        return None
-    poly = interpolate_consecutive(sharp, sizes[sharp - 1:sharp + d])
-    if poly(top) != sizes[top - 1]:
-        raise InternalInvariantError(
-            "interpolated growth polynomial failed its verification point")
-    if poly.degree > d:
-        raise InternalInvariantError("interpolated polynomial degree too high")
+def _fit(size, start: int, d: int, last: int) -> RationalPolynomial:
+    """The polynomial through size(k) at k = start..start + d, checked
+    against size(k) at k = start + d + 1..last: the one fit behind the
+    formula route (_formula_fit), the interpolation past the sharp bound
+    and the empirical window, which has no check point."""
+    poly = interpolate_consecutive(start, [size(k) for k in range(start, start + d + 1)])
+    for k in range(start + d + 1, last + 1):
+        if poly(k) != size(k):
+            raise InternalInvariantError(
+                f"growth polynomial through N={start}..{start + d} fails at N={k}")
     return poly
+
+
+def _formula_fit(weights: dict[int, int], n: int, d: int) -> tuple[int, RationalPolynomial]:
+    """(onset, polynomial) of the size formula of the numerator ``weights``.
+
+    Its term c_w * C(h - w + n - 1, n - 1) is the polynomial
+    C(X - w + n - 1, n - 1) for h >= w - n + 1 (both are 0 up to h = w - 1)
+    and 0 below, where at h = w - n the polynomial is (-1)^(n-1).  So with
+    D = deg K the formula is polynomial from h = D - n + 1 on and differs
+    from it at D - n in the top term alone: the onset is max(1, D - n + 1)
+    (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).  The polynomial has degree
+    below n, so n values from the onset pin it, and a fit through d + 1 of
+    them that the other n - d - 1 check has degree at most d.
+    """
+    start = max(1, max(weights) - n + 1)
+    return start, _fit(lambda k: _size_from_weights(weights, n, k), start, d, start + n - 1)
 
 
 def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
@@ -529,8 +524,8 @@ def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
                           cap_points: int = 10 ** 7) -> RationalPolynomial:
     """The degree <= dim polynomial equal to |NA| for all large N.
 
-    route "formula": expand the size formula exactly (needs the exact
-    obstruction set, degree drops by cancellation).  route "interpolation":
+    route "formula": fit the size formula on its |A| values from its onset
+    (_formula_fit; needs the exact obstruction set).  route "interpolation":
     fit |NA| on the proven-stable window just past the sharp bound and
     verify one step further.  "auto" prefers the formula and falls back
     when the obstruction scan is truncated.
@@ -542,7 +537,7 @@ def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
         if obs is None:
             obs = minimal_obstructions(config)
         if obs.exact:
-            return _formula_polynomial(config, obs.numerator)
+            return _formula_fit(obs.numerator, config.size, config.dim)[1]
         if route == "formula":
             raise BudgetExceededError(
                 "obstruction set truncated; the formula route needs an exact set",
@@ -550,13 +545,12 @@ def khovanskii_polynomial(config: PointConfig, route: str = "auto", *,
     sharp = khovanskii_bounds(config).sharp
     top = sharp + config.dim + 1
     sizes = _growth_sizes_capped(config, top, cap_points)
-    poly = _interpolate_past_sharp(sizes, sharp, config.dim)
-    if poly is None:
+    if len(sizes) < top:
         raise BudgetExceededError(
             f"interpolation needs |NA| up to N={top} but the point budget "
             f"stopped at N={len(sizes)}",
             reached=len(sizes))
-    return poly
+    return _fit(lambda k: sizes[k - 1], sharp, config.dim, top)
 
 
 @dataclass(frozen=True)
@@ -565,7 +559,7 @@ class ThresholdResult:
     status: str  # "exact" | "empirical"
     bound: int   # top of the window actually verified
     polynomial: RationalPolynomial
-    obstructions: ObstructionSet | None
+    obstructions: ObstructionSet
     route: str   # "formula" | "interpolation": how the polynomial was found
 
 
@@ -579,20 +573,23 @@ def khovanskii_threshold(config: PointConfig, *,
                          max_n: int | None = None) -> ThresholdResult:
     """Least N from which |NA| equals the growth polynomial, certified.
 
-    With an exact obstruction set the verification window ends at
-    min(sharp bound, column-max weight - |A| + 1), beyond which equality is
-    guaranteed; |NA| inside the window comes from iterated sumsets where the
-    budget allows and from the size formula elsewhere (the two sources are
-    cross-checked on their overlap).  Without an exact set the result
-    degrades honestly to an empirical window and status "empirical".
+    With an exact obstruction set the onset is max(1, deg K - |A| + 1),
+    read off the numerator K (_formula_fit), and is certified in a window
+    ending at min(sharp bound, column-max weight - |A| + 1), past which
+    equality is proven; the size formula is cross-checked against iterated
+    sumsets on the levels the budget allows.  Without an exact set the onset
+    is walked down from the window top over iterated sumsets alone, and the
+    result degrades honestly to status "empirical" when they stop short of
+    the sharp bound.
     """
     n = config.size
+    d = config.dim
     bounds = khovanskii_bounds(config)
     obs = minimal_obstructions(config, max_weight=max_weight)
     if obs.exact:
-        # one numerator serves the polynomial and every count below
+        # one numerator serves the onset, the polynomial and every count below
         weights = obs.numerator
-        poly = _formula_polynomial(config, weights)
+        value, poly = _formula_fit(weights, n, d)
         window_top = max(1, min(bounds.sharp, obs.column_max_weight() - n + 1))
         small_top = min(window_top, max_n if max_n is not None else window_top,
                         CROSS_CHECK_LEVELS)
@@ -607,30 +604,26 @@ def khovanskii_threshold(config: PointConfig, *,
         if _size_from_weights(weights, n, window_top) != poly(window_top):
             raise InternalInvariantError(
                 "growth polynomial fails at its certified window top")
-        value = window_top
-        while value > 1 and _size_from_weights(weights, n, value - 1) == poly(value - 1):
-            value -= 1
+        if value > window_top:
+            raise InternalInvariantError(
+                f"onset {value} above its certified window top {window_top}")
         return ThresholdResult(value=value, status="exact", bound=window_top,
                                polynomial=poly, obstructions=obs, route="formula")
     # truncated obstructions: fall back to sumset iteration alone
-    d = config.dim
     want = bounds.sharp + d + 1
-    if max_n is not None:
-        want = min(want, max_n)
-    sizes = _growth_sizes_capped(config, want, cap_points)
-    poly = _interpolate_past_sharp(sizes, bounds.sharp, d)
-    if poly is not None:
-        window_top = bounds.sharp
-        status = "exact"
+    sizes = _growth_sizes_capped(config, want if max_n is None else min(want, max_n),
+                                 cap_points)
+    top = len(sizes)
+    if top >= want:
+        poly = _fit(lambda k: sizes[k - 1], bounds.sharp, d, want)
+        window_top, status = bounds.sharp, "exact"
+    elif top < d + 2:
+        raise BudgetExceededError(
+            "not enough sumset levels within budget to fit a polynomial",
+            reached=top)
     else:
-        top = len(sizes)
-        if top < d + 2:
-            raise BudgetExceededError(
-                "not enough sumset levels within budget to fit a polynomial",
-                reached=top)
-        poly = interpolate_consecutive(top - d, sizes[top - d - 1:top])
-        window_top = top
-        status = "empirical"
+        poly = _fit(lambda k: sizes[k - 1], top - d, d, top)
+        window_top, status = top, "empirical"
     value = window_top
     while value > 1 and poly(value - 1) == sizes[value - 2]:
         value -= 1

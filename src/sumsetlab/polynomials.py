@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import InternalInvariantError
 
@@ -69,19 +70,6 @@ class RationalPolynomial:
         return " ".join(parts) if parts else "0"
 
 
-def monic_shifted_product(shift: int, count: int) -> RationalPolynomial:
-    """The product (X + shift + 1)(X + shift + 2) ... (X + shift + count)."""
-    coeffs = [Fraction(1)]
-    for j in range(1, count + 1):
-        root = shift + j
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i + 1] += c
-            new[i] += c * root
-        coeffs = new
-    return RationalPolynomial(_trim(coeffs))
-
-
 def interpolate_consecutive(start: int, values) -> RationalPolynomial:
     """The unique degree < len(values) polynomial through (start + i, values[i]).
 
@@ -97,18 +85,11 @@ def interpolate_consecutive(start: int, values) -> RationalPolynomial:
     poly = RationalPolynomial.from_coefficients([0])
     basis = RationalPolynomial.from_coefficients([1])
     for k, column in enumerate(diffs):
-        coeff = column[0] / Fraction(_factorial(k))
+        coeff = column[0] / factorial(k)
         poly = poly + basis.scale(coeff)
         root = start + k
         basis = _mul_linear(basis, -root)
     return poly
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _mul_linear(poly: RationalPolynomial, constant) -> RationalPolynomial:

@@ -184,14 +184,13 @@ def khovanskii_section(config: PointConfig, caps: Caps, route: str) -> tuple[dic
         config, max_weight=caps.cap_weight, cap_points=caps.cap_points,
         max_n=caps.max_n)
     obs = threshold.obstructions
-    if obs is not None:
-        section["obstructions"] = {
-            "count": len(obs.elements),
-            "status": obs.status,
-            "weight_scanned": obs.weight_scanned,
-            "weight_required": render_int(obs.weight_required),
-        }
-        partial |= not obs.exact
+    section["obstructions"] = {
+        "count": len(obs.elements),
+        "status": obs.status,
+        "weight_scanned": obs.weight_scanned,
+        "weight_required": render_int(obs.weight_required),
+    }
+    partial |= not obs.exact
     # the threshold's polynomial serves auto, and its own route when exact
     if route == "auto" or (route == threshold.route and threshold.status == "exact"):
         poly = threshold.polynomial

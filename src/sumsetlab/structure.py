@@ -128,7 +128,8 @@ def _vertex_sieves(config: PointConfig, top: int, cap_points: int):
     inside the region on which the sieve up to top * max ell is exact.  For
     a normalized A the points a - A generate Z^d, so no lattice reduction
     is needed.  Returns (sieves, top), with top lowered to the levels the
-    sieves could be built for within ``cap_points``.
+    sieves could be built for within ``cap_points``: 0 when some vertex's
+    sieve does not fit even its origin.
     """
     poly = convex_hull(config)
     sieves = []
@@ -139,6 +140,8 @@ def _vertex_sieves(config: PointConfig, top: int, cap_points: int):
         try:
             sieve = semigroup_sieve(cfg, ell, top * reach, cap_points)
         except BudgetExceededError as exc:
+            if exc.partial is None:
+                return sieves, 0
             sieve = exc.partial
             top = sieve.limit // reach
         sieves.append((a, sieve))

@@ -482,7 +482,7 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
     The box's cells are charged against ``cap_points`` before the mask is
     allocated.  Past the budget a BudgetExceededError names the largest
     limit whose box fits (``reached``) and carries the sieve up to it
-    (``partial``).
+    (``partial``); it carries neither when not even limit 0 fits.
     """
     if limit < 0:
         raise PreconditionError("sieve limit must be >= 0")
@@ -509,14 +509,15 @@ def semigroup_sieve(config: PointConfig, ell, limit: int,
 
     if fits(limit):
         return sieve(limit)
+    message = f"the semigroup sieve up to ell = {limit} needs more than {cap_points} points"
+    if not fits(0):
+        raise BudgetExceededError(message)
     # the box grows with the limit: bisect for the largest one that fits
     low, high = 0, limit
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if fits(mid) else (low, mid)
-    raise BudgetExceededError(
-        f"the semigroup sieve up to ell = {limit} needs more than {cap_points} points",
-        reached=low, partial=sieve(low))
+    raise BudgetExceededError(message, reached=low, partial=sieve(low))
 
 
 def region_points(config: PointConfig, region: RegionSpec,

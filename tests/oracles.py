@@ -8,13 +8,16 @@ sieve and its generator-count levels, rational plane-solving instead of
 cofactor normals, a convex-combination search instead of facet
 incidence for hull vertices, and inclusion-exclusion over every subset of
 the obstruction set instead of the pivot recursion for the Hilbert series
-numerator, and comparison with powers of ten instead of rounded power
+numerator, symbolic expansion of the size formula through monic shifted
+products instead of fitting its values for the growth polynomial, and
+comparison with powers of ten instead of rounded power
 chains for the digits of huge integers.  Slow but exact.  ``growth_sizes``
 is only a shorthand for the library's iterated sumset sizes.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import factorial
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from sumsetlab.lattice import (
     solve_in_lattice,
     solve_rational,
 )
+from sumsetlab.polynomials import RationalPolynomial
 from sumsetlab.polytope import cone_constraints, convex_hull
 from sumsetlab.sumsets import sumset_iterate
 
@@ -465,6 +469,28 @@ def subset_weights(elements):
 
     rec(0, (0,) * (len(elements[0]) if elements else 0), 1)
     return {w: c for w, c in acc.items() if c}
+
+
+def monic_shifted_product(shift, count):
+    """The product (X + shift + 1)(X + shift + 2) ... (X + shift + count)."""
+    coeffs = [Fraction(1)]
+    for j in range(1, count + 1):
+        new = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            new[i + 1] += c
+            new[i] += c * (shift + j)
+        coeffs = new
+    return RationalPolynomial.from_coefficients(coeffs)
+
+
+def formula_polynomial(weights, n):
+    """sum_w c_w * C(X - w + n - 1, n - 1) for the numerator {w: c_w},
+    expanded symbolically: C(X - w + n - 1, n - 1) is the product
+    (X - w + 1) ... (X - w + n - 1) over (n - 1)!."""
+    poly = RationalPolynomial.from_coefficients([0])
+    for w, count in weights.items():
+        poly = poly + monic_shifted_product(-w, n - 1).scale(count)
+    return poly.scale(Fraction(1, factorial(n - 1)))
 
 
 def digits_and_leading(value, leading=24):

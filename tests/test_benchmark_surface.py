@@ -1,4 +1,4 @@
-"""The names the benchmark under perfbench/ and benchmarks/bench_kernels.py
+"""The names that every script under perfbench/ and benchmarks/bench_kernels.py
 reach into still exist.
 
 The tracer wraps sumsetlab functions by name and the benchmark scripts
@@ -10,6 +10,7 @@ TestConfigMemo in test_lattice.py.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import sys
@@ -32,6 +33,16 @@ def tracer():
         sys.path.remove(PERFBENCH)
 
 
+def _lookup(module, name):
+    """``name`` read off the module, or its submodule of that name; None
+    when there is neither."""
+    if hasattr(importlib.import_module(module), name):
+        return getattr(importlib.import_module(module), name)
+    if importlib.util.find_spec(f"{module}.{name}") is None:
+        return None
+    return importlib.import_module(f"{module}.{name}")
+
+
 def _sumsetlab_names(path):
     """(module, name) for every ``from sumsetlab... import name`` in a file,
     and for every ``name.attr`` read off an imported sumsetlab module."""
@@ -42,7 +53,7 @@ def _sumsetlab_names(path):
              and (node.module or "").split(".")[0] == "sumsetlab"
              for alias in node.names]
     modules = {name: f"{module}.{name}" for module, name in found
-               if inspect.ismodule(getattr(importlib.import_module(module), name, None))}
+               if inspect.ismodule(_lookup(module, name))}
     found += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules]
@@ -72,3 +83,16 @@ def test_bench_kernels_imports_resolve():
     assert ("sumsetlab.khovanskii", "_hilbert_numerator") in found
     for module, name in found:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("script, expected", [
+    ("answers.py", ("sumsetlab", "khovanskii_threshold")),
+    ("make_refs.py", ("sumsetlab", "khovanskii_polynomial")),
+    ("workloads.py", ("sumsetlab", "khovanskii_bounds")),
+    ("passrun.py", ("sumsetlab.cli", "main")),
+])
+def test_perfbench_imports_resolve(script, expected):
+    found = _sumsetlab_names(os.path.join(PERFBENCH, script))
+    assert expected in found
+    for module, name in found:
+        assert _lookup(module, name) is not None, f"{module}.{name}"

@@ -274,6 +274,23 @@ class TestStructureWindowEnds:
         assert err == ("error: budget exhausted: the vertex sieves for level 1 "
                        "exceed the 0 point cap\n")
 
+    @pytest.mark.parametrize("command", ["structure", "analyze"])
+    @pytest.mark.parametrize("point", ["4 7", "5"])
+    def test_zero_cap_on_one_point(self, capsys, tmp_path, command, point):
+        # a single point normalizes to dimension 0: its one sieve cell does
+        # not fit a cap of 0, and fits a cap of 1
+        path = tmp_path / "one.txt"
+        path.write_text(point + "\n")
+        code, out, err = run_cli(capsys, command, "--input", str(path),
+                                 "--cap-points", "0")
+        assert code == 3 and out == ""
+        assert err == ("error: budget exhausted: the vertex sieves for level 1 "
+                       "exceed the 0 point cap\n")
+        code, out, err = run_cli(capsys, command, "--input", str(path),
+                                 "--cap-points", "1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["structure"]["threshold"] == 1
+
     def test_slow_window_stops_empirical(self, capsys, tmp_path):
         # bound 285715; the sieves of 10^7 cells reach level 9999 and the
         # test budget ends the window well before that

@@ -19,6 +19,7 @@ from sumsetlab.circuits import support
 
 from corpus import random_configs
 from oracles import (
+    formula_polynomial,
     growth_sizes,
     obstructions_by_rows,
     representations_by_multisets,
@@ -381,6 +382,58 @@ class TestPolynomial:
         for name, _, norm in corpus:
             poly = khovanskii_polynomial(norm)
             assert poly.degree == norm.dim, name
+
+
+def _exact_sets(corpus, candidate_budget):
+    """(name, normalized config, exact obstruction set) for the corpus sets
+    and then for 150 seeded random sets whose scan ends exact under a
+    200,000-candidate budget.  The budget is set only once the corpus sets
+    are consumed, as it empties the memo store of the scans."""
+    for name, _, norm in corpus:
+        obs = minimal_obstructions(norm)
+        if obs.exact:
+            yield name, norm, obs
+    candidate_budget(200_000)
+    for pts in random_configs(count=150, seed=7, max_points=5, max_coord=3):
+        norm = _norm(pts)
+        obs = minimal_obstructions(norm)
+        if obs.exact:
+            yield pts, norm, obs
+
+
+class TestFormulaFit:
+    """The growth polynomial and the onset read off the numerator K."""
+
+    def test_matches_the_symbolic_expansion(self, corpus, candidate_budget):
+        random_sets = 0
+        for name, norm, obs in _exact_sets(corpus, candidate_budget):
+            poly = khovanskii_polynomial(norm, route="formula", obstructions=obs)
+            assert poly == formula_polynomial(obs.numerator, norm.size), name
+            random_sets += not isinstance(name, str)
+        assert random_sets >= 100
+
+    def test_onset_is_deg_k_minus_size_plus_one(self, corpus, candidate_budget):
+        for name, norm, obs in _exact_sets(corpus, candidate_budget):
+            result = khovanskii_threshold(norm)
+            assert result.status == "exact", name
+            assert result.value == max(1, max(obs.numerator) - norm.size + 1), name
+            if isinstance(name, str):  # the corpus is brute-forced below
+                continue
+            sizes = growth_sizes(norm, max(result.value, min(result.bound, 12)))
+            for n in range(result.value, len(sizes) + 1):
+                assert result.polynomial(n) == sizes[n - 1], (name, n)
+            if result.value > 1:
+                assert result.polynomial(result.value - 1) != \
+                    sizes[result.value - 2], name
+
+    def test_degree_above_the_dimension_is_an_invariant_error(self):
+        # K = 1 counts every monomial in 3 variables, C(N + 2, 2): degree 2
+        # on a 1-D set, which the third value from the onset rules out
+        empty = khovanskii.ObstructionSet(elements=(), status="exact",
+                                          weight_scanned=1, weight_required=1)
+        assert empty.numerator == {0: 1}
+        with pytest.raises(InternalInvariantError):
+            khovanskii_polynomial(A135, route="formula", obstructions=empty)
 
 
 class TestBounds:

@@ -1,11 +1,9 @@
 from fractions import Fraction
 
-from sumsetlab.polynomials import (
-    RationalPolynomial,
-    interpolate_consecutive,
-    monic_shifted_product,
-)
+from sumsetlab.polynomials import RationalPolynomial, interpolate_consecutive
 from sumsetlab.reporting import render_int, render_rational
+
+from oracles import monic_shifted_product
 
 
 class TestRendering:

@@ -592,6 +592,12 @@ class TestDenseSieve:
                 sumsets.semigroup_sieve(cfg, ell, part.limit + 1, cap_points=cap)
             self._assert_matches_closure(cfg, part)
 
+    def test_no_partial_when_the_origin_does_not_fit(self):
+        for cfg, ell in _seeded_cones():
+            with pytest.raises(BudgetExceededError) as err:
+                sumsets.semigroup_sieve(cfg, ell, 10, cap_points=0)
+            assert err.value.partial is None and err.value.reached is None
+
     def test_python_int_queries(self):
         for cfg, ell in _seeded_cones():
             with pytest.raises(BudgetExceededError) as err:
