@@ -64,7 +64,16 @@ that every pair returns identical results, and prints tables:
   pivot recursion alone on the 24 elements of the pinned truncating set;
 * the coarse bounds of {0, e_1..e_d, (1, ..., 1)} for d = 3..7 rendered
   from their (base, exponent) pairs (``render_int(base, exponent)``)
-  against ``render_int(base ** exponent)``, which builds the integer first.
+  against ``render_int(base ** exponent)``, which builds the integer first;
+* the structure window's block check in key space
+  (``structure._check_block``: one scan hands out affine forms, the key of
+  (n, x) and each vertex sieve's flat index of a*n - x, then one gather
+  per sieve mask and one gather of the levels' scattered mask) against the
+  check on point rows (``check_block_by_rows`` of ``tests/oracles.py``: a
+  row scan, ``SemigroupSieve.members``, ``kernels.pack_rows`` and
+  ``kernels.sorted_member``), on every block of ``structure_threshold`` for
+  hexagon6, prism5 and simplex3_diag, with equal predicted keys and equal
+  reports checked.
 
     python benchmarks/bench_kernels.py [--repeat 5] [--only SECTION[,SECTION]]
 
@@ -89,10 +98,10 @@ import time
 import numpy as np
 
 from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovanskii,
-                       normalize_config)
+                       normalize_config, structure)
 from sumsetlab.lattice import extremal_points
-from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull,
-                                dilate_points, volumes)
+from sumsetlab.polytope import (_box_scan_exact, _dilate_box, _hull_cache, convex_hull,
+                                dilate_points, dilate_rows, volumes)
 from sumsetlab.reporting import Caps, growth_report, render_int, to_json, to_text
 from sumsetlab.structure import _vertex_sieves, structure_bounds
 from sumsetlab.sumsets import (_frontier_key_box, _iterate_keys, _iterate_tuples,
@@ -168,6 +177,7 @@ SUMSET_CASES = [
 HEXAGON6 = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]
 A_0_2_5_11_12 = [(0,), (2,), (5,), (11,), (12,)]
 SIMPLEX3_DIAG = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+PRISM5 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0)]
 ITERATION_CASES = [
     ("iterate 2d hexagon6, N=150", HEXAGON6, 150),
     ("iterate 3d simplex3_diag, N=60", SIMPLEX3_DIAG, 60),
@@ -283,8 +293,7 @@ def scan_word_split(repeat):
 
 MEMBER_CASES = [
     ("sieve queries hexagon6", HEXAGON6),
-    ("sieve queries prism5",
-     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0)]),
+    ("sieve queries prism5", PRISM5),
 ]
 
 
@@ -535,6 +544,7 @@ def frontier_keys(repeat):
         t_ky, r_ky = bench(_key_frontier_sizes, (cfg, n_max), repeat)
         t_rw, r_rw = bench(_row_frontier_sizes, (cfg, n_max), repeat)
         assert r_ky == r_rw, name
+        r_ky = [report for reports in r_ky for report in reports]
         print(f"{name:38s} {t_ky * 1e3:8.2f}ms {t_rw * 1e3:8.2f}ms "
               f"{t_rw / t_ky:7.2f}x   ({sum(r_ky)} points)")
 
@@ -565,10 +575,79 @@ def bitset_levels(repeat):
               f"{t_ky / t_bt:7.2f}x   ({span} keys in the box)")
 
 
+def _structure_blocks(points):
+    """The normalized set and (sieves, block) for every block of levels
+    that the window of structure_threshold checks."""
+    cfg = normalize_config(PointConfig.from_points(points))
+    blocks = []
+    check = structure._check_block
+
+    def record(config, sieves, block):
+        blocks.append((sieves, block))
+        return check(config, sieves, block)
+
+    structure._check_block = record
+    try:
+        structure.structure_threshold(cfg)
+    finally:
+        structure._check_block = check
+    return cfg, blocks
+
+
+def _row_box_keys(cfg, sieves, block):
+    """The keys of structure_rhs at a block's levels in the row check's box
+    (strides (span, *strides) over [n0, *lo] of the walk's key box), from
+    the block's key range of _check_block: (n - n0) * level_span plus the
+    walk's key of x less that of the dilate box's low corner."""
+    n0, n1 = block[0][0], block[-1][0]
+    walk_lo, strides, span = block[0][1]().box
+    lo, hi = _dilate_box(cfg, n1)
+    first = sum((a - b) * s for a, b, s in zip(lo, walk_lo, strides))
+    level_span = sum((b - a) * s for a, b, s in zip(lo, hi, strides)) + 1
+    keys, keep = structure._block_rhs(cfg, sieves, n0, n1, (lo, strides, level_span))
+    level, rest = np.divmod(keys[keep], level_span)
+    return level * span + rest + first
+
+
+def _row_keys(cfg, sieves, block):
+    """The same keys from the point rows of the block's dilates, packed."""
+    n0, n1 = block[0][0], block[-1][0]
+    walk_lo, strides, span = block[0][1]().box
+    rows = dilate_rows(cfg, n0, n1, True)
+    keep = np.ones(len(rows), dtype=bool)
+    for a, sieve in sieves:
+        keep &= sieve.members(np.asarray(a, dtype=rows.dtype) * rows[:, :1] - rows[:, 1:])
+    return kernels.pack_rows(rows[keep], [n0, *walk_lo], (span, *strides), np.int64)
+
+
+def structure_blocks(repeat):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+    from oracles import check_block_by_rows
+
+    print(f"{'workload':38s} {'keys':>10s} {'rows':>10s} {'ratio':>8s}")
+    for name, points in (("hexagon6", HEXAGON6), ("prism5", PRISM5),
+                         ("simplex3_diag", SIMPLEX3_DIAG)):
+        cfg, blocks = _structure_blocks(points)
+        predicted = 0
+        for sieves, block in blocks:
+            keys = _row_box_keys(cfg, sieves, block)
+            assert np.array_equal(keys, _row_keys(cfg, sieves, block)), name
+            predicted += len(keys)
+        t_ky, r_ky = bench(lambda: [structure._check_block(cfg, s, b) for s, b in blocks],
+                           (), repeat)
+        t_rw, r_rw = bench(lambda: [check_block_by_rows(cfg, s, b) for s, b in blocks],
+                           (), repeat)
+        assert r_ky == r_rw, name
+        r_ky = [report for reports in r_ky for report in reports]
+        print(f"{'structure blocks ' + name:38s} {t_ky * 1e3:8.2f}ms {t_rw * 1e3:8.2f}ms "
+              f"{t_rw / t_ky:7.2f}x   ({len(blocks)} blocks, {len(r_ky)} levels, "
+              f"{predicted} predicted points)")
+
+
 SECTIONS = (numpy_against_exact, frontier_against_full, json_writer, scan_word_split,
             gather_against_bisection, vertices_against_lp, membership_against_dfs,
             obstruction_certificate, frontier_keys, bitset_levels,
-            numerator_against_subsets, coarse_rendering)
+            numerator_against_subsets, coarse_rendering, structure_blocks)
 
 
 def main():

@@ -16,9 +16,13 @@ sumset level takes from the walk to the report writers.  The sumset levels
 fits the point budget and sorted keys otherwise, and a level becomes a
 PackedPoints only when a reader calls for it; a semigroup sieve is a
 boolean mask over its box in the same order, so a point's key is its flat
-index there; the structure window stacks consecutive levels into one box of
-(n, x) by shifting each level's keys by a multiple of the walk's span, and
-packs the predicted rows there.  ``sumset_step`` expands one block of sums:
+index there.  ``box_points`` hands out, instead of the points, the values
+of integer affine forms at them, and keys and flat indices are such forms:
+the structure window stacks consecutive levels into one key range of
+(n, x) by shifting each level's keys by a multiple of a level's key range,
+and its scan hands out the predicted points' keys there and their
+reflections' indices into the sieve masks, with no point row built.
+``sumset_step`` expands one block of sums:
 the frontier iteration on sorted keys in ``sumsets`` calls it on the keys
 of the previous level's new points and the generators' key offsets, and
 never unpacks a row; its 2-D form steps point arrays.
@@ -122,31 +126,55 @@ def box_count(lo, hi, lhs, rhs, dtype=np.int64) -> int:
     return total
 
 
-def box_points(lo, hi, lhs, rhs, dtype=np.int64) -> np.ndarray:
+def box_points(lo, hi, lhs, rhs, dtype=np.int64, forms=None) -> np.ndarray:
     """The points counted by :func:`box_count`, in lexicographic order, as
-    an array of ``dtype``."""
+    an array of ``dtype``.
+
+    With ``forms``, a list of integer affine forms (coefficients, constant),
+    it returns instead one row per form: the form's values at those points,
+    in the same order.  The points are the values of the unit forms.  Each
+    prefix row's points are an interval of the last coordinate t, so a form
+    is its value at the interval's start, computed once per prefix row,
+    stepped by its last coefficient along the interval.
+    """
     lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs, dtype)
     d = len(lo)
-    if any(a > b for a, b in zip(lo, hi)):
-        return np.empty((0, d), dtype=dtype)
-    blocks = []
-    for prefixes in _prefix_chunks(lo, hi):
-        counts, t_lo = _np_intervals(prefixes, lo, hi, lhs, rhs)
-        keep = counts > 0
-        if not keep.any():
-            continue
-        counts = counts[keep].astype(np.int64, copy=False)
-        t_lo = t_lo[keep]
-        prefixes = prefixes[keep]
-        total = int(counts.sum())
-        rows = np.repeat(prefixes, counts, axis=0)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        inner = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        t = np.repeat(t_lo, counts) + inner
-        blocks.append(np.concatenate([rows, t[:, None]], axis=1))
-    if not blocks:
-        return np.empty((0, d), dtype=dtype)
-    return np.concatenate(blocks, axis=0)
+    unit = forms is None
+    if unit:
+        forms = [([int(j == k) for j in range(d)], 0) for k in range(d)]
+    coeffs = np.asarray([c for c, _ in forms], dtype=dtype).reshape(len(forms), d)
+    consts = np.asarray([c for _, c in forms], dtype=dtype)
+    steps = coeffs[:, -1].tolist()
+    chunks = []
+    if all(a <= b for a, b in zip(lo, hi)):
+        for prefixes in _prefix_chunks(lo, hi):
+            counts, t_lo = _np_intervals(prefixes, lo, hi, lhs, rhs)
+            keep = counts > 0
+            if not keep.any():
+                continue
+            counts = counts[keep].astype(np.int64, copy=False)
+            t_lo = t_lo[keep]
+            prefixes = prefixes[keep]
+            row_of = np.repeat(np.arange(len(counts)), counts)  # each point's prefix row
+            step = np.arange(len(row_of)) - (np.cumsum(counts) - counts)[row_of]
+            step = step.astype(dtype, copy=False)  # t - t_lo, exact on Python ints
+            # every form at the start of each prefix row's interval
+            base = t_lo[:, None] * coeffs[:, -1] + consts
+            for k in range(d - 1):
+                base += prefixes[:, k:k + 1] * coeffs[:, k]
+            out = np.empty((len(forms), len(row_of)), dtype=dtype)
+            for start, c, values in zip(base.T, steps, out):
+                np.take(start, row_of, out=values, mode="clip")
+                if c:
+                    values += c * step
+            chunks.append(out)
+    if len(chunks) == 1:
+        out = chunks[0]
+    elif chunks:
+        out = np.concatenate(chunks, axis=1)
+    else:
+        out = np.empty((len(forms), 0), dtype=dtype)
+    return out.T if unit else out
 
 
 # ---------------------------------------------------------------------------

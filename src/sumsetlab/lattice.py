@@ -329,7 +329,9 @@ class PointConfig:
         return tuple(acc)
 
     def extremal(self) -> list[Point]:
-        return extremal_points(self.points, self.dim)
+        """The hull vertices (extremal_points), computed once per point set;
+        each call returns a fresh list."""
+        return list(_extremal(self))
 
     def index_of(self, point) -> int:
         return self.points.index(_as_point(point))
@@ -359,6 +361,14 @@ def config_memo(store: dict):
         return memoized
 
     return decorate
+
+
+_extremal_cache: dict[tuple, tuple[Point, ...]] = {}
+
+
+@config_memo(_extremal_cache)
+def _extremal(config: PointConfig) -> tuple[Point, ...]:
+    return tuple(extremal_points(config.points, config.dim))
 
 
 def normalize_config(config: PointConfig, pivot=None) -> PointConfig:

@@ -222,7 +222,7 @@ def volumes(config: PointConfig) -> VolumeData:
         raise DegenerateDimensionError("points do not span the ambient space")
     apex = min(pts)  # the lex-least point is a vertex
     vol = Fraction(0)
-    for simplex in _triangulate(pts, d, apex):
+    for simplex in _simplices(config, apex):
         rows = [[p[k] - apex[k] for k in range(d)] for p in simplex]
         vol += Fraction(abs(determinant(rows)), math.factorial(d))
     return VolumeData(volume=vol, det_max=max(nonzero), det_min=min(nonzero), width=width)
@@ -290,6 +290,13 @@ def _triangulate(points, dim, apex) -> list[tuple[Point, ...]]:
 
 
 @config_memo(_triangulation_cache)
+def _simplices(config: PointConfig, apex) -> tuple[tuple[Point, ...], ...]:
+    """The triangulation of the hull from its vertex ``apex`` (_triangulate),
+    computed once per configuration and apex: ``volumes`` and
+    ``triangulate_from_origin`` both read it."""
+    return tuple(_triangulate(config.points, config.dim, apex))
+
+
 def triangulate_from_origin(config: PointConfig) -> Triangulation:
     """Partition the hull into simplices sharing the origin as a vertex.
 
@@ -303,7 +310,7 @@ def triangulate_from_origin(config: PointConfig) -> Triangulation:
         raise PreconditionError("origin must be an extremal point of the hull")
     if d == 0:
         return Triangulation(simplices=((),))
-    return Triangulation(simplices=tuple(_triangulate(config.points, d, zero)))
+    return Triangulation(simplices=_simplices(config, zero))
 
 
 @config_memo(_facet_ratio_cache)
@@ -383,33 +390,39 @@ def _dilate_scan(config: PointConfig, n: int, enumerate_points: bool, cap_points
     return dilate_rows(config, n, n, enumerate_points)
 
 
-def dilate_rows(config: PointConfig, n0: int, n1: int, enumerate_points: bool):
+def dilate_rows(config: PointConfig, n0: int, n1: int, enumerate_points: bool,
+                forms=None):
     """Rows (n, x), x a lattice point of n*H, for n = n0..n1, or their count.
 
     The one scan of dilates: the box [n0, n1] x (box of n1*H) under the
     homogenized facet rows [-offset | normal] . (n, x) <= 0.  For n0 < n1
-    H must hold the origin, so that the box of n*H grows with n.
+    H must hold the origin, so that the box of n*H grows with n.  With
+    ``forms``, affine forms in (n, x) (see kernels.box_points), it returns
+    their values at those rows instead, one row per form.
     """
     lo, hi = _dilate_box(config, n1)
     lhs = [[-f.offset, *f.normal] for f in convex_hull(config).facets]
-    return scan_box([n0, *lo], [n1, *hi], lhs, [0] * len(lhs), enumerate_points)
+    return scan_box([n0, *lo], [n1, *hi], lhs, [0] * len(lhs), enumerate_points, forms)
 
 
-def scan_box(lo, hi, lhs, rhs, enumerate_points: bool):
+def scan_box(lo, hi, lhs, rhs, enumerate_points: bool, forms=None):
     """Lattice points x with lo <= x <= hi and lhs @ x <= rhs, or their count.
 
-    The kernels run on int64 when every dot product provably fits and on
-    Python ints (dtype object) otherwise.  Points come back as a
-    lex-sorted array of that dtype.
+    The kernels run on int64 when every dot product, and every value of
+    the affine ``forms`` (see kernels.box_points), provably fits and on
+    Python ints (dtype object) otherwise.  Points, or the forms' values,
+    come back as lex-sorted arrays of that dtype.
     """
-    bound = max(
-        (sum(abs(v) * max(abs(a), abs(b)) for v, a, b in zip(row, lo, hi))
-         for row in lhs),
-        default=0,
-    )
-    dtype = kernels.key_dtype(bound, *lo, *hi, *rhs)
+    extent = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
+
+    def reach(row):
+        return sum(abs(v) * e for v, e in zip(row, extent))
+
+    bound = max((reach(row) for row in lhs), default=0)
+    form_bound = max((abs(c0) + reach(c) for c, c0 in forms or ()), default=0)
+    dtype = kernels.key_dtype(bound, form_bound, *lo, *hi, *rhs)
     if enumerate_points:
-        return kernels.box_points(lo, hi, lhs, rhs, dtype)
+        return kernels.box_points(lo, hi, lhs, rhs, dtype, forms)
     return kernels.box_count(lo, hi, lhs, rhs, dtype)
 
 

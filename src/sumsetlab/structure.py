@@ -26,10 +26,12 @@ from .errors import (
 from .lattice import (
     Point,
     PointConfig,
+    config_memo,
     require_anchored,
     require_normalized,
 )
 from .polytope import (
+    _dilate_box,
     cone_functional,
     convex_hull,
     dilate_box_cells,
@@ -87,6 +89,10 @@ def _ceil_fraction(value) -> int:
     return -((-f.numerator) // f.denominator)
 
 
+_bounds_cache: dict[tuple, StructureBounds] = {}
+
+
+@config_memo(_bounds_cache)
 def structure_bounds(config: PointConfig) -> StructureBounds:
     require_anchored(config)
     d = config.dim
@@ -165,28 +171,33 @@ def _sieves_through(config: PointConfig, n: int, cap_points: int):
 BLOCK_CELLS = 1 << 14
 
 
-def _block_rhs(config: PointConfig, sieves, n0: int, n1: int) -> np.ndarray:
-    """Rows (n, x) of structure_rhs at the levels n0..n1, lex-sorted.
+def _block_rhs(config: PointConfig, sieves, n0: int, n1: int, box):
+    """Keys of the points (n, x), x in n*H for n = n0..n1, ascending, and
+    the mask of those in structure_rhs.
 
-    One dilate_rows scan gives the rows (n, x) for x in n*H; one gather
-    per hull vertex a, in the region where its sieve is exact
-    (_vertex_sieves), keeps those whose a*n - x is in P(a - A).
+    ``box`` is (lo, strides, level_span): the key of (n, x) is (n - n0) *
+    level_span + (x - lo) . strides, and level_span must exceed the key of
+    every x of n1*H.  One dilate_rows scan hands out, as affine forms in
+    (n, x), that key and, for each hull vertex a, the flat index of a*n - x
+    in a's sieve mask, n (a . s) - x . s - lo_a . s for the sieve's lo_a
+    and strides s: in the region where the sieve is exact
+    (_vertex_sieves), so one gather per vertex keeps the rows whose a*n - x
+    is in P(a - A).  No point row is built.  The indices lie below the
+    sieves' and the block's key spans, so they are gathered as int64
+    whatever the scan's dtype.
     """
-    rows = dilate_rows(config, n0, n1, True)
-    keep = np.ones(len(rows), dtype=bool)
-    cols = rows.T
+    lo, strides, level_span = box
+    forms = [([level_span, *strides],
+              -n0 * level_span - sum(a * s for a, s in zip(lo, strides)))]
     for a, sieve in sieves:
-        # column-major: numpy's loops over rows of d entries are slow
-        reflected = np.asarray(a, dtype=rows.dtype)[:, None] * cols[:1] - cols[1:]
-        keep &= sieve.members(reflected.T)
-    return rows.compress(keep, axis=0)
-
-
-def _by_level(rows: np.ndarray, n0: int, n1: int) -> list[tuple[Point, ...]]:
-    """The points x of the rows (n, x), sorted by n, at each level n0..n1."""
-    cuts = np.searchsorted(rows[:, 0], np.arange(n0, n1 + 2))
-    return [tuple(kernels.array_to_points(rows[a:b, 1:]))
-            for a, b in zip(cuts[:-1], cuts[1:])]
+        s = sieve.strides
+        forms.append(([sum(v * w for v, w in zip(a, s)), *(-w for w in s)],
+                      -sum(v * w for v, w in zip(sieve.lo, s))))
+    values = dilate_rows(config, n0, n1, True, forms)
+    keep = np.ones(values.shape[1], dtype=bool)
+    for index, (_, sieve) in zip(values[1:], sieves):
+        keep &= sieve.mask.ravel()[index.astype(np.int64, copy=False)]
+    return values[0].astype(np.int64, copy=False), keep
 
 
 def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
@@ -194,26 +205,62 @@ def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
 
     The levels must be consecutive in one walk of sumset_levels; each
     ``level()``, called once here, is NA as that walk's PackedPoints, whose
-    key box (lo, strides, span) is the box of the walk's top level; as A
-    holds the origin, that box holds the dilate box of every level below.
-    Both sides become keys of (n, x) in the box with strides (span,
-    *strides) over [n0, *lo], which is lex-major: NA's keys are the walk's
-    keys plus (n - n0) * span, undecoded, and the predicted rows are
-    packed there.  Each side comes out ascending and is searched in the
-    other by bisection; only missing or extra points become tuples.
+    key box is the box of the walk's top level; as A holds the origin,
+    that box holds the dilate box [lo, hi] of every level below.  Both
+    sides are keys of (n, x) in the block's key range: (n - n0) *
+    level_span plus the walk's key of x less that of lo, where level_span
+    is one more than the walk's key of hi less that of lo.  NA's keys are
+    shifted there undecoded and scattered into one boolean mask over the
+    range, and the predicted keys (_block_rhs) gather it.  A predicted key
+    that misses is a missing point: its level is scanned again, as rows,
+    only then.  Extra points exist exactly when the hits fall short of
+    the sum of |NA|; only then are they found by a scatter of the
+    predicted keys, and only they are decoded.
     """
     n0, n1 = block[0][0], block[-1][0]
     levels = [level() for _, level in block]
-    lo, level_strides, span = levels[0].box
-    strides = (span, *level_strides)
-    dtype = kernels.key_dtype((n1 - n0 + 1) * span)
-    na_keys = np.concatenate([na.keys.astype(dtype, copy=False) + k * span
-                              for k, na in enumerate(levels)])
-    rhs = _block_rhs(config, sieves, n0, n1)
-    rhs_keys = kernels.pack_rows(rhs, [n0, *lo], strides, dtype)
-    missing = _by_level(rhs[~kernels.sorted_member(rhs_keys, na_keys)], n0, n1)
-    lost = na_keys[~kernels.sorted_member(na_keys, rhs_keys)]
-    extra = _by_level(kernels.decode_keys(lost, [n0, *lo], strides), n0, n1)
+    walk_lo, strides, _ = levels[0].box
+    lo, hi = _dilate_box(config, n1)
+    first = sum((a - b) * s for a, b, s in zip(lo, walk_lo, strides))
+    level_span = sum((b - a) * s for a, b, s in zip(lo, hi, strides)) + 1
+    keys, keep = _block_rhs(config, sieves, n0, n1, (lo, strides, level_span))
+
+    def local(na):
+        """NA's keys less that of lo, as int64 indices into a row of the
+        mask, and which of NA's keys they are: all of them unless a forged
+        level holds points outside n1*H (the keys are ascending)."""
+        shifted = na.keys - first
+        if len(shifted) and (shifted[0] < 0 or shifted[-1] >= level_span):
+            inside = (shifted >= 0) & (shifted < level_span)
+            return shifted[inside].astype(np.int64), inside
+        return shifted.astype(np.int64, copy=False), slice(None)
+
+    found = np.zeros((len(levels), level_span), dtype=bool)
+    for row, na in zip(found, levels):
+        row[local(na)[0]] = True
+    predicted = keys[keep]
+    hit = found.ravel()[predicted]
+    missing = [()] * len(levels)
+    if not hit.all():
+        # the rows of the scan that missed, by level, and where each level starts
+        where = np.flatnonzero(keep)[~hit]
+        lost = predicted[~hit] // level_span
+        starts = np.searchsorted(keys, np.arange(len(levels)) * level_span)
+        for k in sorted(set(lost.tolist())):
+            rows = dilate_rows(config, n0 + k, n0 + k, True)
+            missing[k] = tuple(kernels.array_to_points(
+                rows[where[lost == k] - starts[k], 1:]))
+    extra = [()] * len(levels)
+    if np.count_nonzero(hit) < sum(len(na) for na in levels):
+        found[:] = False
+        found.ravel()[predicted] = True
+        for k, (row, na) in enumerate(zip(found, levels)):
+            shifted, inside = local(na)
+            out = np.ones(len(na), dtype=bool)
+            out[inside] = ~row[shifted]
+            if out.any():
+                extra[k] = tuple(kernels.array_to_points(
+                    kernels.decode_keys(na.keys[out], walk_lo, strides)))
     return [StructureReport(n=n, holds=not miss and not ext, missing=miss, extra=ext)
             for n, miss, ext in zip(range(n0, n1 + 1), missing, extra)]
 
@@ -251,7 +298,10 @@ def structure_rhs(config: PointConfig, n: int,
     """
     require_normalized(config)
     sieves = _sieves_through(config, n, cap_points)
-    return kernels.array_to_points(_block_rhs(config, sieves, n, n)[:, 1:])
+    lo, hi = _dilate_box(config, n)
+    strides, span = kernels.key_strides(lo, hi)
+    keys, keep = _block_rhs(config, sieves, n, n, (lo, strides, span))
+    return kernels.array_to_points(kernels.decode_keys(keys[keep], lo, strides))
 
 
 def verify_structure_equation(config: PointConfig, n: int,

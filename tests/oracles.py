@@ -12,7 +12,9 @@ numerator, symbolic expansion of the size formula through monic shifted
 products instead of fitting its values for the growth polynomial, and
 comparison with powers of ten instead of rounded power
 chains for the digits of huge integers.  Slow but exact.  ``growth_sizes``
-is only a shorthand for the library's iterated sumset sizes.
+is only a shorthand for the library's iterated sumset sizes, and
+``check_block_by_rows`` is the structure window's block check on point rows
+and binary search, the reference for its check on keys and masks.
 """
 
 from fractions import Fraction
@@ -21,6 +23,7 @@ from math import factorial
 
 import numpy as np
 
+from sumsetlab import kernels
 from sumsetlab.errors import PreconditionError
 from sumsetlab.lattice import (
     PointConfig,
@@ -29,7 +32,8 @@ from sumsetlab.lattice import (
     solve_rational,
 )
 from sumsetlab.polynomials import RationalPolynomial
-from sumsetlab.polytope import cone_constraints, convex_hull
+from sumsetlab.polytope import cone_constraints, convex_hull, dilate_rows
+from sumsetlab.structure import StructureReport
 from sumsetlab.sumsets import sumset_iterate
 
 
@@ -505,3 +509,42 @@ def digits_and_leading(value, leading=24):
         power *= 10
         digits += 1
     return digits, str(value // (power // 10 ** leading))
+
+
+def _rows_by_level(rows, n0, n1):
+    """The points x of the rows (n, x), sorted by n, at each level n0..n1."""
+    cuts = np.searchsorted(rows[:, 0], np.arange(n0, n1 + 2))
+    return [tuple(kernels.array_to_points(rows[a:b, 1:]))
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def check_block_by_rows(config, sieves, block):
+    """structure._check_block on point rows: the same reports.
+
+    The rows (n, x) of the block's dilates come from one dilate_rows scan;
+    a row is predicted when, at every hull vertex a, a*n - x is in a's
+    sieve (SemigroupSieve.members on the reflected rows).  Both sides are
+    packed (kernels.pack_rows) as keys of (n, x) in the box with strides
+    (span, *strides) over [n0, *lo] of the walk's key box, NA's keys being
+    the walk's keys plus (n - n0) * span, and each side is searched in the
+    other by bisection (kernels.sorted_member).
+    """
+    n0, n1 = block[0][0], block[-1][0]
+    levels = [level() for _, level in block]
+    lo, level_strides, span = levels[0].box
+    strides = (span, *level_strides)
+    dtype = kernels.key_dtype((n1 - n0 + 1) * span)
+    na_keys = np.concatenate([na.keys.astype(dtype, copy=False) + k * span
+                              for k, na in enumerate(levels)])
+    rows = dilate_rows(config, n0, n1, True)
+    keep = np.ones(len(rows), dtype=bool)
+    for a, sieve in sieves:
+        reflected = np.asarray(a, dtype=rows.dtype) * rows[:, :1] - rows[:, 1:]
+        keep &= sieve.members(reflected)
+    rhs = rows[keep]
+    rhs_keys = kernels.pack_rows(rhs, [n0, *lo], strides, dtype)
+    missing = _rows_by_level(rhs[~kernels.sorted_member(rhs_keys, na_keys)], n0, n1)
+    lost = na_keys[~kernels.sorted_member(na_keys, rhs_keys)]
+    extra = _rows_by_level(kernels.decode_keys(lost, [n0, *lo], strides), n0, n1)
+    return [StructureReport(n=n, holds=not miss and not ext, missing=miss, extra=ext)
+            for n, miss, ext in zip(range(n0, n1 + 1), missing, extra)]

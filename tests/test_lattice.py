@@ -243,6 +243,25 @@ class TestConfigMemo:
         assert [convex_hull(c) for c in configs] == expected
         assert len(polytope._hull_cache) <= 3
 
+    def test_extremal_is_built_once_and_handed_out_fresh(self, monkeypatch):
+        calls = []
+        scan = lattice.extremal_points
+
+        def counted(points, dim):
+            calls.append(points)
+            return scan(points, dim)
+
+        monkeypatch.setattr(lattice, "extremal_points", counted)
+        lattice._extremal_cache.clear()
+        cfg = PointConfig.from_points([(0, 0), (2, 0), (0, 2), (1, 1)])
+        first = cfg.extremal()
+        first.append((9, 9))
+        first[0] = (7, 7)
+        assert cfg.extremal() == [(0, 0), (0, 2), (2, 0)]
+        assert PointConfig(points=cfg.points, dim=2, normalized=True).extremal() == [
+            (0, 0), (0, 2), (2, 0)]
+        assert len(calls) == 1
+
     def test_circuits_are_a_fresh_list(self):
         cfg = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
         first = circuits(cfg)

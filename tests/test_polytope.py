@@ -19,6 +19,8 @@ from sumsetlab import (
     triangulate_from_origin,
     volumes,
 )
+from sumsetlab import polytope
+from sumsetlab.cli import main
 from sumsetlab.kernels import array_to_points
 from sumsetlab.lattice import determinant, solve_rational
 from sumsetlab.polytope import _box_scan_exact, _dilate_box, dilate_points
@@ -196,6 +198,26 @@ class TestTriangulation:
     def test_interval(self):
         tri = triangulate_from_origin(PointConfig.from_points([(0,), (5,)]))
         assert tri.simplices == (((5,),),)
+
+    def test_bounds_then_triangulate_triangulates_once(self, monkeypatch, tmp_path, capsys):
+        # volumes (for the bounds) and triangulate_from_origin read one
+        # triangulation: on normalized input both start from the origin
+        path = tmp_path / "pentagon.txt"
+        path.write_text("0 0\n1 0\n0 1\n1 1\n2 1\n")
+        dims = []
+        triangulate = polytope._triangulate
+
+        def counted(points, dim, apex):
+            dims.append(dim)
+            return triangulate(points, dim, apex)
+
+        monkeypatch.setattr(polytope, "_triangulate", counted)
+        polytope._triangulation_cache.clear()
+        polytope._volume_cache.clear()
+        assert main(["bounds", "--input", str(path)]) == 0
+        assert main(["triangulate", "--input", str(path)]) == 0
+        capsys.readouterr()
+        assert dims.count(2) == 1
 
     def test_origin_must_be_extremal(self):
         cfg = PointConfig.from_points([(-1,), (0,), (1,)])

@@ -20,7 +20,8 @@ from sumsetlab import (
     verify_structure_equation,
     volumes,
 )
-from sumsetlab import kernels, polytope, structure
+from sumsetlab import kernels, polytope, reporting, structure
+from sumsetlab.cli import main
 from sumsetlab.polytope import (
     cone_constraints,
     cone_functional,
@@ -36,8 +37,8 @@ from sumsetlab.structure import (
 )
 from sumsetlab.sumsets import semigroup_sieve, sumset_levels
 
-from corpus import random_configs
-from oracles import DfsSemigroupOracle
+from corpus import CORPUS, random_configs
+from oracles import DfsSemigroupOracle, check_block_by_rows
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -58,6 +59,15 @@ def decoded(monkeypatch):
 
     monkeypatch.setattr(kernels, "decode_keys", recorded)
     return log
+
+
+def _recorded(log, fn):
+    """fn, logging each result."""
+    def recorded(*args):
+        log.append(fn(*args))
+        return log[-1]
+
+    return recorded
 
 
 def _edited(level, add=(), drop=()):
@@ -185,6 +195,26 @@ class TestBounds:
         assert made and all("coarse" not in vars(b) for b in made)
         assert made[0].coarse_power == (20, 53248)
         assert made[0].coarse == 20 ** 53248 and "coarse" in vars(made[0])
+
+    def test_analyze_builds_the_bounds_once(self, monkeypatch, tmp_path, capsys):
+        # the report and structure_threshold both ask for the bounds
+        path = tmp_path / "pentagon.txt"
+        path.write_text("0 0\n1 0\n0 1\n1 1\n2 1\n")
+        asked, built = [], []
+        ratio = structure.facet_height_ratio
+
+        def counted(config):
+            built.append(config.points)
+            return ratio(config)
+
+        monkeypatch.setattr(structure, "facet_height_ratio", counted)
+        monkeypatch.setattr(structure, "structure_bounds", _recorded(asked, structure_bounds))
+        monkeypatch.setattr(reporting, "structure_bounds", _recorded(asked, structure_bounds))
+        structure._bounds_cache.clear()
+        assert main(["analyze", "--input", str(path)]) == 0
+        capsys.readouterr()
+        assert len(asked) == 2 and asked[0] is asked[1]
+        assert len(built) == 1
 
     def test_simplex_collapse(self, corpus):
         # when the point set is exactly the d+1 vertices of a simplex, the
@@ -468,3 +498,50 @@ class TestOneHull:
             reflected = {reflected_config(norm, a).points for a in norm.extremal()}
             hulled = {key[0] for key in polytope._hull_cache}
             assert not (reflected - {norm.points}) & hulled, name
+
+
+class TestKeySpaceParity:
+    """The block check on keys and masks gives the reports of the check on
+    point rows and binary search (check_block_by_rows, tests/oracles.py) on
+    every block that the window hands it, in blocks and one level at a
+    time, on int64 and on the exact path.  Each set's vertex sieves, which
+    none of these change, are built once."""
+
+    SETS = [pts for _, pts in CORPUS] + random_configs(150, seed=23, max_coord=3)
+
+    @pytest.mark.parametrize("cap", [10 ** 7, 3000])
+    def test_matches_the_row_check(self, monkeypatch, cap):
+        check = structure._check_block
+        seen = {"levels": 0, "missing": 0}
+
+        def both(config, sieves, block):
+            got = check(config, sieves, block)
+            assert got == check_block_by_rows(config, sieves, block), config.points
+            seen["levels"] += len(got)
+            seen["missing"] += sum(bool(r.missing) for r in got)
+            return got
+
+        built = {}
+        vertex_sieves = structure._vertex_sieves
+
+        def sieves_of_this_set(config, top, cap_points):
+            key = (config.points, top, cap_points)
+            if key not in built:
+                built.clear()
+                built[key] = vertex_sieves(config, top, cap_points)
+            return built[key]
+
+        monkeypatch.setattr(structure, "_check_block", both)
+        monkeypatch.setattr(structure, "_vertex_sieves", sieves_of_this_set)
+        for pts in self.SETS:
+            norm = normalize_config(PointConfig.from_points(pts))
+            for exact, cells in product([False, True], [structure.BLOCK_CELLS, 1]):
+                with monkeypatch.context() as m:
+                    m.setattr(structure, "BLOCK_CELLS", cells)
+                    if exact:
+                        m.setattr(kernels, "int64_budget_ok", lambda *values: False)
+                    try:
+                        structure_threshold(norm, max_n=8, cap_points=cap)
+                    except BudgetExceededError:
+                        pass
+        assert seen["levels"] > 1000 and seen["missing"] > 50, seen
