@@ -155,18 +155,17 @@ def box_points(lo, hi, lhs, rhs, dtype=np.int64, forms=None) -> np.ndarray:
             counts = counts[keep].astype(np.int64, copy=False)
             t_lo = t_lo[keep]
             prefixes = prefixes[keep]
-            row_of = np.repeat(np.arange(len(counts)), counts)  # each point's prefix row
-            step = np.arange(len(row_of)) - (np.cumsum(counts) - counts)[row_of]
-            step = step.astype(dtype, copy=False)  # t - t_lo, exact on Python ints
+            # t - t_lo at each point, at most hi - lo: no product overflows
+            step = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+            step = step.astype(dtype, copy=False)
             # every form at the start of each prefix row's interval
             base = t_lo[:, None] * coeffs[:, -1] + consts
             for k in range(d - 1):
                 base += prefixes[:, k:k + 1] * coeffs[:, k]
-            out = np.empty((len(forms), len(row_of)), dtype=dtype)
+            out = np.empty((len(forms), len(step)), dtype=dtype)
             for start, c, values in zip(base.T, steps, out):
-                np.take(start, row_of, out=values, mode="clip")
-                if c:
-                    values += c * step
+                np.multiply(step, c, out=values)
+                values += np.repeat(start, counts)
             chunks.append(out)
     if len(chunks) == 1:
         out = chunks[0]

@@ -177,6 +177,12 @@ class TestBoxForms:
             forms = self._forms(rng, dim, scale=1 << 70) + [([1] * dim, -(1 << 80))]
             self._check(lo, hi, lhs, rhs, forms, np.dtype(object))
 
+    def test_int64_steps_stay_in_range(self):
+        # every value fits int64, but the last coefficient times the number
+        # of points (16) would not: a form is stepped along each row only
+        forms = [([1, 1 << 61], -(1 << 60)), ([-3, -(1 << 61)], 1 << 60)]
+        assert self._check([0, 0], [7, 1], [], [], forms, np.dtype(np.int64)) == 16
+
     def test_one_coordinate(self):
         # d = 1: no prefix coordinates, one interval of t
         forms = [([3], -4), ([-1], 0), ([0], 9)]
