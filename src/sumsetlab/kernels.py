@@ -144,7 +144,7 @@ def box_points(lo, hi, lhs, rhs, dtype=np.int64, forms=None) -> np.ndarray:
         forms = [([int(j == k) for j in range(d)], 0) for k in range(d)]
     coeffs = np.asarray([c for c, _ in forms], dtype=dtype).reshape(len(forms), d)
     consts = np.asarray([c for _, c in forms], dtype=dtype)
-    steps = coeffs[:, -1].tolist()
+    last = coeffs[:, -1].tolist()  # each form's coefficient of t
     chunks = []
     if all(a <= b for a, b in zip(lo, hi)):
         for prefixes in _prefix_chunks(lo, hi):
@@ -163,7 +163,7 @@ def box_points(lo, hi, lhs, rhs, dtype=np.int64, forms=None) -> np.ndarray:
             for k in range(d - 1):
                 base += prefixes[:, k:k + 1] * coeffs[:, k]
             out = np.empty((len(forms), len(step)), dtype=dtype)
-            for start, c, values in zip(base.T, steps, out):
+            for start, c, values in zip(base.T, last, out):
                 np.multiply(step, c, out=values)
                 values += np.repeat(start, counts)
             chunks.append(out)
