@@ -544,7 +544,6 @@ def frontier_keys(repeat):
         t_ky, r_ky = bench(_key_frontier_sizes, (cfg, n_max), repeat)
         t_rw, r_rw = bench(_row_frontier_sizes, (cfg, n_max), repeat)
         assert r_ky == r_rw, name
-        r_ky = [report for reports in r_ky for report in reports]
         print(f"{name:38s} {t_ky * 1e3:8.2f}ms {t_rw * 1e3:8.2f}ms "
               f"{t_rw / t_ky:7.2f}x   ({sum(r_ky)} points)")
 
