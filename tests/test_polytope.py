@@ -23,7 +23,7 @@ from sumsetlab import polytope
 from sumsetlab.cli import main
 from sumsetlab.kernels import array_to_points
 from sumsetlab.lattice import determinant, solve_rational
-from sumsetlab.polytope import _box_scan_exact, _dilate_box, dilate_points
+from sumsetlab.polytope import _box_scan_exact, _dilate_box, dilate_points, scan_box
 
 from oracles import dilate_points_by_facets, hull_facets_by_planes
 
@@ -331,6 +331,17 @@ class TestDilateCounting:
             poly = interpolate_consecutive(1, counts[:d + 2])
             assert poly.degree <= d, name
             assert poly(d + 3) == counts[d + 2], name
+
+    def test_forms_beyond_int64_take_python_ints(self):
+        # the box and its dot products fit int64, the form's values do not
+        forms = [([1 << 62, 1], 0), ([0, -1], 5)]
+        got = scan_box([0, 0], [3, 2], [[1, 1]], [4], True, forms)
+        assert got.dtype == np.dtype(object)
+        points = [(x, y) for x in range(4) for y in range(3) if x + y <= 4]
+        assert got.tolist() == [[(x << 62) + y for x, y in points],
+                                [5 - y for _, y in points]]
+        small = scan_box([0, 0], [3, 2], [[1, 1]], [4], True, forms[1:])
+        assert small.dtype == np.dtype(np.int64)
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
