@@ -28,6 +28,12 @@ that every pair returns identical results, and prints tables:
   against the same scan with one word per digit, for hexagon6, for a
   six-point set whose scan the candidate budget truncates, and for a
   twelve-point set whose keys need three words;
+* that scan on the six-point set in fresh interpreters (``scan_cold``):
+  the median of 5 sequential runs of this Python with ``PYTHONPATH`` set
+  to this checkout's ``src``, each timing its first scan, beside the best
+  of --repeat scans in this process; a scan that allocates fresh arrays
+  each level pays page faults in every fresh process, which the warm
+  figure hides;
 * the dense sieve's one-gather lookup (``SemigroupSieve.members``: a
   point's key indexes the sieve's mask) against a binary search
   (``kernels.sorted_member``) in the sorted keys of the same sieve, on
@@ -92,6 +98,8 @@ import json
 import math
 import os
 import random
+import statistics
+import subprocess
 import sys
 import time
 
@@ -289,6 +297,34 @@ def scan_word_split(repeat):
         print(f"{name:38s} {t_pk * 1e3:8.2f}ms {t_dg * 1e3:8.2f}ms "
               f"{t_dg / t_pk:7.2f}x   ({len(r_pk.elements)} elements, "
               f"weight {r_pk.weight_scanned}, {r_pk.status})")
+
+
+COLD_RUNS = 5
+_COLD_SCAN = """
+import time
+from sumsetlab import PointConfig, khovanskii, normalize_config
+cfg = normalize_config(PointConfig.from_points({points!r}))
+t0 = time.perf_counter()
+khovanskii._minimal_obstructions_scan(cfg, None)
+print(time.perf_counter() - t0)
+"""
+
+
+def scan_cold(repeat):
+    name, points = SCAN_CASES[1]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cold = [float(subprocess.run([sys.executable, "-c", _COLD_SCAN.format(points=points)],
+                                 env=env, check=True, capture_output=True,
+                                 text=True).stdout)
+            for _ in range(COLD_RUNS)]
+    cfg = normalize_config(PointConfig.from_points(points))
+    t_warm, _ = bench(_obstruction_scan, (cfg, khovanskii._WORD_LIMIT), repeat)
+    t_cold = statistics.median(cold)
+    print(f"{'workload':38s} {'cold':>10s} {'warm':>10s} {'ratio':>8s}")
+    print(f"{name:38s} {t_cold * 1e3:8.2f}ms {t_warm * 1e3:8.2f}ms "
+          f"{t_cold / t_warm:7.2f}x   (median of {COLD_RUNS} fresh processes, "
+          f"best of {repeat} in this one)")
 
 
 MEMBER_CASES = [
@@ -644,8 +680,8 @@ def structure_blocks(repeat):
 
 
 SECTIONS = (numpy_against_exact, frontier_against_full, json_writer, scan_word_split,
-            gather_against_bisection, vertices_against_lp, membership_against_dfs,
-            obstruction_certificate, frontier_keys, bitset_levels,
+            scan_cold, gather_against_bisection, vertices_against_lp,
+            membership_against_dfs, obstruction_certificate, frontier_keys, bitset_levels,
             numerator_against_subsets, coarse_rendering, structure_blocks)
 
 

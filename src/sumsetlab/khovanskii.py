@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     InternalInvariantError,
     PreconditionError,
 )
-from .kernels import first_of_runs, int64_budget_ok, key_strides
+from .kernels import int64_budget_ok, key_strides
 from .lattice import PointConfig, config_memo
 from .polynomials import RationalPolynomial, interpolate_consecutive
 from .polytope import volumes
@@ -131,17 +131,20 @@ def minimal_obstructions(config: PointConfig,
     entries, so that key order is value order and then lex order.  The
     words are linear in m, so a level's candidates are the survivor keys
     plus one step per point: one sorted run per point, which a stable sort
-    merges.  That one sort per level dedups the candidates and groups them
-    into value classes in lex order: the first of each class is its
-    lex-least vector and survives.  Any other candidate is a new minimal
-    element exactly when every predecessor m - e_j (m_j > 0) survived level
-    h-1, as the lex-least vectors are closed downward; a run of equal keys
-    has one entry per such survivor, so that is "run length == support
-    size".  A run of one therefore marks a minimal element only for a pure
-    power h * e_j, whose key is known, so only candidates with longer runs
-    are decoded into exponent vectors (a few percent of them on the sets
-    measured).  Most sets need one word; larger ones a few, sorted
-    together by lexsort.
+    merges, in place in buffers the scan reuses from level to level.  That
+    one sort per level groups the candidates into value classes in lex
+    order, and every count is read off the sorted array, repeats and all:
+    the first of each run of equal keys is one distinct candidate, and the
+    first of each class is its lex-least vector and survives.  Any other
+    candidate is a new minimal element exactly when every predecessor
+    m - e_j (m_j > 0) survived level h-1, as the lex-least vectors are
+    closed downward; a run of equal keys has one entry per such survivor,
+    at most |A|, so that is "run length == support size".  A run of one
+    therefore marks a minimal element only for a pure power h * e_j, whose
+    key is known, so run lengths are read, and candidates decoded into
+    exponent vectors, only where a non-surviving key repeats (a few percent
+    of them on the sets measured).  Most sets need one word; larger ones a
+    few, sorted together by lexsort.
     CANDIDATE_BUDGET bounds the number of distinct candidates.  The scan
     is complete at weight |A|^2 * det_max; earlier caps leave the result
     truncated but every returned element is genuine.
@@ -168,6 +171,12 @@ def minimal_obstructions(config: PointConfig,
 
 
 _WORD_LIMIT = 1 << 62  # every key word stays below this
+
+
+def _room(buf: np.ndarray, size: int) -> np.ndarray:
+    """``buf`` when it holds ``size`` entries, else a new buffer of its
+    dtype, at least twice as long."""
+    return buf if len(buf) >= size else np.empty(max(size, 2 * len(buf)), dtype=buf.dtype)
 
 
 class _LevelKeys:
@@ -211,36 +220,91 @@ class _LevelKeys:
                                if d - 1 in word)
         word = self.words[self.class_word]
         self.class_stride = self.strides[self.class_word][word.index(d - 1)]
+        # per word holding entry digits: the slice of entries, their strides
+        # and radices
+        self._entry_digits = []
+        for w, (word, strides) in enumerate(zip(self.words, self.strides)):
+            at = [k for k, i in enumerate(word) if i >= d]
+            if at:
+                self._entry_digits.append(
+                    (w, slice(word[at[0]] - d, word[at[-1]] - d + 1),
+                     np.asarray([strides[k] for k in at], dtype=np.int64),
+                     np.asarray([self.radices[word[k]] for k in at], dtype=np.int64)))
+        # level buffers, grown by doubling from the first level's size
+        self._raw = [np.empty(0, dtype=np.int64) for _ in self.words]
+        self._quot = np.empty(0, dtype=np.int64)
+        self._first = np.empty(0, dtype=bool)
+        self._leader = np.empty(0, dtype=bool)
+        self._long = np.empty(0, dtype=bool)
+        self._kept = [[np.empty(0, dtype=np.int64) for _ in self.words] for _ in range(2)]
+        self._turn = 0
+        self._window = np.arange(1, n + 1)
 
     def candidates(self, survivors: tuple[np.ndarray, ...]):
-        """The distinct one-step extensions of the survivors, sorted by
-        (value, exponent vector).
+        """The one-step extensions of the survivors, sorted by (value,
+        exponent vector), with the counts of one level read off them.
 
-        Returns their words, the mask of the first of each value class, and
-        how many survivors each extends.
+        The extensions are written into buffers that this object owns and
+        reuses from level to level, and sorted there once; they are not
+        deduplicated.  An extension m of survivor m - e_j repeats once per
+        such survivor, so a run of equal keys is at most |A| long.  Returns
+        the sorted words (views into the buffers, valid until the next
+        call), the number of distinct keys, the mask of the first entry of
+        each value class (its lex-least vector), the start and length of
+        every run of at least two equal keys outside those leaders, and the
+        leaders' words: the next survivors, held in one of two buffers used
+        in turn, so that they outlive the next call.
         """
+        n, m = self.n, len(survivors[0])
+        size = n * m
+        self._raw = [_room(buf, size) for buf in self._raw]
+        cand = [buf[:size] for buf in self._raw]
         # one run per point, each the survivors shifted by one step: with
         # one word the runs are sorted, and the stable sort merges them
-        cand = [(t[:, None] + s[None, :]).ravel()
-                for s, t in zip(survivors, self.steps)]
+        for c, s, t in zip(cand, survivors, self.steps):
+            np.add(t[:, None], s, out=c.reshape(n, m))
         if len(cand) == 1:
             cand[0].sort(kind="stable")
         else:
             order = np.lexsort(cand[::-1])
             cand = [c[order] for c in cand]
-        first = first_of_runs(cand[0])
+        # first[size] is a sentinel that ends the last run
+        self._first = _room(self._first, size + 1)
+        first = self._first[:size + 1]
+        first[0] = first[size] = True
+        np.not_equal(cand[0][1:], cand[0][:-1], out=first[1:size])
         for c in cand[1:]:
-            first |= first_of_runs(c)
-        held = np.diff(np.flatnonzero(first), append=len(first))
-        cand = tuple(c[first] for c in cand)
-        leader = first_of_runs(cand[self.class_word] // self.class_stride)
+            first[1:size] |= c[1:] != c[:-1]
+        distinct = int(np.count_nonzero(first[:size]))
+        self._quot = _room(self._quot, size)
+        quot = np.floor_divide(cand[self.class_word], self.class_stride,
+                               out=self._quot[:size])
+        self._leader = _room(self._leader, size)
+        leader = self._leader[:size]
+        leader[0] = True
+        np.not_equal(quot[1:], quot[:-1], out=leader[1:])
         for c in cand[:self.class_word]:
-            leader |= first_of_runs(c)
-        return cand, leader, held
+            leader[1:] |= c[1:] != c[:-1]
+        # starts of the non-leader runs of two or more: first & ~leader (on
+        # bools a > b is a & ~b), then & ~first of the next entry
+        self._long = _room(self._long, size - 1)
+        long = np.greater(first[:size - 1], leader[:size - 1], out=self._long[:size - 1])
+        np.greater(long, first[1:size], out=long)
+        starts = np.flatnonzero(long)
+        # the run ends at the first run start among the |A| entries after it
+        window = np.minimum(starts[:, None] + self._window, size)
+        held = first[window].argmax(axis=1) + 1
+        count = int(np.count_nonzero(leader))
+        self._turn ^= 1
+        kept = self._kept[self._turn] = [_room(buf, count)
+                                         for buf in self._kept[self._turn]]
+        leaders = tuple(np.compress(leader, c, out=buf[:count])
+                        for c, buf in zip(cand, kept))
+        return tuple(cand), distinct, leader, (starts, held), leaders
 
     def pure_powers(self, cand: tuple[np.ndarray, ...], h: int):
-        """The j for which h * e_j is among the sorted candidates, and its
-        position there."""
+        """The j for which h * e_j is among the sorted candidates, and the
+        position where its run starts."""
         words = [h * step for step in self.steps]
         lo = np.searchsorted(cand[0], words[0], "left")
         hi = np.searchsorted(cand[0], words[0], "right")
@@ -253,16 +317,13 @@ class _LevelKeys:
         hit = lo < hi
         return np.flatnonzero(hit), lo[hit]
 
-    def exponents(self, cand: tuple[np.ndarray, ...], h: int) -> list[np.ndarray]:
-        """Columns m_0..m_{n-1} of the weight-h exponent vectors with these
-        words."""
-        cols = [None] * self.n
-        for word, strides, c in zip(self.words, self.strides, cand):
-            for i, s in zip(word, strides):
-                if i >= self.d:
-                    cols[i - self.d] = c // s % self.radices[i]
-        cols[self.n - 1] = h - sum(cols[:self.n - 1])
-        return cols
+    def exponents(self, cand: tuple[np.ndarray, ...], h: int) -> np.ndarray:
+        """The weight-h exponent vectors with these words, one per row."""
+        rows = np.empty((len(cand[0]), self.n), dtype=np.int64)
+        for w, cols, strides, radices in self._entry_digits:
+            rows[:, cols] = cand[w][:, None] // strides % radices
+        rows[:, -1] = h - rows[:, :-1].sum(axis=1)
+        return rows
 
 
 # Largest set of elements found that the counting certificate checks.  The
@@ -344,8 +405,8 @@ def _minimal_obstructions_scan(config: PointConfig,
     for h in range(2, cap + 1):
         # A candidate extends one survivor per predecessor m - e_j that
         # survived h - 1, so it is minimal when that count is its support.
-        cand, leader, held = keys.candidates(survivors)
-        processed += len(leader)
+        cand, distinct, leader, (starts, held), leaders = keys.candidates(survivors)
+        processed += distinct
         if processed > CANDIDATE_BUDGET:
             truncated = True
             break
@@ -354,12 +415,10 @@ def _minimal_obstructions_scan(config: PointConfig,
         pure, at = keys.pure_powers(cand, h)
         found.extend(tuple(h * (i == j) for i in range(n))
                      for j in pure[~leader[at]].tolist())
-        rest = ~leader & (held >= 2)
-        cols = keys.exponents(tuple(c[rest] for c in cand), h)
-        minimal = held[rest] == sum(c > 0 for c in cols)
-        if minimal.any():
-            found.extend(zip(*(c[minimal].tolist() for c in cols)))
-        survivors = tuple(c[leader] for c in cand)
+        rows = keys.exponents(tuple(c[starts] for c in cand), h)
+        minimal = held == np.count_nonzero(rows, axis=1)
+        found.extend(map(tuple, rows[minimal].tolist()))
+        survivors = leaders
         scanned = h
         # found now holds every element up to weight h
         if (certificate is not None and h >= next_check
@@ -624,8 +683,18 @@ def khovanskii_threshold(config: PointConfig, *,
     else:
         poly = _fit(lambda k: sizes[k - 1], top - d, d, top)
         window_top, status = top, "empirical"
+    # walk down in integers: scale * poly has integer coefficients
+    scale = lcm(*(c.denominator for c in poly.coefficients))
+    scaled = [int(c * scale) for c in reversed(poly.coefficients)]
+
+    def scaled_at(x: int) -> int:
+        acc = 0
+        for c in scaled:
+            acc = acc * x + c
+        return acc
+
     value = window_top
-    while value > 1 and poly(value - 1) == sizes[value - 2]:
+    while value > 1 and scaled_at(value - 1) == scale * sizes[value - 2]:
         value -= 1
     return ThresholdResult(value=value, status=status, bound=window_top,
                            polynomial=poly, obstructions=obs, route="interpolation")

@@ -375,7 +375,8 @@ def _unpack_keys(keys, lows, base_sizes):
     return out
 
 
-def obstructions_by_rows(config, max_weight=None, candidate_budget=5_000_000):
+def obstructions_by_rows(config, max_weight=None, candidate_budget=5_000_000,
+                         totals=None):
     """Minimal non-lex-least exponent vectors by an exponent-row scan.
 
     Returns (elements, status, weight_scanned, weight_required), the fields
@@ -384,7 +385,9 @@ def obstructions_by_rows(config, max_weight=None, candidate_budget=5_000_000):
     dominated by an element already found is dropped, the lex-least
     remaining candidate of each value class survives, and every other one
     is a new element.  ``candidate_budget`` counts distinct candidates.
-    Takes ``required`` = |A|^2 det_max from the library's volumes.
+    Takes ``required`` = |A|^2 det_max from the library's volumes.  A list
+    passed as ``totals`` gets the running count of distinct candidates
+    (|A| for level 1) after each level within the budget, from level 2 on.
     """
     from sumsetlab.circuits import kernel_lattice
     from sumsetlab.polytope import volumes
@@ -418,6 +421,8 @@ def obstructions_by_rows(config, max_weight=None, candidate_budget=5_000_000):
         if processed > candidate_budget:
             truncated = True
             break
+        if totals is not None:
+            totals.append(processed)
         if found:
             dominated = np.zeros(len(cand), dtype=bool)
             for mu in found:

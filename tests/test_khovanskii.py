@@ -1,6 +1,8 @@
 import functools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumsetlab import (
@@ -290,6 +292,108 @@ class TestCertificate:
             got = khovanskii._minimal_obstructions_scan(norm, None)
             assert _fields(got) == _row_scan(norm), name
         assert checks == []
+
+
+def _keys_of(keys, vectors):
+    """The key words of exponent vectors, in key order."""
+    words = sorted(tuple(sum(int(a) * int(s) for a, s in zip(v, step))
+                         for step in keys.steps) for v in vectors)
+    return tuple(np.asarray(w, dtype=np.int64) for w in zip(*words))
+
+
+def _level_by_vectors(config, survivors):
+    """(distinct count, leaders, {non-leader: run length}) of the one-step
+    extensions of ``survivors``, by counting exponent vectors; only runs of
+    two or more are listed."""
+    n = config.size
+    counts = Counter(tuple(a + (i == j) for i, a in enumerate(s))
+                     for s in survivors for j in range(n))
+    ordered = sorted(counts, key=lambda m: (config.combine(m), m))
+    leaders = [m for k, m in enumerate(ordered)
+               if k == 0 or config.combine(m) != config.combine(ordered[k - 1])]
+    runs = {m: counts[m] for m in ordered if m not in leaders and counts[m] >= 2}
+    return len(counts), leaders, runs
+
+
+def _level_by_keys(keys, survivors, h):
+    """The same three read off one ``candidates`` call on the survivors of
+    weight h - 1."""
+    cand, distinct, _, (starts, held), leaders = keys.candidates(_keys_of(keys, survivors))
+    runs = keys.exponents(tuple(c[starts] for c in cand), h).tolist()
+    return (distinct, [tuple(m) for m in keys.exponents(leaders, h).tolist()],
+            {tuple(m): k for m, k in zip(runs, held.tolist())})
+
+
+class TestLevelStep:
+    """One level of the scan: one sort of the raw extensions, read in place."""
+
+    @pytest.mark.parametrize("limit", [1 << 62, 1 << 12, 1])
+    def test_run_as_long_as_the_set(self, monkeypatch, limit):
+        # (1,1,1) extends all three survivors below it, and (0,3,0) is
+        # lex-smaller in its value class: a run of |A| outside the leaders.
+        # In a scan no such run occurs (a minimal element never has full
+        # support), but the window must still reach its end.
+        monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
+        cfg = PointConfig(points=((0,), (1,), (2,)), dim=1)
+        survivors = [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 2, 0)]
+        got = _level_by_keys(khovanskii._LevelKeys(cfg, 10), survivors, 3)
+        assert got == _level_by_vectors(cfg, survivors)
+        assert got[2] == {(1, 1, 1): 3}
+
+    @pytest.mark.parametrize("limit", [1 << 62, 1 << 12, 1])
+    def test_run_whose_window_passes_the_end(self, monkeypatch, limit):
+        # the 12 sorted extensions end (1,0,1,1) twice, then (1,0,0,2): the
+        # window of |A| = 4 entries after the run's start passes the end.
+        # With distinct survivors the largest key is unique, so this is as
+        # near the end as a run of two can lie.
+        monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
+        cfg = PointConfig(points=((0,), (1,), (2,), (3,)), dim=1)
+        survivors = [(0, 2, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+        keys = khovanskii._LevelKeys(cfg, 10)
+        got = _level_by_keys(keys, survivors, 3)
+        assert got == _level_by_vectors(cfg, survivors)
+        assert got[2] == {(1, 0, 1, 1): 2}
+        cand, _, _, (starts, _), _ = keys.candidates(_keys_of(keys, survivors))
+        assert (len(cand[0]), starts.tolist()) == (12, [9])
+
+    @pytest.mark.parametrize("limit", [1 << 62, 1 << 12, 1])
+    def test_survivors_outlive_the_next_level(self, monkeypatch, limit):
+        # each level's survivors sit in one of two buffers used in turn, so
+        # the next call writes neither them nor anything they view
+        monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
+        norm = _norm([(0,), (2,), (5,), (11,), (12,)])
+        keys = khovanskii._LevelKeys(norm, 300)
+        survivors = keys.steps
+        for h in range(2, 40):
+            kept = [s.copy() for s in survivors]
+            nxt = keys.candidates(survivors)[4]
+            assert all(np.array_equal(s, k) for s, k in zip(survivors, kept)), h
+            survivors = nxt
+
+
+class TestBudgetEdge:
+    """CANDIDATE_BUDGET counts distinct candidates, read off the raw sorted
+    extensions: at the running total B_h through level h the scan reaches
+    h, and one below it stops at h - 1."""
+
+    @pytest.mark.parametrize("pts, limit", [
+        (HEXAGON6, 1 << 62),
+        ([(0,), (2,), (5,), (11,), (12,)], 1 << 62),
+        (HEXAGON6, 1 << 12),
+        ([(0,), (2,), (5,), (11,), (12,)], 1 << 12),
+    ])
+    def test_budget_at_each_level_total(self, monkeypatch, candidate_budget, pts, limit):
+        monkeypatch.setattr(khovanskii, "_WORD_LIMIT", limit)
+        norm = _norm(pts)
+        totals = []
+        obstructions_by_rows(norm, 12, totals=totals)
+        for h, total in enumerate(totals, start=2):
+            for budget in (total - 1, total, total + 1):
+                candidate_budget(budget)
+                got = khovanskii._minimal_obstructions_scan(norm, None)
+                want = _row_scan(norm, None, budget)
+                assert _fields(got) == want, (h, budget)
+                assert got.weight_scanned == (h if budget >= total else h - 1)
 
 
 class TestSizeFormula:
