@@ -22,8 +22,13 @@ that every pair returns identical results, and prints tables:
   also timed on its own, and the rows written are printed beside the
   distinct points the writer renders); ``to_json`` on the 1000-row
   sizes-only report of {0,2,5,11,12}, all plain ints and strs, against
-  ``json.dumps(indent=2)``; and that whole emit request, building the report
-  and writing it, against building it and dumping its row lists;
+  ``json.dumps(indent=2)``; that whole emit request, building the report
+  and writing it, against building it and dumping its row lists; and the
+  row-table build alone (``reporting._RowTable`` on the levels of that
+  report, in the one-line and the indented layout), rendering its rows a
+  column at a time against one ``%`` format per row
+  (``row_texts_by_format`` of ``tests/oracles.py``), with equal tables
+  checked;
 * the obstruction scan with its keys packed into as few int64 words as fit
   against the same scan with one word per digit, for hexagon6, for a
   six-point set whose scan the candidate budget truncates, and for a
@@ -106,7 +111,7 @@ import time
 import numpy as np
 
 from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovanskii,
-                       normalize_config, structure)
+                       normalize_config, reporting, structure)
 from sumsetlab.lattice import extremal_points
 from sumsetlab.polytope import (_box_scan_exact, _dilate_box, _hull_cache, convex_hull,
                                 dilate_points, dilate_rows, volumes)
@@ -284,6 +289,25 @@ def json_writer(repeat):
     assert text == ref
     print(f"{'build + to_json hexagon6 emit, N=80':38s} {t_w * 1e3:8.2f}ms "
           f"{t_d * 1e3:8.2f}ms {t_d / t_w:7.2f}x   ({len(text)} bytes)")
+    # the row table alone; here the second column renders one % format per row
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+    from oracles import row_texts_by_format
+
+    def by_format(levels, newline):
+        column_wise = reporting._row_texts
+        reporting._row_texts = row_texts_by_format
+        try:
+            return reporting._RowTable(levels, newline)
+        finally:
+            reporting._row_texts = column_wise
+
+    levels = [row["points"] for row in report["growth"]]
+    for layout, newline in (("json", "\n      "), ("text", None)):
+        t_c, table = bench(reporting._RowTable, (levels, newline), repeat)
+        t_r, ref = bench(by_format, (levels, newline), repeat)
+        assert list(table.table) == list(ref.table)
+        print(f"{'row table hexagon6 N=80, ' + layout + ' layout':38s} {t_c * 1e3:8.2f}ms "
+              f"{t_r * 1e3:8.2f}ms {t_r / t_c:7.2f}x   (% per row in the second column)")
 
 
 def scan_word_split(repeat):

@@ -393,11 +393,12 @@ class _RowTables:
     in the report is found, and those that share a key box (the levels of
     one sumset walk) share one table per layout (``newline``, or None for
     one line): the text of each of their distinct points, decoded once and
-    rendered once, with the separator before it.  A point set is then one
-    gather from the table into the output list, plus a fix to the opening
-    of its first row.  A key's row in the table is its key offset when the
-    box has no more cells than those point sets have rows, else its
-    position among their sorted distinct keys, found by ``searchsorted``.
+    rendered a column at a time (see _row_texts), with the separator before
+    it.  A point set is then one gather from the table into the output
+    list, plus a fix to the opening of its first row.  A key's row in the
+    table is its key offset when the box has no more cells than those point
+    sets have rows, else its position among their sorted distinct keys,
+    found by ``searchsorted``.
     """
 
     def __init__(self, report):
@@ -431,9 +432,61 @@ class _RowTables:
         table.write(points.keys, out)
 
 
+def _list_layout(newline: str | None) -> tuple[str, str, str]:
+    """The opening, separator and closing of a list whose items sit one
+    indent below ``newline``, or of a one-line list when it is None."""
+    if newline is None:
+        return "[", ", ", "]"
+    inner = newline + "  "
+    return "[" + inner, "," + inner, newline + "]"
+
+
+def _row_texts(points: np.ndarray, newline: str | None) -> np.ndarray:
+    """The text of each row of ``points`` (int64 or Python ints) as an item
+    of a point list in the layout of ``newline`` (see _RowTables): the
+    separator before it, then the row, as an indented block or, when
+    ``newline`` is None, on one line.
+
+    The texts are built a column at a time.  Each distinct value of a
+    column is rendered once, as a token that also carries that column's
+    layout: the separator and the row's opening before column 0, the comma
+    and indent before the others, and the row's closing after the last.
+    A row's text is then the sum of its tokens, one elementwise addition of
+    object arrays per column.  A column's tokens cover range(min, max + 1),
+    indexed by value minus min, when that range holds no more values than
+    there are rows; otherwise they cover its sorted distinct values, found
+    by ``searchsorted``.  Either way Python-int columns stay exact, however
+    far apart their values lie.
+    """
+    _, sep, _ = _list_layout(newline)
+    first, comma, last = _list_layout(None if newline is None else newline + "  ")
+    count, width = points.shape
+    if not (count and width):
+        return np.full(count, sep + "[]", dtype=object)
+    texts = None
+    for j in range(width):
+        column = points[:, j]
+        before = sep + first if j == 0 else comma
+        after = last if j == width - 1 else ""
+        low, high = column.min(), column.max()
+        if int(high) - int(low) < count:
+            values = range(int(low), int(high) + 1)
+            index = (column - low).astype(np.int64, copy=False)
+        else:
+            distinct = kernels.sorted_unique(column)
+            values = distinct.tolist()
+            index = np.searchsorted(distinct, column)
+        tokens = np.empty(len(values), dtype=object)
+        tokens[:] = [f"{before}{value}{after}" for value in values]
+        texts = tokens[index] if texts is None else texts + tokens[index]
+    return texts
+
+
 class _RowTable:
     """The row texts of the distinct points of packed point sets that
-    share one key box, in one layout (see _RowTables)."""
+    share one key box, in one layout (see _RowTables): ``table`` holds
+    them by key offset, None in the cells no point set holds, or, when
+    ``sorted_keys`` is set, in the order of those keys."""
 
     def __init__(self, levels: list, newline: str | None):
         lo, strides, span = levels[0].box
@@ -448,23 +501,14 @@ class _RowTable:
             distinct = kernels.sorted_unique(np.concatenate([level.keys for level in levels]))
             self.sorted_keys = distinct
         points = kernels.decode_keys(distinct.astype(dtype, copy=False), lo, strides)
-        if newline is None:
-            self.head, sep, self.tail = "[", ", ", "]"
-            first, comma, last = "[", ", ", "]"
-        else:
-            inner = newline + "  "
-            self.head, sep, self.tail = "[" + inner, "," + inner, newline + "]"
-            first, comma, last = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        self.head, sep, self.tail = _list_layout(newline)
         self.cut = len(sep)
-        # "%d" writes a Python int as str() does
-        row = sep + (first + comma.join(["%d"] * len(strides)) + last if strides else "[]")
-        texts = list(map(row.__mod__, map(tuple, points.tolist())))
+        texts = _row_texts(points, newline)
         if self.sorted_keys is None:
             self.table = np.empty(span, dtype=object)
             self.table[distinct] = texts
         else:
-            self.table = np.empty(len(texts), dtype=object)
-            self.table[:] = texts
+            self.table = texts
 
     def write(self, keys: np.ndarray, out: list) -> None:
         """Append the text of the points of ``keys``, in their order."""

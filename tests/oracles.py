@@ -14,7 +14,9 @@ comparison with powers of ten instead of rounded power
 chains for the digits of huge integers.  Slow but exact.  ``growth_sizes``
 is only a shorthand for the library's iterated sumset sizes, and
 ``check_block_by_rows`` is the structure window's block check on point rows
-and binary search, the reference for its check on keys and masks.
+and binary search, the reference for its check on keys and masks, and
+``row_texts_by_format`` renders emitted point rows one ``%`` format per row,
+the reference for the report writers' rendering a column at a time.
 """
 
 from fractions import Fraction
@@ -553,3 +555,19 @@ def check_block_by_rows(config, sieves, block):
     extra = _rows_by_level(kernels.decode_keys(lost, [n0, *lo], strides), n0, n1)
     return [StructureReport(n=n, holds=not miss and not ext, missing=miss, extra=ext)
             for n, miss, ext in zip(range(n0, n1 + 1), missing, extra)]
+
+
+def row_texts_by_format(points, newline):
+    """The text of each row of the 2-D array ``points`` as an item of a JSON
+    point list, one ``%`` format per row: the separator before the item,
+    then the row as a block indented one level below ``newline``, or on one
+    line when ``newline`` is None.  "%d" writes a Python int as str() does."""
+    if newline is None:
+        sep, first, comma, last = ", ", "[", ", ", "]"
+    else:
+        inner = newline + "  "
+        sep, first, comma, last = ("," + inner, "[" + inner + "  ",
+                                   "," + inner + "  ", inner + "]")
+    width = points.shape[1]
+    row = sep + (first + comma.join(["%d"] * width) + last if width else "[]")
+    return list(map(row.__mod__, map(tuple, points.tolist())))

@@ -634,6 +634,24 @@ def test_exact_path_never_takes_bitsets(capsys, corpus_paths, request, sumset_ro
     assert sumset_routes and set(sumset_routes) == {"keys"}
 
 
+def _imports_numpy_ma(requests) -> bool:
+    """Whether numpy.ma is in sys.modules after ``main`` has answered each
+    argv of ``requests`` in turn, each with exit 0, in a fresh interpreter."""
+    script = (
+        "import io, json, sys, contextlib\n"
+        "from sumsetlab.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sumsetlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(requests)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return {"True\n": True, "False\n": False}[done.stdout]
+
+
 def test_analyze_never_imports_numpy_ma(corpus_paths):
     """Set operations on the analyze path are searches over sorted keys.
 
@@ -641,16 +659,24 @@ def test_analyze_never_imports_numpy_ma(corpus_paths):
     (about 15 ms in a fresh process), so its absence after
     ``analyze`` over the corpus shows that neither ran.
     """
-    script = (
-        "import io, sys, contextlib\n"
-        "from sumsetlab.cli import main\n"
-        "for path in sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(['analyze', '--input', path]) == 0, path\n"
-        "print('numpy.ma' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sumsetlab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script, *corpus_paths], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert not _imports_numpy_ma([["analyze", "--input", path] for path in corpus_paths])
+
+
+def test_other_commands_never_import_numpy_ma(tmp_path):
+    """As above for the emitted points, in json and text, of hexagon6 (whose
+    row table is indexed by key offset and whose columns by value offset)
+    and of {0, 1000} (sorted distinct keys and values, searchsorted), and
+    for every other command on hexagon6."""
+    requests = []
+    for name, points, n_max in (
+            ("hexagon6", [[0, 0], [1, 0], [0, 1], [1, 2], [2, 1], [2, 2]], "12"),
+            ("sparse", [[0], [1000]], "30")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"points": points}))
+        for fmt in ("json", "text"):
+            requests.append(["growth", "--emit-points", "--max-n", n_max,
+                             "--format", fmt, "--input", str(path)])
+    for command in (["khovanskii"], ["structure", "--max-n", "5"], ["verify"],
+                    ["bounds"], ["circuits"], ["triangulate"]):
+        requests.append([*command, "--input", str(tmp_path / "hexagon6.json")])
+    assert not _imports_numpy_ma(requests)

@@ -16,13 +16,14 @@ from sumsetlab.reporting import (
     LEADING_DIGITS,
     MAX_DECIMAL_DIGITS,
     _RowTable,
+    _row_texts,
     render_int,
     to_json,
     to_text,
 )
 from sumsetlab.sumsets import sumset_arrays, sumset_levels
 
-from oracles import digits_and_leading
+from oracles import digits_and_leading, row_texts_by_format
 
 GOLDEN = Path(__file__).parent / "golden"
 EMIT_GOLDENS = [
@@ -464,6 +465,72 @@ class TestArrayWriter:
         self._check(_walk([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)], 14))
         self._check(_walk([(0, 0), (1 << 40, 1), (1, 1 << 40), (-5, 3)], 20))
 
+
+
+# the layouts of a point list: one line (to_text), and the indented block of
+# to_json at the depth of a growth row's points and at the top level
+_LAYOUTS = [None, "\n      ", "\n"]
+
+
+@st.composite
+def _point_arrays(draw):
+    """2-D int64 or Python-int (dtype object) arrays of 1..25 rows and
+    d = 0..4 columns, negative values included; each column is a base plus
+    multiples of a step, so that its range may hold no more values than
+    there are rows, or far more (steps up to 2^62)."""
+    exact = draw(st.booleans())
+    count, width = draw(st.integers(1, 25)), draw(st.integers(0, 4))
+    points = np.empty((count, width), dtype=object if exact else np.int64)
+    for j in range(width):
+        base = draw(st.integers(-(1 << 70), 1 << 70) if exact
+                    else st.integers(-1000, 1000))
+        step = draw(st.sampled_from([1, 3, 1000, 1 << 40, 1 << 62]))
+        reach = draw(st.integers(0, 1 if step == 1 << 62 and not exact else 40))
+        points[:, j] = [base + step * draw(st.integers(-reach, reach))
+                        for _ in range(count)]
+    return points
+
+
+def _distinct_points(points, n_max, dtype):
+    """The distinct points of the levels 1A..n_max A, sorted, as an array."""
+    distinct = sorted({tuple(p) for level in _walk(points, n_max)
+                       for p in level.rows().tolist()})
+    return np.array(distinct, dtype=dtype).reshape(len(distinct), len(points[0]))
+
+
+class TestRowTexts:
+    """The column renderer of the row tables (reporting._row_texts) against
+    one % format per row (row_texts_by_format of tests/oracles.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_point_arrays(), st.sampled_from(_LAYOUTS))
+    def test_matches_per_row_format(self, points, newline):
+        assert _row_texts(points, newline).tolist() == row_texts_by_format(points, newline)
+
+    @pytest.mark.parametrize("newline", _LAYOUTS)
+    @pytest.mark.parametrize("points, dtype, searched", [
+        ([(0,), (1 << 62,)], object, 1),
+        ([(0,), (1000,)], np.int64, 1),
+        ([(0,), (1000,)], object, 1),
+        ([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)], np.int64, 0),
+        ([(-3, 0), (-2, 1000), (-3, -1000)], object, 1),
+        ([()], np.int64, 0),
+    ], ids=["two_pow62", "sparse", "sparse-object", "hexagon6", "mixed-negative",
+            "zero_width"])
+    def test_walks_to_thirty(self, monkeypatch, points, dtype, searched, newline):
+        # ``searched``: the columns whose range holds more values than the
+        # table has rows, which take their sorted distinct values
+        rows = _distinct_points(points, 30, dtype)
+        calls = []
+        sorted_unique = kernels.sorted_unique
+
+        def recorded(values):
+            calls.append(len(values))
+            return sorted_unique(values)
+
+        monkeypatch.setattr(kernels, "sorted_unique", recorded)
+        assert _row_texts(rows, newline).tolist() == row_texts_by_format(rows, newline)
+        assert len(calls) == searched
 
 class _Colour(enum.IntEnum):
     RED = 1
