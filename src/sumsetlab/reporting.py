@@ -461,7 +461,7 @@ def _row_texts(points: np.ndarray, newline: str | None) -> np.ndarray:
     _, sep, _ = _list_layout(newline)
     first, comma, last = _list_layout(None if newline is None else newline + "  ")
     count, width = points.shape
-    if not (count and width):
+    if not width:
         return np.full(count, sep + "[]", dtype=object)
     texts = None
     for j in range(width):
