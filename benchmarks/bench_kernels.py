@@ -76,15 +76,16 @@ that every pair returns identical results, and prints tables:
 * the coarse bounds of {0, e_1..e_d, (1, ..., 1)} for d = 3..7 rendered
   from their (base, exponent) pairs (``render_int(base, exponent)``)
   against ``render_int(base ** exponent)``, which builds the integer first;
-* the structure window's block check in key space
-  (``structure._check_block``: one scan hands out affine forms, the key of
-  (n, x) and each vertex sieve's flat index of a*n - x, then one gather
-  per sieve mask and one gather of the levels' scattered mask) against the
-  check on point rows (``check_block_by_rows`` of ``tests/oracles.py``: a
-  row scan, ``SemigroupSieve.members``, ``kernels.pack_rows`` and
-  ``kernels.sorted_member``), on every block of ``structure_threshold`` for
-  hexagon6, prism5 and simplex3_diag, with equal predicted keys and equal
-  reports checked.
+* the structure window's level check on bit sets
+  (``structure._PredictedShape``: the box of N*H ANDed with each vertex
+  sieve's mask, cut, flipped and shifted, against the level's bit set)
+  against the check on point rows (``check_block_by_rows`` of
+  ``tests/oracles.py``: a dilate scan, ``SemigroupSieve.members``,
+  ``kernels.pack_rows`` and ``kernels.sorted_member``), on the window of
+  ``structure_threshold`` for hexagon6, prism5 and simplex3_diag and on
+  the walks of hexagon6 to N=288 and {0,7,1000} to N=999, with equal
+  reports checked.  The row side runs once: on {0,7,1000} it scans half a
+  billion dilate points.
 
     python benchmarks/bench_kernels.py [--repeat 5] [--only SECTION[,SECTION]]
 
@@ -113,8 +114,8 @@ import numpy as np
 from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovanskii,
                        normalize_config, reporting, structure)
 from sumsetlab.lattice import extremal_points
-from sumsetlab.polytope import (_box_scan_exact, _dilate_box, _hull_cache, convex_hull,
-                                dilate_points, dilate_rows, volumes)
+from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull, dilate_points,
+                                volumes)
 from sumsetlab.reporting import Caps, growth_report, render_int, to_json, to_text
 from sumsetlab.structure import _vertex_sieves, structure_bounds
 from sumsetlab.sumsets import (_frontier_key_box, _iterate_keys, _iterate_tuples,
@@ -634,79 +635,48 @@ def bitset_levels(repeat):
               f"{t_ky / t_bt:7.2f}x   ({span} keys in the box)")
 
 
-def _structure_blocks(points):
-    """The normalized set and (sieves, block) for every block of levels
-    that the window of structure_threshold checks."""
-    cfg = normalize_config(PointConfig.from_points(points))
-    blocks = []
-    check = structure._check_block
-
-    def record(config, sieves, block):
-        blocks.append((sieves, block))
-        return check(config, sieves, block)
-
-    structure._check_block = record
-    try:
-        structure.structure_threshold(cfg)
-    finally:
-        structure._check_block = check
-    return cfg, blocks
-
-
-def _row_box_keys(cfg, sieves, block):
-    """The keys of structure_rhs at a block's levels in the row check's box
-    (strides (span, *strides) over [n0, *lo] of the walk's key box), from
-    the block's key range of _check_block: (n - n0) * level_span plus the
-    walk's key of x less that of the dilate box's low corner."""
-    n0, n1 = block[0][0], block[-1][0]
-    walk_lo, strides, span = block[0][1]().box
-    lo, hi = _dilate_box(cfg, n1)
-    first = sum((a - b) * s for a, b, s in zip(lo, walk_lo, strides))
-    level_span = sum((b - a) * s for a, b, s in zip(lo, hi, strides)) + 1
-    keys, keep = structure._block_rhs(cfg, sieves, n0, n1, (lo, strides, level_span))
-    level, rest = np.divmod(keys[keep], level_span)
-    return level * span + rest + first
+def _structure_windows():
+    """(name, normalized set, its vertex sieves, top, [(n, level)]) for each
+    structure window timed: the whole window of structure_threshold, or
+    the walk to a fixed top."""
+    cases = []
+    for name, points, top in (("threshold hexagon6", HEXAGON6, None),
+                              ("threshold prism5", PRISM5, None),
+                              ("threshold simplex3_diag", SIMPLEX3_DIAG, None),
+                              ("hexagon6, N=288", HEXAGON6, 288),
+                              ("{0,7,1000}, N=999", [(0,), (7,), (1000,)], 999)):
+        cfg = normalize_config(PointConfig.from_points(points))
+        if top is None:
+            bounds = structure_bounds(cfg)
+            top = min(bounds.bound_a, bounds.bound_b)
+        sieves, _ = _vertex_sieves(cfg, top, 10 ** 7)
+        levels = [(n, level) for n, (_, level) in enumerate(sumset_levels(cfg, top), start=1)]
+        cases.append((name, cfg, sieves, top, levels))
+    return cases
 
 
-def _row_keys(cfg, sieves, block):
-    """The same keys from the point rows of the block's dilates, packed."""
-    n0, n1 = block[0][0], block[-1][0]
-    walk_lo, strides, span = block[0][1]().box
-    rows = dilate_rows(cfg, n0, n1, True)
-    keep = np.ones(len(rows), dtype=bool)
-    for a, sieve in sieves:
-        keep &= sieve.members(np.asarray(a, dtype=rows.dtype) * rows[:, :1] - rows[:, 1:])
-    return kernels.pack_rows(rows[keep], [n0, *walk_lo], (span, *strides), np.int64)
-
-
-def structure_blocks(repeat):
+def structure_check(repeat):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
     from oracles import check_block_by_rows
 
-    print(f"{'workload':38s} {'keys':>10s} {'rows':>10s} {'ratio':>8s}")
-    for name, points in (("hexagon6", HEXAGON6), ("prism5", PRISM5),
-                         ("simplex3_diag", SIMPLEX3_DIAG)):
-        cfg, blocks = _structure_blocks(points)
-        predicted = 0
-        for sieves, block in blocks:
-            keys = _row_box_keys(cfg, sieves, block)
-            assert np.array_equal(keys, _row_keys(cfg, sieves, block)), name
-            predicted += len(keys)
-        t_ky, r_ky = bench(lambda: [structure._check_block(cfg, s, b) for s, b in blocks],
-                           (), repeat)
-        t_rw, r_rw = bench(lambda: [check_block_by_rows(cfg, s, b) for s, b in blocks],
-                           (), repeat)
-        assert r_ky == r_rw, name
-        r_ky = [report for reports in r_ky for report in reports]
-        print(f"{'structure blocks ' + name:38s} {t_ky * 1e3:8.2f}ms {t_rw * 1e3:8.2f}ms "
-              f"{t_rw / t_ky:7.2f}x   ({len(blocks)} blocks, {len(r_ky)} levels, "
-              f"{predicted} predicted points)")
+    def by_bits(cfg, sieves, top, levels):
+        shape = structure._PredictedShape(cfg, sieves, top)
+        return [shape.check(n, level) for n, level in levels]
+
+    print(f"{'workload':38s} {'bits':>10s} {'rows':>10s} {'ratio':>8s}")
+    for name, cfg, sieves, top, levels in _structure_windows():
+        t_bt, r_bt = bench(by_bits, (cfg, sieves, top, levels), repeat)
+        t_rw, r_rw = bench(check_block_by_rows, (cfg, sieves, levels), 1)
+        assert r_bt == r_rw, name
+        failing = sum(not report.holds for report in r_bt)
+        print(f"{'structure ' + name:38s} {t_bt * 1e3:8.2f}ms {t_rw * 1e3:8.2f}ms "
+              f"{t_rw / t_bt:7.2f}x   ({len(levels)} levels, {failing} failing)")
 
 
 SECTIONS = (numpy_against_exact, frontier_against_full, json_writer, scan_word_split,
             scan_cold, gather_against_bisection, vertices_against_lp,
             membership_against_dfs, obstruction_certificate, frontier_keys, bitset_levels,
-            numerator_against_subsets, coarse_rendering, structure_blocks)
+            numerator_against_subsets, coarse_rendering, structure_check)
 
 
 def main():

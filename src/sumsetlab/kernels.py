@@ -16,12 +16,10 @@ sumset level takes from the walk to the report writers.  The sumset levels
 fits the point budget and sorted keys otherwise, and a level becomes a
 PackedPoints only when a reader calls for it; a semigroup sieve is a
 boolean mask over its box in the same order, so a point's key is its flat
-index there.  ``box_points`` hands out, instead of the points, the values
-of integer affine forms at them, and keys and flat indices are such forms:
-the structure window stacks consecutive levels into one key range of
-(n, x) by shifting each level's keys by a multiple of a level's key range,
-and its scan hands out the predicted points' keys there and their
-reflections' indices into the sieve masks, with no point row built.
+index there.  ``cells_to_bits`` and ``bits_to_keys`` move between a
+boolean array, a Python-int bit set over its flat indices and the indices
+of its set bits: the structure window compares the levels with their
+predicted shape as such bit sets.
 ``sumset_step`` expands one block of sums:
 the frontier iteration on sorted keys in ``sumsets`` calls it on the keys
 of the previous level's new points and the generators' key offsets, and
@@ -126,25 +124,14 @@ def box_count(lo, hi, lhs, rhs, dtype=np.int64) -> int:
     return total
 
 
-def box_points(lo, hi, lhs, rhs, dtype=np.int64, forms=None) -> np.ndarray:
+def box_points(lo, hi, lhs, rhs, dtype=np.int64) -> np.ndarray:
     """The points counted by :func:`box_count`, in lexicographic order, as
     an array of ``dtype``.
 
-    With ``forms``, a list of integer affine forms (coefficients, constant),
-    it returns instead one row per form: the form's values at those points,
-    in the same order.  The points are the values of the unit forms.  Each
-    prefix row's points are an interval of the last coordinate t, so a form
-    is its value at the interval's start, computed once per prefix row,
-    stepped by its last coefficient along the interval.
+    Each prefix row's points are an interval of the last coordinate t, so
+    a row is its prefix repeated beside the interval's start stepped by 1.
     """
     lo, hi, lhs, rhs = _box_arrays(lo, hi, lhs, rhs, dtype)
-    d = len(lo)
-    unit = forms is None
-    if unit:
-        forms = [([int(j == k) for j in range(d)], 0) for k in range(d)]
-    coeffs = np.asarray([c for c, _ in forms], dtype=dtype).reshape(len(forms), d)
-    consts = np.asarray([c for _, c in forms], dtype=dtype)
-    last = coeffs[:, -1].tolist()  # each form's coefficient of t
     chunks = []
     if all(a <= b for a, b in zip(lo, hi)):
         for prefixes in _prefix_chunks(lo, hi):
@@ -153,27 +140,26 @@ def box_points(lo, hi, lhs, rhs, dtype=np.int64, forms=None) -> np.ndarray:
             if not keep.any():
                 continue
             counts = counts[keep].astype(np.int64, copy=False)
-            t_lo = t_lo[keep]
-            prefixes = prefixes[keep]
-            # t - t_lo at each point, at most hi - lo: no product overflows
             step = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-            step = step.astype(dtype, copy=False)
-            # every form at the start of each prefix row's interval
-            base = t_lo[:, None] * coeffs[:, -1] + consts
-            for k in range(d - 1):
-                base += prefixes[:, k:k + 1] * coeffs[:, k]
-            out = np.empty((len(forms), len(step)), dtype=dtype)
-            for start, c, values in zip(base.T, last, out):
-                np.multiply(step, c, out=values)
-                values += np.repeat(start, counts)
-            chunks.append(out)
+            t = np.repeat(t_lo[keep], counts) + step.astype(dtype, copy=False)
+            chunks.append(np.column_stack([np.repeat(prefixes[keep], counts, axis=0), t]))
     if len(chunks) == 1:
-        out = chunks[0]
-    elif chunks:
-        out = np.concatenate(chunks, axis=1)
-    else:
-        out = np.empty((len(forms), 0), dtype=dtype)
-    return out.T if unit else out
+        return chunks[0]
+    if chunks:
+        return np.concatenate(chunks)
+    return np.empty((0, len(lo)), dtype=dtype)
+
+
+def cells_to_bits(cells: np.ndarray) -> int:
+    """The bit set of a boolean array: bit k is set when its cell of flat
+    index k (C order) is True."""
+    return int.from_bytes(np.packbits(cells.ravel(), bitorder="little").tobytes(), "little")
+
+
+def bits_to_keys(bits: int) -> np.ndarray:
+    """The positions of the set bits of ``bits``, ascending, as int64."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 # ---------------------------------------------------------------------------

@@ -377,52 +377,37 @@ def dilate_points(config: PointConfig, n: int, cap_points: int = 10 ** 7):
     The array is int64 when the scan fits the kernel range and holds
     Python ints (dtype object) otherwise.
     """
-    return _dilate_scan(config, n, True, cap_points)[:, 1:]
+    return _dilate_scan(config, n, True, cap_points)
 
 
 def _dilate_scan(config: PointConfig, n: int, enumerate_points: bool, cap_points: int):
+    """The one scan of dilates: the box {n} x (box of n*H) under the
+    homogenized facet rows [-offset | normal] . (n, x) <= 0, so that a
+    0-dimensional H needs no case of its own."""
     if n < 1:
         raise PreconditionError("dilation factor must be >= 1")
     box = dilate_box_cells(config, n)
     if box > cap_points:
         raise BudgetExceededError(
             f"bounding box holds {box} points, above the {cap_points} cap", reached=n)
-    return dilate_rows(config, n, n, enumerate_points)
-
-
-def dilate_rows(config: PointConfig, n0: int, n1: int, enumerate_points: bool,
-                forms=None):
-    """Rows (n, x), x a lattice point of n*H, for n = n0..n1, or their count.
-
-    The one scan of dilates: the box [n0, n1] x (box of n1*H) under the
-    homogenized facet rows [-offset | normal] . (n, x) <= 0.  For n0 < n1
-    H must hold the origin, so that the box of n*H grows with n.  With
-    ``forms``, affine forms in (n, x) (see kernels.box_points), it returns
-    their values at those rows instead, one row per form.
-    """
-    lo, hi = _dilate_box(config, n1)
+    lo, hi = _dilate_box(config, n)
     lhs = [[-f.offset, *f.normal] for f in convex_hull(config).facets]
-    return scan_box([n0, *lo], [n1, *hi], lhs, [0] * len(lhs), enumerate_points, forms)
+    found = scan_box([n, *lo], [n, *hi], lhs, [0] * len(lhs), enumerate_points)
+    return found[:, 1:] if enumerate_points else found
 
 
-def scan_box(lo, hi, lhs, rhs, enumerate_points: bool, forms=None):
+def scan_box(lo, hi, lhs, rhs, enumerate_points: bool):
     """Lattice points x with lo <= x <= hi and lhs @ x <= rhs, or their count.
 
-    The kernels run on int64 when every dot product, and every value of
-    the affine ``forms`` (see kernels.box_points), provably fits and on
-    Python ints (dtype object) otherwise.  Points, or the forms' values,
-    come back as lex-sorted arrays of that dtype.
+    The kernels run on int64 when every dot product provably fits and on
+    Python ints (dtype object) otherwise.  Points come back as a
+    lex-sorted array of that dtype.
     """
     extent = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-
-    def reach(row):
-        return sum(abs(v) * e for v, e in zip(row, extent))
-
-    bound = max((reach(row) for row in lhs), default=0)
-    form_bound = max((abs(c0) + reach(c) for c, c0 in forms or ()), default=0)
-    dtype = kernels.key_dtype(bound, form_bound, *lo, *hi, *rhs)
+    bound = max((sum(abs(v) * e for v, e in zip(row, extent)) for row in lhs), default=0)
+    dtype = kernels.key_dtype(bound, *lo, *hi, *rhs)
     if enumerate_points:
-        return kernels.box_points(lo, hi, lhs, rhs, dtype, forms)
+        return kernels.box_points(lo, hi, lhs, rhs, dtype)
     return kernels.box_count(lo, hi, lhs, rhs, dtype)
 
 

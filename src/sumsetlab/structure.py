@@ -3,9 +3,9 @@
 For a normalized configuration, NA always sits inside the lattice points of
 N*H(A) with, for every hull vertex a, the set a*N - E(a - A) carved out
 (E is the exceptional set of the semigroup at that vertex).  Eventually this
-inclusion is an equality; this module verifies it at every level, a block
-of consecutive levels at a time, finds the exact onset when the proven
-bounds are within budget, and evaluates those bounds.
+inclusion is an equality; this module verifies it at every level, as bit
+sets over the keys of the sumset walk (_PredictedShape), finds the exact
+onset when the proven bounds are within budget, and evaluates those bounds.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
-
 import numpy as np
 
 from . import kernels
@@ -34,14 +32,13 @@ from .polytope import (
     _dilate_box,
     cone_functional,
     convex_hull,
-    dilate_box_cells,
-    dilate_rows,
     facet_height_ratio,
     volumes,
 )
 from .sumsets import (
     RegionSpec,
     SemigroupOracle,
+    level_bits,
     region_points,
     semigroup_sieve,
     sumset_levels,
@@ -167,125 +164,104 @@ def _sieves_through(config: PointConfig, n: int, cap_points: int):
     return sieves
 
 
-# most cells of the box of {(n, x)} that one block of levels may scan
-BLOCK_CELLS = 1 << 14
+def _box_bits(extent, strides) -> int:
+    """The bit set of the keys j . strides for 0 <= j < extent: a box of that
+    extent inside a key box with those strides, its keys counted from its
+    low corner.  Axis by axis, last first, the bits so far are repeated
+    extent_k times, stride_k apart, by doubling."""
+    bits = 1
+    for count, step in zip(reversed(extent), reversed(strides)):
+        out, width, block, copies = 0, 0, bits, 1
+        while True:
+            if count & 1:
+                out |= block << width * step
+                width += copies
+            count >>= 1
+            if not count:
+                break
+            block |= block << copies * step
+            copies *= 2
+        bits = out
+    return bits
 
 
-def _block_rhs(config: PointConfig, sieves, n0: int, n1: int, box):
-    """Keys of the points (n, x), x in n*H for n = n0..n1, ascending, and
-    the mask of those in structure_rhs.
+class _PredictedShape:
+    """The predicted shape S(N) of NA for N = 1..top, as bit sets over the
+    keys of the box of top*H: bit (x - lo) . s is set for x in S(N), where
+    lo and s are the low corner and strides of that box.  As H holds the
+    origin, it is the key box of a sumset_levels walk to top, so a level's
+    bit set (level_bits) compares with S(N) as it is.
 
-    ``box`` is (lo, strides, level_span): the key of (n, x) is (n - n0) *
-    level_span + (x - lo) . strides, and level_span must exceed the key of
-    every x of n1*H.  One dilate_rows scan hands out, as affine forms in
-    (n, x), that key and, for each hull vertex a, the flat index of a*n - x
-    in a's sieve mask, n (a . s) - x . s - lo_a . s for the sieve's lo_a
-    and strides s: in the region where the sieve is exact
-    (_vertex_sieves), so one gather per vertex keeps the rows whose a*n - x
-    is in P(a - A).  No point row is built.  The indices lie below the
-    sieves' and the block's key spans, so they are gathered as int64
-    whatever the scan's dtype.
+    Once per window, each hull vertex a's sieve mask is cut to the box of
+    top*(a - H), which is top*a less the box of top*H, and flipped along
+    every axis, which reverses its flat order: M_a has bit (x' - lo) . s set
+    when the sieve holds top*a - x'.  At level N, with m the low corner of
+    the box of H, the box of N*H starts at key q = (top - N)(-m) . s, and
+
+        S(N) = (B_N & AND_a (M_a >> (top - N)(a - m) . s)) << q,
+
+    B_N the box of N*H with its keys less q as bits.  The shifts are
+    nonnegative as a >= m.  Nothing aliases:
+
+    * For x in the box of N*H, x' = x + (top - N) a lies in the box of
+      N*H plus (top - N) times the box of H, the box of top*H, as a is in
+      H; its key is that of x plus (top - N) a . s, so bit (x - lo) . s - q
+      of M_a shifted is the sieve's cell of top*a - x' = N*a - x.
+    * For x in N*H, N*a - x lies in N*(a - H): in the cone of a - A with
+      ell at most N times max ell(a - A), inside the region on which the
+      sieve is exact (_vertex_sieves).
+    * For x in the box of N*H but outside N*H, some facet normal . x <=
+      N * offset fails; at a vertex a of that facet normal . (N*a - x) < 0,
+      so N*a - x is outside the cone of a - A, and the mask, which off its
+      region still marks only sums of generators, gives 0 there.
+    * B_N clears every bit off the box of N*H.
+
+    So S(N) is exactly structure_rhs at N, and a level holds when its bit
+    set equals it; only the differences are unpacked and decoded.
     """
-    lo, strides, level_span = box
-    forms = [([level_span, *strides],
-              -n0 * level_span - sum(a * s for a, s in zip(lo, strides)))]
-    for a, sieve in sieves:
-        s = sieve.strides
-        forms.append(([sum(v * w for v, w in zip(a, s)), *(-w for w in s)],
-                      -sum(v * w for v, w in zip(sieve.lo, s))))
-    values = dilate_rows(config, n0, n1, True, forms)
-    keep = np.ones(values.shape[1], dtype=bool)
-    for index, (_, sieve) in zip(values[1:], sieves):
-        keep &= sieve.mask.ravel()[index.astype(np.int64, copy=False)]
-    return values[0].astype(np.int64, copy=False), keep
 
+    def __init__(self, config: PointConfig, sieves, top: int):
+        lo, hi = _dilate_box(config, top)
+        self.low, self.high = _dilate_box(config, 1)
+        self.top, self.lo = top, lo
+        self.strides, _ = kernels.key_strides(lo, hi)
+        shape = tuple(b - a + 1 for a, b in zip(lo, hi))
+        self.reflected = []
+        for a, sieve in sieves:
+            # where top*a - hi, the low corner of the box of top*(a - H), sits in the mask
+            corner = [top * v - b - c for v, b, c in zip(a, hi, sieve.lo)]
+            if any(c < 0 or c + e > m for c, e, m in zip(corner, shape, sieve.mask.shape)):
+                raise InternalInvariantError(
+                    f"the sieve of vertex {a} misses the box of {top} times its reflected hull")
+            cut = sieve.mask[tuple(slice(c, c + e) for c, e in zip(corner, shape))]
+            self.reflected.append((kernels.cells_to_bits(np.ravel(cut)[::-1]),
+                                   self._key([v - m for v, m in zip(a, self.low)])))
 
-def _check_block(config: PointConfig, sieves, block) -> list[StructureReport]:
-    """Each level (n, level) of ``block`` against its predicted shape.
+    def _key(self, x) -> int:
+        return sum(v * s for v, s in zip(x, self.strides))
 
-    The levels must be consecutive in one walk of sumset_levels; each
-    ``level()``, called once here, is NA as that walk's PackedPoints, whose
-    key box is the box of the walk's top level; as A holds the origin,
-    that box holds the dilate box [lo, hi] of every level below.  Both
-    sides are keys of (n, x) in the block's key range: (n - n0) *
-    level_span plus the walk's key of x less that of lo, where level_span
-    is one more than the walk's key of hi less that of lo.  NA's keys are
-    shifted there undecoded and scattered into one boolean mask over the
-    range, and the predicted keys (_block_rhs) gather it.  A predicted key
-    that misses is a missing point: its level is scanned again, as rows,
-    only then.  Extra points exist exactly when the hits fall short of
-    the sum of |NA|; only then are they found by a scatter of the
-    predicted keys, and only they are decoded.
-    """
-    n0, n1 = block[0][0], block[-1][0]
-    levels = [level() for _, level in block]
-    walk_lo, strides, _ = levels[0].box
-    lo, hi = _dilate_box(config, n1)
-    first = sum((a - b) * s for a, b, s in zip(lo, walk_lo, strides))
-    level_span = sum((b - a) * s for a, b, s in zip(lo, hi, strides)) + 1
-    keys, keep = _block_rhs(config, sieves, n0, n1, (lo, strides, level_span))
+    def bits(self, n: int) -> int:
+        """S(n) as a bit set over the keys of the box of top*H."""
+        extent = [n * (b - a) + 1 for a, b in zip(self.low, self.high)]
+        predicted = _box_bits(extent, self.strides)
+        for reflected, shift in self.reflected:
+            predicted &= reflected >> (self.top - n) * shift
+        return predicted << (self.top - n) * self._key([-m for m in self.low])
 
-    def local(na):
-        """NA's keys less that of lo, as int64 indices into a row of the
-        mask, and which of NA's keys they are: all of them unless a forged
-        level holds points outside n1*H (the keys are ascending)."""
-        shifted = na.keys - first
-        if len(shifted) and (shifted[0] < 0 or shifted[-1] >= level_span):
-            inside = (shifted >= 0) & (shifted < level_span)
-            return shifted[inside].astype(np.int64), inside
-        return shifted.astype(np.int64, copy=False), slice(None)
+    def points(self, bits: int) -> tuple[Point, ...]:
+        """The points whose keys are the set bits of ``bits``, in lex order."""
+        if not bits:
+            return ()
+        keys = kernels.bits_to_keys(bits)
+        return tuple(kernels.array_to_points(kernels.decode_keys(keys, self.lo, self.strides)))
 
-    found = np.zeros((len(levels), level_span), dtype=bool)
-    for row, na in zip(found, levels):
-        row[local(na)[0]] = True
-    predicted = keys[keep]
-    hit = found.ravel()[predicted]
-    missing = [()] * len(levels)
-    if not hit.all():
-        # the rows of the scan that missed, by level, and where each level starts
-        where = np.flatnonzero(keep)[~hit]
-        lost = predicted[~hit] // level_span
-        starts = np.searchsorted(keys, np.arange(len(levels)) * level_span)
-        for k in sorted(set(lost.tolist())):
-            rows = dilate_rows(config, n0 + k, n0 + k, True)
-            missing[k] = tuple(kernels.array_to_points(
-                rows[where[lost == k] - starts[k], 1:]))
-    extra = [()] * len(levels)
-    if np.count_nonzero(hit) < sum(len(na) for na in levels):
-        found[:] = False
-        found.ravel()[predicted] = True
-        for k, (row, na) in enumerate(zip(found, levels)):
-            shifted, inside = local(na)
-            out = np.ones(len(na), dtype=bool)
-            out[inside] = ~row[shifted]
-            if out.any():
-                extra[k] = tuple(kernels.array_to_points(
-                    kernels.decode_keys(na.keys[out], walk_lo, strides)))
-    return [StructureReport(n=n, holds=not miss and not ext, missing=miss, extra=ext)
-            for n, miss, ext in zip(range(n0, n1 + 1), missing, extra)]
-
-
-def _window(config: PointConfig, sieves, levels) -> Iterator[StructureReport]:
-    """Reports for the levels 1A, 2A, ... that ``levels`` yields as
-    (|NA|, level), as sumset_levels does; each ``level`` goes to
-    _check_block unread, which unpacks it to the walk's packed keys when
-    its block is checked, and no point of NA is decoded unless it is extra.
-
-    The levels are checked in blocks: a block closes before its box of
-    (n, x) would pass BLOCK_CELLS cells, so a level is drawn from
-    ``levels``, and passes the caller's cut rules there, before it joins
-    a block.  No level needs a dilate-box cap of its own: the reflection
-    a*n - box(n*H) is the box of n*(a - A), which lies inside the box of
-    a vertex sieve built for level n, and that box fits the point cap.
-    """
-    block = []
-    for n, (_, level) in enumerate(levels, start=1):
-        if block and (n - block[0][0] + 1) * dilate_box_cells(config, n) > BLOCK_CELLS:
-            yield from _check_block(config, sieves, block)
-            block = []
-        block.append((n, level))
-    if block:
-        yield from _check_block(config, sieves, block)
+    def check(self, n: int, level) -> StructureReport:
+        """NA against S(n), ``level`` being level n of a sumset_levels walk to top."""
+        na, predicted = level_bits(level), self.bits(n)
+        if na == predicted:
+            return StructureReport(n=n, holds=True, missing=(), extra=())
+        return StructureReport(n=n, holds=False, missing=self.points(predicted & ~na),
+                               extra=self.points(na & ~predicted))
 
 
 def structure_rhs(config: PointConfig, n: int,
@@ -297,11 +273,8 @@ def structure_rhs(config: PointConfig, n: int,
     nonnegative combination of those points.
     """
     require_normalized(config)
-    sieves = _sieves_through(config, n, cap_points)
-    lo, hi = _dilate_box(config, n)
-    strides, span = kernels.key_strides(lo, hi)
-    keys, keep = _block_rhs(config, sieves, n, n, (lo, strides, span))
-    return kernels.array_to_points(kernels.decode_keys(keys[keep], lo, strides))
+    shape = _PredictedShape(config, _sieves_through(config, n, cap_points), n)
+    return list(shape.points(shape.bits(n)))
 
 
 def verify_structure_equation(config: PointConfig, n: int,
@@ -309,10 +282,10 @@ def verify_structure_equation(config: PointConfig, n: int,
     """Compare NA against structure_rhs at one level (the vertex sieves
     are built first, so an input over ``cap_points`` fails on them)."""
     require_normalized(config)
-    sieves = _sieves_through(config, n, cap_points)
+    shape = _PredictedShape(config, _sieves_through(config, n, cap_points), n)
     for _, level in sumset_levels(config, n, cap_points):
         pass
-    return _check_block(config, sieves, [(n, level)])[0]
+    return shape.check(n, level)
 
 
 def structure_levels(config: PointConfig, max_n: int,
@@ -321,8 +294,9 @@ def structure_levels(config: PointConfig, max_n: int,
     require_normalized(config)
     if max_n < 1:
         return []
-    sieves = _sieves_through(config, max_n, cap_points)
-    return list(_window(config, sieves, sumset_levels(config, max_n, cap_points)))
+    shape = _PredictedShape(config, _sieves_through(config, max_n, cap_points), max_n)
+    return [shape.check(n, level) for n, (_, level)
+            in enumerate(sumset_levels(config, max_n, cap_points), start=1)]
 
 
 @dataclass(frozen=True)
@@ -351,8 +325,8 @@ def structure_threshold(config: PointConfig, *,
     is never assumed to propagate upward.  The vertex sieves are built
     once, for the whole window, and must reach level 1.  Their boxes hold
     the key box of the levels from sumset_levels, so the walk's budget
-    never fires.  The levels are checked in blocks (_window); each level
-    past the first passes TEST_BUDGET before it joins a block.
+    never fires.  Each level past the first passes TEST_BUDGET before it
+    is checked (_PredictedShape.check).
     """
     require_normalized(config)
     bounds = structure_bounds(config)
@@ -373,10 +347,11 @@ def structure_threshold(config: PointConfig, *,
             spent += cost
             yield level
 
+    shape = _PredictedShape(config, sieves, top)
     failing = []
     checked = 0
-    for report in _window(config, sieves, levels()):
-        checked = report.n
+    for checked, (_, level) in enumerate(levels(), start=1):
+        report = shape.check(checked, level)
         if report.extra:
             raise InternalInvariantError(
                 f"sumset escaped its predicted shape at N={checked}: {report.extra[:3]}")

@@ -184,10 +184,29 @@ def _iterate_bits(config: PointConfig, n_max: int, lo, strides) -> Iterator[int]
         yield mask
 
 
-def _bits_to_keys(mask: int) -> np.ndarray:
-    """The keys of the set bits of ``mask``, ascending, as int64."""
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+@dataclass(frozen=True, eq=False)
+class BitLevel:
+    """A level of the bit set walk (_iterate_bits): bit k of ``bits`` is set
+    when the point of key k in the walk's ``box`` (lo, strides, span) lies
+    in the level.  Calling it unpacks it, as every level of sumset_levels."""
+
+    bits: int
+    box: tuple
+
+    def __call__(self) -> kernels.PackedPoints:
+        return kernels.PackedPoints(kernels.bits_to_keys(self.bits), *self.box)
+
+
+def level_bits(level) -> int:
+    """A level of sumset_levels as a bit set over the keys of its walk's box:
+    read off a BitLevel, and packed from the keys of any other level, which
+    allocates a cell for every key of the box."""
+    if isinstance(level, BitLevel):
+        return level.bits
+    packed = level()
+    cells = np.zeros(packed.span, dtype=bool)
+    cells[packed.keys.astype(np.int64)] = True
+    return kernels.cells_to_bits(cells)
 
 
 def _iterate_tuples(config: PointConfig, n_max: int) -> Iterator[list[Point]]:
@@ -229,7 +248,9 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7
     When the box has int64 keys and at most ``cap_points`` of them, the
     levels are bit sets over those keys (_iterate_bits): one shift and OR
     per generator per level, |N*A| is a bit count, and only ``level()``
-    unpacks a bit set.  Such a box holds no level over the budget.
+    unpacks a bit set; such a level is a BitLevel, whose bit set the
+    structure check reads as it is (level_bits).  Such a box holds no
+    level over the budget.
     Otherwise they come from the frontier iteration on sorted keys
     (_iterate_keys).  A level of more than ``cap_points`` points is not
     yielded: a BudgetExceededError names it (``reached``) instead.  Past
@@ -241,8 +262,7 @@ def sumset_levels(config: PointConfig, n_max: int, cap_points: int = 10 ** 7
     box = tuple(lo), strides, span
     if dtype == np.int64 and span <= cap_points:
         for mask in _iterate_bits(config, n_max, lo, strides):
-            yield mask.bit_count(), lambda mask=mask: kernels.PackedPoints(
-                _bits_to_keys(mask), *box)
+            yield mask.bit_count(), BitLevel(mask, box)
         return
     for keys in _iterate_keys(config, n_max, lo, strides, dtype, cap_points):
         yield len(keys), partial(kernels.PackedPoints, keys, *box)
@@ -346,9 +366,10 @@ class SemigroupOracle:
     def _weight_levels(self, point):
         """Keys of N(B + {0}) for N = 0..w, w the least with ``point`` in it.
 
-        Returns (levels, point in sieve coordinates, key), where key packs
-        point rows into a box that holds every level and every level
-        shifted by minus a generator; None when ``point`` is not in P(B).
+        The levels are those of one sumset_levels walk, keys of its box.
+        Returns (levels, point in sieve coordinates, member), member(level,
+        points) the mask of the points in a level: a point off the walk's
+        box is in none.  None when ``point`` is not in P(B).
         """
         pts, inside = self._coords(np.array([tuple(point)], dtype=object))
         if not (inside[0] and self._lookup(pts, 10 ** 7)[0]):
@@ -358,18 +379,21 @@ class SemigroupOracle:
         weights = [sum(e * v for e, v in zip(self._ell, p)) for p in [y] + self._gens]
         # each generator adds at least the least ell(g) to ell(y)
         n_max = max(1, weights[0] // min(weights[1:], default=1))
-        columns = list(zip(*cfg.points))
-        lo = [n_max * min(col) - max(col) for col in columns]
-        hi = [n_max * max(col) - min(col) for col in columns]
-        strides, span = kernels.key_strides(lo, hi)
-        key = partial(kernels.pack_rows, lo=lo, strides=strides,
-                      dtype=kernels.key_dtype(span))
-        levels = [key([(0,) * cfg.dim])]
+        lo, strides, _, dtype = _frontier_key_box(cfg, n_max)
+        hi = [n_max * max(col) for col in zip(*cfg.points)]
+
+        def member(level, points):
+            rows = np.array(points, dtype=object).reshape(len(points), cfg.dim)
+            keys = kernels.pack_rows(rows, lo, strides, dtype)
+            keys[~((rows >= lo) & (rows <= hi)).all(axis=1)] = -1
+            return kernels.sorted_member(keys, level)
+
+        levels = [kernels.pack_rows(np.zeros((1, cfg.dim), dtype=dtype), lo, strides, dtype)]
         for _, level in sumset_levels(cfg, n_max):
-            if kernels.sorted_member(key([y]), levels[-1])[0]:
+            if member(levels[-1], [y])[0]:
                 break
-            levels.append(key(level().rows()))
-        return levels, y, key
+            levels.append(level().keys)
+        return levels, y, member
 
     def min_weight(self, point) -> int | None:
         """Least number of generators summing to ``point`` (None if outside)."""
@@ -385,11 +409,11 @@ class SemigroupOracle:
         found = self._weight_levels(point)
         if found is None:
             return None
-        levels, cur, key = found
+        levels, cur, member = found
         counts: dict[Point, int] = {}
         for level in reversed(levels[:-1]):
             children = [tuple(a - b for a, b in zip(cur, g)) for g in self._gens]
-            hit = np.flatnonzero(kernels.sorted_member(key(children), level))
+            hit = np.flatnonzero(member(level, children))
             if not len(hit):  # pragma: no cover - would contradict the levels
                 raise InternalInvariantError("certificate reconstruction failed")
             j = int(hit[0])

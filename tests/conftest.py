@@ -43,17 +43,17 @@ def sumset_routes(monkeypatch):
 
 @pytest.fixture
 def unpacked(monkeypatch):
-    """The key count of every bit set level unpacked by
-    sumsets._bits_to_keys, in order."""
+    """The key count of every bit set level of a sumset walk unpacked
+    (sumsets.BitLevel called for its keys), in order."""
     log = []
-    unpack = sumsets._bits_to_keys
+    unpack = sumsets.BitLevel.__call__
 
-    def recorded(mask):
-        keys = unpack(mask)
-        log.append(len(keys))
-        return keys
+    def recorded(level):
+        packed = unpack(level)
+        log.append(len(packed))
+        return packed
 
-    monkeypatch.setattr(sumsets, "_bits_to_keys", recorded)
+    monkeypatch.setattr(sumsets.BitLevel, "__call__", recorded)
     return log
 
 

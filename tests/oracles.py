@@ -13,8 +13,8 @@ products instead of fitting its values for the growth polynomial, and
 comparison with powers of ten instead of rounded power
 chains for the digits of huge integers.  Slow but exact.  ``growth_sizes``
 is only a shorthand for the library's iterated sumset sizes, and
-``check_block_by_rows`` is the structure window's block check on point rows
-and binary search, the reference for its check on keys and masks, and
+``check_block_by_rows`` is the structure window's level check on point rows
+and binary search, the reference for its check on bit sets, and
 ``row_texts_by_format`` renders emitted point rows one ``%`` format per row,
 the reference for the report writers' rendering a column at a time.
 """
@@ -34,7 +34,7 @@ from sumsetlab.lattice import (
     solve_rational,
 )
 from sumsetlab.polynomials import RationalPolynomial
-from sumsetlab.polytope import cone_constraints, convex_hull, dilate_rows
+from sumsetlab.polytope import cone_constraints, convex_hull, dilate_points
 from sumsetlab.structure import StructureReport
 from sumsetlab.sumsets import sumset_iterate
 
@@ -518,43 +518,33 @@ def digits_and_leading(value, leading=24):
     return digits, str(value // (power // 10 ** leading))
 
 
-def _rows_by_level(rows, n0, n1):
-    """The points x of the rows (n, x), sorted by n, at each level n0..n1."""
-    cuts = np.searchsorted(rows[:, 0], np.arange(n0, n1 + 2))
-    return [tuple(kernels.array_to_points(rows[a:b, 1:]))
-            for a, b in zip(cuts[:-1], cuts[1:])]
-
-
 def check_block_by_rows(config, sieves, block):
-    """structure._check_block on point rows: the same reports.
+    """The structure check on point rows, one level at a time: the reports
+    of structure._PredictedShape.check for each (n, level) of ``block``.
 
-    The rows (n, x) of the block's dilates come from one dilate_rows scan;
-    a row is predicted when, at every hull vertex a, a*n - x is in a's
-    sieve (SemigroupSieve.members on the reflected rows).  Both sides are
-    packed (kernels.pack_rows) as keys of (n, x) in the box with strides
-    (span, *strides) over [n0, *lo] of the walk's key box, NA's keys being
-    the walk's keys plus (n - n0) * span, and each side is searched in the
-    other by bisection (kernels.sorted_member).
+    The points x of n*H come from dilate_points; x is predicted when, at
+    every hull vertex a, a*n - x is in a's sieve (SemigroupSieve.members on
+    the reflected rows).  The predicted rows are packed (kernels.pack_rows)
+    as keys of the level's walk box, and each side is searched in the other
+    by bisection (kernels.sorted_member).
     """
-    n0, n1 = block[0][0], block[-1][0]
-    levels = [level() for _, level in block]
-    lo, level_strides, span = levels[0].box
-    strides = (span, *level_strides)
-    dtype = kernels.key_dtype((n1 - n0 + 1) * span)
-    na_keys = np.concatenate([na.keys.astype(dtype, copy=False) + k * span
-                              for k, na in enumerate(levels)])
-    rows = dilate_rows(config, n0, n1, True)
-    keep = np.ones(len(rows), dtype=bool)
-    for a, sieve in sieves:
-        reflected = np.asarray(a, dtype=rows.dtype) * rows[:, :1] - rows[:, 1:]
-        keep &= sieve.members(reflected)
-    rhs = rows[keep]
-    rhs_keys = kernels.pack_rows(rhs, [n0, *lo], strides, dtype)
-    missing = _rows_by_level(rhs[~kernels.sorted_member(rhs_keys, na_keys)], n0, n1)
-    lost = na_keys[~kernels.sorted_member(na_keys, rhs_keys)]
-    extra = _rows_by_level(kernels.decode_keys(lost, [n0, *lo], strides), n0, n1)
-    return [StructureReport(n=n, holds=not miss and not ext, missing=miss, extra=ext)
-            for n, miss, ext in zip(range(n0, n1 + 1), missing, extra)]
+    reports = []
+    for n, level in block:
+        na = level()
+        lo, strides, _ = na.box
+        rows = dilate_points(config, n)
+        keep = np.ones(len(rows), dtype=bool)
+        for a, sieve in sieves:
+            keep &= sieve.members(np.asarray(a, dtype=rows.dtype) * n - rows)
+        rhs = rows[keep]
+        rhs_keys = kernels.pack_rows(rhs, lo, strides, na.keys.dtype)
+        missing = tuple(kernels.array_to_points(
+            rhs[~kernels.sorted_member(rhs_keys, na.keys)]))
+        lost = na.keys[~kernels.sorted_member(na.keys, rhs_keys)]
+        extra = tuple(kernels.array_to_points(kernels.decode_keys(lost, lo, strides)))
+        reports.append(StructureReport(n=n, holds=not missing and not extra,
+                                       missing=missing, extra=extra))
+    return reports
 
 
 def row_texts_by_format(points, newline):

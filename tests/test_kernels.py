@@ -137,27 +137,17 @@ class TestSortedMember:
             False, True, True, True, False, True, True, True, True, False]
 
 
-class TestBoxForms:
-    """box_points with affine forms: each form's values at the points of
-    _box_scan_exact, evaluated directly, in the same order."""
+class TestBoxPoints:
+    """box_points against the points of _box_scan_exact, in the same order
+    and in the dtype asked for."""
 
     @staticmethod
-    def _check(lo, hi, lhs, rhs, forms, dtype):
+    def _check(lo, hi, lhs, rhs, dtype):
         points = _box_scan_exact(lo, hi, lhs, rhs, True)
-        got = kernels.box_points(lo, hi, lhs, rhs, dtype, forms)
-        assert got.shape == (len(forms), len(points))
-        assert got.dtype == dtype
-        want = [[c0 + sum(c * x for c, x in zip(coeffs, p)) for p in points]
-                for coeffs, c0 in forms]
-        assert got.tolist() == want
-        rows = kernels.box_points(lo, hi, lhs, rhs, dtype)
-        assert kernels.array_to_points(rows) == points
+        got = kernels.box_points(lo, hi, lhs, rhs, dtype)
+        assert got.shape == (len(points), len(lo)) and got.dtype == dtype
+        assert kernels.array_to_points(got) == points
         return len(points)
-
-    @staticmethod
-    def _forms(rng, dim, scale=1):
-        return [([rng.randint(-7, 7) * scale for _ in range(dim)], rng.randint(-30, 30) * scale)
-                for _ in range(rng.randint(0, 4))]
 
     @pytest.mark.parametrize("dtype", [np.dtype(np.int64), np.dtype(object)],
                              ids=["int64", "object"])
@@ -166,43 +156,22 @@ class TestBoxForms:
         found = 0
         for dim in (1, 2, 3, 4):
             for _ in range(25):
-                lo, hi, lhs, rhs = _random_case(rng, dim)
-                found += self._check(lo, hi, lhs, rhs, self._forms(rng, dim), dtype)
+                found += self._check(*_random_case(rng, dim), dtype)
         assert found > 1000
-
-    def test_python_ints_beyond_int64(self):
-        rng = random.Random(53)
-        for dim in (1, 2, 3):
-            lo, hi, lhs, rhs = _random_case(rng, dim)
-            forms = self._forms(rng, dim, scale=1 << 70) + [([1] * dim, -(1 << 80))]
-            self._check(lo, hi, lhs, rhs, forms, np.dtype(object))
-
-    def test_int64_steps_stay_in_range(self):
-        # every value fits int64, but the last coefficient times the number
-        # of points (16) would not: a form is stepped along each row only
-        forms = [([1, 1 << 61], -(1 << 60)), ([-3, -(1 << 61)], 1 << 60)]
-        assert self._check([0, 0], [7, 1], [], [], forms, np.dtype(np.int64)) == 16
 
     def test_one_coordinate(self):
         # d = 1: no prefix coordinates, one interval of t
-        forms = [([3], -4), ([-1], 0), ([0], 9)]
-        assert self._check([-5], [6], [[2], [-1]], [7, 3], forms, np.dtype(np.int64)) == 7
-        got = kernels.box_points([-5], [6], [[2], [-1]], [7, 3], forms=forms)
-        assert got.tolist() == [[3 * t - 4 for t in range(-3, 4)],
-                                [-t for t in range(-3, 4)], [9] * 7]
+        assert self._check([-5], [6], [[2], [-1]], [7, 3], np.dtype(np.int64)) == 7
 
     @pytest.mark.parametrize("dtype", [np.dtype(np.int64), np.dtype(object)],
                              ids=["int64", "object"])
     def test_empty_boxes_and_infeasible_rows(self, dtype):
-        forms = [([1, 2], 5), ([0, -1], 0)]
         # lo above hi on one axis
-        assert self._check([0, 3], [4, 2], [], [], forms, dtype) == 0
+        assert self._check([0, 3], [4, 2], [], [], dtype) == 0
         # a row 0 . x <= -1 that no point meets
-        assert self._check([0, 0], [3, 3], [[0, 0]], [-1], forms, dtype) == 0
+        assert self._check([0, 0], [3, 3], [[0, 0]], [-1], dtype) == 0
         # the last coordinate's interval is empty on every prefix row
-        assert self._check([0, 0], [3, 3], [[0, 1]], [-1], forms, dtype) == 0
+        assert self._check([0, 0], [3, 3], [[0, 1]], [-1], dtype) == 0
         # some prefix rows feasible, others not
-        assert self._check([0, 0], [3, 3], [[1, 0], [-1, 1]], [2, -1], forms, dtype) == 3
-        assert self._check([0], [-1], [], [], [([2], 1)], dtype) == 0
-        got = kernels.box_points([0, 0], [3, 3], [[0, 0]], [-1], dtype, forms)
-        assert got.shape == (2, 0) and got.dtype == dtype
+        assert self._check([0, 0], [3, 3], [[1, 0], [-1, 1]], [2, -1], dtype) == 3
+        assert self._check([0], [-1], [], [], dtype) == 0

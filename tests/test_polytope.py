@@ -300,8 +300,8 @@ class TestDilateCounting:
 
     @pytest.mark.parametrize("keys", ["int64", "object"])
     def test_matches_exact_box_scan(self, request, corpus, keys):
-        # dilate_points and count_dilate_points are the n0 = n1 = n case of
-        # the homogenized dilate_rows scan
+        # dilate_points and count_dilate_points share the homogenized scan
+        # of {n} x (box of n*H), which needs no case of its own for d = 0
         if keys == "object":
             request.getfixturevalue("object_keys")
         point = normalize_config(PointConfig.from_points([(4, 7)]))
@@ -331,17 +331,6 @@ class TestDilateCounting:
             poly = interpolate_consecutive(1, counts[:d + 2])
             assert poly.degree <= d, name
             assert poly(d + 3) == counts[d + 2], name
-
-    def test_forms_beyond_int64_take_python_ints(self):
-        # the box and its dot products fit int64, the form's values do not
-        forms = [([1 << 62, 1], 0), ([0, -1], 5)]
-        got = scan_box([0, 0], [3, 2], [[1, 1]], [4], True, forms)
-        assert got.dtype == np.dtype(object)
-        points = [(x, y) for x in range(4) for y in range(3) if x + y <= 4]
-        assert got.tolist() == [[(x << 62) + y for x, y in points],
-                                [5 - y for _, y in points]]
-        small = scan_box([0, 0], [3, 2], [[1, 1]], [4], True, forms[1:])
-        assert small.dtype == np.dtype(np.int64)
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):

@@ -7,6 +7,7 @@ import pytest
 
 from sumsetlab import (
     BudgetExceededError,
+    InternalInvariantError,
     PointConfig,
     PreconditionError,
     RegionSpec,
@@ -136,19 +137,20 @@ class TestVerifyEquation:
         # at N=1 the predicted shape of {0,3,5} is {0,3,5} itself
         (_, level), = sumset_levels(A135, 1)
         forged = _edited(level, add=[(1,)], drop=[(5,)])
-        report, = structure._check_block(
-            A135, structure._sieves_through(A135, 1, 10 ** 7), [(1, forged)])
+        shape = structure._PredictedShape(A135, structure._sieves_through(A135, 1, 10 ** 7), 1)
+        report = shape.check(1, forged)
         assert report.extra == ((1,),) and report.missing == ((5,),)
         assert not report.holds
 
     def test_only_the_last_level_is_unpacked(self, corpus, unpacked):
-        # the walks run 60 and 6 levels; each check reads its last one only
+        # the walks run 60 and 6 levels; the structure check compares the
+        # last one as a bit set, and the decomposition unpacks its last one
         norm = next(n for key, _, n in corpus if key == "hexagon6")
         sizes = [size for size, _ in sumset_levels(norm, 60)]
-        verify_structure_equation(norm, 60)
-        assert unpacked == [sizes[59]]
+        assert verify_structure_equation(norm, 60).holds
+        assert unpacked == []
         verify_extremal_decomposition(norm, RegionSpec.box([(0, 8)] * 2))
-        assert unpacked == [sizes[59], sizes[5]]
+        assert unpacked == [sizes[5]]
 
     def test_sieves_fail_before_the_walk(self):
         # under a cap of 20 the sieves for level 5 do not fit, and the walk
@@ -261,13 +263,18 @@ class TestThreshold:
         assert result.status == "empirical"
         assert result.window_top <= 5
 
-    def test_budget_cut_level_is_not_unpacked(self, monkeypatch, corpus, unpacked):
-        # the level the budget turns away is drawn from the walk, never read
+    def test_budget_cut_level_is_not_read(self, monkeypatch, corpus, unpacked):
+        # the level the budget turns away is drawn from the walk, never read;
+        # the levels read are bit sets, and none is unpacked
         norm = next(n for key, _, n in corpus if key == "hexagon6")
         monkeypatch.setattr(structure, "TEST_BUDGET", 2000)
+        read = []
+        monkeypatch.setattr(structure, "level_bits", _recorded(read, structure.level_bits))
         result = structure_threshold(norm)
         assert result.status == "empirical" and result.window_top > 1
-        assert unpacked == [size for size, _ in sumset_levels(norm, result.window_top)]
+        assert [value.bit_count() for value in read] == [
+            size for size, _ in sumset_levels(norm, result.window_top)]
+        assert unpacked == []
 
     def test_window_is_suffix_closed(self, monkeypatch, corpus):
         # once equality holds it keeps holding through the checked window
@@ -417,42 +424,45 @@ class TestDilateBoxInsideSieves:
                             assert a[k] * n - lo[k] <= top_corner[k], (name, cap, n, a)
 
 
-class TestBlockedWindow:
-    """Checking levels in blocks gives the reports of one level at a time."""
+class TestLevelCheck:
+    """The window checks each level as bit sets (_PredictedShape.check)."""
 
     def test_levels_match_single_level_checks(self, corpus):
         for name, _, norm in corpus:
             want = [verify_structure_equation(norm, n) for n in range(1, 13)]
             assert structure_levels(norm, 12) == want, name
 
-    def test_block_reports_each_level(self, decoded):
+    def test_forged_levels_report_each_point(self, decoded, unpacked):
         # {0,3,5}: (1,) is off the shape of 2A; (15,) is the top of 3A
         levels = [level for _, level in sumset_levels(A135, 3)]
-        block = [(1, levels[0]), (2, _edited(levels[1], add=[(1,)])),
-                 (3, _edited(levels[2], drop=[(15,)]))]
-        reports = structure._check_block(
-            A135, structure._sieves_through(A135, 3, 10 ** 7), block)
+        forged = [levels[0], _edited(levels[1], add=[(1,)]),
+                  _edited(levels[2], drop=[(15,)])]
+        unpacked.clear()  # the forged levels were unpacked to be edited
+        shape = structure._PredictedShape(A135, structure._sieves_through(A135, 3, 10 ** 7), 3)
+        reports = [shape.check(n, level) for n, level in enumerate(forged, start=1)]
         assert [r.extra for r in reports] == [(), ((1,),), ()]
         assert [r.missing for r in reports] == [(), (), ((15,),)]
         assert [r.holds for r in reports] == [True, False, False]
-        # only the one extra key is decoded
-        assert sum(decoded) == 1
+        # the walk's level 1 is read as its bit set; only the one extra and
+        # the one missing key are decoded
+        assert unpacked == [] and decoded == [1, 1]
 
     @pytest.mark.parametrize("name", ["hexagon6", "prism5"])
-    def test_levels_are_not_decoded(self, corpus, decoded, name):
+    def test_only_differences_are_decoded(self, corpus, decoded, unpacked, name):
         norm = next(n for key, _, n in corpus if key == name)
+        reports = structure_levels(norm, 30)
         structure_threshold(norm)
-        structure_levels(norm, 30)
-        assert sum(decoded) == 0
+        assert unpacked == []
+        # structure_levels and structure_threshold each decode hexagon6's
+        # missing points at level 1; prism5 holds at every level
+        assert sum(decoded) == 2 * sum(len(r.missing) + len(r.extra) for r in reports)
+        assert (sum(decoded) > 0) == (name == "hexagon6")
 
-    @pytest.mark.parametrize("name", ["a_0_2_5_11_12", "hexagon6", "prism5"])
-    def test_block_size_does_not_change_the_threshold(self, corpus, monkeypatch, name):
-        norm = next(n for key, _, n in corpus if key == name)
-        blocked = structure_threshold(norm, max_n=40)
-        monkeypatch.setattr(structure, "BLOCK_CELLS", 1)  # one level per block
-        assert structure_threshold(norm, max_n=40) == blocked
-        assert structure_levels(norm, 10) == [
-            verify_structure_equation(norm, n) for n in range(1, 11)]
+    def test_sieve_short_of_the_window_is_an_invariant_error(self):
+        # sieves built for level 2 cannot hold the reflected box of level 5
+        sieves = structure._sieves_through(A135, 2, 10 ** 7)
+        with pytest.raises(InternalInvariantError):
+            structure._PredictedShape(A135, sieves, 5)
 
 
 class TestExactPath:
@@ -500,25 +510,41 @@ class TestOneHull:
             assert not (reflected - {norm.points}) & hulled, name
 
 
-class TestKeySpaceParity:
-    """The block check on keys and masks gives the reports of the check on
-    point rows and binary search (check_block_by_rows, tests/oracles.py) on
-    every block that the window hands it, in blocks and one level at a
-    time, on int64 and on the exact path.  Each set's vertex sieves, which
-    none of these change, are built once."""
+class TestRowParity:
+    """The level check on bit sets gives the reports of the check on point
+    rows and binary search (check_block_by_rows, tests/oracles.py) on every
+    level the threshold window checks, on int64 and on the exact path, for
+    the corpus, random sets and every extremal pivot of the corpus sets
+    (whose boxes of H reach below the origin).  Each set's vertex sieves,
+    which none of these change, are built once."""
 
     SETS = [pts for _, pts in CORPUS] + random_configs(150, seed=23, max_coord=3)
 
+    @staticmethod
+    def _configs():
+        for pts in TestRowParity.SETS:
+            yield normalize_config(PointConfig.from_points(pts))
+        for _, pts in CORPUS:
+            raw = PointConfig.from_points(pts)
+            for pivot in raw.extremal():
+                yield normalize_config(raw, pivot=pivot)
+
     @pytest.mark.parametrize("cap", [10 ** 7, 3000])
     def test_matches_the_row_check(self, monkeypatch, cap):
-        check = structure._check_block
-        seen = {"levels": 0, "missing": 0}
+        seen = {"levels": 0, "missing": 0, "below": 0}
+        init, check = structure._PredictedShape.__init__, structure._PredictedShape.check
 
-        def both(config, sieves, block):
-            got = check(config, sieves, block)
-            assert got == check_block_by_rows(config, sieves, block), config.points
-            seen["levels"] += len(got)
-            seen["missing"] += sum(bool(r.missing) for r in got)
+        def recorded_init(shape, config, sieves, top):
+            init(shape, config, sieves, top)
+            shape.source = config, sieves
+            seen["below"] += any(v < 0 for p in config.points for v in p)
+
+        def both(shape, n, level):
+            got = check(shape, n, level)
+            assert [got] == check_block_by_rows(*shape.source, [(n, level)]), \
+                (shape.source[0].points, n)
+            seen["levels"] += 1
+            seen["missing"] += bool(got.missing)
             return got
 
         built = {}
@@ -531,17 +557,16 @@ class TestKeySpaceParity:
                 built[key] = vertex_sieves(config, top, cap_points)
             return built[key]
 
-        monkeypatch.setattr(structure, "_check_block", both)
+        monkeypatch.setattr(structure._PredictedShape, "__init__", recorded_init)
+        monkeypatch.setattr(structure._PredictedShape, "check", both)
         monkeypatch.setattr(structure, "_vertex_sieves", sieves_of_this_set)
-        for pts in self.SETS:
-            norm = normalize_config(PointConfig.from_points(pts))
-            for exact, cells in product([False, True], [structure.BLOCK_CELLS, 1]):
+        for norm in self._configs():
+            for exact in (False, True):
                 with monkeypatch.context() as m:
-                    m.setattr(structure, "BLOCK_CELLS", cells)
                     if exact:
                         m.setattr(kernels, "int64_budget_ok", lambda *values: False)
                     try:
                         structure_threshold(norm, max_n=8, cap_points=cap)
                     except BudgetExceededError:
                         pass
-        assert seen["levels"] > 1000 and seen["missing"] > 50, seen
+        assert seen["levels"] > 1000 and seen["missing"] > 50 and seen["below"] > 20, seen

@@ -310,7 +310,7 @@ def _assert_bit_levels_exact(config, n_max):
     equals the exact tuple iteration."""
     lo, strides, _, _ = _frontier_key_box(config, n_max)
     got = [(mask.bit_count(), kernels.array_to_points(
-                kernels.decode_keys(sumsets._bits_to_keys(mask), lo, strides)))
+                kernels.decode_keys(kernels.bits_to_keys(mask), lo, strides)))
            for mask in sumsets._iterate_bits(config, n_max, lo, strides)]
     assert got == [(len(p), p) for p in _iterate_tuples(config, n_max)], \
         (config.points, n_max)
@@ -352,7 +352,7 @@ class TestBitsetLevels:
             _assert_bit_levels_exact(raw, 1)
 
     def test_keys_ascend_as_int64(self):
-        keys = sumsets._bits_to_keys((1 << 70) | (1 << 9) | 1)
+        keys = kernels.bits_to_keys((1 << 70) | (1 << 9) | 1)
         assert keys.dtype == np.int64 and keys.tolist() == [0, 9, 70]
 
     def test_route_boundary(self, sumset_routes):
@@ -444,6 +444,27 @@ class TestSemigroup:
         oracle = SemigroupOracle(A135)
         assert oracle.min_weight((30,)) == 6
         assert oracle.min_weight_certificate((30,)) == {(5,): 6}
+
+    def test_certificates_match_dfs_weights(self):
+        # pivoted at a vertex other than the lex-least point, the generators
+        # have negative coordinates, and stepping down the levels meets
+        # children off the walk's box, which no level holds
+        checked = 0
+        for pts in random_configs(30, seed=31, max_dim=2, max_coord=3):
+            raw = PointConfig.from_points(pts)
+            norm = normalize_config(raw, pivot=max(raw.extremal()))
+            oracle, dfs = SemigroupOracle(norm), DfsSemigroupOracle(norm)
+            for p in product(range(-4, 5), repeat=norm.dim):
+                weight = oracle.min_weight(p)
+                assert weight == dfs.min_weight(p), (norm.points, p)
+                if weight is None:
+                    continue
+                cert = oracle.min_weight_certificate(p)
+                assert sum(cert.values()) == weight, (norm.points, p)
+                total = [sum(c * g[k] for g, c in cert.items()) for k in range(norm.dim)]
+                assert tuple(total) == p, (norm.points, p)
+                checked += 1
+        assert checked > 150
 
     def test_not_pointed_rejected(self):
         cfg = PointConfig.from_points([(-1,), (0,), (1,)])
