@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
 import numpy as np
 
 from . import kernels
@@ -225,6 +226,7 @@ class _PredictedShape:
         self.low, self.high = _dilate_box(config, 1)
         self.top, self.lo = top, lo
         self.strides, _ = kernels.key_strides(lo, hi)
+        self.corner = self._key([-m for m in self.low])  # q at top - N = 1
         shape = tuple(b - a + 1 for a, b in zip(lo, hi))
         self.reflected = []
         for a, sieve in sieves:
@@ -245,8 +247,9 @@ class _PredictedShape:
         extent = [n * (b - a) + 1 for a, b in zip(self.low, self.high)]
         predicted = _box_bits(extent, self.strides)
         for reflected, shift in self.reflected:
-            predicted &= reflected >> (self.top - n) * shift
-        return predicted << (self.top - n) * self._key([-m for m in self.low])
+            # an int shifted by 0 is a copy of all its bits
+            predicted &= reflected >> (self.top - n) * shift if shift else reflected
+        return predicted << (self.top - n) * self.corner
 
     def points(self, bits: int) -> tuple[Point, ...]:
         """The points whose keys are the set bits of ``bits``, in lex order."""
