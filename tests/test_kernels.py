@@ -137,9 +137,10 @@ class TestSortedMember:
             False, True, True, True, False, True, True, True, True, False]
 
 
-class TestBoxPoints:
-    """box_points against the points of _box_scan_exact, in the same order
-    and in the dtype asked for."""
+class TestBoxForms:
+    """box_points, the rows of the coordinate forms x -> x_k at the points
+    of a box cut by linear forms: against the points of _box_scan_exact, in
+    the same order and in the dtype asked for."""
 
     @staticmethod
     def _check(lo, hi, lhs, rhs, dtype):
@@ -158,6 +159,27 @@ class TestBoxPoints:
             for _ in range(25):
                 found += self._check(*_random_case(rng, dim), dtype)
         assert found > 1000
+
+    def test_python_ints_beyond_int64(self):
+        # the random boxes moved by 2^70 on every axis, their rows' bounds
+        # moved with them: the same points, moved, in Python ints
+        rng = random.Random(53)
+        shift = 1 << 70
+        for dim in (1, 2, 3):
+            lo, hi, lhs, rhs = _random_case(rng, dim)
+            moved = [r + shift * sum(row) for row, r in zip(lhs, rhs)]
+            count = self._check([v + shift for v in lo], [v + shift for v in hi],
+                                lhs, moved, np.dtype(object))
+            assert count == len(_box_scan_exact(lo, hi, lhs, rhs, True))
+
+    def test_int64_steps_stay_in_range(self):
+        # every coordinate fits int64 and the last one ends at its maximum:
+        # each row's interval start is stepped by 1 up to it, never past
+        top = np.iinfo(np.int64).max
+        assert self._check([0, top - 7], [1, top], [], [], np.dtype(np.int64)) == 16
+        # t - x <= top - 4 cuts row x to the 4 + x values from top - 7
+        assert self._check([0, top - 7], [3, top], [[-1, 1]], [top - 4],
+                           np.dtype(np.int64)) == 4 + 5 + 6 + 7
 
     def test_one_coordinate(self):
         # d = 1: no prefix coordinates, one interval of t

@@ -332,6 +332,18 @@ class TestDilateCounting:
             assert poly.degree <= d, name
             assert poly(d + 3) == counts[d + 2], name
 
+    def test_forms_beyond_int64_take_python_ints(self):
+        # the box fits int64, a row's dot products (a linear form's values)
+        # do not: the scan runs on Python ints, with the same points
+        big = [[1 << 62, 1], [0, -1]]
+        got = scan_box([0, 0], [3, 2], big, [(2 << 62) + 1, 0], True)
+        assert got.dtype == np.dtype(object)
+        points = [(x, y) for x in range(4) for y in range(3) if (x << 62) + y <= (2 << 62) + 1]
+        assert array_to_points(got) == points
+        assert scan_box([0, 0], [3, 2], big, [(2 << 62) + 1, 0], False) == len(points)
+        small = scan_box([0, 0], [3, 2], big[1:], [0], True)
+        assert small.dtype == np.dtype(np.int64) and len(small) == 12
+
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
             count_dilate_points(A135, 1000, cap_points=100)

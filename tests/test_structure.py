@@ -263,7 +263,7 @@ class TestThreshold:
         assert result.status == "empirical"
         assert result.window_top <= 5
 
-    def test_budget_cut_level_is_not_read(self, monkeypatch, corpus, unpacked):
+    def test_budget_cut_level_is_not_unpacked(self, monkeypatch, corpus, unpacked):
         # the level the budget turns away is drawn from the walk, never read;
         # the levels read are bit sets, and none is unpacked
         norm = next(n for key, _, n in corpus if key == "hexagon6")
@@ -424,15 +424,17 @@ class TestDilateBoxInsideSieves:
                             assert a[k] * n - lo[k] <= top_corner[k], (name, cap, n, a)
 
 
-class TestLevelCheck:
-    """The window checks each level as bit sets (_PredictedShape.check)."""
+class TestBlockedWindow:
+    """The window's levels are a block that shares one predicted shape,
+    built for its top; each level is checked as bit sets
+    (_PredictedShape.check)."""
 
     def test_levels_match_single_level_checks(self, corpus):
         for name, _, norm in corpus:
             want = [verify_structure_equation(norm, n) for n in range(1, 13)]
             assert structure_levels(norm, 12) == want, name
 
-    def test_forged_levels_report_each_point(self, decoded, unpacked):
+    def test_block_reports_each_level(self, decoded, unpacked):
         # {0,3,5}: (1,) is off the shape of 2A; (15,) is the top of 3A
         levels = [level for _, level in sumset_levels(A135, 3)]
         forged = [levels[0], _edited(levels[1], add=[(1,)]),
@@ -448,7 +450,9 @@ class TestLevelCheck:
         assert unpacked == [] and decoded == [1, 1]
 
     @pytest.mark.parametrize("name", ["hexagon6", "prism5"])
-    def test_only_differences_are_decoded(self, corpus, decoded, unpacked, name):
+    def test_levels_are_not_decoded(self, corpus, decoded, unpacked, name):
+        # the levels are compared as bit sets; only their differences from
+        # the predicted shape are decoded
         norm = next(n for key, _, n in corpus if key == name)
         reports = structure_levels(norm, 30)
         structure_threshold(norm)
@@ -457,6 +461,38 @@ class TestLevelCheck:
         # missing points at level 1; prism5 holds at every level
         assert sum(decoded) == 2 * sum(len(r.missing) + len(r.extra) for r in reports)
         assert (sum(decoded) > 0) == (name == "hexagon6")
+
+    @pytest.mark.parametrize("name", ["a_0_2_5_11_12", "hexagon6", "prism5"])
+    def test_block_size_does_not_change_the_threshold(self, corpus, monkeypatch, name):
+        # a shape built for each level alone (a block of one level, every
+        # shift 0), its points keyed in the window's box, gives the
+        # threshold and reports of the one shape shifted down to each level
+        norm = next(n for key, _, n in corpus if key == name)
+        blocked = structure_threshold(norm, max_n=40)
+        levels = structure_levels(norm, 10)
+        assert blocked.window_top > 10
+        init, bits = structure._PredictedShape.__init__, structure._PredictedShape.bits
+        alone = []
+
+        def kept_init(shape, config, sieves, top):
+            init(shape, config, sieves, top)
+            shape.source = config, sieves
+
+        def bits_alone(shape, n):
+            single = structure._PredictedShape(*shape.source, n)
+            rows = np.array(single.points(bits(single, n)), dtype=np.int64)
+            keys = kernels.pack_rows(rows.reshape(-1, norm.dim), shape.lo, shape.strides,
+                                     np.dtype(np.int64))
+            cells = np.zeros(int(keys.max(initial=-1)) + 1, dtype=bool)
+            cells[keys] = True
+            alone.append(n)
+            return kernels.cells_to_bits(cells)
+
+        monkeypatch.setattr(structure._PredictedShape, "__init__", kept_init)
+        monkeypatch.setattr(structure._PredictedShape, "bits", bits_alone)
+        assert structure_threshold(norm, max_n=40) == blocked
+        assert alone == list(range(1, blocked.window_top + 1))
+        assert structure_levels(norm, 10) == levels
 
     def test_sieve_short_of_the_window_is_an_invariant_error(self):
         # sieves built for level 2 cannot hold the reflected box of level 5
@@ -510,7 +546,7 @@ class TestOneHull:
             assert not (reflected - {norm.points}) & hulled, name
 
 
-class TestRowParity:
+class TestKeySpaceParity:
     """The level check on bit sets gives the reports of the check on point
     rows and binary search (check_block_by_rows, tests/oracles.py) on every
     level the threshold window checks, on int64 and on the exact path, for
@@ -522,7 +558,7 @@ class TestRowParity:
 
     @staticmethod
     def _configs():
-        for pts in TestRowParity.SETS:
+        for pts in TestKeySpaceParity.SETS:
             yield normalize_config(PointConfig.from_points(pts))
         for _, pts in CORPUS:
             raw = PointConfig.from_points(pts)
