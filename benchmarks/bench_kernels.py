@@ -85,7 +85,15 @@ that every pair returns identical results, and prints tables:
   ``structure_threshold`` for hexagon6, prism5 and simplex3_diag and on
   the walks of hexagon6 to N=288 and {0,7,1000} to N=999, with equal
   reports checked.  The row side runs once: on {0,7,1000} it scans half a
-  billion dilate points.
+  billion dilate points;
+* the cold triangulation from the origin (``polytope._simplices``: the
+  recursion on the faces of the one hull, each face a set of point
+  indices) against the recursion that gives each facet a hull of its own
+  in its own Hermite coordinates (``triangulate_by_facet_hulls`` of
+  ``tests/oracles.py``), on 100 normalized sets in the shapes of the
+  geometry-batch workload and on the 3-D corpus sets, every hull and
+  triangulation cache emptied before each run, with equal simplices
+  checked.
 
     python benchmarks/bench_kernels.py [--repeat 5] [--only SECTION[,SECTION]]
 
@@ -113,9 +121,9 @@ import numpy as np
 
 from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovanskii,
                        normalize_config, reporting, structure)
-from sumsetlab.lattice import extremal_points
-from sumsetlab.polytope import (_box_scan_exact, _hull_cache, convex_hull, dilate_points,
-                                volumes)
+from sumsetlab.lattice import _extremal_cache, extremal_points
+from sumsetlab.polytope import (_box_scan_exact, _hull_cache, _simplices,
+                                _triangulation_cache, convex_hull, dilate_points, volumes)
 from sumsetlab.reporting import Caps, growth_report, render_int, to_json, to_text
 from sumsetlab.structure import _vertex_sieves, structure_bounds
 from sumsetlab.sumsets import (_frontier_key_box, _iterate_keys, _iterate_tuples,
@@ -673,10 +681,56 @@ def structure_check(repeat):
               f"{t_rw / t_bt:7.2f}x   ({len(levels)} levels, {failing} failing)")
 
 
+def _triangulation_sets():
+    """(name, normalized sets) for the triangulation section: 100 sets drawn
+    in the shapes of the geometry-batch workload (d = 1..4, d + 1 or d + 2
+    points in [0, top]^d, top = 10, 3, 2, 1), and the 3-D corpus sets."""
+    from corpus import CORPUS
+
+    rng = random.Random("triangulation")
+    drawn = []
+    for _ in range(100):
+        d = rng.choice((1, 2, 3, 4))
+        size = rng.randint(d + 1, d + 2)
+        pts = set()
+        while len(pts) < size:
+            pts.add(tuple(rng.randint(0, (10, 3, 2, 1)[d - 1]) for _ in range(d)))
+        drawn.append(sorted(pts))
+    corpus3 = [pts for _, pts in CORPUS if len(pts[0]) == 3]
+    return [(f"geometry-batch shapes, {len(drawn)} sets", drawn),
+            (f"3-D corpus, {len(corpus3)} sets", corpus3)]
+
+
+def triangulation(repeat):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+    from oracles import triangulate_by_facet_hulls
+
+    def cold(triangulate, cfgs):
+        for cache in (_hull_cache, _triangulation_cache, _extremal_cache):
+            cache.clear()
+        return [triangulate(cfg) for cfg in cfgs]
+
+    def by_faces(cfg):
+        return _simplices(cfg, (0,) * cfg.dim)
+
+    def by_facet_hulls(cfg):
+        return tuple(triangulate_by_facet_hulls(cfg.points, cfg.dim, (0,) * cfg.dim))
+
+    print(f"{'workload':38s} {'faces':>10s} {'hulls':>10s} {'ratio':>8s}")
+    for name, sets in _triangulation_sets():
+        cfgs = [cfg for cfg in (normalize_config(PointConfig.from_points(pts))
+                                for pts in sets) if cfg.dim]
+        t_fc, r_fc = bench(cold, (by_faces, cfgs), repeat)
+        t_fh, r_fh = bench(cold, (by_facet_hulls, cfgs), repeat)
+        assert r_fc == r_fh, name
+        print(f"{'triangulation ' + name:38s} {t_fc * 1e3:8.2f}ms {t_fh * 1e3:8.2f}ms "
+              f"{t_fh / t_fc:7.2f}x   ({sum(map(len, r_fc))} simplices)")
+
+
 SECTIONS = (numpy_against_exact, frontier_against_full, json_writer, scan_word_split,
             scan_cold, gather_against_bisection, vertices_against_lp,
             membership_against_dfs, obstruction_certificate, frontier_keys, bitset_levels,
-            numerator_against_subsets, coarse_rendering, structure_check)
+            numerator_against_subsets, coarse_rendering, structure_check, triangulation)
 
 
 def main():

@@ -58,6 +58,36 @@ def determinant(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _echelon(rows, ncols):
+    """Integer row reduction of ``rows`` on their first ``ncols`` columns,
+    by gcd steps that keep the lattice the rows span.
+
+    Returns (pivots, rest): for each column in turn, the one row left
+    nonzero there (no row when all are 0), and then the remaining nonzero
+    rows, which are 0 on all ``ncols`` columns.
+    """
+    pivots = []
+    for col in range(ncols):
+        if not rows:
+            break
+        live = [r for r in rows if r[col] != 0]
+        rows = [r for r in rows if r[col] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            a = live[0]
+            reduced = [a]
+            for r in live[1:]:
+                q = r[col] // a[col]
+                new = [x - q * y for x, y in zip(r, a)]
+                if new[col] != 0:
+                    reduced.append(new)
+                elif any(new):
+                    rows.append(new)
+            live = reduced
+        pivots.extend(live)
+    return pivots, rows
+
+
 def hermite_basis(vectors) -> list[list[int]]:
     """Row Hermite normal form basis of the lattice generated by ``vectors``.
 
@@ -71,36 +101,11 @@ def hermite_basis(vectors) -> list[list[int]]:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DimensionError("vectors must share one dimension")
-    basis: list[list[int]] = []
-    col = 0
-    while rows and col < width:
-        live = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            a = live[0]
-            reduced = []
-            for r in live[1:]:
-                q = r[col] // a[col]
-                new = [x - q * y for x, y in zip(r, a)]
-                if new[col] != 0:
-                    reduced.append(new)
-                elif any(new):
-                    rest.append(new)
-            live = [a] + reduced
-        if live:
-            piv = live[0]
-            if piv[col] < 0:
-                piv = [-x for x in piv]
-            basis.append(piv)
-        rows = rest
-        col += 1
+    basis = _echelon(rows, width)[0]
+    pivots = [next(i for i, v in enumerate(row) if v != 0) for row in basis]
+    basis = [row if row[c] > 0 else [-x for x in row] for row, c in zip(basis, pivots)]
     # reduce entries above each pivot so the form is canonical; ascending
     # order is required: row i only alters columns >= its pivot column
-    pivots = []
-    for row in basis:
-        c = next(i for i, v in enumerate(row) if v != 0)
-        pivots.append(c)
     for i in range(1, len(basis)):
         c = pivots[i]
         p = basis[i][c]
@@ -151,22 +156,7 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
         + [1 if k == j else 0 for k in range(ncols)]
         for j in range(ncols)
     ]
-    for col in range(nrows):
-        nz = [w for w in live if w[col] != 0]
-        rest = [w for w in live if w[col] == 0]
-        while len(nz) > 1:
-            nz.sort(key=lambda w: abs(w[col]))
-            a = nz[0]
-            reduced = [a]
-            for w in nz[1:]:
-                q = w[col] // a[col]
-                new = [x - q * y for x, y in zip(w, a)]
-                if new[col] != 0:
-                    reduced.append(new)
-                else:
-                    rest.append(new)
-            nz = reduced
-        live = rest  # the pivot row (if any) is dropped; it is not in the kernel
+    live = _echelon(live, nrows)[1]  # the pivot rows are not in the kernel
     kernel = [w[nrows:] for w in live]
     return [tuple(r) for r in hermite_basis(kernel)]
 
@@ -262,7 +252,8 @@ class Normalization:
     """How a normalized configuration maps back to its source coordinates.
 
     A normalized point c corresponds to ``translation + sum(c_j * basis[j])``
-    in the source frame.  ``basis`` is None for a pure translation.
+    in the source frame.  ``basis`` is None for a pure translation, and
+    empty when the source set is one point.
     """
 
     translation: Point
@@ -396,13 +387,12 @@ def normalize_config(config: PointConfig, pivot=None) -> PointConfig:
         if coeffs is None:
             raise InternalInvariantError("generator escaped its own lattice")
         new_points.append(coeffs)
-    basis_rows = tuple(tuple(r) for r in basis) if basis else None
     is_identity = rank == config.dim and all(
         basis[i][j] == (1 if i == j else 0) for i in range(rank) for j in range(config.dim)
     )
     norm = Normalization(
         translation=piv,
-        basis=None if is_identity else basis_rows,
+        basis=None if is_identity else tuple(tuple(r) for r in basis),
         source_dim=config.dim,
     )
     return PointConfig(

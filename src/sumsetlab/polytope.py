@@ -5,7 +5,9 @@ small d and small point counts), kept as primitive integer normals with the
 hull on the <= side, and classified *outer* (offset > 0, the facet misses
 the origin) or *inner* (offset 0, the facet contains the origin).  The same
 scan gives the vertices: the points whose incident facet normals have rank
-d.  All volumes, functionals, and ratios are exact integers or Fractions.
+d.  The triangulation recurses over the faces of that one hull, each face
+the set of indices of the points on it.  All volumes, functionals, and
+ratios are exact integers or Fractions.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .lattice import (
     config_memo,
     content,
     determinant,
-    hermite_basis,
     lattice_rank,
-    solve_in_lattice,
 )
 
 
@@ -223,78 +223,52 @@ def volumes(config: PointConfig) -> VolumeData:
     apex = min(pts)  # the lex-least point is a vertex
     vol = Fraction(0)
     for simplex in _simplices(config, apex):
-        rows = [[p[k] - apex[k] for k in range(d)] for p in simplex]
-        vol += Fraction(abs(determinant(rows)), math.factorial(d))
+        det = determinant([[p[k] - apex[k] for k in range(d)] for p in simplex])
+        if not det:
+            raise InternalInvariantError("a simplex of the triangulation is flat")
+        vol += Fraction(abs(det), math.factorial(d))
     return VolumeData(volume=vol, det_max=max(nonzero), det_min=min(nonzero), width=width)
 
 
-def _facet_sub_points(facet_points, dim):
-    """Map points of a facet into exact Z^(dim-1) coordinates.
+def _triangulate(poly: Polytope, face: frozenset, apex: int) -> list[tuple[Point, ...]]:
+    """Simplices (apex implicit) covering one face of ``poly``, each spanned
+    by hull vertices: ``face`` holds the indices of the points on the face,
+    and ``apex`` the index of one of its vertices.
 
-    Returns (base, basis, mapped) where original = base + coeffs . basis.
-    The Hermite basis makes the map preserve lexicographic order.
+    A pulling triangulation: each facet of the face that misses the apex is
+    triangulated from its lexicographically least vertex and coned back to
+    the apex, which makes the output canonical.  The facets of a face F are
+    the maximal sets among F & G.incident over the facets G of the hull, F
+    itself left out: every facet of F is cut out by a facet of the hull,
+    and a face is fixed by the points on it.
     """
-    base = min(facet_points)
-    diffs = [tuple(p[k] - base[k] for k in range(dim)) for p in facet_points]
-    basis = hermite_basis(diffs)
-    if len(basis) != dim - 1:
-        raise InternalInvariantError("facet is not (dim-1)-dimensional")
-    mapped = []
-    for t in diffs:
-        coeffs = solve_in_lattice(basis, t)
-        if coeffs is None:
-            raise InternalInvariantError("facet point outside its own lattice")
-        mapped.append(coeffs)
-    return base, basis, mapped
-
-
-def _triangulate(points, dim, apex) -> list[tuple[Point, ...]]:
-    """Simplices (apex implicit) covering hull(points), vertices extremal.
-
-    Recursive construction: triangulate each facet that misses the apex and
-    cone the pieces back to the apex.  Sub-recursion apexes are the
-    lexicographically least facet vertices, making the output canonical.
-    """
-    if dim == 0:
+    if face == {apex}:
         return [()]
-    config = PointConfig.from_points(sorted(set(points)), dim)
-    if dim == 1:
-        ends = config.extremal()
-        other = [p for p in ends if p != apex]
-        if apex not in ends or len(other) != 1:
-            raise PreconditionError("apex must be an endpoint")
-        return [(other[0],)]
-    poly = convex_hull(config)
-    simplices = []
-    for facet in poly.facets:
-        c = sum(n * x for n, x in zip(facet.normal, apex))
-        if c == facet.offset:
-            continue  # facet contains the apex
-        facet_pts = [config.points[i] for i in facet.incident]
-        base, basis, mapped = _facet_sub_points(facet_pts, dim)
-        sub_apex = min(
-            m for m, p in zip(mapped, facet_pts)
-            if p in poly.extremal
-        )
-        for sub in _triangulate(mapped, dim - 1, sub_apex):
-            verts = [sub_apex] + list(sub)
-            orig = []
-            for v in verts:
-                p = list(base)
-                for coeff, row in zip(v, basis):
-                    for k in range(dim):
-                        p[k] += coeff * row[k]
-                orig.append(tuple(p))
-            simplices.append(tuple(sorted(orig)))
-    return sorted(set(simplices))
+    cuts = {face.intersection(g.incident) for g in poly.facets} - {face}
+    simplices = set()
+    for facet in cuts:
+        if apex in facet or any(facet < other for other in cuts):
+            continue  # a facet through the apex, or a lower face
+        vertices = [poly.points[i] for i in facet if poly.points[i] in poly.extremal]
+        if not vertices:
+            raise InternalInvariantError("a face of the hull holds no vertex")
+        sub_apex = min(vertices)
+        for sub in _triangulate(poly, facet, poly.points.index(sub_apex)):
+            simplices.add(tuple(sorted((sub_apex, *sub))))
+    return sorted(simplices)
 
 
 @config_memo(_triangulation_cache)
 def _simplices(config: PointConfig, apex) -> tuple[tuple[Point, ...], ...]:
-    """The triangulation of the hull from its vertex ``apex`` (_triangulate),
-    computed once per configuration and apex: ``volumes`` and
-    ``triangulate_from_origin`` both read it."""
-    return tuple(_triangulate(config.points, config.dim, apex))
+    """The triangulation of the hull from its vertex ``apex``: _triangulate
+    on the faces of the one hull of ``config``, computed once per
+    configuration and apex; ``volumes`` and ``triangulate_from_origin`` both
+    read it."""
+    poly = convex_hull(config)
+    if apex not in poly.extremal:
+        raise PreconditionError("apex must be a vertex of the hull")
+    face = frozenset(range(config.size))
+    return tuple(_triangulate(poly, face, config.index_of(apex)))
 
 
 def triangulate_from_origin(config: PointConfig) -> Triangulation:
@@ -302,14 +276,12 @@ def triangulate_from_origin(config: PointConfig) -> Triangulation:
 
     Requires 0 to be an extremal point.  Every simplex is spanned by dim
     linearly independent extremal points (plus the implicit origin), and the
-    simplex volumes add up to the hull volume exactly.
+    simplex volumes add up to the hull volume exactly.  The simplices are
+    the pulling triangulation of :func:`_simplices` from the origin.
     """
-    d = config.dim
-    zero = (0,) * d
+    zero = (0,) * config.dim
     if zero not in config.points or zero not in config.extremal():
         raise PreconditionError("origin must be an extremal point of the hull")
-    if d == 0:
-        return Triangulation(simplices=((),))
     return Triangulation(simplices=_simplices(config, zero))
 
 

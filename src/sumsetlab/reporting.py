@@ -232,7 +232,7 @@ def normalization_section(config: PointConfig, normalized: PointConfig) -> dict:
         "source_dim": config.dim,
         "reduced_dim": normalized.dim,
         "translation": render_point(norm.translation),
-        "basis": None if norm.basis is None else [render_point(r) for r in norm.basis],
+        "basis": [render_point(r) for r in norm.basis] if norm.basis else None,
         "points": [render_point(p) for p in normalized.points],
     }
 

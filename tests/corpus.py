@@ -47,7 +47,8 @@ def random_configs(count=200, seed=20240809, max_points=7, max_dim=3, max_coord=
     out = []
     while len(out) < count:
         d = rng.randint(1, max_dim)
-        size = rng.randint(2, max_points)
+        # at most the points of the box, so a small box cannot stall the draw
+        size = min(rng.randint(2, max_points), (2 * max_coord + 1) ** d)
         pts = set()
         while len(pts) < size:
             pts.add(tuple(rng.randint(-max_coord, max_coord) for _ in range(d)))

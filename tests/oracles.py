@@ -16,7 +16,10 @@ is only a shorthand for the library's iterated sumset sizes, and
 ``check_block_by_rows`` is the structure window's level check on point rows
 and binary search, the reference for its check on bit sets, and
 ``row_texts_by_format`` renders emitted point rows one ``%`` format per row,
-the reference for the report writers' rendering a column at a time.
+the reference for the report writers' rendering a column at a time, and
+``triangulate_by_facet_hulls`` triangulates each facet as a point set of its
+own, with its own hull in its own Hermite coordinates, the reference for
+the library's triangulation on the faces of the one hull.
 """
 
 from fractions import Fraction
@@ -26,7 +29,7 @@ from math import factorial
 import numpy as np
 
 from sumsetlab import kernels
-from sumsetlab.errors import PreconditionError
+from sumsetlab.errors import InternalInvariantError, PreconditionError
 from sumsetlab.lattice import (
     PointConfig,
     hermite_basis,
@@ -561,3 +564,65 @@ def row_texts_by_format(points, newline):
     width = points.shape[1]
     row = sep + (first + comma.join(["%d"] * width) + last if width else "[]")
     return list(map(row.__mod__, map(tuple, points.tolist())))
+
+
+def _facet_sub_points(facet_points, dim):
+    """Map points of a facet into exact Z^(dim-1) coordinates.
+
+    Returns (base, basis, mapped) where original = base + coeffs . basis.
+    The Hermite basis makes the map preserve lexicographic order.
+    """
+    base = min(facet_points)
+    diffs = [tuple(p[k] - base[k] for k in range(dim)) for p in facet_points]
+    basis = hermite_basis(diffs)
+    if len(basis) != dim - 1:
+        raise InternalInvariantError("facet is not (dim-1)-dimensional")
+    mapped = []
+    for t in diffs:
+        coeffs = solve_in_lattice(basis, t)
+        if coeffs is None:
+            raise InternalInvariantError("facet point outside its own lattice")
+        mapped.append(coeffs)
+    return base, basis, mapped
+
+
+def triangulate_by_facet_hulls(points, dim, apex):
+    """Simplices (apex implicit) covering hull(points), vertices extremal.
+
+    Recursive construction: triangulate each facet that misses the apex and
+    cone the pieces back to the apex.  Each facet becomes a point set of its
+    own in Z^(dim-1) (its Hermite coordinates) with a hull of its own;
+    sub-recursion apexes are the lexicographically least facet vertices.
+    """
+    if dim == 0:
+        return [()]
+    config = PointConfig.from_points(sorted(set(points)), dim)
+    if dim == 1:
+        ends = config.extremal()
+        other = [p for p in ends if p != apex]
+        if apex not in ends or len(other) != 1:
+            raise PreconditionError("apex must be an endpoint")
+        return [(other[0],)]
+    poly = convex_hull(config)
+    simplices = []
+    for facet in poly.facets:
+        c = sum(n * x for n, x in zip(facet.normal, apex))
+        if c == facet.offset:
+            continue  # facet contains the apex
+        facet_pts = [config.points[i] for i in facet.incident]
+        base, basis, mapped = _facet_sub_points(facet_pts, dim)
+        sub_apex = min(
+            m for m, p in zip(mapped, facet_pts)
+            if p in poly.extremal
+        )
+        for sub in triangulate_by_facet_hulls(mapped, dim - 1, sub_apex):
+            verts = [sub_apex] + list(sub)
+            orig = []
+            for v in verts:
+                p = list(base)
+                for coeff, row in zip(v, basis):
+                    for k in range(dim):
+                        p[k] += coeff * row[k]
+                orig.append(tuple(p))
+            simplices.append(tuple(sorted(orig)))
+    return sorted(set(simplices))

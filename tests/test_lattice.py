@@ -209,7 +209,11 @@ class TestNormalize:
             assert not any(again.normalization.translation)
 
     def test_map_back_to_source(self, corpus):
-        for name, raw, norm in corpus:
+        # one point in Z^1 and Z^2 (rank 0) and a line in Z^3 (rank 1)
+        lower = [PointConfig.from_points(pts) for pts in
+                 ([(5,)], [(2, -3)], [(1, 0, 2), (3, 1, 2), (7, 3, 2)])]
+        for name, raw, norm in corpus + [(str(c.points), c, normalize_config(c))
+                                         for c in lower]:
             back = sorted(norm.normalization.to_source(p) for p in norm.points)
             assert back == sorted(raw.points), name
 

@@ -7,6 +7,7 @@ import pytest
 from sumsetlab import (
     BudgetExceededError,
     DegenerateDimensionError,
+    InternalInvariantError,
     KindError,
     PointConfig,
     PreconditionError,
@@ -19,13 +20,14 @@ from sumsetlab import (
     triangulate_from_origin,
     volumes,
 )
-from sumsetlab import polytope
+from sumsetlab import lattice, polytope
 from sumsetlab.cli import main
 from sumsetlab.kernels import array_to_points
 from sumsetlab.lattice import determinant, solve_rational
 from sumsetlab.polytope import _box_scan_exact, _dilate_box, dilate_points, scan_box
 
-from oracles import dilate_points_by_facets, hull_facets_by_planes
+from corpus import random_configs
+from oracles import dilate_points_by_facets, hull_facets_by_planes, triangulate_by_facet_hulls
 
 TRIANGLE = PointConfig.from_points([(0, 0), (3, 0), (0, 3), (1, 1)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -204,12 +206,12 @@ class TestTriangulation:
         # triangulation: on normalized input both start from the origin
         path = tmp_path / "pentagon.txt"
         path.write_text("0 0\n1 0\n0 1\n1 1\n2 1\n")
-        dims = []
+        tops = []
         triangulate = polytope._triangulate
 
-        def counted(points, dim, apex):
-            dims.append(dim)
-            return triangulate(points, dim, apex)
+        def counted(poly, face, apex):
+            tops.append(len(face) == len(poly.points))
+            return triangulate(poly, face, apex)
 
         monkeypatch.setattr(polytope, "_triangulate", counted)
         polytope._triangulation_cache.clear()
@@ -217,12 +219,72 @@ class TestTriangulation:
         assert main(["bounds", "--input", str(path)]) == 0
         assert main(["triangulate", "--input", str(path)]) == 0
         capsys.readouterr()
-        assert dims.count(2) == 1
+        assert tops.count(True) == 1
 
     def test_origin_must_be_extremal(self):
         cfg = PointConfig.from_points([(-1,), (0,), (1,)])
         with pytest.raises(PreconditionError):
             triangulate_from_origin(cfg)
+
+    def test_apex_must_be_a_vertex(self):
+        for apex in ((1, 1), (2, 0), (1, 2)):  # interior, on an edge, not a point
+            with pytest.raises(PreconditionError):
+                polytope._simplices(PointConfig.from_points([(0, 0), (2, 0), (3, 0),
+                                                             (0, 3), (1, 1)]), apex)
+
+    @staticmethod
+    def _parity_cases(corpus):
+        """(config, apex) for every vertex of every corpus set (normalized up
+        to each vertex as pivot) and of 300 random sets in d = 1..5."""
+        configs = [normalize_config(raw, pivot=v) for _, raw, _ in corpus
+                   for v in raw.extremal() if raw.size > 1]
+        configs += [normalize_config(PointConfig.from_points(pts)) for pts in
+                    random_configs(300, seed=27, max_dim=5, max_coord=2)]
+        return [(cfg, v) for cfg in configs if cfg.dim for v in cfg.extremal()]
+
+    def test_matches_facet_hulls(self, corpus):
+        cases = self._parity_cases(corpus)
+        assert len(cases) > 1000 and {cfg.dim for cfg, _ in cases} == {1, 2, 3, 4, 5}
+        for cfg, apex in cases:
+            expected = tuple(triangulate_by_facet_hulls(cfg.points, cfg.dim, apex))
+            assert polytope._simplices(cfg, apex) == expected, (cfg.points, apex)
+
+    def test_uses_the_one_hull(self, monkeypatch):
+        # the faces come from the configuration's own hull: no other hull,
+        # point set or lattice map is built on the way
+        prism = normalize_config(PointConfig.from_points(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]))
+        polytope._hull_cache.clear()
+        convex_hull(prism)
+        polytope._triangulation_cache.clear()
+
+        def forbidden(*args):
+            raise AssertionError("the triangulation left the one hull")
+
+        for module, name in ((lattice, "hermite_basis"), (lattice, "solve_in_lattice"),
+                             (lattice, "lattice_rank"), (polytope, "lattice_rank")):
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(PointConfig, "extremal", forbidden)
+        monkeypatch.setattr(PointConfig, "__post_init__", forbidden)
+        assert len(polytope._simplices(prism, (0, 0, 0))) == 3
+        assert list(polytope._hull_cache) == [(prism.points, 3)]
+
+    def test_flat_simplex_is_an_invariant_error(self, monkeypatch):
+        polytope._volume_cache.clear()
+        monkeypatch.setattr(polytope, "_simplices",
+                            lambda config, apex: (((1, 0), (2, 0)),))
+        with pytest.raises(InternalInvariantError):
+            volumes(PointConfig.from_points([(0, 0), (2, 0), (0, 1)]))
+
+    def test_face_without_vertex_is_an_invariant_error(self):
+        # a forged hull that lists (0, 0) as its only vertex: the edge
+        # through (2, 0), (1, 1), (0, 2) then holds none
+        square = PointConfig.from_points([(0, 0), (2, 0), (0, 2), (1, 1)])
+        poly = convex_hull(square)
+        forged = polytope.Polytope(dim=2, points=poly.points, facets=poly.facets,
+                                   extremal=((0, 0),))
+        with pytest.raises(InternalInvariantError):
+            polytope._triangulate(forged, frozenset(range(4)), 0)
 
     def test_volumes_add_up(self, corpus):
         for name, _, norm in corpus:
