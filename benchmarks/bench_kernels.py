@@ -93,7 +93,19 @@ that every pair returns identical results, and prints tables:
   ``tests/oracles.py``), on 100 normalized sets in the shapes of the
   geometry-batch workload and on the 3-D corpus sets, every hull and
   triangulation cache emptied before each run, with equal simplices
-  checked.
+  checked;
+* the quantities read off the one hull scan against the references of
+  ``tests/oracles.py`` that compute each on its own, on the same 100
+  geometry-batch shapes, every cache emptied before each run, with equal
+  values checked: cold ``convex_hull`` (facets, vertices by incidence and
+  the determinant range) against the hull with the rank-of-normals vertex
+  rule (``vertices_by_normal_rank``) and a determinant of every
+  (d+1)-point subset (``subset_det_range``), and cold ``volumes`` with
+  ``facet_height_ratio`` against that determinant range, the width over
+  all pairs and the determinant form of the height ratio
+  (``facet_height_ratio_by_determinants``).  The references take cofactor
+  determinants, so they are slower than the Bareiss determinants these
+  computations once used.
 
     python benchmarks/bench_kernels.py [--repeat 5] [--only SECTION[,SECTION]]
 
@@ -123,7 +135,8 @@ from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovan
                        normalize_config, reporting, structure)
 from sumsetlab.lattice import _extremal_cache, extremal_points
 from sumsetlab.polytope import (_box_scan_exact, _hull_cache, _simplices,
-                                _triangulation_cache, convex_hull, dilate_points, volumes)
+                                _triangulation_cache, _volume_cache, convex_hull,
+                                dilate_points, facet_height_ratio, volumes)
 from sumsetlab.reporting import Caps, growth_report, render_int, to_json, to_text
 from sumsetlab.structure import _vertex_sieves, structure_bounds
 from sumsetlab.sumsets import (_frontier_key_box, _iterate_keys, _iterate_tuples,
@@ -727,10 +740,50 @@ def triangulation(repeat):
               f"{t_fh / t_fc:7.2f}x   ({sum(map(len, r_fc))} simplices)")
 
 
+def geometry(repeat):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+    from oracles import (facet_height_ratio_by_determinants, subset_det_range,
+                         vertices_by_normal_rank)
+
+    def cold(measure, cfgs):
+        for cache in (_hull_cache, _volume_cache, _triangulation_cache, _extremal_cache):
+            cache.clear()
+        return [measure(cfg) for cfg in cfgs]
+
+    def hull_scan(cfg):
+        poly = convex_hull(cfg)
+        return list(poly.extremal), poly.det_max, poly.det_min
+
+    def hull_by_references(cfg):
+        return vertices_by_normal_rank(cfg), *subset_det_range(cfg.points, cfg.dim)
+
+    def bounds_scan(cfg):
+        v = volumes(cfg)
+        return v.det_max, v.det_min, v.width, facet_height_ratio(cfg)
+
+    def bounds_by_references(cfg):
+        width = max(max(abs(a - b) for a, b in zip(p, q))
+                    for p in cfg.points for q in cfg.points)
+        return (*subset_det_range(cfg.points, cfg.dim), width,
+                facet_height_ratio_by_determinants(cfg))
+
+    cfgs = [cfg for cfg in (normalize_config(PointConfig.from_points(pts))
+                            for pts in _triangulation_sets()[0][1]) if cfg.dim]
+    print(f"{'workload':38s} {'scan':>10s} {'refs':>10s} {'ratio':>8s}")
+    for label, scan, reference in (("convex_hull", hull_scan, hull_by_references),
+                                   ("volumes + kappa", bounds_scan, bounds_by_references)):
+        t_sc, r_sc = bench(cold, (scan, cfgs), repeat)
+        t_rf, r_rf = bench(cold, (reference, cfgs), repeat)
+        assert r_sc == r_rf, label
+        print(f"{label + f', {len(cfgs)} shapes':38s} {t_sc * 1e3:8.2f}ms "
+              f"{t_rf * 1e3:8.2f}ms {t_rf / t_sc:7.2f}x")
+
+
 SECTIONS = (numpy_against_exact, frontier_against_full, json_writer, scan_word_split,
             scan_cold, gather_against_bisection, vertices_against_lp,
             membership_against_dfs, obstruction_certificate, frontier_keys, bitset_levels,
-            numerator_against_subsets, coarse_rendering, structure_check, triangulation)
+            numerator_against_subsets, coarse_rendering, structure_check, triangulation,
+            geometry)
 
 
 def main():

@@ -220,9 +220,19 @@ def run(args) -> tuple[dict, int]:
     raise InputFormatError(f"unknown command {command!r}")
 
 
+def _pivot_joined(argv) -> list[str]:
+    """``--pivot V`` as ``--pivot=V``: argparse takes a separate value that
+    starts with "-" and is no plain number, such as -1,0, for an option."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--pivot" else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_pivot_joined(sys.argv[1:] if argv is None else argv))
         report, code = run(args)
         # a failed write (a full disk, a closed pipe) lands in the last handler
         sys.stdout.write(serialize(report, args.format))

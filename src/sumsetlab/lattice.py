@@ -5,8 +5,8 @@ elimination, lattice bases via integer row reduction to Hermite form, and
 input normalization (translate an extremal point to the origin and change
 coordinates so the generated lattice is the full integer lattice).
 Hull vertices come from the integer facet scan in :mod:`sumsetlab.polytope`:
-a point is a vertex when the normals of the facets through it have full
-rank.  The lex-least point of a finite set is always a vertex, which is the
+a point is a vertex when the facets through it meet in that point alone.
+The lex-least point of a finite set is always a vertex, which is the
 default normalization pivot.  No floating point is used anywhere.
 """
 
@@ -224,9 +224,10 @@ def solve_rational(rows, rhs) -> tuple[list[Fraction], int] | None:
 def extremal_points(points, dim) -> list[Point]:
     """The vertices of the convex hull of ``points`` (distinct), lex-sorted.
 
-    A point is a vertex when the normals of the hull facets through it have
-    rank ``dim``; :func:`sumsetlab.polytope.convex_hull` reads this off its
-    integer facet scan.  A set of lower rank is first mapped onto Z^rank
+    A point is a vertex when the facets through it meet in that point
+    alone: it is the only point of the set on all of them.
+    :func:`sumsetlab.polytope.convex_hull` reads this off the incidences of
+    its integer facet scan.  A set of lower rank is first mapped onto Z^rank
     (the least point to 0, coordinates over the Hermite basis of the
     differences, as in :func:`normalize_config`); the map is affine and
     injective, so it keeps exactly the same points as vertices.

@@ -4,9 +4,10 @@ Facets are found by exhaustive scan over d-subsets (the target scale is
 small d and small point counts), kept as primitive integer normals with the
 hull on the <= side, and classified *outer* (offset > 0, the facet misses
 the origin) or *inner* (offset 0, the facet contains the origin).  The same
-scan gives the vertices: the points whose incident facet normals have rank
-d.  The triangulation recurses over the faces of that one hull, each face
-the set of indices of the points on it.  All volumes, functionals, and
+scan gives the vertices (where the facets through a point meet in it alone)
+and the nonzero simplex determinant range; the facet normals give the height
+ratio.  The triangulation recurses over the faces of that one hull, each
+face the set of indices of the points on it.  All volumes, functionals, and
 ratios are exact integers or Fractions.
 """
 
@@ -70,12 +71,16 @@ class FacetFunctional:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Exact facet description of the convex hull of a point configuration."""
+    """Exact facet description of the convex hull of a point configuration,
+    its vertices (``extremal``, lex-sorted), and the largest and smallest
+    nonzero |det| over its (d+1)-point subsets (1 and 1 when d = 0)."""
 
     dim: int
     points: tuple[Point, ...]
     facets: tuple[FacetFunctional, ...]
     extremal: tuple[Point, ...]
+    det_max: int
+    det_min: int
 
     @property
     def outer_facets(self) -> tuple[FacetFunctional, ...]:
@@ -97,10 +102,11 @@ class Triangulation:
     simplices: tuple[tuple[Point, ...], ...]
 
 
-def _hyperplane_normal(points, dim) -> Point | None:
-    """Primitive integer normal of the affine span of dim points, or None."""
-    if dim == 1:
-        return (1,)
+def _hyperplane_normal(points, dim) -> tuple[Point, int] | None:
+    """The primitive integer normal n of the affine span of dim points and
+    the content g of their cofactor vector g*n, or None when the points are
+    affinely dependent.  For any point p, the |det| of the dim points with p
+    is g*|n . p - n . points[0]| (cofactor expansion along p's row)."""
     base = points[0]
     rows = [[p[k] - base[k] for k in range(dim)] for p in points[1:]]
     normal = []
@@ -110,18 +116,18 @@ def _hyperplane_normal(points, dim) -> Point | None:
     if not any(normal):
         return None
     g = content(normal)
-    return tuple(v // g for v in normal)
+    return tuple(v // g for v in normal), g
 
 
 _hull_cache: dict[tuple, Polytope] = {}
 _volume_cache: dict[tuple, "VolumeData"] = {}
 _triangulation_cache: dict[tuple, "Triangulation"] = {}
-_facet_ratio_cache: dict[tuple, Fraction] = {}
 
 
 @config_memo(_hull_cache)
 def convex_hull(config: PointConfig) -> Polytope:
-    """Exact facets and extremal points of the hull of ``config``.
+    """Exact facets, vertices and simplex determinant range of the hull of
+    ``config``, all from one scan over the d-point subsets.
 
     Requires the points to span the full ambient space; degenerate inputs
     should be normalized first so the ambient dimension matches the rank.
@@ -129,30 +135,32 @@ def convex_hull(config: PointConfig) -> Polytope:
     d = config.dim
     pts = config.points
     if d == 0:
-        return Polytope(dim=0, points=pts, facets=(), extremal=pts)
+        return Polytope(dim=0, points=pts, facets=(), extremal=pts, det_max=1, det_min=1)
     diffs = [tuple(p[k] - pts[0][k] for k in range(d)) for p in pts[1:]]
     if lattice_rank(diffs) != d:
         raise DegenerateDimensionError(
             "points do not span the ambient space; normalize_config first"
         )
     seen: dict[tuple[Point, int], set[int]] = {}
+    highs, lows = [], []
     for subset in itertools.combinations(range(len(pts)), d):
-        normal = _hyperplane_normal([pts[i] for i in subset], d)
-        if normal is None:
+        plane = _hyperplane_normal([pts[i] for i in subset], d)
+        if plane is None:
             continue
-        c = sum(n * x for n, x in zip(normal, pts[subset[0]]))
+        normal, g = plane
         dots = [sum(n * x for n, x in zip(normal, p)) for p in pts]
-        if all(v <= c for v in dots):
-            pass
-        elif all(v >= c for v in dots):
-            normal = tuple(-n for n in normal)
-            c = -c
-            dots = [-v for v in dots]
-        else:
-            continue
-        key = (normal, c)
+        c = dots[subset[0]]
+        # every nonzero det of d + 1 points shows up here, since each of
+        # their d-subsets is independent; the points span, so some dot is off c
+        top, bottom = max(dots), min(dots)
+        highs.append(g * max(top - c, c - bottom))
+        lows.append(g * min(abs(v - c) for v in dots if v != c))
         incident = {i for i, v in enumerate(dots) if v == c}
-        seen.setdefault(key, set()).update(incident)
+        if top != c:
+            if bottom != c:
+                continue
+            normal, c = tuple(-n for n in normal), -c
+        seen.setdefault((normal, c), set()).update(incident)
     facets = []
     for (normal, c), incident in seen.items():
         kind = "outer" if c > 0 else ("inner" if c == 0 else None)
@@ -161,17 +169,19 @@ def convex_hull(config: PointConfig) -> Polytope:
         ))
     facets.sort(key=lambda f: ({"outer": 0, "inner": 1}.get(f.kind, 2), f.normal, f.offset))
     # a point is a vertex when the facets through it meet in that point
-    # alone, that is when their normals have rank d
-    normals: list[list[Point]] = [[] for _ in pts]
-    for f in facets:
-        for i in f.incident:
-            normals[i].append(f.normal)
+    # alone; otherwise they meet in a face of dimension >= 1 (all of H when
+    # no facet passes through it), and a face holds >= 2 points of A
+    meet: list[set[int] | None] = [None] * len(pts)
+    for incident in seen.values():
+        for i in incident:
+            meet[i] = incident if meet[i] is None else meet[i] & incident
     return Polytope(
         dim=d,
         points=pts,
         facets=tuple(facets),
-        extremal=tuple(sorted(p for p, ns in zip(pts, normals)
-                              if lattice_rank(ns) == d)),
+        extremal=tuple(sorted(pts[i] for i, m in enumerate(meet) if m == {i})),
+        det_max=max(highs),
+        det_min=min(lows),
     )
 
 
@@ -194,40 +204,30 @@ class VolumeData:
     width: int
 
 
-def _subset_dets(pts, d):
-    for subset in itertools.combinations(pts, d + 1):
-        base = subset[0]
-        rows = [[p[k] - base[k] for k in range(d)] for p in subset[1:]]
-        yield abs(determinant(rows))
-
-
 @config_memo(_volume_cache)
 def volumes(config: PointConfig) -> VolumeData:
     """Hull volume, extreme simplex determinants, and infinity-norm width.
 
-    det_max / det_min are the largest and smallest nonzero |det| over all
+    det_max / det_min are the hull scan's nonzero |det| range over all
     (d+1)-point subsets; det_max / d! is the largest simplex volume spanned
-    by the points.
+    by the points.  The volume sums the triangulation from the origin when
+    it is a vertex (the one ``triangulate_from_origin`` reads), else from
+    the least point.
     """
     d = config.dim
     pts = config.points
-    width = 0
-    for p, q in itertools.combinations(pts, 2):
-        width = max(width, max(abs(a - b) for a, b in zip(p, q)))
     if d == 0:
         return VolumeData(volume=Fraction(1), det_max=1, det_min=1, width=0)
-    dets = [v for v in _subset_dets(pts, d)]
-    nonzero = [v for v in dets if v]
-    if not nonzero:
-        raise DegenerateDimensionError("points do not span the ambient space")
-    apex = min(pts)  # the lex-least point is a vertex
+    width = max(max(column) - min(column) for column in zip(*pts))
+    poly = convex_hull(config)
+    apex = (0,) * d if (0,) * d in poly.extremal else min(pts)  # min(pts) is a vertex
     vol = Fraction(0)
     for simplex in _simplices(config, apex):
         det = determinant([[p[k] - apex[k] for k in range(d)] for p in simplex])
         if not det:
             raise InternalInvariantError("a simplex of the triangulation is flat")
         vol += Fraction(abs(det), math.factorial(d))
-    return VolumeData(volume=vol, det_max=max(nonzero), det_min=min(nonzero), width=width)
+    return VolumeData(volume=vol, det_max=poly.det_max, det_min=poly.det_min, width=width)
 
 
 def _triangulate(poly: Polytope, face: frozenset, apex: int) -> list[tuple[Point, ...]]:
@@ -285,42 +285,20 @@ def triangulate_from_origin(config: PointConfig) -> Triangulation:
     return Triangulation(simplices=_simplices(config, zero))
 
 
-@config_memo(_facet_ratio_cache)
 def facet_height_ratio(config: PointConfig) -> Fraction:
     """Worst facet-wise ratio of farthest to nearest point "heights".
 
-    For each facet F with affinely independent incident points b_1..b_d the
-    affine form g(a) = det(b_1 - a, ..., b_d - a) vanishes exactly on the
-    facet's hyperplane, so |g| compares, over a in A off the facet, how far
-    points sit above F.  Returns max over facets of max|g| / min|g|.
+    The height of a over a facet is offset - normal . a, positive off it.
+    For d affinely independent points b_1..b_d of the facet, det(b_1 - a,
+    ..., b_d - a) is a fixed nonzero multiple of it (their cofactor vector
+    is a multiple of the normal), so the ratio is the determinants' ratio.
+    Returns max over facets of max/min height over the points off it.
     """
-    poly = convex_hull(config)
-    d = config.dim
-    if d == 0 or not poly.facets:
-        return Fraction(1)
     worst = Fraction(1)
-    for facet in poly.facets:
-        incident_pts = [config.points[i] for i in facet.incident]
-        chosen = None
-        for subset in itertools.combinations(incident_pts, d):
-            if d == 1 or _hyperplane_normal(list(subset), d) is not None:
-                chosen = subset
-                break
-        if chosen is None:
-            raise InternalInvariantError(
-                "facet lacks d affinely independent incident points"
-            )
-        values = []
-        for i, a in enumerate(config.points):
-            if i in facet.incident:
-                continue
-            rows = [[b[k] - a[k] for k in range(d)] for b in chosen]
-            g = determinant(rows)
-            if g == 0:
-                raise InternalInvariantError("off-facet point with zero height")
-            values.append(abs(g))
-        if values:
-            worst = max(worst, Fraction(max(values), min(values)))
+    for facet in convex_hull(config).facets:
+        heights = [h for h in (facet.offset - facet.dot(a) for a in config.points) if h]
+        if heights:
+            worst = max(worst, Fraction(max(heights), min(heights)))
     return worst
 
 

@@ -31,7 +31,7 @@ from .khovanskii import (
     minimal_obstructions,
     sumset_size_formula,
 )
-from .lattice import PointConfig, lattice_rank, normalize_config
+from .lattice import PointConfig, determinant, lattice_rank, normalize_config
 from .polynomials import interpolate_consecutive
 from .polytope import (
     convex_hull,
@@ -101,13 +101,20 @@ def run_checks(config: PointConfig, cap_points: int = 10 ** 7,
     _check("hull_identities", hull_identities, results)
 
     def kappa_cross_oracle():
+        # kappa again, from determinants: on each facet, |det(b_1 - a, ...,
+        # b_d - a)| over d affinely independent incident points b_i
         worst = Fraction(1)
         for facet in poly.facets:
-            values = [abs(facet.dot(a) - facet.offset)
+            on = [norm.points[i] for i in facet.incident]
+            chosen = next((s for s in combinations(on, d) if lattice_rank(
+                [[x - y for x, y in zip(b, s[0])] for b in s[1:]]) == d - 1), None)
+            assert chosen is not None, "facet lacks d affinely independent incident points"
+            values = [abs(determinant([[b[k] - a[k] for k in range(d)] for b in chosen]))
                       for i, a in enumerate(norm.points) if i not in facet.incident]
+            assert all(values), "off-facet point with zero height"
             if values:
                 worst = max(worst, Fraction(max(values), min(values)))
-        assert worst == kappa, f"distance-ratio {worst} != determinant-ratio {kappa}"
+        assert worst == kappa, f"determinant-ratio {worst} != height-ratio {kappa}"
 
     _check("kappa_cross_oracle", kappa_cross_oracle, results)
 
@@ -122,7 +129,6 @@ def run_checks(config: PointConfig, cap_points: int = 10 ** 7,
     def triangulation_volume():
         tri = triangulate_from_origin(norm)
         total = Fraction(0)
-        from .lattice import determinant
         for simplex in tri.simplices:
             rows = [list(p) for p in simplex]
             total += Fraction(abs(determinant(rows)), math.factorial(d))

@@ -55,6 +55,42 @@ def naive_determinant(rows):
     return total
 
 
+def subset_det_range(points, dim):
+    """(largest, smallest) nonzero |det| over all (dim+1)-point subsets,
+    each a cofactor determinant of the differences to its first point."""
+    dets = [abs(naive_determinant([[p[k] - s[0][k] for k in range(dim)] for p in s[1:]]))
+            for s in combinations(points, dim + 1)]
+    nonzero = [v for v in dets if v]
+    return max(nonzero), min(nonzero)
+
+
+def facet_height_ratio_by_determinants(config):
+    """kappa from determinants: on each facet of the hull, |det(b_1 - a, ...,
+    b_d - a)| for the first d affinely independent incident points b_i, the
+    largest over the least over the points a off the facet, and the worst
+    such ratio over the facets (1 when there is none)."""
+    d = config.dim
+    worst = Fraction(1)
+    for facet in convex_hull(config).facets:
+        on = [config.points[i] for i in facet.incident]
+        chosen = next(s for s in combinations(on, d) if len(hermite_basis(
+            [[x - y for x, y in zip(b, s[0])] for b in s[1:]])) == d - 1)
+        values = [abs(naive_determinant([[b[k] - a[k] for k in range(d)] for b in chosen]))
+                  for i, a in enumerate(config.points) if i not in facet.incident]
+        assert all(values), "a point off a facet at height 0"
+        if values:
+            worst = max(worst, Fraction(max(values), min(values)))
+    return worst
+
+
+def vertices_by_normal_rank(config):
+    """The points of ``config`` whose hull facets' normals through them have
+    rank d, lex-sorted."""
+    facets = convex_hull(config).facets
+    return sorted(p for i, p in enumerate(config.points) if len(hermite_basis(
+        [f.normal for f in facets if i in f.incident])) == config.dim)
+
+
 def growth_sizes(config, n_max, cap_points=10 ** 7):
     """|N*A| for N = 1..n_max (same budget behavior as sumset_iterate)."""
     return sumset_iterate(config, n_max, cap_points=cap_points).sizes()

@@ -45,13 +45,11 @@ def _report(num, text):
 def test_criterion_1_golden_interval(capsys):
     """P = 5*X - 5 and exact onset 3 for {0,3,5}, in under a second."""
     from sumsetlab.khovanskii import _obstruction_cache
-    from sumsetlab.polytope import (_facet_ratio_cache, _hull_cache,
-                                    _triangulation_cache, _volume_cache)
+    from sumsetlab.polytope import _hull_cache, _triangulation_cache, _volume_cache
     cfg = PointConfig.from_points([(0,), (3,), (5,)])
     # warm the jitted kernels, then time a cold analysis of this set
     count_dilate_points(cfg, 2)
-    for cache in (_obstruction_cache, _hull_cache, _volume_cache,
-                  _triangulation_cache, _facet_ratio_cache):
+    for cache in (_obstruction_cache, _hull_cache, _volume_cache, _triangulation_cache):
         cache.clear()
     start = time.perf_counter()
     norm = normalize_config(cfg)

@@ -391,6 +391,14 @@ class TestOtherCommands:
         assert report["normalization"]["translation"] == [2]
         assert report["normalization"]["points"] == [[0], [3], [5]]
 
+    def test_pivot_value_that_starts_with_a_minus(self, capsys, tmp_path):
+        # a separate value such as -1,0 is the pivot, as --pivot=-1,0 is
+        path = tmp_path / "corner.txt"
+        path.write_text("-1 0\n0 0\n0 1\n")
+        joined = run_cli(capsys, "bounds", "--input", str(path), "--pivot=-1,0")
+        assert joined[0] == 0
+        assert run_cli(capsys, "bounds", "--input", str(path), "--pivot", "-1,0") == joined
+
     def test_verify_clean(self, capsys, a135_txt):
         code, out, _ = run_cli(capsys, "verify", "--input", a135_txt)
         assert code == 0

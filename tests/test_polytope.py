@@ -27,7 +27,15 @@ from sumsetlab.lattice import determinant, solve_rational
 from sumsetlab.polytope import _box_scan_exact, _dilate_box, dilate_points, scan_box
 
 from corpus import random_configs
-from oracles import dilate_points_by_facets, hull_facets_by_planes, triangulate_by_facet_hulls
+from oracles import (
+    dilate_points_by_facets,
+    extremal_points_by_lp,
+    facet_height_ratio_by_determinants,
+    hull_facets_by_planes,
+    subset_det_range,
+    triangulate_by_facet_hulls,
+    vertices_by_normal_rank,
+)
 
 TRIANGLE = PointConfig.from_points([(0, 0), (3, 0), (0, 3), (1, 1)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -106,6 +114,22 @@ class TestVolumes:
             assert v.det_max ** 2 <= d ** d * v.width ** (2 * d), name
 
 
+@pytest.fixture(scope="module")
+def hull_scan_cases(corpus):
+    """Full-rank sets for the hull scan's parity checks: every corpus set
+    normalized at each of its vertices, and random sets in d = 1..5, both
+    normalized and, when they span their space, as drawn."""
+    cases = [normalize_config(raw, pivot=v) for _, raw, _ in corpus
+             for v in raw.extremal() if raw.size > 1]
+    for pts in random_configs(200, seed=28, max_points=7, max_dim=5, max_coord=3):
+        raw = PointConfig.from_points(pts)
+        norm = normalize_config(raw)
+        cases += [norm, raw] if norm.dim == raw.dim else [norm]
+    cases = [cfg for cfg in cases if cfg.dim]
+    assert {cfg.dim for cfg in cases} == {1, 2, 3, 4, 5}
+    return cases
+
+
 class TestHeightRatio:
     def test_square_is_one(self):
         assert facet_height_ratio(SQUARE) == 1
@@ -123,21 +147,13 @@ class TestHeightRatio:
             v = volumes(norm)
             assert facet_height_ratio(norm) <= Fraction(v.det_max, v.det_min), name
 
-    def test_matches_orthogonal_distance_ratio(self, corpus):
-        # same ratio computed from |normal . a - offset| (proportional to
-        # orthogonal distance within one facet)
-        for name, _, norm in corpus:
-            if norm.dim == 0:
-                continue
-            poly = convex_hull(norm)
-            worst = Fraction(1)
-            for facet in poly.facets:
-                vals = [abs(facet.dot(p) - facet.offset)
-                        for i, p in enumerate(norm.points)
-                        if i not in facet.incident]
-                if vals:
-                    worst = max(worst, Fraction(max(vals), min(vals)))
-            assert worst == facet_height_ratio(norm), name
+    def test_matches_orthogonal_distance_ratio(self, hull_scan_cases):
+        # the heights |normal . a - offset| give the ratio that the
+        # determinants det(b_1 - a, ..., b_d - a) over d independent points
+        # b_i of each facet give
+        for cfg in hull_scan_cases:
+            assert facet_height_ratio(cfg) == facet_height_ratio_by_determinants(cfg), \
+                cfg.points
 
     def test_vertex_simplex_has_ratio_one(self, corpus):
         for name, _, norm in corpus:
@@ -147,6 +163,27 @@ class TestHeightRatio:
             if len(ext) == norm.dim + 1 and set(ext) == set(norm.points):
                 assert facet_height_ratio(norm) == 1, name
 
+
+class TestHullScanParity:
+    """The vertices, determinant range and width read off the one hull scan,
+    against references that compute each on its own (the height ratio is in
+    TestHeightRatio)."""
+
+    def test_vertices(self, hull_scan_cases):
+        for cfg in hull_scan_cases:
+            got = list(convex_hull(cfg).extremal)
+            assert got == vertices_by_normal_rank(cfg), cfg.points
+            assert got == extremal_points_by_lp(cfg.points, cfg.dim), cfg.points
+
+    def test_determinant_range_and_width(self, hull_scan_cases):
+        for cfg in hull_scan_cases:
+            poly, v = convex_hull(cfg), volumes(cfg)
+            expected = subset_det_range(cfg.points, cfg.dim)
+            assert (poly.det_max, poly.det_min) == expected, cfg.points
+            assert (v.det_max, v.det_min) == expected, cfg.points
+            width = max(max(abs(a - b) for a, b in zip(p, q))
+                        for p in cfg.points for q in cfg.points)
+            assert v.width == width, cfg.points
 
 class TestFacetFunctional:
     def test_triangle_hypotenuse(self):
@@ -203,7 +240,8 @@ class TestTriangulation:
 
     def test_bounds_then_triangulate_triangulates_once(self, monkeypatch, tmp_path, capsys):
         # volumes (for the bounds) and triangulate_from_origin read one
-        # triangulation: on normalized input both start from the origin
+        # triangulation: on normalized input both start from the origin,
+        # also under a pivot that leaves the origin above the least point
         path = tmp_path / "pentagon.txt"
         path.write_text("0 0\n1 0\n0 1\n1 1\n2 1\n")
         tops = []
@@ -214,12 +252,14 @@ class TestTriangulation:
             return triangulate(poly, face, apex)
 
         monkeypatch.setattr(polytope, "_triangulate", counted)
-        polytope._triangulation_cache.clear()
-        polytope._volume_cache.clear()
-        assert main(["bounds", "--input", str(path)]) == 0
-        assert main(["triangulate", "--input", str(path)]) == 0
-        capsys.readouterr()
-        assert tops.count(True) == 1
+        for pivot in ([], ["--pivot=2,1"]):
+            tops.clear()
+            polytope._triangulation_cache.clear()
+            polytope._volume_cache.clear()
+            assert main(["bounds", "--input", str(path), *pivot]) == 0
+            assert main(["triangulate", "--input", str(path), *pivot]) == 0
+            capsys.readouterr()
+            assert tops.count(True) == 1, pivot
 
     def test_origin_must_be_extremal(self):
         cfg = PointConfig.from_points([(-1,), (0,), (1,)])
@@ -282,7 +322,8 @@ class TestTriangulation:
         square = PointConfig.from_points([(0, 0), (2, 0), (0, 2), (1, 1)])
         poly = convex_hull(square)
         forged = polytope.Polytope(dim=2, points=poly.points, facets=poly.facets,
-                                   extremal=((0, 0),))
+                                   extremal=((0, 0),), det_max=poly.det_max,
+                                   det_min=poly.det_min)
         with pytest.raises(InternalInvariantError):
             polytope._triangulate(forged, frozenset(range(4)), 0)
 
