@@ -105,7 +105,10 @@ that every pair returns identical results, and prints tables:
   all pairs and the determinant form of the height ratio
   (``facet_height_ratio_by_determinants``).  The references take cofactor
   determinants, so they are slower than the Bareiss determinants these
-  computations once used.
+  computations once used.  The same section times cold ``_circuits``
+  (one integer kernel per column subset of size rank + 1) against
+  ``circuits_by_all_subsets`` (one per subset of every size 2..d+2), with
+  equal circuits checked.
 
     python benchmarks/bench_kernels.py [--repeat 5] [--only SECTION[,SECTION]]
 
@@ -133,6 +136,7 @@ import numpy as np
 
 from sumsetlab import (PointConfig, RegionSpec, SemigroupOracle, kernels, khovanskii,
                        normalize_config, reporting, structure)
+from sumsetlab.circuits import _circuit_cache, _circuits
 from sumsetlab.lattice import _extremal_cache, extremal_points
 from sumsetlab.polytope import (_box_scan_exact, _hull_cache, _simplices,
                                 _triangulation_cache, _volume_cache, convex_hull,
@@ -742,11 +746,12 @@ def triangulation(repeat):
 
 def geometry(repeat):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-    from oracles import (facet_height_ratio_by_determinants, subset_det_range,
-                         vertices_by_normal_rank)
+    from oracles import (circuits_by_all_subsets, facet_height_ratio_by_determinants,
+                         subset_det_range, vertices_by_normal_rank)
 
     def cold(measure, cfgs):
-        for cache in (_hull_cache, _volume_cache, _triangulation_cache, _extremal_cache):
+        for cache in (_hull_cache, _volume_cache, _triangulation_cache, _extremal_cache,
+                      _circuit_cache):
             cache.clear()
         return [measure(cfg) for cfg in cfgs]
 
@@ -771,7 +776,8 @@ def geometry(repeat):
                             for pts in _triangulation_sets()[0][1]) if cfg.dim]
     print(f"{'workload':38s} {'scan':>10s} {'refs':>10s} {'ratio':>8s}")
     for label, scan, reference in (("convex_hull", hull_scan, hull_by_references),
-                                   ("volumes + kappa", bounds_scan, bounds_by_references)):
+                                   ("volumes + kappa", bounds_scan, bounds_by_references),
+                                   ("circuits", _circuits, circuits_by_all_subsets)):
         t_sc, r_sc = bench(cold, (scan, cfgs), repeat)
         t_rf, r_rf = bench(cold, (reference, cfgs), repeat)
         assert r_sc == r_rf, label

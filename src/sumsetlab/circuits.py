@@ -80,32 +80,52 @@ def _sign_normalize(vector) -> tuple[int, ...]:
 def circuits(config: PointConfig) -> list[tuple[int, ...]]:
     """All support-minimal kernel vectors, content- and sign-normalized.
 
-    Enumerates column subsets of size at most dim + 2 of the points-plus-ones
-    matrix; whenever such a subset has a one-dimensional kernel its primitive
-    generator is a circuit, and every circuit arises this way.  The
-    circuits are memoized as a tuple; each call returns a fresh list.
+    Let M be the points-plus-ones matrix and rho its rank.  The circuits are
+    the primitive generators of the one-dimensional kernels of the column
+    subsets U of M of size rho + 1, and nothing else:
+
+    * a circuit C has at most rho + 1 elements, and C minus any element e is
+      independent, so by the augmentation axiom it extends to a basis B of
+      the column space; e is not in B (C is dependent), so U = B + e has
+      rho + 1 columns and rank rho, and its kernel is one-dimensional and
+      spanned by C's vector;
+    * conversely, every kernel vector of M_U with support inside that of
+      the generator of a one-dimensional kernel is a multiple of it, so the
+      generator's support is minimal.
+
+    rho is read off the kernel lattice (rho = n - its rank), so raw,
+    degenerate configurations are handled too.  The circuits are memoized
+    as a tuple; each call returns a fresh list.
     """
     return list(_circuits(config))
 
 
-@config_memo({})
+_circuit_cache: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+
+
+@config_memo(_circuit_cache)
 def _circuits(config: PointConfig) -> tuple[tuple[int, ...], ...]:
-    aug = config.augmented_columns()
+    """The sorted circuits: one integer kernel for the rank rho, then one per
+    column subset of size rho + 1 (see :func:`circuits` for why this finds
+    exactly the circuits).  Fewer than two points have none and cost none."""
     n = config.size
+    if n < 2:
+        return ()
+    aug = config.augmented_columns()
+    rank = n - len(kernel_lattice(config))
     found: dict[tuple[int, ...], None] = {}
-    for size in range(2, min(n, config.dim + 2) + 1):
-        for subset in combinations(range(n), size):
-            sub = [[row[j] for j in subset] for row in aug]
-            kern = integer_kernel(sub)
-            if len(kern) != 1:
-                continue
-            gen = kern[0]
-            g = content(gen)
-            gen = tuple(v // g for v in gen)
-            full = [0] * n
-            for j, v in zip(subset, gen):
-                full[j] = v
-            found[_sign_normalize(full)] = None
+    for subset in combinations(range(n), rank + 1):
+        sub = [[row[j] for j in subset] for row in aug]
+        kern = integer_kernel(sub)
+        if len(kern) != 1:
+            continue
+        gen = kern[0]
+        g = content(gen)
+        gen = tuple(v // g for v in gen)
+        full = [0] * n
+        for j, v in zip(subset, gen):
+            full[j] = v
+        found[_sign_normalize(full)] = None
     return tuple(sorted(found))
 
 

@@ -372,7 +372,16 @@ def normalize_config(config: PointConfig, pivot=None) -> PointConfig:
     operation deterministic and idempotent.  The recorded
     :class:`Normalization` maps results back to the input frame.  Sumset
     cardinalities and all thresholds are invariant under this map.
+
+    The result is memoized on (points, dim, pivot as a tuple), so a cache
+    hit returns the one shared immutable config; a pivot that is not a
+    vertex raises on every call.  :func:`normalize_fresh` recomputes.
     """
+    return _normalized(config, None if pivot is None else _as_point(pivot))
+
+
+def normalize_fresh(config: PointConfig, pivot=None) -> PointConfig:
+    """:func:`normalize_config` computed anew, without the memo."""
     if pivot is None:
         piv = min(config.points)
     else:
@@ -402,6 +411,14 @@ def normalize_config(config: PointConfig, pivot=None) -> PointConfig:
         normalization=norm,
         normalized=True,
     )
+
+
+_normalize_cache: dict[tuple, PointConfig] = {}
+
+
+@config_memo(_normalize_cache)
+def _normalized(config: PointConfig, pivot: Point | None) -> PointConfig:
+    return normalize_fresh(config, pivot)
 
 
 def is_normalized(config: PointConfig) -> bool:

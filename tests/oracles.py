@@ -19,7 +19,9 @@ and binary search, the reference for its check on bit sets, and
 the reference for the report writers' rendering a column at a time, and
 ``triangulate_by_facet_hulls`` triangulates each facet as a point set of its
 own, with its own hull in its own Hermite coordinates, the reference for
-the library's triangulation on the faces of the one hull.
+the library's triangulation on the faces of the one hull, and
+``circuits_by_all_subsets`` takes a kernel of every column subset of size
+2..d+2, the reference for the circuits from the rank-plus-one subsets alone.
 """
 
 from fractions import Fraction
@@ -29,10 +31,13 @@ from math import factorial
 import numpy as np
 
 from sumsetlab import kernels
+from sumsetlab.circuits import _sign_normalize
 from sumsetlab.errors import InternalInvariantError, PreconditionError
 from sumsetlab.lattice import (
     PointConfig,
+    content,
     hermite_basis,
+    integer_kernel,
     solve_in_lattice,
     solve_rational,
 )
@@ -662,3 +667,26 @@ def triangulate_by_facet_hulls(points, dim, apex):
                 orig.append(tuple(p))
             simplices.append(tuple(sorted(orig)))
     return sorted(set(simplices))
+
+
+def circuits_by_all_subsets(config):
+    """The sorted circuits from one integer kernel of every column subset of
+    size 2..dim+2 of the points-plus-ones matrix: each subset with a
+    one-dimensional kernel gives its primitive generator."""
+    aug = config.augmented_columns()
+    n = config.size
+    found: dict[tuple[int, ...], None] = {}
+    for size in range(2, min(n, config.dim + 2) + 1):
+        for subset in combinations(range(n), size):
+            sub = [[row[j] for j in subset] for row in aug]
+            kern = integer_kernel(sub)
+            if len(kern) != 1:
+                continue
+            gen = kern[0]
+            g = content(gen)
+            gen = tuple(v // g for v in gen)
+            full = [0] * n
+            for j, v in zip(subset, gen):
+                full[j] = v
+            found[_sign_normalize(full)] = None
+    return tuple(sorted(found))

@@ -1,4 +1,6 @@
+import importlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,6 +23,9 @@ from sumsetlab.lattice import lattice_rank
 from sumsetlab.sumsets import iter_sumsets
 
 from corpus import random_configs
+from oracles import circuits_by_all_subsets
+
+circuits_module = importlib.import_module("sumsetlab.circuits")  # not the function
 
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 C0123 = PointConfig.from_points([(0,), (1,), (2,), (3,)])
@@ -113,6 +118,76 @@ class TestCircuits:
                 for j, t in enumerate(supports):
                     if i != j:
                         assert not (s < t), name
+
+
+RAW_DEGENERATE = [
+    [(0, 0), (1, 1), (2, 2), (4, 4)],  # collinear in 2-D
+    [(0, 0, 0), (1, 2, 3), (3, 6, 9), (-1, -2, -3)],  # collinear in 3-D
+    [(0, 0, 0), (1, 0, 1), (0, 1, 1), (2, 1, 3), (1, 1, 2)],  # coplanar in 3-D
+    [(3, 4)],  # one point
+    [(0,), (5,)],  # two points
+    [(1, 0, 2), (0, 3, 1)],  # two points in 3-D
+]
+
+
+@pytest.fixture(scope="module")
+def circuit_cases(corpus):
+    """Every corpus set normalized at each vertex, random sets in d = 1..5
+    normalized and as drawn, and raw degenerate sets."""
+    cases = [normalize_config(raw, pivot=v) for _, raw, _ in corpus
+             for v in raw.extremal()]
+    for pts in random_configs(150, seed=29, max_dim=5, max_coord=3):
+        raw = PointConfig.from_points(pts)
+        cases += [normalize_config(raw), raw]
+    cases += [PointConfig.from_points(pts) for pts in RAW_DEGENERATE]
+    assert {cfg.dim for cfg in cases} == {1, 2, 3, 4, 5}
+    return cases
+
+
+def _kernel_calls(monkeypatch):
+    """A list that logs each integer kernel the circuits module takes, with
+    the circuit memo store emptied."""
+    calls = []
+    kernel = circuits_module.integer_kernel
+
+    def counted(rows):
+        calls.append(len(rows[0]))
+        return kernel(rows)
+
+    monkeypatch.setattr(circuits_module, "integer_kernel", counted)
+    circuits_module._circuit_cache.clear()
+    return calls
+
+
+class TestCircuitsFromRankSubsets:
+    def test_matches_all_subsets(self, circuit_cases):
+        for cfg in circuit_cases:
+            assert tuple(circuits(cfg)) == circuits_by_all_subsets(cfg), cfg.points
+
+    def test_kernels_per_rank_plus_one_subset(self, circuit_cases, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
+        for cfg in circuit_cases:
+            n = cfg.size
+            rank = n - len(kernel_lattice(cfg))
+            calls.clear()
+            circuits_module._circuit_cache.clear()
+            circuits_module._circuits(cfg)
+            all_subsets = sum(comb(n, s) for s in range(2, min(n, cfg.dim + 2) + 1))
+            assert len(calls) == (comb(n, rank + 1) + 1 if n > 1 else 0), cfg.points
+            assert len(calls) <= all_subsets, cfg.points
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_kernel_on_d_plus_two_points(self, d, monkeypatch):
+        # the unit simplex plus minus its sum: one circuit on all d + 2
+        # points, from the rank kernel and the one (d+2)-subset kernel; the
+        # all-sizes loop takes 2^(d+2) - d - 3 subset kernels
+        pts = [(0,) * d] + [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        cfg = PointConfig.from_points(pts + [(-1,) * d])
+        calls = _kernel_calls(monkeypatch)
+        got = circuits(cfg)
+        assert len(calls) == 2
+        assert tuple(got) == circuits_by_all_subsets(cfg)
+        assert len(got) == 1 and all(got[0])
 
 
 class TestConformalDecompose:

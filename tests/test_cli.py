@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import sumsetlab
-from sumsetlab import KhovanskiiBounds, StructureBounds, kernels, khovanskii
+from sumsetlab import KhovanskiiBounds, StructureBounds, kernels, khovanskii, lattice
 from sumsetlab.cli import main
 
 from corpus import CORPUS
@@ -428,6 +428,55 @@ class TestOtherCommands:
             code, out, err = run_cli(capsys, "verify", "--input", str(path))
             assert code == 0, (name, err)
             assert json.loads(out)["ok"] is True, name
+
+
+class TestOneNormalizationPerInput:
+    """normalize_config is memoized on (points, dim, pivot): the requests
+    on one input in one process normalize it once per pivot."""
+
+    @pytest.fixture
+    def normalizations(self, monkeypatch):
+        calls = []
+        fresh = lattice.normalize_fresh
+
+        def counted(config, pivot=None):
+            calls.append(pivot)
+            return fresh(config, pivot)
+
+        monkeypatch.setattr(lattice, "normalize_fresh", counted)
+        lattice._normalize_cache.clear()
+        yield calls
+        lattice._normalize_cache.clear()
+
+    @pytest.fixture
+    def triangle_json(self, tmp_path):
+        # a triangle with vertices (2, 1), (5, 1), (2, 4) around the point (3, 2)
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "points": [[2, 1], [5, 1], [2, 4], [3, 2]]}))
+        return str(path)
+
+    def test_three_commands_normalize_once(self, capsys, triangle_json, normalizations):
+        for command in ("bounds", "circuits", "triangulate"):
+            assert run_cli(capsys, command, "--input", triangle_json)[0] == 0
+        assert normalizations == [None]
+
+    def test_each_pivot_is_one_entry(self, capsys, triangle_json, normalizations):
+        for pivot in ("5,1", "2,4", "5,1"):
+            for command in ("bounds", "circuits"):
+                assert run_cli(capsys, command, "--input", triangle_json,
+                               f"--pivot={pivot}")[0] == 0
+        assert normalizations == [(5, 1), (2, 4)]
+        assert sorted(key[2] for key in lattice._normalize_cache) == [(2, 4), (5, 1)]
+
+    def test_non_vertex_pivot_fails_every_time(self, capsys, triangle_json, normalizations):
+        # an error is not cached, so each call checks the pivot again
+        for _ in range(3):
+            code, _, err = run_cli(capsys, "circuits", "--input", triangle_json,
+                                   "--pivot=3,2")
+            assert code == 2 and "extremal" in err
+        assert normalizations == [(3, 2)] * 3
+        assert not lattice._normalize_cache
 
 
 class TestErrorPaths:

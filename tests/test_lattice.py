@@ -266,6 +266,31 @@ class TestConfigMemo:
             (0, 0), (0, 2), (2, 0)]
         assert len(calls) == 1
 
+    def test_normalize_idempotent_recomputes(self):
+        # verify's second normalization pass must not be a memo hit, or on
+        # a normalized input it would compare norm with itself: a stale
+        # entry for norm's points (one that records a translation) stays
+        # out of the check
+        from sumsetlab.selfcheck import run_checks
+
+        norm = normalize_config(PointConfig.from_points([(0,), (3,), (5,)]))
+        stale = PointConfig(points=norm.points, dim=1, normalized=True,
+                            normalization=Normalization((2,), None, 1))
+        lattice._normalize_cache.clear()
+        lattice._normalize_cache[(norm.points, 1, None)] = stale
+        try:
+            assert normalize_config(norm) is stale
+            status = {c.name: c.status for c in run_checks(norm)}
+        finally:
+            lattice._normalize_cache.clear()
+        assert status["normalize_idempotent"] == "ok"
+
+    def test_normalization_is_shared(self):
+        raw = PointConfig.from_points([(2, 1), (5, 1), (2, 4), (3, 2)])
+        assert normalize_config(raw) is normalize_config(raw)
+        # the pivot is keyed as a tuple, whatever sequence it is passed as
+        assert normalize_config(raw, pivot=[2, 1]) is normalize_config(raw, pivot=(2, 1))
+
     def test_circuits_are_a_fresh_list(self):
         cfg = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
         first = circuits(cfg)
