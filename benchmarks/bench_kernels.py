@@ -105,7 +105,11 @@ that every pair returns identical results, and prints tables:
   all pairs and the determinant form of the height ratio
   (``facet_height_ratio_by_determinants``).  The references take cofactor
   determinants, so they are slower than the Bareiss determinants these
-  computations once used.  The same section times cold ``_circuits``
+  computations once used.  The ``hull`` rows time cold ``convex_hull`` per
+  dimension against ``convex_hull_by_cofactors`` (a Bareiss determinant
+  per cofactor, a separate rank test for the span and a second pass over
+  the facets for the height ratio), with equal polytopes checked.  The
+  same section times cold ``_circuits```
   (one integer kernel per column subset of size rank + 1) against
   ``circuits_by_all_subsets`` (one per subset of every size 2..d+2), with
   equal circuits checked.
@@ -746,8 +750,9 @@ def triangulation(repeat):
 
 def geometry(repeat):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-    from oracles import (circuits_by_all_subsets, facet_height_ratio_by_determinants,
-                         subset_det_range, vertices_by_normal_rank)
+    from oracles import (circuits_by_all_subsets, convex_hull_by_cofactors,
+                         facet_height_ratio_by_determinants, subset_det_range,
+                         vertices_by_normal_rank)
 
     def cold(measure, cfgs):
         for cache in (_hull_cache, _volume_cache, _triangulation_cache, _extremal_cache,
@@ -782,6 +787,13 @@ def geometry(repeat):
         t_rf, r_rf = bench(cold, (reference, cfgs), repeat)
         assert r_sc == r_rf, label
         print(f"{label + f', {len(cfgs)} shapes':38s} {t_sc * 1e3:8.2f}ms "
+              f"{t_rf * 1e3:8.2f}ms {t_rf / t_sc:7.2f}x")
+    for d in sorted({cfg.dim for cfg in cfgs}):
+        of_dim = [cfg for cfg in cfgs if cfg.dim == d]
+        t_sc, r_sc = bench(cold, (convex_hull, of_dim), repeat)
+        t_rf, r_rf = bench(cold, (convex_hull_by_cofactors, of_dim), repeat)
+        assert r_sc == r_rf, f"hull d = {d}"
+        print(f"{f'hull d = {d}, {len(of_dim)} shapes':38s} {t_sc * 1e3:8.2f}ms "
               f"{t_rf * 1e3:8.2f}ms {t_rf / t_sc:7.2f}x")
 
 

@@ -322,7 +322,13 @@ class PointConfig:
 
     def extremal(self) -> list[Point]:
         """The hull vertices (extremal_points), computed once per point set;
-        each call returns a fresh list."""
+        each call returns a fresh list.  A normalized config spans its
+        space, so its vertices are read off its cached hull, with no rank
+        test."""
+        if self.normalized:
+            from .polytope import convex_hull  # polytope imports this module
+
+            return list(convex_hull(self).extremal)
         return list(_extremal(self))
 
     def index_of(self, point) -> int:

@@ -3,9 +3,12 @@
 Facets are found by exhaustive scan over d-subsets (the target scale is
 small d and small point counts), kept as primitive integer normals with the
 hull on the <= side, and classified *outer* (offset > 0, the facet misses
-the origin) or *inner* (offset 0, the facet contains the origin).  The same
-scan gives the vertices (where the facets through a point meet in it alone)
-and the nonzero simplex determinant range; the facet normals give the height
+the origin) or *inner* (offset 0, the facet contains the origin).  Each
+subset's normal comes from one expansion of the maximal minors of its
+difference rows, and each point's dot product with it is taken once.  From
+those dot products the same scan gives the span test (a spanning set lies
+on no hyperplane), the vertices (where the facets through a point meet in
+it alone), the nonzero simplex determinant range and the facet height
 ratio.  The triangulation recurses over the faces of that one hull, each
 face the set of indices of the points on it.  All volumes, functionals, and
 ratios are exact integers or Fractions.
@@ -13,10 +16,12 @@ ratios are exact integers or Fractions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import kernels
 from .errors import (
@@ -30,9 +35,7 @@ from .lattice import (
     Point,
     PointConfig,
     config_memo,
-    content,
     determinant,
-    lattice_rank,
 )
 
 
@@ -72,8 +75,11 @@ class FacetFunctional:
 @dataclass(frozen=True)
 class Polytope:
     """Exact facet description of the convex hull of a point configuration,
-    its vertices (``extremal``, lex-sorted), and the largest and smallest
-    nonzero |det| over its (d+1)-point subsets (1 and 1 when d = 0)."""
+    its vertices (``extremal``, lex-sorted), the largest and smallest
+    nonzero |det| over its (d+1)-point subsets (1 and 1 when d = 0), and
+    the facet height ratio: the worst, over the facets, of the largest over
+    the least nonzero height offset - normal . a of a point a, and at least
+    1 (1 when d = 0).  All are read off the one scan of ``convex_hull``."""
 
     dim: int
     points: tuple[Point, ...]
@@ -81,6 +87,7 @@ class Polytope:
     extremal: tuple[Point, ...]
     det_max: int
     det_min: int
+    height_ratio: Fraction
 
     @property
     def outer_facets(self) -> tuple[FacetFunctional, ...]:
@@ -102,23 +109,67 @@ class Triangulation:
     simplices: tuple[tuple[Point, ...], ...]
 
 
+@functools.cache
+def _minor_plan(dim: int):
+    """The index plan by which ``_hyperplane_normal`` expands the minors of
+    its dim - 1 rows.  Entry r - 2 lists, for each column set T of size r
+    (r = 2 .. dim - 1, T in ``itertools.combinations`` order), the pairs
+    (column j, index of T - {j} among the sets of size r - 1) whose terms
+    add and those whose terms subtract in the expansion of the minor of the
+    first r rows on T along its last row."""
+    plans = []
+    previous = {(j,): j for j in range(dim)}
+    for r in range(2, dim):
+        level = list(itertools.combinations(range(dim), r))
+        plan = []
+        for cols in level:
+            plus, minus = [], []
+            for i, j in enumerate(cols):
+                term = (j, previous[cols[:i] + cols[i + 1:]])
+                (minus if (r - 1 + i) % 2 else plus).append(term)
+            plan.append((tuple(plus), tuple(minus)))
+        plans.append(tuple(plan))
+        previous = {cols: n for n, cols in enumerate(level)}
+    return tuple(plans)
+
+
 def _hyperplane_normal(points, dim) -> tuple[Point, int] | None:
     """The primitive integer normal n of the affine span of dim points and
     the content g of their cofactor vector g*n, or None when the points are
     affinely dependent.  For any point p, the |det| of the dim points with p
-    is g*|n . p - n . points[0]| (cofactor expansion along p's row)."""
+    is g*|n . p - n . points[0]| (cofactor expansion along p's row).
+
+    The cofactors are the maximal minors of the dim - 1 difference rows,
+    built by expanding the minors of the first r rows on every column set
+    of size r from those of the first r - 1 rows (``_minor_plan``): one
+    pass over the rows, with no determinant per coordinate.  They all
+    vanish exactly when the rows are dependent, which is how
+    ``convex_hull`` finds that a set has no independent d-subset.
+    """
+    if dim == 1:
+        return (1,), 1
     base = points[0]
-    rows = [[p[k] - base[k] for k in range(dim)] for p in points[1:]]
-    normal = []
-    for k in range(dim):
-        minor = [row[:k] + row[k + 1:] for row in rows]
-        normal.append((-1) ** k * determinant(minor))
+    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    minors = rows[0]
+    for row, plan in zip(rows[1:], _minor_plan(dim)):
+        expanded = []
+        for plus, minus in plan:
+            s = 0
+            for j, m in plus:
+                s += row[j] * minors[m]
+            for j, m in minus:
+                s -= row[j] * minors[m]
+            expanded.append(s)
+        minors = expanded
+    # the k-th minor of the last row misses column dim - 1 - k
+    normal = [v if k % 2 == 0 else -v for k, v in enumerate(reversed(minors))]
     if not any(normal):
         return None
-    g = content(normal)
+    g = math.gcd(*normal)
     return tuple(v // g for v in normal), g
 
 
+_NOT_SPANNING = "points do not span the ambient space; normalize_config first"
 _hull_cache: dict[tuple, Polytope] = {}
 _volume_cache: dict[tuple, "VolumeData"] = {}
 _triangulation_cache: dict[tuple, "Triangulation"] = {}
@@ -126,41 +177,53 @@ _triangulation_cache: dict[tuple, "Triangulation"] = {}
 
 @config_memo(_hull_cache)
 def convex_hull(config: PointConfig) -> Polytope:
-    """Exact facets, vertices and simplex determinant range of the hull of
-    ``config``, all from one scan over the d-point subsets.
+    """Exact facets, vertices, simplex determinant range and facet height
+    ratio of the hull of ``config``, all from one scan over the d-point
+    subsets.
 
     Requires the points to span the full ambient space; degenerate inputs
     should be normalized first so the ambient dimension matches the rank.
+    The scan itself tells: a spanning set lies on no hyperplane, a set of
+    affine rank d - 1 lies on the hyperplane of every independent d-subset,
+    and a set of lower rank has no independent d-subset, so
+    DegenerateDimensionError is raised at the first independent subset
+    whose hyperplane holds every point, or when there is none.
     """
     d = config.dim
     pts = config.points
     if d == 0:
-        return Polytope(dim=0, points=pts, facets=(), extremal=pts, det_max=1, det_min=1)
-    diffs = [tuple(p[k] - pts[0][k] for k in range(d)) for p in pts[1:]]
-    if lattice_rank(diffs) != d:
-        raise DegenerateDimensionError(
-            "points do not span the ambient space; normalize_config first"
-        )
+        return Polytope(dim=0, points=pts, facets=(), extremal=pts, det_max=1, det_min=1,
+                        height_ratio=Fraction(1))
     seen: dict[tuple[Point, int], set[int]] = {}
     highs, lows = [], []
+    ratio_high, ratio_low = 1, 1
     for subset in itertools.combinations(range(len(pts)), d):
         plane = _hyperplane_normal([pts[i] for i in subset], d)
         if plane is None:
             continue
         normal, g = plane
-        dots = [sum(n * x for n, x in zip(normal, p)) for p in pts]
+        dots = [sum(map(mul, normal, p)) for p in pts]
         c = dots[subset[0]]
-        # every nonzero det of d + 1 points shows up here, since each of
-        # their d-subsets is independent; the points span, so some dot is off c
         top, bottom = max(dots), min(dots)
-        highs.append(g * max(top - c, c - bottom))
-        lows.append(g * min(abs(v - c) for v in dots if v != c))
+        if top == bottom:
+            raise DegenerateDimensionError(_NOT_SPANNING)
+        # every nonzero det of d + 1 points shows up here, since each of
+        # their d-subsets is independent
+        high = max(top - c, c - bottom)
+        low = min(abs(v - c) for v in dots if v != c)
+        highs.append(g * high)
+        lows.append(g * low)
         incident = {i for i, v in enumerate(dots) if v == c}
         if top != c:
             if bottom != c:
                 continue
             normal, c = tuple(-n for n in normal), -c
+        # on a facet, high and low are the largest and least height off it
+        if high * ratio_low > ratio_high * low:
+            ratio_high, ratio_low = high, low
         seen.setdefault((normal, c), set()).update(incident)
+    if not highs:
+        raise DegenerateDimensionError(_NOT_SPANNING)
     facets = []
     for (normal, c), incident in seen.items():
         kind = "outer" if c > 0 else ("inner" if c == 0 else None)
@@ -182,6 +245,7 @@ def convex_hull(config: PointConfig) -> Polytope:
         extremal=tuple(sorted(pts[i] for i, m in enumerate(meet) if m == {i})),
         det_max=max(highs),
         det_min=min(lows),
+        height_ratio=Fraction(ratio_high, ratio_low),
     )
 
 
@@ -292,14 +356,11 @@ def facet_height_ratio(config: PointConfig) -> Fraction:
     For d affinely independent points b_1..b_d of the facet, det(b_1 - a,
     ..., b_d - a) is a fixed nonzero multiple of it (their cofactor vector
     is a multiple of the normal), so the ratio is the determinants' ratio.
-    Returns max over facets of max/min height over the points off it.
+    Returns max over facets of max/min height over the points off it, and
+    at least 1: the hull scan's ``height_ratio``, read off the dot products
+    it takes on each facet subset, so a cached hull answers with a lookup.
     """
-    worst = Fraction(1)
-    for facet in convex_hull(config).facets:
-        heights = [h for h in (facet.offset - facet.dot(a) for a in config.points) if h]
-        if heights:
-            worst = max(worst, Fraction(max(heights), min(heights)))
-    return worst
+    return convex_hull(config).height_ratio
 
 
 def _dilate_box(config: PointConfig, n: int):

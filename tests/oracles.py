@@ -21,7 +21,11 @@ the reference for the report writers' rendering a column at a time, and
 own, with its own hull in its own Hermite coordinates, the reference for
 the library's triangulation on the faces of the one hull, and
 ``circuits_by_all_subsets`` takes a kernel of every column subset of size
-2..d+2, the reference for the circuits from the rank-plus-one subsets alone.
+2..d+2, the reference for the circuits from the rank-plus-one subsets alone,
+and ``convex_hull_by_cofactors`` is the hull scan with a determinant per
+cofactor, a separate rank test for the span and a second pass over the
+facets for the height ratio, the reference for the library's one scan with
+its cofactors from one minor expansion.
 """
 
 from fractions import Fraction
@@ -32,17 +36,29 @@ import numpy as np
 
 from sumsetlab import kernels
 from sumsetlab.circuits import _sign_normalize
-from sumsetlab.errors import InternalInvariantError, PreconditionError
+from sumsetlab.errors import (
+    DegenerateDimensionError,
+    InternalInvariantError,
+    PreconditionError,
+)
 from sumsetlab.lattice import (
     PointConfig,
     content,
+    determinant,
     hermite_basis,
     integer_kernel,
+    lattice_rank,
     solve_in_lattice,
     solve_rational,
 )
 from sumsetlab.polynomials import RationalPolynomial
-from sumsetlab.polytope import cone_constraints, convex_hull, dilate_points
+from sumsetlab.polytope import (
+    FacetFunctional,
+    Polytope,
+    cone_constraints,
+    convex_hull,
+    dilate_points,
+)
 from sumsetlab.structure import StructureReport
 from sumsetlab.sumsets import sumset_iterate
 
@@ -690,3 +706,79 @@ def circuits_by_all_subsets(config):
                 full[j] = v
             found[_sign_normalize(full)] = None
     return tuple(sorted(found))
+
+
+def hyperplane_normal_by_determinants(points, dim):
+    """The primitive integer normal n of the affine span of dim points and
+    the content g of their cofactor vector g*n, or None when the points are
+    affinely dependent: one determinant of a (dim-1)-minor per coordinate."""
+    base = points[0]
+    rows = [[p[k] - base[k] for k in range(dim)] for p in points[1:]]
+    normal = []
+    for k in range(dim):
+        minor = [row[:k] + row[k + 1:] for row in rows]
+        normal.append((-1) ** k * determinant(minor))
+    if not any(normal):
+        return None
+    g = content(normal)
+    return tuple(v // g for v in normal), g
+
+
+def convex_hull_by_cofactors(config):
+    """The Polytope of ``config`` from the scan with a determinant per
+    cofactor (``hyperplane_normal_by_determinants``), a Hermite rank test of
+    the differences for the span, and the height ratio from a second loop
+    over the facets and points: the reference for the library's one scan."""
+    d = config.dim
+    pts = config.points
+    if d == 0:
+        return Polytope(dim=0, points=pts, facets=(), extremal=pts, det_max=1, det_min=1,
+                        height_ratio=Fraction(1))
+    diffs = [tuple(p[k] - pts[0][k] for k in range(d)) for p in pts[1:]]
+    if lattice_rank(diffs) != d:
+        raise DegenerateDimensionError(
+            "points do not span the ambient space; normalize_config first"
+        )
+    seen = {}
+    highs, lows = [], []
+    for subset in combinations(range(len(pts)), d):
+        plane = hyperplane_normal_by_determinants([pts[i] for i in subset], d)
+        if plane is None:
+            continue
+        normal, g = plane
+        dots = [sum(n * x for n, x in zip(normal, p)) for p in pts]
+        c = dots[subset[0]]
+        top, bottom = max(dots), min(dots)
+        highs.append(g * max(top - c, c - bottom))
+        lows.append(g * min(abs(v - c) for v in dots if v != c))
+        incident = {i for i, v in enumerate(dots) if v == c}
+        if top != c:
+            if bottom != c:
+                continue
+            normal, c = tuple(-n for n in normal), -c
+        seen.setdefault((normal, c), set()).update(incident)
+    facets = []
+    for (normal, c), incident in seen.items():
+        kind = "outer" if c > 0 else ("inner" if c == 0 else None)
+        facets.append(FacetFunctional(
+            normal=normal, offset=c, incident=tuple(sorted(incident)), kind=kind,
+        ))
+    facets.sort(key=lambda f: ({"outer": 0, "inner": 1}.get(f.kind, 2), f.normal, f.offset))
+    meet = [None] * len(pts)
+    for incident in seen.values():
+        for i in incident:
+            meet[i] = incident if meet[i] is None else meet[i] & incident
+    worst = Fraction(1)
+    for facet in facets:
+        heights = [h for h in (facet.offset - facet.dot(a) for a in pts) if h]
+        if heights:
+            worst = max(worst, Fraction(max(heights), min(heights)))
+    return Polytope(
+        dim=d,
+        points=pts,
+        facets=tuple(facets),
+        extremal=tuple(sorted(pts[i] for i, m in enumerate(meet) if m == {i})),
+        det_max=max(highs),
+        det_min=min(lows),
+        height_ratio=worst,
+    )

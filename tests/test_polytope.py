@@ -1,4 +1,9 @@
+import dataclasses
+import importlib
 import math
+import os
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +33,12 @@ from sumsetlab.polytope import _box_scan_exact, _dilate_box, dilate_points, scan
 
 from corpus import random_configs
 from oracles import (
+    convex_hull_by_cofactors,
     dilate_points_by_facets,
     extremal_points_by_lp,
     facet_height_ratio_by_determinants,
     hull_facets_by_planes,
+    hyperplane_normal_by_determinants,
     subset_det_range,
     triangulate_by_facet_hulls,
     vertices_by_normal_rank,
@@ -41,6 +48,7 @@ TRIANGLE = PointConfig.from_points([(0, 0), (3, 0), (0, 3), (1, 1)])
 SQUARE = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 A135 = PointConfig.from_points([(0,), (3,), (5,)])
 SIMPLEX = PointConfig.from_points([(0, 0), (1, 0), (0, 1)])
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 class TestConvexHull:
@@ -185,6 +193,138 @@ class TestHullScanParity:
                         for p in cfg.points for q in cfg.points)
             assert v.width == width, cfg.points
 
+
+def _geometry_batch_sets():
+    """The point sets of the geometry-batch benchmark workload."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(PERFBENCH)
+    return [group[0]["points"] for group in workloads.geometry_batch(workloads.DRAW_SEED)]
+
+
+def _hull_or_error(hull, cfg):
+    """hull(cfg), or the class and message of what it raised."""
+    try:
+        return hull(cfg)
+    except DegenerateDimensionError as exc:
+        return type(exc), str(exc)
+
+
+DEGENERATE = {
+    "collinear 2-D": [(0, 0), (1, 1), (2, 2)],
+    "collinear 3-D": [(0, 0, 0), (1, 2, 3), (2, 4, 6), (5, 10, 15)],
+    "coplanar 3-D": [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (3, 2, 5)],
+    "three points in 3-D": [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+    "two points in 3-D": [(0, 0, 0), (1, 2, 3)],
+    "three points in 4-D": [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)],
+    "one point in 1-D": [(5,)],
+    "one point in 2-D": [(4, 7)],
+}
+
+
+@pytest.fixture(scope="module")
+def one_scan_cases(corpus):
+    """Sets for the parity of the one hull scan with the cofactor-determinant
+    scan: the corpus normalized at every vertex, the geometry-batch sets
+    normalized, and random sets in d = 1..6, raw and normalized, with small
+    coordinates, with coordinates past 2^62, and the small ones stretched
+    past 2^62 (so that their collinear and coplanar subsets stay)."""
+    cases = [normalize_config(raw, pivot=v) for _, raw, _ in corpus for v in raw.extremal()]
+    cases += [normalize_config(PointConfig.from_points(pts)) for pts in _geometry_batch_sets()]
+    drawn = random_configs(150, seed=30, max_points=8, max_dim=6, max_coord=2)
+    drawn += random_configs(60, seed=31, max_points=8, max_dim=6, max_coord=2 ** 64)
+    drawn += [[tuple(x * (2 ** 62 + 1) + 3 ** 41 for x in p) for p in pts] for pts in drawn[:60]]
+    for pts in drawn + [DEGENERATE["one point in 2-D"]]:
+        raw = PointConfig.from_points(pts)
+        cases += [raw, normalize_config(raw)]
+    assert {cfg.dim for cfg in cases} == {0, 1, 2, 3, 4, 5, 6}
+    assert max(abs(x) for cfg in cases for p in cfg.points for x in p) > 2 ** 62
+    return cases
+
+
+class TestOneHullScan:
+    """The one scan (cofactors from one minor expansion, the span test, the
+    height ratio and the vertices read off it) against the scan with a
+    determinant per cofactor, a rank test and a second pass for the ratio."""
+
+    def test_matches_cofactor_scan(self, one_scan_cases):
+        spanning = 0
+        for cfg in one_scan_cases:
+            polytope._hull_cache.clear()
+            expected = _hull_or_error(convex_hull_by_cofactors, cfg)
+            assert _hull_or_error(convex_hull, cfg) == expected, cfg.points
+            if isinstance(expected, polytope.Polytope):
+                spanning += 1
+                assert facet_height_ratio(cfg) == expected.height_ratio, cfg.points
+        assert 0 < spanning < len(one_scan_cases)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_inputs_raise_as_the_rank_test(self, name):
+        cfg = PointConfig.from_points(DEGENERATE[name])
+        polytope._hull_cache.clear()
+        expected = _hull_or_error(convex_hull_by_cofactors, cfg)
+        assert expected == (DegenerateDimensionError,
+                            "points do not span the ambient space; normalize_config first")
+        assert _hull_or_error(convex_hull, cfg) == expected
+        with pytest.raises(DegenerateDimensionError):
+            facet_height_ratio(cfg)
+
+    def test_normal_matches_cofactor_determinants(self):
+        rng = random.Random(32)
+        for trial in range(3000):
+            d = 1 + trial % 7
+            top = rng.choice((1, 3, 2 ** 70))
+            base = tuple(rng.randint(-top, top) for _ in range(d))
+            rows = [[rng.randint(-top, top) for _ in range(d)] for _ in range(d - 1)]
+            if d > 1 and trial % 5 == 0:
+                rows[-1] = [0] * d  # a repeated point
+            elif d > 2 and trial % 5 == 1:
+                rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+            points = [base] + [tuple(b + x for b, x in zip(base, row)) for row in rows]
+            assert polytope._hyperplane_normal(points, d) == \
+                hyperplane_normal_by_determinants(points, d), (points, d)
+
+    def test_normal_takes_no_determinant(self, monkeypatch):
+        def forbidden(rows):
+            raise AssertionError("a determinant in the cofactor normal")
+
+        monkeypatch.setattr(lattice, "determinant", forbidden)
+        monkeypatch.setattr(polytope, "determinant", forbidden)
+        for d in range(1, 7):
+            points = [tuple(int(i == k) for k in range(d)) for i in range(d)]
+            assert polytope._hyperplane_normal(points, d) == ((1,) * d, 1)
+
+    def test_normalized_hull_and_vertices_take_no_hermite_form(self, monkeypatch):
+        cfgs = [normalize_config(PointConfig.from_points(pts)) for pts in (
+            [(0, 0), (3, 0), (0, 3), (1, 1)], [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+            [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (1, 1, 1, 1)])]
+        calls = []
+        hermite = lattice.hermite_basis
+        monkeypatch.setattr(lattice, "hermite_basis",
+                            lambda vectors: calls.append(vectors) or hermite(vectors))
+        polytope._hull_cache.clear()
+        lattice._extremal_cache.clear()
+        for cfg in cfgs:
+            assert cfg.normalized
+            poly = convex_hull(cfg)
+            assert cfg.extremal() == list(poly.extremal)
+        assert calls == []
+
+    def test_ratio_on_a_cached_hull_takes_no_dot(self, monkeypatch):
+        calls = []
+        dot = polytope.FacetFunctional.dot
+        monkeypatch.setattr(polytope.FacetFunctional, "dot",
+                            lambda facet, point: calls.append(point) or dot(facet, point))
+        for cfg in (TRIANGLE, SQUARE, A135):
+            convex_hull(cfg)
+            calls.clear()
+            assert facet_height_ratio(cfg) == {TRIANGLE: 3, SQUARE: 1, A135: Fraction(5, 2)}[cfg]
+            assert calls == []
+
+
 class TestFacetFunctional:
     def test_triangle_hypotenuse(self):
         poly = convex_hull(TRIANGLE)
@@ -301,9 +441,8 @@ class TestTriangulation:
         def forbidden(*args):
             raise AssertionError("the triangulation left the one hull")
 
-        for module, name in ((lattice, "hermite_basis"), (lattice, "solve_in_lattice"),
-                             (lattice, "lattice_rank"), (polytope, "lattice_rank")):
-            monkeypatch.setattr(module, name, forbidden)
+        for name in ("hermite_basis", "solve_in_lattice", "lattice_rank"):
+            monkeypatch.setattr(lattice, name, forbidden)
         monkeypatch.setattr(PointConfig, "extremal", forbidden)
         monkeypatch.setattr(PointConfig, "__post_init__", forbidden)
         assert len(polytope._simplices(prism, (0, 0, 0))) == 3
@@ -321,9 +460,7 @@ class TestTriangulation:
         # through (2, 0), (1, 1), (0, 2) then holds none
         square = PointConfig.from_points([(0, 0), (2, 0), (0, 2), (1, 1)])
         poly = convex_hull(square)
-        forged = polytope.Polytope(dim=2, points=poly.points, facets=poly.facets,
-                                   extremal=((0, 0),), det_max=poly.det_max,
-                                   det_min=poly.det_min)
+        forged = dataclasses.replace(poly, extremal=((0, 0),))
         with pytest.raises(InternalInvariantError):
             polytope._triangulate(forged, frozenset(range(4)), 0)
 
